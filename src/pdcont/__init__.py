@@ -24,11 +24,10 @@ from .geometry import (
     check_general_position,
     circumradius,
     circumradius_gradient,
-    pack,
+    circumspheres,
     rips_birth_radius,
     simplex_key,
     to_gauge_frame,
-    unpack,
 )
 from .delaunay import DelaunayComplex, delaunay3, is_attaching
 from .filtration import FilteredComplex, build_alpha, build_rips
@@ -43,7 +42,6 @@ from .persistence import (
 )
 from .metrics import (
     bottleneck,
-    bottleneck_exhaustive,
     diag_distance,
     hausdorff,
     triangle_ratio_check,

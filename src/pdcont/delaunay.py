@@ -21,7 +21,7 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, GeneralPositionViolation
-from .geometry import Configuration, simplex_key
+from .geometry import Configuration, circumspheres, simplex_key
 
 # Hadamard-style relative filter: float determinants smaller than this times
 # the row-norm product are re-evaluated exactly.
@@ -39,7 +39,7 @@ class DelaunayComplex:
     points: np.ndarray
     tetrahedra: tuple
     by_dim: dict = field(repr=False)
-    cofacets: dict = field(repr=False)   # triangle key -> tetrahedra containing it
+    cofacets: dict = field(repr=False)   # edge or triangle key -> its cofacet keys
 
     def simplices(self, dim: int):
         return self.by_dim.get(dim, ())
@@ -47,10 +47,6 @@ class DelaunayComplex:
     def all_simplices(self):
         for dim in sorted(self.by_dim):
             yield from self.by_dim[dim]
-
-    def __contains__(self, key):
-        key = tuple(key)
-        return key in set(self.by_dim.get(len(key) - 1, ()))
 
     def dump_text(self) -> str:
         """Plain-text listing of the tetrahedra (one per line) for inspection."""
@@ -64,6 +60,16 @@ class DelaunayComplex:
         return "\n".join(lines)
 
 
+def _cofacets(by_dim):
+    """Edge and triangle keys -> the keys one dimension up that contain them."""
+    out = {}
+    for dim in (2, 3):
+        for key in by_dim.get(dim, ()):
+            for face in _faces(key, dim - 1):
+                out.setdefault(face, []).append(key)
+    return {k: tuple(v) for k, v in out.items()}
+
+
 def _close_down(top_simplices, n_points):
     by_dim = {0: tuple((i,) for i in range(n_points))}
     seen = {1: set(), 2: set(), 3: set()}
@@ -75,40 +81,6 @@ def _close_down(top_simplices, n_points):
         if seen[dim]:
             by_dim[dim] = tuple(sorted(seen[dim]))
     return by_dim
-
-
-def _solve_small(a, b):
-    """Solve a k x k system for k = 1, 2, 3 by Cramer's rule."""
-    k = len(b)
-    if k == 1:
-        return np.array([b[0] / a[0, 0]])
-    if k == 2:
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        return np.array(
-            [
-                (b[0] * a[1, 1] - b[1] * a[0, 1]) / det,
-                (a[0, 0] * b[1] - a[1, 0] * b[0]) / det,
-            ]
-        )
-    return np.linalg.solve(a, b)
-
-
-def circumsphere(pts):
-    """Center and radius of the smallest sphere through 2..4 points.
-
-    The center lies in the affine span of the points (solved via the Gram
-    system); this is the geometric counterpart of geometry.circumradius.
-    """
-    pts = np.asarray(pts, dtype=float)
-    v0 = pts[0]
-    rel = pts[1:] - v0
-    if rel.shape[0] == 0:
-        return v0.copy(), 0.0
-    gram = rel @ rel.T
-    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    coeff = _solve_small(gram, rhs)
-    center = v0 + rel.T @ coeff
-    return center, float(np.linalg.norm(center - pts[0]))
 
 
 # --- exact predicates -----------------------------------------------------------
@@ -235,7 +207,7 @@ def delaunay3(config: Configuration, verify: bool = True) -> DelaunayComplex:
                 raise DegenerateInput("collinear 3-point cloud")
             top = [(0, 1, 2)]
         by_dim = _close_down(top, m)
-        return DelaunayComplex(pts, (), by_dim, {})
+        return DelaunayComplex(pts, (), by_dim, _cofacets(by_dim))
 
     if m == 4:
         # the Delaunay complex of four non-coplanar points is the tetrahedron
@@ -256,12 +228,30 @@ def delaunay3(config: Configuration, verify: bool = True) -> DelaunayComplex:
         if verify:
             _verify_empty(pts, tets)
     by_dim = _close_down(tets, m)
-    cofacets = {}
-    for tet in tets:
-        for tri_key in _faces(tet, 2):
-            cofacets.setdefault(tri_key, []).append(tet)
-    cofacets = {k: tuple(v) for k, v in cofacets.items()}
-    return DelaunayComplex(pts, tuple(tets), by_dim, cofacets)
+    return DelaunayComplex(pts, tuple(tets), by_dim, _cofacets(by_dim))
+
+
+def attaching_flags(dc: DelaunayComplex, keys, centers, radii) -> np.ndarray:
+    """Which of the Delaunay simplices ``keys`` are attaching.
+
+    A simplex is attaching iff its smallest circumsphere (``centers``,
+    ``radii``, one row per key) contains no cloud point. For a Delaunay
+    simplex it suffices to test the vertices of its cofacets (Edelsbrunner &
+    Mücke, Three-dimensional alpha shapes, 1994): vertices and tetrahedra are
+    always attaching, a triangle is tested against the far vertices of its at
+    most two tetrahedra, an edge against the third vertices of its triangles.
+    """
+    rows, others = [], []
+    for s, key in enumerate(keys):
+        for coface in dc.cofacets.get(key, ()):
+            rows.append(s)
+            others.append(sum(coface) - sum(key))  # the vertex of coface off key
+    flags = np.ones(len(keys), dtype=bool)
+    if rows:
+        rows = np.array(rows)
+        dist = np.linalg.norm(dc.points[others] - centers[rows], axis=1)
+        flags[rows[dist < radii[rows]]] = False
+    return flags
 
 
 def is_attaching(simplex, dc: DelaunayComplex) -> bool:
@@ -269,9 +259,5 @@ def is_attaching(simplex, dc: DelaunayComplex) -> bool:
     key = tuple(simplex)
     if len(key) == 1:
         return True
-    pts = dc.points
-    center, radius = circumsphere(pts[list(key)])
-    member = np.zeros(pts.shape[0], dtype=bool)
-    member[list(key)] = True
-    d = np.linalg.norm(pts[~member] - center, axis=1)
-    return bool(np.all(d >= radius))
+    centers, radii, _, _ = circumspheres(dc.points[list(key)][None])
+    return bool(attaching_flags(dc, [key], centers, radii)[0])

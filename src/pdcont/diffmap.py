@@ -88,16 +88,13 @@ def _scatter(grad, attaching, col_index, n):
 
 
 def _warn_near_ties(rows, fc: FilteredComplex, tol: float):
-    attaching = sorted(
-        (e.radius, e.key) for e in fc.entries if e.key == e.attaching and e.dim >= 1
-    )
-    radii = [r for r, _ in attaching]
+    attaching = fc.attaching_radii
     events = []
     for info in rows:
         if len(info.attaching_key) == 1:
             continue
-        lo = bisect.bisect_left(radii, info.value - tol)
-        hi = bisect.bisect_right(radii, info.value + tol)
+        lo = bisect.bisect_left(attaching, (info.value - tol, ()))
+        hi = bisect.bisect_right(attaching, (info.value + tol, (np.inf,)))
         for r, key in attaching[lo:hi]:
             if key != info.attaching_key:
                 events.append((info.attaching_key, key, info.value, r))

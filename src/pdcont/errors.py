@@ -10,7 +10,7 @@ class GaugeViolation(PdcontError):
 
 
 class DegenerateSimplex(PdcontError):
-    """Circumradius denominator below the scale-aware threshold."""
+    """Simplex too flat for a circumsphere: its content is below the scale-aware threshold."""
 
 
 class DegenerateInput(PdcontError):
@@ -50,7 +50,3 @@ class MatchingAmbiguous(PdcontError):
 
 class NearDegenerateJacobian(UserWarning):
     """Two attaching radii coincide within tolerance; Df selection is arbitrary."""
-
-
-class NearGeneralPositionWarning(UserWarning):
-    """Soft general-position check found near-violations."""

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import io
 import itertools
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import delaunay as _delaunay
-from .errors import NearGeneralPositionWarning
-from .geometry import Configuration, circumradius, rips_birth_radius
+from .geometry import Configuration, circumspheres, rips_birth_radius
+from .geometry import circumradius  # unused here; perfbench/tracing.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,13 @@ class FilteredComplex:
 
     def __len__(self):
         return len(self.entries)
+
+    @cached_property
+    def attaching_radii(self) -> tuple:
+        """(radius, key) of every attaching simplex of dimension >= 1, sorted."""
+        return tuple(sorted(
+            (e.radius, e.key) for e in self.entries if e.key == e.attaching and e.dim >= 1
+        ))
 
     def index_of(self):
         return {e.key: i for i, e in enumerate(self.entries)}
@@ -70,84 +77,26 @@ def build_rips(config: Configuration, max_dim: int = 3) -> FilteredComplex:
     return FilteredComplex("rips", config, ordered, ordered[-1].radius)
 
 
-def _alpha_small(config: Configuration):
-    """Alpha filtration for M <= 3 (vertex / edge / triangle complexes)."""
-    pts = config.points
-    dc = _delaunay.delaunay3(config)
-    rho = {}
-    attaching = {}
-    for key in dc.all_simplices():
-        if len(key) == 1:
-            rho[key] = 0.0
-            attaching[key] = True
-            continue
-        rho[key] = circumradius(pts[list(key)])
-        attaching[key] = _delaunay.is_attaching(key, dc)
-    return dc, rho, attaching
+def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredComplex:
+    """Alpha filtration on the Delaunay complex ``dc`` of ``config``.
 
-
-def _alpha_full(config: Configuration):
-    """Delaunay simplices with circumradii and attaching flags, M >= 4.
-
-    Circumcenters are solved per dimension in one batched Gram system; the
-    attaching test compares every point's distance to each center at once.
+    Birth radius of a simplex is the smallest circumradius among its attaching
+    cofaces (itself included when attaching); the realizing coface is stored
+    as the attaching simplex.
     """
     pts = config.points
-    m = pts.shape[0]
-    dc = _delaunay.delaunay3(config)
-    rho = {(i,): 0.0 for i in range(m)}
-    attaching = {(i,): True for i in range(m)}
+    birth = {key: 0.0 for key in dc.simplices(0)}
+    realizer = {key: key for key in dc.simplices(0)}
     for dim in (1, 2, 3):
         keys = dc.simplices(dim)
         if not keys:
             continue
-        idx = np.array(keys)                      # (S, dim+1)
-        vp = pts[idx]                             # (S, dim+1, 3)
-        rel = vp[:, 1:, :] - vp[:, :1, :]         # (S, dim, 3)
-        gram = rel @ np.transpose(rel, (0, 2, 1))
-        rhs = 0.5 * np.einsum("sij,sij->si", rel, rel)
-        try:
-            coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # sliver simplices can make a Gram matrix exactly singular
-            coeff = np.stack(
-                [np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)]
-            )
-        centers = vp[:, 0, :] + np.einsum("sji,sj->si", rel, coeff)
-        radii = np.linalg.norm(centers - vp[:, 0, :], axis=1)
-        if dim == 3:
-            flags = np.ones(len(keys), dtype=bool)  # Delaunay tetra spheres are empty
-        else:
-            dists = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
-            inside = dists < radii[:, None]
-            rows = np.repeat(np.arange(len(keys)), dim + 1)
-            inside[rows, idx.ravel()] = False     # vertices of the simplex don't count
-            flags = ~inside.any(axis=1)
-        for s, key in enumerate(keys):
-            rho[key] = float(radii[s])
-            attaching[key] = bool(flags[s])
-    return dc, rho, attaching
-
-
-def build_alpha(config: Configuration, gp_warn_tol: float = 0.0) -> FilteredComplex:
-    """Alpha filtration on the Delaunay complex.
-
-    Birth radius of a simplex is the smallest circumradius among its attaching
-    cofaces (itself included when attaching); the realizing coface is stored
-    as the attaching simplex. Set ``gp_warn_tol`` > 0 to warn on attaching
-    radii that coincide within that tolerance.
-    """
-    if config.n_points <= 3:
-        dc, rho, attaching = _alpha_small(config)
-    else:
-        dc, rho, attaching = _alpha_full(config)
-
-    birth = {}
-    realizer = {}
-    for key in dc.all_simplices():
-        if attaching[key]:
-            birth[key] = rho[key]
-            realizer[key] = key
+        centers, radii, _, _ = circumspheres(pts[np.array(keys)])
+        flags = _delaunay.attaching_flags(dc, keys, centers, radii)
+        for key, radius, flag in zip(keys, radii.tolist(), flags.tolist()):
+            if flag:
+                birth[key] = radius
+                realizer[key] = key
     for key in sorted(birth, key=lambda k: -len(k)):
         r = birth[key]
         for dim in range(len(key) - 1):
@@ -156,24 +105,17 @@ def build_alpha(config: Configuration, gp_warn_tol: float = 0.0) -> FilteredComp
                     birth[face] = r
                     realizer[face] = key
 
-    if gp_warn_tol > 0.0:
-        radii = sorted(rho[k] for k in rho if attaching[k] and len(k) >= 2)
-        near = [
-            (a, b) for a, b in zip(radii, radii[1:]) if b - a <= gp_warn_tol
-        ]
-        if near:
-            warnings.warn(
-                f"{len(near)} attaching radius pair(s) within {gp_warn_tol:g}",
-                NearGeneralPositionWarning,
-                stacklevel=2,
-            )
-
     entries = [
         FiltEntry(key, len(key) - 1, birth[key], realizer[key])
         for key in dc.all_simplices()
     ]
     ordered = _sorted_entries(entries)
     return FilteredComplex("alpha", config, ordered, ordered[-1].radius)
+
+
+def build_alpha(config: Configuration) -> FilteredComplex:
+    """Alpha filtration of the cloud; see ``alpha_on``."""
+    return alpha_on(config, _delaunay.delaunay3(config))
 
 
 def build(config: Configuration, kind: str, max_dim: int = 3) -> FilteredComplex:

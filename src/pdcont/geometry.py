@@ -1,9 +1,9 @@
-"""Point clouds in R^3, rigid-motion gauge coordinates, and circumradius formulas.
+"""Point clouds in R^3, rigid-motion gauge coordinates, and circumspheres.
 
-The circumradius of a simplex (the radius of the smallest sphere through its
-vertices) is computed from determinant formulas in the lifted coordinates
-(1, x, y, z, x^2+y^2+z^2); gradients come from cofactor differentiation of the
-same determinants, so analytic derivatives and values share one code path.
+Every circumradius in the package, and its gradient, comes from one batched
+kernel: the smallest sphere through the vertices of a simplex is solved from
+its Gram system, whose solution also gives the barycentric weights of the
+center, and those weights give the gradient in closed form.
 """
 
 from __future__ import annotations
@@ -107,14 +107,6 @@ class Configuration:
         return cls(vec.reshape(-1, 3), gauge=False)
 
 
-def pack(config: Configuration) -> np.ndarray:
-    return config.pack()
-
-
-def unpack(vec, gauge: bool = True) -> Configuration:
-    return Configuration.from_vector(vec, gauge=gauge)
-
-
 def to_gauge_frame(points) -> Configuration:
     """Rigid motion bringing a cloud into the gauge frame.
 
@@ -145,155 +137,68 @@ def to_gauge_frame(points) -> Configuration:
     return Configuration(new_pts, gauge=True)
 
 
-# --- circumradius via lifted determinants -----------------------------------
-#
-# Column codes for the lifted point rows: 0 -> 1, 1..3 -> x,y,z, 4 -> |p|^2.
+# --- smallest circumspheres ---------------------------------------------------
 
-def _lifted(pts: np.ndarray, codes) -> np.ndarray:
-    k = pts.shape[0]
-    out = np.empty((k, len(codes)))
-    for j, c in enumerate(codes):
-        if c == 0:
-            out[:, j] = 1.0
-        elif c == 4:
-            out[:, j] = np.einsum("ij,ij->i", pts, pts)
-        else:
-            out[:, j] = pts[:, c - 1]
-    return out
+_DEGENERATE = {2: "coincident points", 3: "collinear points", 4: "coplanar points"}
 
 
-def _det2(a):
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+def circumspheres(simplices, rel_tol: float = 1e-12):
+    """Smallest circumspheres of a stack of 2-, 3- or 4-point simplices.
 
-
-def _det3(a):
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-
-
-def _minor(a, i, j):
-    return [[a[r][c] for c in range(len(a)) if c != j] for r in range(len(a)) if r != i]
-
-
-def _cofactors(a):
-    k = len(a)
-    if k == 2:
-        return [[a[1][1], -a[1][0]], [-a[0][1], a[0][0]]]
-    if k == 3:
-        return [
-            [(-1.0) ** (i + j) * _det2(_minor(a, i, j)) for j in range(3)]
-            for i in range(3)
-        ]
-    return [
-        [(-1.0) ** (i + j) * _det3(_minor(a, i, j)) for j in range(4)]
-        for i in range(4)
-    ]
-
-
-def _det_grad(pts: np.ndarray, codes):
-    """Determinant of the lifted matrix and its gradient w.r.t. coordinates.
-
-    Returns (det, grad) with grad of shape (k, 3). Uses the cofactor rule
-    d det / d a_ij = C_ij together with d|p|^2/dp = 2p for code-4 columns.
+    ``simplices`` has shape (S, k, 3). The center lies in the affine span of
+    the vertices: with e_j = p_j - p_0 it is p_0 + sum_j a_j e_j, where the
+    Gram system (e_i . e_j) a = |e_i|^2 / 2 fixes a. Returns the centers
+    (S, 3), the radii (S,), the barycentric weights (S, k) of the centers and
+    a degenerate mask (S,): the simplex's content (length, twice the area or
+    six times the volume) is at most ``rel_tol`` times its diameter to the
+    power k - 1. The radius gradient is dR/dp_i = w_i (p_i - c) / R.
     """
-    a = _lifted(pts, codes).tolist()
-    k = len(a)
-    cof = _cofactors(a)
-    det = sum(a[0][j] * cof[0][j] for j in range(k))
-    grad = np.zeros((k, 3))
-    for j, c in enumerate(codes):
-        if c == 0:
-            continue
-        if c == 4:
-            for i in range(k):
-                grad[i] += cof[i][j] * 2.0 * pts[i]
-        else:
-            for i in range(k):
-                grad[i, c - 1] += cof[i][j]
-    return det, grad
-
-
-def _sq_edge(pts, i, j):
-    """|p_i - p_j|^2 and its gradient rows (only rows i and j are nonzero)."""
-    d = pts[i] - pts[j]
-    val = float(d @ d)
-    grad = np.zeros((pts.shape[0], 3))
-    grad[i] = 2.0 * d
-    grad[j] = -2.0 * d
-    return val, grad
-
-
-def _simplex_scale(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
-
-
-def _rho_sq_grad(pts: np.ndarray, denom_rel_tol: float):
-    """Squared circumradius and its gradient for k = 2, 3, 4 vertices."""
-    k = pts.shape[0]
-    scale = _simplex_scale(pts)
+    pts = np.asarray(simplices, dtype=float)
+    k = pts.shape[1]
+    if k not in _DEGENERATE:
+        raise ValueError(f"circumsphere defined for 2..4 vertices, got {k}")
+    rel = pts[:, 1:] - pts[:, :1]
+    gram = np.einsum("sid,sjd->sij", rel, rel)
+    rhs = 0.5 * np.einsum("sij,sij->si", rel, rel)
+    try:
+        coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # sliver simplices can make a Gram matrix exactly singular
+        coeff = np.stack(
+            [np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)]
+        )
+    centers = pts[:, 0] + np.einsum("sji,sj->si", rel, coeff)
+    radii = np.linalg.norm(centers - pts[:, 0], axis=1)
+    weights = np.concatenate([1.0 - coeff.sum(axis=1, keepdims=True), coeff], axis=1)
     if k == 2:
-        num, dnum = _sq_edge(pts, 0, 1)
-        if num == 0.0:
-            raise DegenerateSimplex("coincident points in 1-simplex")
-        return num / 4.0, dnum / 4.0
-    if k == 3:
-        e01, g01 = _sq_edge(pts, 0, 1)
-        e12, g12 = _sq_edge(pts, 1, 2)
-        e20, g20 = _sq_edge(pts, 2, 0)
-        num = e01 * e12 * e20
-        dnum = g01 * (e12 * e20) + g12 * (e01 * e20) + g20 * (e01 * e12)
-        s = 0.0
-        ds = np.zeros((3, 3))
-        for codes in ((2, 3, 0), (1, 3, 0), (1, 2, 0)):
-            m, dm = _det_grad(pts, codes)
-            s += m * m
-            ds += 2.0 * m * dm
-        # sqrt(s) is twice the triangle area
-        if np.sqrt(s) <= denom_rel_tol * scale**2:
-            raise DegenerateSimplex("collinear points in 2-simplex")
-        den = 4.0 * s
-        dden = 4.0 * ds
-        val = num / den
-        grad = (dnum * den - num * dden) / den**2
-        return val, grad
-    if k == 4:
-        m1230, d1230 = _det_grad(pts, (1, 2, 3, 0))
-        if abs(m1230) <= denom_rel_tol * scale**3:
-            raise DegenerateSimplex("coplanar points in 3-simplex")
-        m1234, d1234 = _det_grad(pts, (1, 2, 3, 4))
-        num = 4.0 * m1230 * m1234
-        dnum = 4.0 * (d1230 * m1234 + m1230 * d1234)
-        for codes in ((2, 3, 4, 0), (1, 3, 4, 0), (1, 2, 4, 0)):
-            m, dm = _det_grad(pts, codes)
-            num += m * m
-            dnum += 2.0 * m * dm
-        den = 4.0 * m1230 * m1230
-        dden = 8.0 * m1230 * d1230
-        val = num / den
-        grad = (dnum * den - num * dden) / den**2
-        return val, grad
-    raise ValueError(f"circumradius defined for 2..4 vertices, got {k}")
+        content = np.linalg.norm(rel[:, 0], axis=1)
+    elif k == 3:
+        content = np.linalg.norm(np.cross(rel[:, 0], rel[:, 1]), axis=1)
+    else:
+        content = np.abs(np.linalg.det(rel))
+    diff = pts[:, :, None] - pts[:, None, :]
+    diameter = np.sqrt(np.einsum("sijk,sijk->sij", diff, diff).max(axis=(1, 2)))
+    degenerate = content <= rel_tol * diameter ** (k - 1)
+    return centers, radii, weights, degenerate
+
+
+def _one_sphere(pts, rel_tol):
+    pts = np.asarray(pts, dtype=float)
+    centers, radii, weights, degenerate = circumspheres(pts[None], rel_tol)
+    if degenerate[0]:
+        raise DegenerateSimplex(f"{_DEGENERATE[pts.shape[0]]} in {pts.shape[0] - 1}-simplex")
+    return pts, centers[0], float(radii[0]), weights[0]
 
 
 def circumradius(pts, denom_rel_tol: float = 1e-12) -> float:
     """Radius of the smallest sphere through 2, 3, or 4 points in R^3."""
-    pts = np.asarray(pts, dtype=float)
-    val, _ = _rho_sq_grad(pts, denom_rel_tol)
-    return float(np.sqrt(val))
+    return _one_sphere(pts, denom_rel_tol)[2]
 
 
 def circumradius_gradient(pts, denom_rel_tol: float = 1e-12) -> np.ndarray:
     """Gradient of the circumradius w.r.t. every vertex coordinate, shape (k, 3)."""
-    pts = np.asarray(pts, dtype=float)
-    val, grad = _rho_sq_grad(pts, denom_rel_tol)
-    rho = np.sqrt(val)
-    if rho == 0.0:
-        raise DegenerateSimplex("zero circumradius")
-    return grad / (2.0 * rho)
+    pts, center, radius, weights = _one_sphere(pts, denom_rel_tol)
+    return weights[:, None] * ((pts - center) / radius)
 
 
 # --- Vietoris-Rips birth radii ------------------------------------------------
@@ -355,11 +260,10 @@ class GeneralPositionReport:
         return "\n".join(lines)
 
 
-def _radius_ties(radii, tol):
-    """Pairs of entries (key, radius) whose radii agree within tol."""
-    order = sorted(radii, key=lambda kr: kr[1])
+def _radius_ties(attaching_radii, tol):
+    """Neighbouring (radius, key) entries of a sorted list that agree within tol."""
     out = []
-    for (k1, r1), (k2, r2) in zip(order, order[1:]):
+    for (r1, k1), (r2, k2) in zip(attaching_radii, attaching_radii[1:]):
         if abs(r2 - r1) <= tol:
             out.append(GPViolation("equal_attaching_radii", (k1, k2), (r1, r2)))
     return out
@@ -369,8 +273,12 @@ def check_general_position(config: Configuration, kind: str, tol: float = 1e-9):
     """Report (not raise) general-position violations for the given filtration.
 
     For Rips: coincident points and attaching edges with equal birth radii.
-    For alpha: near-degenerate Delaunay simplices, points near a tetrahedron
-    circumsphere, and attaching simplices (dim >= 1) with equal birth radii.
+    For alpha: near-degenerate Delaunay simplices, attaching simplices
+    (dim >= 1) with equal birth radii, and points near the circumsphere of a
+    neighbouring tetrahedron. By the local Delaunay lemma only a vertex of a
+    tetrahedron across a shared triangle can cross a circumsphere first, so
+    those are the 5-point configurations whose flip would change the
+    triangulation.
     """
     kind = kind.lower()
     if kind not in ("rips", "vr", "alpha"):
@@ -383,39 +291,39 @@ def check_general_position(config: Configuration, kind: str, tol: float = 1e-9):
         if np.linalg.norm(pts[i] - pts[j]) <= tol:
             report.violations.append(GPViolation("coincident_points", (i, j)))
 
+    from . import delaunay, filtration  # local import: both build on this module
+
     if report.filtration == "rips":
-        radii = [
-            ((i, j), float(np.linalg.norm(pts[i] - pts[j])) / 2.0)
-            for i, j in itertools.combinations(range(m), 2)
-        ]
-        report.violations.extend(_radius_ties(radii, tol))
+        fc = filtration.build_rips(config, max_dim=1)
+        report.violations.extend(_radius_ties(fc.attaching_radii, tol))
         return report
 
-    from . import delaunay  # local import: delaunay depends on geometry types
-
     dc = delaunay.delaunay3(config)
-    scale = _simplex_scale(pts) if m > 1 else 1.0
-    attaching_radii = []
-    for key in dc.all_simplices():
-        if len(key) < 2:
-            continue
-        sp = pts[list(key)]
-        try:
-            rho = circumradius(sp)
-        except DegenerateSimplex:
-            report.violations.append(GPViolation("degenerate_simplex", (key,)))
-            continue
-        if delaunay.is_attaching(key, dc):
-            attaching_radii.append((key, rho))
-    report.violations.extend(_radius_ties(attaching_radii, tol))
+    for dim in (1, 2, 3):
+        keys = dc.simplices(dim)
+        if keys:
+            degenerate = circumspheres(pts[np.array(keys)])[3]
+            report.violations.extend(
+                GPViolation("degenerate_simplex", (keys[s],)) for s in np.flatnonzero(degenerate)
+            )
+    fc = filtration.alpha_on(config, dc)
+    report.violations.extend(_radius_ties(fc.attaching_radii, tol))
 
-    for tet in dc.simplices(3):
-        center, radius = delaunay.circumsphere(pts[list(tet)])
-        for p in range(m):
-            if p in tet:
-                continue
-            if abs(np.linalg.norm(pts[p] - center) - radius) <= tol:
-                report.violations.append(
-                    GPViolation("near_cospherical", (tet, p), (radius,))
-                )
+    tets = dc.simplices(3)
+    if not tets:
+        return report
+    centers, radii, _, _ = circumspheres(pts[np.array(tets)])
+    row = {tet: t for t, tet in enumerate(tets)}
+    near = set()
+    for tri, cofaces in dc.cofacets.items():
+        if len(tri) != 3 or len(cofaces) != 2:
+            continue
+        for tet, other in (cofaces, cofaces[::-1]):
+            t, p = row[tet], sum(other) - sum(tri)  # the vertex of other off tri
+            if abs(np.linalg.norm(pts[p] - centers[t]) - radii[t]) <= tol:
+                near.add((tet, p))
+    report.violations.extend(
+        GPViolation("near_cospherical", (tet, p), (float(radii[row[tet]]),))
+        for tet, p in sorted(near)
+    )
     return report

@@ -7,7 +7,6 @@ candidate set with a matching feasibility test settles it without tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -145,37 +144,6 @@ def bottleneck(diagram_a, diagram_b) -> float:
         else:
             lo = mid + 1
     return max(ess, values[lo])
-
-
-def bottleneck_exhaustive(diagram_a, diagram_b) -> float:
-    """Brute-force bottleneck over all bijections; only for tiny diagrams."""
-    fin_a, ess_a = _split(diagram_a)
-    fin_b, ess_b = _split(diagram_b)
-    if len(ess_a) != len(ess_b):
-        raise InfinityMismatch("essential class counts differ")
-    ess = 0.0
-    for a, b in zip(sorted(ess_a), sorted(ess_b)):
-        ess = max(ess, abs(a - b))
-    if len(fin_a) > 6 or len(fin_b) > 6:
-        raise ValueError("exhaustive oracle limited to 6 points per diagram")
-
-    best = _INF
-    nb = len(fin_b)
-    for k in range(0, min(len(fin_a), nb) + 1):
-        for subset_a in itertools.combinations(range(len(fin_a)), k):
-            rest_a = [i for i in range(len(fin_a)) if i not in subset_a]
-            for subset_b in itertools.permutations(range(nb), k):
-                cost = 0.0
-                for ia, ib in zip(subset_a, subset_b):
-                    cost = max(cost, _dist_inf(fin_a[ia], fin_b[ib]))
-                for ia in rest_a:
-                    cost = max(cost, _diag_gap(fin_a[ia]))
-                matched_b = set(subset_b)
-                for ib in range(nb):
-                    if ib not in matched_b:
-                        cost = max(cost, _diag_gap(fin_b[ib]))
-                best = min(best, cost)
-    return max(ess, best)
 
 
 def hausdorff(points_a, points_b) -> float:

@@ -310,8 +310,7 @@ def _tie_rows(flip_groups, matched, v_target, fc, kind, config, window, offsets)
     for rec in matched:
         generator_keys.add(rec.birth_key)
         generator_keys.add(rec.death_key)
-    attaching = [(e.radius, e.key) for e in fc.entries if e.key == e.attaching and e.dim >= 1]
-    attaching.sort()
+    attaching = fc.attaching_radii
 
     col_index = {slot: c for c, slot in enumerate(config.free_slots())}
     n = len(col_index)
@@ -540,10 +539,9 @@ class ContinuationTrace:
 
 def _attaching_radii(fc):
     out = {}
-    for e in fc.entries:
-        if e.key == e.attaching and e.dim >= 1:
-            out.setdefault(e.dim, []).append(e.radius)
-    return {d: tuple(sorted(v)) for d, v in out.items()}
+    for radius, key in fc.attaching_radii:
+        out.setdefault(len(key) - 1, []).append(radius)
+    return {d: tuple(v) for d, v in out.items()}
 
 
 def continue_cloud(
@@ -618,7 +616,7 @@ def continue_cloud(
         if not report.converged:
             if adaptive and halvings < max_halvings:
                 halvings += 1
-                dt /= 2.0
+                dt /= 2
                 k -= 1
                 continue
             trace.failed_step = k

@@ -9,7 +9,11 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import settings
 from scipy.optimize import minimize
+
+# property tests draw the same examples on every run and keep no database
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def fd_gradient(func, x0, h=1e-6):
@@ -24,6 +28,95 @@ def fd_gradient(func, x0, h=1e-6):
         xm[i] -= h
         grad[..., i] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * h)
     return grad
+
+
+# --- the paper's circumradius formulas: lifted determinants and cofactors -------
+#
+# Column codes for the lifted point rows: 0 -> 1, 1..3 -> x,y,z, 4 -> |p|^2.
+
+def _lifted(pts, codes):
+    out = np.empty((pts.shape[0], len(codes)))
+    for j, c in enumerate(codes):
+        if c == 0:
+            out[:, j] = 1.0
+        elif c == 4:
+            out[:, j] = np.einsum("ij,ij->i", pts, pts)
+        else:
+            out[:, j] = pts[:, c - 1]
+    return out
+
+
+def _det_grad(pts, codes):
+    """Determinant of the lifted matrix and its gradient w.r.t. coordinates.
+
+    Uses the cofactor rule d det / d a_ij = C_ij together with
+    d|p|^2/dp = 2p for code-4 columns.
+    """
+    a = _lifted(pts, codes)
+    k = len(codes)
+    cof = np.array(
+        [
+            [(-1.0) ** (i + j) * np.linalg.det(np.delete(np.delete(a, i, 0), j, 1))
+             for j in range(k)]
+            for i in range(k)
+        ]
+    ) if k > 1 else np.ones((1, 1))
+    det = float(a[0] @ cof[0])
+    grad = np.zeros((k, 3))
+    for j, c in enumerate(codes):
+        if c == 4:
+            grad += cof[:, j, None] * 2.0 * pts
+        elif c != 0:
+            grad[:, c - 1] += cof[:, j]
+    return det, grad
+
+
+def _sq_edge(pts, i, j):
+    """|p_i - p_j|^2 and its gradient rows (only rows i and j are nonzero)."""
+    d = pts[i] - pts[j]
+    grad = np.zeros((pts.shape[0], 3))
+    grad[i] = 2.0 * d
+    grad[j] = -2.0 * d
+    return float(d @ d), grad
+
+
+def cofactor_circumradius_gradient(pts):
+    """Circumradius and its gradient for 2, 3 or 4 points, by cofactors.
+
+    The squared radius is a quotient of lifted determinants (edge lengths
+    over the squared area for a triangle); differentiating those
+    determinants by cofactors gives the gradient.
+    """
+    pts = np.asarray(pts, dtype=float)
+    k = pts.shape[0]
+    if k == 2:
+        val, grad = _sq_edge(pts, 0, 1)
+        val, grad = val / 4.0, grad / 4.0
+    elif k == 3:
+        e01, g01 = _sq_edge(pts, 0, 1)
+        e12, g12 = _sq_edge(pts, 1, 2)
+        e20, g20 = _sq_edge(pts, 2, 0)
+        num = e01 * e12 * e20
+        dnum = g01 * (e12 * e20) + g12 * (e01 * e20) + g20 * (e01 * e12)
+        den, dden = 0.0, np.zeros((3, 3))
+        for codes in ((2, 3, 0), (1, 3, 0), (1, 2, 0)):
+            m, dm = _det_grad(pts, codes)
+            den += 4.0 * m * m
+            dden += 8.0 * m * dm
+        val, grad = num / den, (dnum * den - num * dden) / den**2
+    else:
+        m1230, d1230 = _det_grad(pts, (1, 2, 3, 0))
+        m1234, d1234 = _det_grad(pts, (1, 2, 3, 4))
+        num = 4.0 * m1230 * m1234
+        dnum = 4.0 * (d1230 * m1234 + m1230 * d1234)
+        for codes in ((2, 3, 4, 0), (1, 3, 4, 0), (1, 2, 4, 0)):
+            m, dm = _det_grad(pts, codes)
+            num += m * m
+            dnum += 2.0 * m * dm
+        den, dden = 4.0 * m1230 * m1230, 8.0 * m1230 * d1230
+        val, grad = num / den, (dnum * den - num * dden) / den**2
+    rho = math.sqrt(val)
+    return rho, grad / (2.0 * rho)
 
 
 def brute_min_max_radius(points, restarts=12, seed=0):
@@ -64,6 +157,40 @@ def circumsphere_lstsq(points):
             t = np.linalg.lstsq(null.T, points[0] - center, rcond=None)[0]
             center = center + null.T @ t
     return center, float(np.linalg.norm(points[0] - center))
+
+
+def all_points_attaching(points, key, rel_tol=1e-9):
+    """Whether no cloud point lies inside the smallest circumsphere of ``key``.
+
+    Scans every point of the cloud. Returns None when a point lies within
+    ``rel_tol`` of the sphere, where rounding decides the answer.
+    """
+    points = np.asarray(points, dtype=float)
+    center, radius = circumsphere_lstsq(points[list(key)])
+    others = np.delete(points, list(key), axis=0)
+    dist = np.linalg.norm(others - center, axis=1)
+    if np.any(np.abs(dist - radius) <= rel_tol * radius):
+        return None
+    return bool(np.all(dist > radius))
+
+
+def well_shaped(points, rel=0.05):
+    """No two vertices closer than ``rel`` times the diameter, and the
+    simplex's content (twice the area, six times the volume) at least
+    ``rel`` times the diameter to the matching power."""
+    points = np.asarray(points, dtype=float)
+    diff = points[:, None] - points[None, :]
+    dist = np.linalg.norm(diff, axis=2)
+    diam = dist.max()
+    k = len(points)
+    if diam == 0.0 or dist[np.triu_indices(k, 1)].min() < rel * diam:
+        return False
+    rel_edges = points[1:] - points[0]
+    if k == 3:
+        return np.linalg.norm(np.cross(*rel_edges)) >= rel * diam**2
+    if k == 4:
+        return abs(np.linalg.det(rel_edges)) >= rel * diam**3
+    return True
 
 
 def random_rotation(rng):

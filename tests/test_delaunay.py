@@ -2,12 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pdcont.delaunay import circumsphere, delaunay3, is_attaching
+from pdcont.delaunay import attaching_flags, delaunay3, is_attaching
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
-from pdcont.geometry import Configuration
+from pdcont.geometry import Configuration, circumspheres
 
-from helpers import circumsphere_lstsq, hull_volume_bruteforce, random_cloud
+from helpers import (
+    PROPERTY,
+    all_points_attaching,
+    circumsphere_lstsq,
+    hull_volume_bruteforce,
+    random_cloud,
+)
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -146,16 +154,16 @@ class TestIsAttaching:
             expected = all(np.linalg.norm(pts[o] - center) >= radius for o in others)
             assert is_attaching(key, dc) == expected
 
-
-class TestCircumsphere:
-    def test_matches_lstsq_route(self):
-        rng = np.random.RandomState(8)
-        for k in (2, 3, 4):
-            for _ in range(20):
-                pts = rng.randn(k, 3)
-                c1, r1 = circumsphere(pts)
-                c2, r2 = circumsphere_lstsq(pts)
-                assert r1 == pytest.approx(r2, rel=1e-8)
-                # all vertices equidistant from the center
-                d = np.linalg.norm(pts - c1, axis=1)
-                assert np.ptp(d) <= 1e-8 * (1 + r1)
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
+    def test_local_rule_matches_all_points_scan(self, seed, m):
+        pts = random_cloud(np.random.RandomState(seed), m)
+        dc = delaunay3(_cfg(pts))
+        for dim in (1, 2, 3):
+            keys = dc.simplices(dim)
+            centers, radii, _, _ = circumspheres(pts[np.array(keys)])
+            flags = attaching_flags(dc, keys, centers, radii)
+            for key, flag in zip(keys, flags):
+                expected = all_points_attaching(pts, key)
+                if expected is not None:
+                    assert flag == expected, key

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdcont.errors import DegenerateSimplex, GaugeViolation
 from pdcont.geometry import (
@@ -10,13 +13,21 @@ from pdcont.geometry import (
     check_general_position,
     circumradius,
     circumradius_gradient,
-    pack,
+    circumspheres,
     rips_birth_radius,
     to_gauge_frame,
-    unpack,
 )
 
-from helpers import brute_min_max_radius, fd_gradient, random_cloud, random_rotation
+from helpers import (
+    PROPERTY,
+    brute_min_max_radius,
+    circumsphere_lstsq,
+    cofactor_circumradius_gradient,
+    fd_gradient,
+    random_cloud,
+    random_rotation,
+    well_shaped,
+)
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -25,34 +36,34 @@ class TestPacking:
     def test_m3_layout(self):
         config = Configuration([[0, 0, 0], [1, 0, 0], [0.5, 0.5, 0]])
         assert config.free_dim == 3
-        np.testing.assert_array_equal(pack(config), [1.0, 0.5, 0.5])
+        np.testing.assert_array_equal(config.pack(), [1.0, 0.5, 0.5])
 
     def test_round_trip_exact(self):
         rng = np.random.RandomState(7)
         for _ in range(20):
             m = rng.randint(3, 9)
             vec = rng.randn(3 * m - 6)
-            config = unpack(vec)
+            config = Configuration.from_vector(vec)
             assert config.n_points == m
-            np.testing.assert_array_equal(pack(config), vec)
-            again = config.with_vector(pack(config))
+            np.testing.assert_array_equal(config.pack(), vec)
+            again = config.with_vector(config.pack())
             np.testing.assert_array_equal(again.points, config.points)
 
     def test_example_tetrahedron_has_six_dof(self):
         config = Configuration(EX1_CLOUD)
         assert config.free_dim == 6
-        assert pack(config).shape == (6,)
+        assert config.pack().shape == (6,)
 
     def test_gauge_violation(self):
         config = Configuration([[0, 0, 1e-8], [1, 0, 0], [0.5, 0.5, 0]])
         with pytest.raises(GaugeViolation):
-            pack(config)
+            config.pack()
 
     def test_no_gauge(self):
         pts = np.random.RandomState(0).randn(4, 3)
         config = Configuration(pts, gauge=False)
         assert config.free_dim == 12
-        np.testing.assert_array_equal(pack(config), pts.ravel())
+        np.testing.assert_array_equal(config.pack(), pts.ravel())
 
 
 class TestGaugeFrame:
@@ -157,6 +168,66 @@ class TestCircumradiusGradient:
                 omega[axis] = 1.0
                 rotation = np.cross(np.broadcast_to(omega, (k, 3)), pts)
                 assert abs(np.sum(grad * rotation)) <= 1e-9
+
+
+def _simplices():
+    """Well-shaped 2-, 3- and 4-point simplices in [-4, 4]^3, at least 0.5 across.
+
+    Near-degenerate draws are skipped: there the radius is ill-conditioned
+    and no fixed relative tolerance holds.
+    """
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    return (
+        st.integers(2, 4)
+        .flatmap(lambda k: arrays(float, (k, 3), elements=coord))
+        .filter(lambda p: well_shaped(p) and np.ptp(p, axis=0).max() >= 0.5)
+    )
+
+
+class TestCircumspheres:
+    def test_matches_lstsq_route(self):
+        rng = np.random.RandomState(8)
+        for k in (2, 3, 4):
+            pts = rng.randn(20, k, 3)
+            centers, radii, weights, degenerate = circumspheres(pts)
+            assert not degenerate.any()
+            for p, c, r, w in zip(pts, centers, radii, weights):
+                c2, r2 = circumsphere_lstsq(p)
+                assert r == pytest.approx(r2, rel=1e-8)
+                # all vertices equidistant from the center
+                d = np.linalg.norm(p - c, axis=1)
+                assert np.ptp(d) <= 1e-8 * (1 + r)
+                # the weights are barycentric coordinates of the center
+                np.testing.assert_allclose(w @ p, c, atol=1e-9 * (1 + r))
+                assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @PROPERTY
+    @given(pts=_simplices(), seed=st.integers(0, 2**32 - 1),
+           shift=arrays(float, 3, elements=st.floats(-10.0, 10.0)))
+    def test_rigid_motion(self, pts, seed, shift):
+        rot = random_rotation(np.random.RandomState(seed))
+        rho, grad = circumradius(pts), circumradius_gradient(pts)
+        moved = pts @ rot.T + shift
+        assert circumradius(moved) == pytest.approx(rho, rel=1e-10)
+        np.testing.assert_allclose(
+            circumradius_gradient(moved), grad @ rot.T, atol=1e-9 * np.abs(grad).max()
+        )
+
+    @PROPERTY
+    @given(pts=_simplices(), scale=st.floats(1e-3, 1e3))
+    def test_scaling(self, pts, scale):
+        rho, grad = circumradius(pts), circumradius_gradient(pts)
+        assert circumradius(scale * pts) == pytest.approx(scale * rho, rel=1e-10)
+        np.testing.assert_allclose(
+            circumradius_gradient(scale * pts), grad, atol=1e-9 * np.abs(grad).max()
+        )
+
+    @PROPERTY
+    @given(pts=_simplices())
+    def test_gradient_matches_cofactor_oracle(self, pts):
+        rho, grad = cofactor_circumradius_gradient(pts)
+        assert circumradius(pts) == pytest.approx(rho, rel=1e-10)
+        assert np.abs(circumradius_gradient(pts) - grad).max() <= 1e-10 * np.abs(grad).max()
 
 
 class TestRipsBirth:

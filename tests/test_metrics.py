@@ -8,14 +8,13 @@ from pdcont.geometry import Configuration
 from pdcont.metrics import (
     MAX_TRIANGLE_RATIO,
     bottleneck,
-    bottleneck_exhaustive,
     diag_distance,
     hausdorff,
     triangle_ratio_check,
 )
 from pdcont.persistence import diagram
 
-from helpers import random_acute_triangle, random_cloud
+from helpers import exhaustive_matching_bottleneck, random_acute_triangle, random_cloud
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -51,7 +50,7 @@ class TestBottleneck:
             d1 = [(b, b + g) for b, g in zip(rng.rand(n1), rng.rand(n1) + 0.01)]
             d2 = [(b, b + g) for b, g in zip(rng.rand(n2), rng.rand(n2) + 0.01)]
             assert bottleneck(d1, d2) == pytest.approx(
-                bottleneck_exhaustive(d1, d2), abs=1e-14
+                exhaustive_matching_bottleneck(d1, d2), abs=1e-14
             )
 
     def test_pseudometric_properties(self):

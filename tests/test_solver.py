@@ -5,8 +5,10 @@ import pytest
 
 from pdcont.errors import DimensionMismatch
 from pdcont.geometry import Configuration
+from pdcont import solver
 from pdcont.persistence import diagram
 from pdcont.solver import (
+    NewtonReport,
     NewtonStatus,
     continue_cloud,
     layout_from,
@@ -188,6 +190,26 @@ class TestContinuation:
         config = Configuration(EX1_CLOUD)
         with pytest.raises(DimensionMismatch):
             continue_cloud(config, "alpha", 2, 0.0, np.zeros(4), step=0.01)
+
+    def test_adaptive_halving_keeps_exact_steps(self, monkeypatch):
+        # one failed solve halves 1/3 to 1/6: six accepted steps landing on t = 1
+        core = solver._newton_core
+        calls = []
+
+        def fail_once(config, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                report = NewtonReport(NewtonStatus.MAX_ITERATIONS, 0, 1.0)
+                return config, report, None, None, None
+            return core(config, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton_core", fail_once)
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        trace = continue_cloud(config, "alpha", 2, 0.0, v0 + 0.03, n_steps=3, adaptive=True)
+        assert trace.reached_target
+        assert len(trace.steps) == 6
+        assert trace.steps[-1].t == 1.0
 
     def test_rips_continuation_small(self):
         # move the single Rips 1-dim pair of the trapezoid cloud slightly
