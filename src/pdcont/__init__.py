@@ -38,7 +38,6 @@ from .persistence import (
     diagram,
     persistence_data,
     reduce_boundary,
-    reduce_boundary_twist,
 )
 from .metrics import (
     bottleneck,
@@ -50,7 +49,6 @@ from .diffmap import (
     Constraint,
     PersistenceJacobian,
     centroid_constraints,
-    constrained_system,
     distance_constraint,
     jacobian,
     singular_values,

@@ -30,6 +30,7 @@ from .errors import (
     NotAcute,
     PdcontError,
 )
+from .filtration import build
 from .geometry import Configuration, check_general_position, to_gauge_frame
 
 _EXIT_CODES = (
@@ -93,9 +94,11 @@ def _load_config(args) -> Configuration:
 
 def cmd_diagram(args) -> int:
     config = _load_config(args)
-    pd = persistence.diagram(config, args.filtration, args.dim, args.epsilon)
+    fc = build(config, args.filtration, max_dim=args.dim + 1)
+    red = persistence.reduce_boundary(persistence.boundary_matrix(fc))
+    pd = persistence.persistence_data(red, fc, args.dim, args.epsilon)
     print(pd.to_json())
-    report = check_general_position(config, args.filtration, args.gp_tol)
+    report = check_general_position(fc, args.gp_tol)
     print(report.summary(), file=sys.stderr)
     if args.out:
         with open(args.out + ".json", "w") as fh:
@@ -107,7 +110,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_check(args) -> int:
     config = _load_config(args)
-    report = check_general_position(config, args.filtration, args.gp_tol)
+    report = check_general_position(build(config, args.filtration, max_dim=1), args.gp_tol)
     print(report.summary())
     return 0 if report.ok else 1
 

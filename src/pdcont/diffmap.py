@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NearDegenerateJacobian
+from .errors import NearDegenerateJacobian
 from .filtration import FilteredComplex
 from .geometry import Configuration, circumradius_gradient
 from .persistence import PersistenceData
@@ -196,36 +196,3 @@ def distance_constraint(i: int, j: int, target: float) -> Constraint:
 
     return Constraint(value, grad, f"dist_{i}_{j}")
 
-
-def constrained_system(
-    config: Configuration,
-    kind: str,
-    pd: PersistenceData,
-    constraints,
-    v_target,
-    include_essential: bool | None = None,
-):
-    """Stacked residual (f(u) - v, g_1(u), ..., g_r(u)) and its Jacobian."""
-    if include_essential is None:
-        include_essential = pd.dim == 0
-    jac = jacobian(config, kind, pd, include_essential=include_essential)
-    v = pd.vector(include_essential=include_essential)
-    v_target = np.asarray(v_target, dtype=float)
-    if v_target.shape != v.shape:
-        raise DimensionMismatch(
-            f"target has {v_target.size} coordinates, diagram layout has {v.size}"
-        )
-    col_index = {slot: c for c, slot in enumerate(config.free_slots())}
-    n = len(col_index)
-    g_rows = []
-    g_vals = []
-    for c in constraints:
-        g_vals.append(c.value(config))
-        grad = np.asarray(c.gradient(config), dtype=float)
-        row = np.zeros(n)
-        for (pt, axis), col in col_index.items():
-            row[col] = grad[pt, axis]
-        g_rows.append(row)
-    residual = np.concatenate([v - v_target, np.array(g_vals)]) if g_vals else v - v_target
-    matrix = np.vstack([jac.matrix] + g_rows) if g_rows else jac.matrix
-    return residual, matrix

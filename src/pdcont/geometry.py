@@ -269,61 +269,55 @@ def _radius_ties(attaching_radii, tol):
     return out
 
 
-def check_general_position(config: Configuration, kind: str, tol: float = 1e-9):
-    """Report (not raise) general-position violations for the given filtration.
+def check_general_position(fc, tol: float = 1e-9):
+    """Report (not raise) general-position violations of a built filtration.
 
-    For Rips: coincident points and attaching edges with equal birth radii.
-    For alpha: near-degenerate Delaunay simplices, attaching simplices
-    (dim >= 1) with equal birth radii, and points near the circumsphere of a
-    neighbouring tetrahedron. By the local Delaunay lemma only a vertex of a
-    tetrahedron across a shared triangle can cross a circumsphere first, so
-    those are the 5-point configurations whose flip would change the
-    triangulation.
+    ``fc`` is the ``FilteredComplex`` whose diagram is in question; a Rips
+    complex must contain its edges. For Rips: coincident points and attaching
+    edges with equal birth radii. For alpha: near-degenerate Delaunay
+    simplices, attaching simplices (dim >= 1) with equal birth radii, and
+    points near the circumsphere of a neighbouring tetrahedron. By the local
+    Delaunay lemma only a vertex of a tetrahedron across a shared triangle can
+    cross a circumsphere first, so those are the 5-point configurations whose
+    flip would change the triangulation.
     """
-    kind = kind.lower()
-    if kind not in ("rips", "vr", "alpha"):
-        raise ValueError(f"unknown filtration kind {kind!r}")
-    pts = config.points
-    m = config.n_points
-    report = GeneralPositionReport("rips" if kind in ("rips", "vr") else "alpha")
+    pts = fc.config.points
+    report = GeneralPositionReport(fc.kind)
 
-    for i, j in itertools.combinations(range(m), 2):
+    for i, j in itertools.combinations(range(fc.config.n_points), 2):
         if np.linalg.norm(pts[i] - pts[j]) <= tol:
             report.violations.append(GPViolation("coincident_points", (i, j)))
 
-    from . import delaunay, filtration  # local import: both build on this module
-
-    if report.filtration == "rips":
-        fc = filtration.build_rips(config, max_dim=1)
+    if fc.kind == "rips":
         report.violations.extend(_radius_ties(fc.attaching_radii, tol))
         return report
 
-    dc = delaunay.delaunay3(config)
-    for dim in (1, 2, 3):
-        keys = dc.simplices(dim)
+    by_dim = {dim: sorted(e.key for e in fc.entries if e.dim == dim) for dim in (1, 2, 3)}
+    for keys in by_dim.values():
         if keys:
             degenerate = circumspheres(pts[np.array(keys)])[3]
             report.violations.extend(
                 GPViolation("degenerate_simplex", (keys[s],)) for s in np.flatnonzero(degenerate)
             )
-    fc = filtration.alpha_on(config, dc)
     report.violations.extend(_radius_ties(fc.attaching_radii, tol))
 
-    tets = dc.simplices(3)
+    tets = by_dim[3]
     if not tets:
         return report
     centers, radii, _, _ = circumspheres(pts[np.array(tets)])
-    row = {tet: t for t, tet in enumerate(tets)}
-    near = set()
-    for tri, cofaces in dc.cofacets.items():
-        if len(tri) != 3 or len(cofaces) != 2:
+    cofacets = {}
+    for t, tet in enumerate(tets):
+        for tri in itertools.combinations(tet, 3):
+            cofacets.setdefault(tri, []).append(t)
+    near = {}
+    for tri, cofaces in cofacets.items():
+        if len(cofaces) != 2:
             continue
-        for tet, other in (cofaces, cofaces[::-1]):
-            t, p = row[tet], sum(other) - sum(tri)  # the vertex of other off tri
+        for t, other in (cofaces, cofaces[::-1]):
+            p = sum(tets[other]) - sum(tri)  # the vertex of the other tetrahedron off tri
             if abs(np.linalg.norm(pts[p] - centers[t]) - radii[t]) <= tol:
-                near.add((tet, p))
+                near[(tets[t], p)] = float(radii[t])
     report.violations.extend(
-        GPViolation("near_cospherical", (tet, p), (float(radii[row[tet]]),))
-        for tet, p in sorted(near)
+        GPViolation("near_cospherical", key, (r,)) for key, r in sorted(near.items())
     )
     return report

@@ -1,18 +1,31 @@
-"""Boundary matrices, left-to-right reduction, and persistence diagrams.
+"""Boundary matrices, column reduction over Z/2, and persistence diagrams.
 
-The reduction runs over exact rationals so pivots can never be spuriously
-zeroed by rounding; a twist/clearing variant is provided as an independent
-second route to the same pairing. Zero-length pairs (equal birth and death
-radius) correspond to trivial summands of the structure decomposition and are
-never reported as diagram points.
+A column under reduction is a Python ``int`` bitset over the simplices one
+dimension down, so adding one column to another is a single XOR. The
+reduction runs with clearing (Chen & Kerber, Persistent homology computation
+with a twist, 2011; Bauer, Kerber & Reininghaus, Clear and compress, 2014):
+dimensions are reduced from the top down, and a column whose index already is
+a pivot row is a known cycle and is skipped. A dimension's bitsets are
+dropped before the next dimension is reduced, so memory stays bounded by the
+reduced columns of one dimension; bitsets of every column kept at once grow
+with the product of two dimensions' simplex counts.
+
+The coefficient field is Z/2. Alpha complexes are subcomplexes of a
+triangulation of R^3, whose homology is torsion-free, so their pairing is the
+same over Z/2 and over Q. Rips flag complexes can carry torsion; their
+diagrams are the Z/2 diagrams, as in standard persistence software.
+
+Zero-length pairs (equal birth and death radius) correspond to trivial
+summands of the structure decomposition and are never reported as diagram
+points.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,89 +35,59 @@ from .geometry import Configuration
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Sparse columns over exact rationals, in filtration order."""
+    """Boundary of each simplex over Z/2, in filtration order.
+
+    Rows are numbered within each dimension: ``columns[j]`` holds the ranks r
+    of the facets of a d-simplex j, and ``rows[d - 1][r]`` is the index of
+    that facet. The reduction turns a column into an ``int`` bitset over
+    these ranks only when it reduces it.
+    """
 
     size: int
-    columns: tuple      # tuple of dict {row index: Fraction}, one per simplex
-    dims: tuple         # simplex dimension per index
-
-    def column(self, j):
-        return self.columns[j]
+    columns: tuple      # facet ranks per simplex, ascending
+    rows: tuple         # rows[d]: indices of the d-simplices, ascending
 
 
 def boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
-    """Matrix of the boundary map with the (-1)^k incidence signs."""
-    index = fc.index_of()
-    columns = []
-    for j, entry in enumerate(fc.entries):
-        col = {}
-        if entry.dim > 0:
-            for k in range(len(entry.key)):
-                face = entry.key[:k] + entry.key[k + 1:]
-                i = index[face]
-                col[i] = Fraction(-1 if k % 2 else 1)
-        columns.append(col)
-    return BoundaryMatrix(len(fc.entries), tuple(columns), tuple(e.dim for e in fc.entries))
+    """Matrix of the boundary map over Z/2."""
+    rows = [[] for _ in range(max(e.dim for e in fc.entries) + 1)]
+    rank = {}
+    for j, e in enumerate(fc.entries):
+        rank[e.key] = len(rows[e.dim])
+        rows[e.dim].append(j)
+    columns = tuple(
+        tuple(sorted(rank[face] for face in itertools.combinations(e.key, e.dim))) if e.dim else ()
+        for e in fc.entries
+    )
+    return BoundaryMatrix(len(fc.entries), columns, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
 class Reduction:
-    pairs: tuple        # (i, j) pivot pairs, i < j
-    essentials: tuple   # unpaired indices
-
-
-def _reduce_column(col, pivot_owner, columns):
-    """Left-to-right eliminate ``col`` until its pivot is new or it is zero."""
-    while col:
-        piv = max(col)
-        owner = pivot_owner.get(piv)
-        if owner is None:
-            return piv
-        other = columns[owner]
-        factor = col[piv] / other[piv]
-        for i, v in other.items():
-            new = col.get(i, Fraction(0)) - factor * v
-            if new:
-                col[i] = new
-            else:
-                col.pop(i, None)
-    return None
+    pairs: tuple        # (i, j) pivot pairs, i < j, sorted by j
+    essentials: tuple   # unpaired indices, ascending
 
 
 def reduce_boundary(b: BoundaryMatrix) -> Reduction:
-    """Standard left-to-right column reduction (exact rational arithmetic)."""
-    columns = [dict(c) for c in b.columns]
-    pivot_owner = {}
+    """Column reduction with clearing; yields the standard reduction's pairs."""
     pairs = []
-    for j in range(b.size):
-        piv = _reduce_column(columns[j], pivot_owner, columns)
-        if piv is not None:
-            pivot_owner[piv] = j
-            pairs.append((piv, j))
-    used = set(i for p in pairs for i in p)
-    essentials = tuple(i for i in range(b.size) if i not in used)
-    return Reduction(tuple(pairs), essentials)
-
-
-def reduce_boundary_twist(b: BoundaryMatrix) -> Reduction:
-    """Clearing variant: process dimensions top-down, zeroing paired creators.
-
-    Produces the identical pair set as ``reduce_boundary``; kept as an
-    independent implementation for cross-checking.
-    """
-    columns = [dict(c) for c in b.columns]
-    pivot_owner = {}
-    pairs = []
-    max_dim = max(b.dims) if b.dims else 0
-    for dim in range(max_dim, 0, -1):
-        for j in range(b.size):
-            if b.dims[j] != dim or not columns[j]:
-                continue
-            piv = _reduce_column(columns[j], pivot_owner, columns)
-            if piv is not None:
-                pivot_owner[piv] = j
-                pairs.append((piv, j))
-                columns[piv] = {}  # cleared: a pivot row is a known cycle
+    cleared = set()
+    for dim in range(len(b.rows) - 1, 0, -1):
+        below = b.rows[dim - 1]
+        owner_col = {}  # pivot rank -> reduced column that owns it
+        for j in b.rows[dim]:
+            if j in cleared:
+                continue  # a pivot row is a known cycle
+            col = sum(1 << r for r in b.columns[j])
+            while col:
+                piv = col.bit_length() - 1
+                other = owner_col.get(piv)
+                if other is None:
+                    owner_col[piv] = col
+                    pairs.append((below[piv], j))
+                    cleared.add(below[piv])
+                    break
+                col ^= other
     pairs.sort(key=lambda ij: ij[1])
     used = set(i for p in pairs for i in p)
     essentials = tuple(i for i in range(b.size) if i not in used)

@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the library's own computation paths:
 brute-force searches, exhaustive enumeration, finite differences, GF(2) rank
-computations on bitsets, and hand-rolled hull volumes.
+computations on bitsets, exact rational reduction, and hand-rolled hull
+volumes.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import settings
@@ -233,6 +235,49 @@ def hull_volume_bruteforce(points):
                 )
                 volume += abs(vol) / 6.0
     return volume
+
+
+# --- the signed boundary and the standard reduction over Q ----------------------
+
+def signed_boundary(fc):
+    """Boundary columns over Q, ``{row index: Fraction(+-1)}`` with (-1)^k signs."""
+    index = fc.index_of()
+    columns = []
+    for entry in fc.entries:
+        col = {}
+        if entry.dim > 0:
+            for k in range(len(entry.key)):
+                col[index[entry.key[:k] + entry.key[k + 1:]]] = Fraction(-1 if k % 2 else 1)
+        columns.append(col)
+    return columns
+
+
+def rational_reduction(columns):
+    """Standard left-to-right column reduction over Q.
+
+    Returns (pivot pairs (i, j) sorted by j, unpaired indices ascending).
+    """
+    columns = [dict(c) for c in columns]
+    pivot_owner = {}
+    pairs = []
+    for j, col in enumerate(columns):
+        while col:
+            piv = max(col)
+            owner = pivot_owner.get(piv)
+            if owner is None:
+                pivot_owner[piv] = j
+                pairs.append((piv, j))
+                break
+            other = columns[owner]
+            factor = col[piv] / other[piv]
+            for i, v in other.items():
+                new = col.get(i, Fraction(0)) - factor * v
+                if new:
+                    col[i] = new
+                else:
+                    col.pop(i, None)
+    used = {i for p in pairs for i in p}
+    return tuple(pairs), tuple(i for i in range(len(columns)) if i not in used)
 
 
 # --- GF(2) rank oracle for persistence pairings ----------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdcont import cli
+from pdcont import cli, delaunay
 
 
 @pytest.fixture
@@ -69,6 +69,22 @@ class TestDiagramCommand:
             cli.main(["diagram", "-i", ex1_file, "--dim", "2", "--out", out])
             outs.append((tmp_path / (name + ".json")).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_triangulates_once(self, tmp_path, monkeypatch, capsys):
+        # the diagram and the general-position report share one complex
+        pts = np.random.RandomState(5).rand(30, 3)
+        path = tmp_path / "c.xyz"
+        path.write_text("\n".join(" ".join(map(str, p)) for p in pts))
+        calls = []
+        triangulate = delaunay.delaunay3
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return triangulate(*args, **kwargs)
+
+        monkeypatch.setattr(delaunay, "delaunay3", counted)
+        assert cli.main(["diagram", "-i", str(path), "--dim", "1", "--no-gauge"]) == 0
+        assert len(calls) == 1
 
     def test_sphere_sample_dominant_gap(self):
         pts = cli.apply_jitter(cli.fibonacci_sphere(100), seed=23, magnitude=1e-6)

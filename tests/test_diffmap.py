@@ -4,17 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from pdcont.diffmap import (
-    centroid_constraints,
-    constrained_system,
-    distance_constraint,
-    jacobian,
-)
-from pdcont.errors import DimensionMismatch, NearDegenerateJacobian
+from pdcont.diffmap import centroid_constraints, distance_constraint, jacobian
+from pdcont.errors import NearDegenerateJacobian
 from pdcont.filtration import build
 from pdcont.geometry import Configuration
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
-from pdcont.solver import svd
+from pdcont.solver import _constraint_rows, newton_pinv, svd
 
 from helpers import fd_gradient, random_cloud
 
@@ -158,43 +153,49 @@ class TestJacobianVsFiniteDifferences:
 
 
 class TestConstrainedSystem:
+    # the solver stacks [J; constraint rows]; its rows come from
+    # solver._constraint_rows
     def test_no_constraints_reduces_to_plain(self):
         config = Configuration(EX1_CLOUD)
         pd = diagram(config, "alpha", 2, 0.0)
-        v_target = pd.vector(include_essential=False) + 0.1
-        res, mat = constrained_system(config, "alpha", pd, [], v_target)
+        vals, rows = _constraint_rows(config, [])
         jac = jacobian(config, "alpha", pd)
-        np.testing.assert_allclose(mat, jac.matrix)
-        np.testing.assert_allclose(res, pd.vector(include_essential=False) - v_target)
+        assert vals.shape == (0,)
+        np.testing.assert_array_equal(np.vstack([jac.matrix, rows]), jac.matrix)
 
     def test_centroid_rows(self):
         config = Configuration(EX1_CLOUD)
-        pd = diagram(config, "alpha", 2, 0.0)
-        cons = centroid_constraints(EX1_CLOUD.mean(axis=0))
-        v_target = pd.vector(include_essential=False)
-        res, mat = constrained_system(config, "alpha", pd, cons, v_target)
-        assert mat.shape == (2 + 3, 6)
-        np.testing.assert_allclose(res[2:], 0, atol=1e-12)
+        vals, rows = _constraint_rows(config, centroid_constraints(EX1_CLOUD.mean(axis=0)))
+        assert rows.shape == (3, 6)
+        np.testing.assert_allclose(vals, 0, atol=1e-12)
         # gradient of the x-centroid w.r.t. x3 (a free coordinate) is 1/M
         col = {slot: i for i, slot in enumerate(config.free_slots())}
-        assert mat[2, col[(3, 0)]] == pytest.approx(1 / 4)
+        assert rows[0, col[(3, 0)]] == pytest.approx(1 / 4)
 
     def test_distance_constraint_fd(self):
         config = Configuration(EX1_CLOUD)
-        pd = diagram(config, "alpha", 2, 0.0)
         con = distance_constraint(1, 3, 5.0)
-        v_target = pd.vector(include_essential=False)
-        _, mat = constrained_system(config, "alpha", pd, [con], v_target)
+        _, rows = _constraint_rows(config, [con])
         u0 = config.pack()
 
         def g(u):
             return np.array([con.value(config.with_vector(u))])
 
         fd = fd_gradient(g, u0, h=1e-7)[0]
-        np.testing.assert_allclose(mat[-1], fd, atol=1e-8)
+        np.testing.assert_allclose(rows[-1], fd, atol=1e-8)
 
-    def test_dimension_mismatch(self):
+    def test_newton_holds_centroid(self):
         config = Configuration(EX1_CLOUD)
-        pd = diagram(config, "alpha", 2, 0.0)
-        with pytest.raises(DimensionMismatch):
-            constrained_system(config, "alpha", pd, [], np.zeros(5))
+        c0 = config.points.mean(axis=0)
+        vt = diagram(config, "alpha", 2, 0.0).vector(include_essential=False) + [0.02, 0.03]
+        held, report, _ = newton_pinv(
+            config, "alpha", 2, 0.0, vt, constraints=centroid_constraints(c0)
+        )
+        assert report.converged
+        np.testing.assert_allclose(held.points.mean(axis=0), c0, atol=1e-10)
+        np.testing.assert_allclose(
+            diagram(held, "alpha", 2, 0.0).vector(include_essential=False), vt, atol=1e-10
+        )
+        # without the constraints the same step moves the centroid
+        free, _, _ = newton_pinv(config, "alpha", 2, 0.0, vt)
+        assert np.abs(free.points.mean(axis=0) - c0).max() > 1e-3

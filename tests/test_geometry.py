@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pdcont.errors import DegenerateSimplex, GaugeViolation
+from pdcont.filtration import build_alpha, build_rips
 from pdcont.geometry import (
     Configuration,
     check_general_position,
@@ -265,7 +266,7 @@ class TestGeneralPosition:
         config = Configuration(
             [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], gauge=False
         )
-        report = check_general_position(config, "rips")
+        report = check_general_position(build_rips(config, max_dim=1))
         ties = [v for v in report.violations if v.kind == "equal_attaching_radii"]
         # two equal diagonals plus the four equal sides
         tied_pairs = {frozenset(v.simplices) for v in ties}
@@ -275,7 +276,7 @@ class TestGeneralPosition:
     def test_example_cloud_has_one_exact_tie(self):
         # |u0-u3| = |u1-u3| = sqrt(56) exactly for this cloud
         config = Configuration(EX1_CLOUD)
-        report = check_general_position(config, "rips")
+        report = check_general_position(build_rips(config, max_dim=1))
         ties = [v for v in report.violations if v.kind == "equal_attaching_radii"]
         assert len(ties) == 1
         assert {tuple(s) for s in ties[0].simplices} == {(0, 3), (1, 3)}
@@ -290,7 +291,7 @@ class TestGeneralPosition:
                 [a / 2, a * math.sqrt(3) / 6, a * math.sqrt(6) / 3],
             ]
         )
-        report = check_general_position(Configuration(pts, gauge=False), "alpha", tol=1e-9)
+        report = check_general_position(build_alpha(Configuration(pts, gauge=False)), tol=1e-9)
         tied = [v for v in report.violations if v.kind == "equal_attaching_radii"]
         tied_dims = {len(k) for v in tied for k in v.simplices}
         assert 3 in tied_dims  # the four congruent faces tie
@@ -298,5 +299,5 @@ class TestGeneralPosition:
     def test_generic_cloud_clean(self):
         rng = np.random.RandomState(41)
         config = Configuration(random_cloud(rng, 6), gauge=False)
-        report = check_general_position(config, "rips")
+        report = check_general_position(build_rips(config, max_dim=1))
         assert report.ok, report.summary()

@@ -1,10 +1,12 @@
-import itertools
+import collections
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdcont.errors import InfinityMismatch
 from pdcont.filtration import build_alpha, build_rips
@@ -15,10 +17,9 @@ from pdcont.persistence import (
     diagram,
     persistence_data,
     reduce_boundary,
-    reduce_boundary_twist,
 )
 
-from helpers import random_cloud, rank_function_pairs
+from helpers import PROPERTY, random_cloud, rank_function_pairs, rational_reduction, signed_boundary
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 EX4_CLOUD = np.array([[0, 0, 0], [1, 0, 0], [1.1, 1.2, 0], [0.5, 0.6, 1.3]])
@@ -28,38 +29,62 @@ def _cfg(pts):
     return Configuration(np.asarray(pts, dtype=float), gauge=False)
 
 
+def _facets(b, j):
+    """Indices of the facets of simplex j, read off its column."""
+    dim = next(d for d, row in enumerate(b.rows) if j in row)
+    return [b.rows[dim - 1][r] for r in b.columns[j]]
+
+
 class TestBoundaryMatrix:
+    # the signed boundary over Q lives in the test oracle; the package keeps
+    # the Z/2 columns
     def test_single_edge(self):
         # removing vertex 0 from (0, 1) leaves (1,) with sign +1, so the
         # column encodes v1 - v0
         fc = build_rips(_cfg([[0, 0, 0], [1, 0, 0]]))
-        b = boundary_matrix(fc)
-        edge_col = b.columns[2]
-        assert edge_col == {0: Fraction(-1), 1: Fraction(1)}
+        assert signed_boundary(fc)[2] == {0: Fraction(-1), 1: Fraction(1)}
 
     def test_dd_zero(self):
         fc = build_rips(_cfg(np.random.RandomState(0).rand(5, 3)))
-        b = boundary_matrix(fc)
-        for j, col in enumerate(b.columns):
+        columns = signed_boundary(fc)
+        for j, col in enumerate(columns):
             acc = {}
             for i, coeff in col.items():
-                for ii, c2 in b.columns[i].items():
+                for ii, c2 in columns[i].items():
                     acc[ii] = acc.get(ii, Fraction(0)) + coeff * c2
             assert all(v == 0 for v in acc.values()), f"d(d(col {j})) != 0"
 
     def test_tetra_column_sign_pattern(self):
         fc = build_alpha(Configuration(EX1_CLOUD))
-        b = boundary_matrix(fc)
-        index = fc.index_of()
-        col = b.columns[index[(0, 1, 2, 3)]]
+        col = signed_boundary(fc)[fc.index_of()[(0, 1, 2, 3)]]
         assert len(col) == 4
         assert sorted(col.values()) == [Fraction(-1), Fraction(-1), Fraction(1), Fraction(1)]
+
+    def test_edge_column(self):
+        fc = build_rips(_cfg([[0, 0, 0], [1, 0, 0]]))
+        assert boundary_matrix(fc).columns[2] == (0, 1)
+
+    def test_dd_zero_mod2(self):
+        fc = build_rips(_cfg(np.random.RandomState(0).rand(5, 3)))
+        b = boundary_matrix(fc)
+        for j, col in enumerate(b.columns):
+            faces = collections.Counter()
+            for i in _facets(b, j):
+                faces.update(_facets(b, i))
+            assert all(n % 2 == 0 for n in faces.values()), f"d(d(col {j})) != 0 mod 2"
+
+    def test_columns_match_signed_boundary(self):
+        fc = build_alpha(_cfg(random_cloud(np.random.RandomState(3), 9)))
+        b = boundary_matrix(fc)
+        for j, col in enumerate(signed_boundary(fc)):
+            assert _facets(b, j) == sorted(col)
 
     def test_strictly_upper_triangular(self):
         fc = build_alpha(_cfg(random_cloud(np.random.RandomState(2), 7)))
         b = boundary_matrix(fc)
-        for j, col in enumerate(b.columns):
-            assert all(i < j for i in col)
+        assert b.size == len(fc.entries)
+        for j in range(b.size):
+            assert all(i < j for i in _facets(b, j))
 
 
 class TestReduction:
@@ -77,14 +102,30 @@ class TestReduction:
         assert pd.finite[0].death == pytest.approx(2 / math.sqrt(3), abs=1e-12)
 
     def test_twist_variant_identical_pairs(self):
+        # the package reduction clears (the twist); the oracle is the
+        # standard reduction over Q without clearing
         rng = np.random.RandomState(4)
         for _ in range(15):
             m = rng.randint(4, 8)
             kind = rng.choice(["rips", "alpha"])
             cfg = _cfg(random_cloud(rng, m))
             fc = build_rips(cfg) if kind == "rips" else build_alpha(cfg)
-            b = boundary_matrix(fc)
-            assert sorted(reduce_boundary(b).pairs) == sorted(reduce_boundary_twist(b).pairs)
+            red = reduce_boundary(boundary_matrix(fc))
+            assert (red.pairs, red.essentials) == rational_reduction(signed_boundary(fc))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
+    def test_alpha_pairs_match_rational_oracle(self, seed, m):
+        fc = build_alpha(_cfg(random_cloud(np.random.RandomState(seed), m)))
+        red = reduce_boundary(boundary_matrix(fc))
+        assert (red.pairs, red.essentials) == rational_reduction(signed_boundary(fc))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 8))
+    def test_rips_pairs_match_rational_oracle(self, seed, m):
+        fc = build_rips(_cfg(random_cloud(np.random.RandomState(seed), m)))
+        red = reduce_boundary(boundary_matrix(fc))
+        assert (red.pairs, red.essentials) == rational_reduction(signed_boundary(fc))
 
     def test_pairing_against_rank_oracle(self):
         rng = np.random.RandomState(8)
@@ -103,9 +144,9 @@ class TestReduction:
                 assert got_ess == want_ess
 
     def test_gf2_equals_rationals_at_desk_scale(self):
-        # the rank oracle works over GF(2); the reduction over rationals.
-        # their agreement on random clouds is asserted by the oracle test above;
-        # this covers the alpha route as well.
+        # the rank oracle and the reduction both work over GF(2); the test
+        # above covers Rips, this one the alpha route. Agreement with the
+        # rational reduction is asserted by the oracle tests further up.
         rng = np.random.RandomState(44)
         for _ in range(8):
             cfg = _cfg(random_cloud(rng, rng.randint(5, 8)))
