@@ -1,10 +1,12 @@
 """3D Delaunay triangulation with exact empty-circumsphere verification.
 
-The triangulation itself is delegated to Qhull (scipy.spatial.Delaunay); every
-tetrahedron is then verified against the empty-circumsphere property with a
-floating-point filter backed by exact rational arithmetic, so silent
-near-degeneracy cannot slip through. Exact cospherical 5-tuples are an error,
-never perturbed away silently.
+The triangulation itself is delegated to Qhull (scipy.spatial.Delaunay) and
+then verified with a floating-point filter backed by exact rational
+arithmetic, so silent near-degeneracy cannot slip through. By the local
+Delaunay lemma the check is local: every point must be a vertex, and across
+each triangle shared by two tetrahedra the far vertex of one must lie outside
+the circumsphere of the other. Exact cospherical 5-tuples are an error, never
+perturbed away silently.
 
 Point clouds that span fewer than 3 dimensions are handled for M <= 3 (vertex,
 edge, triangle); larger coplanar clouds are rejected.
@@ -12,7 +14,6 @@ edge, triangle); larger coplanar clouds are rejected.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,15 +22,11 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, GeneralPositionViolation
-from .geometry import Configuration, circumspheres, simplex_key
+from .geometry import Configuration, across_triangles, circumspheres, cofacets, faces, simplex_key
 
 # Hadamard-style relative filter: float determinants smaller than this times
 # the row-norm product are re-evaluated exactly.
 _FILTER_REL = 1e-10
-
-
-def _faces(key, dim):
-    return [tuple(c) for c in itertools.combinations(key, dim + 1)]
 
 
 @dataclass(frozen=True)
@@ -60,23 +57,13 @@ class DelaunayComplex:
         return "\n".join(lines)
 
 
-def _cofacets(by_dim):
-    """Edge and triangle keys -> the keys one dimension up that contain them."""
-    out = {}
-    for dim in (2, 3):
-        for key in by_dim.get(dim, ()):
-            for face in _faces(key, dim - 1):
-                out.setdefault(face, []).append(key)
-    return {k: tuple(v) for k, v in out.items()}
-
-
 def _close_down(top_simplices, n_points):
     by_dim = {0: tuple((i,) for i in range(n_points))}
     seen = {1: set(), 2: set(), 3: set()}
     for key in top_simplices:
         d = len(key) - 1
         for dim in range(1, d + 1):
-            seen[dim].update(_faces(key, dim))
+            seen[dim].update(faces(key, dim))
     for dim in (1, 2, 3):
         if seen[dim]:
             by_dim[dim] = tuple(sorted(seen[dim]))
@@ -130,51 +117,52 @@ def insphere_exact(a, b, c, d, p):
     return (val > 0) - (val < 0)
 
 
-def _verify_empty(points, tets):
-    """Check every tetra circumsphere is empty; exact fallback near ties."""
+def _verify_empty(points, tets, cofacet_map):
+    """Check the triangulation is Delaunay; exact fallback near ties.
+
+    Every point must be a vertex: Qhull sets duplicate and near-duplicate
+    points aside. By the local Delaunay lemma it then suffices that, across
+    every shared triangle, each tetrahedron's circumsphere excludes the far
+    vertex of its neighbour. An exactly cospherical 5-tuple spans a Delaunay
+    cell with at least 5 vertices, and every tetrahedron inside that cell has
+    a neighbour in it whose far vertex lies on the sphere.
+    """
     pts = np.asarray(points, dtype=float)
-    tet_pts = pts[np.asarray(tets)]  # (T, 4, 3)
-    orient = np.linalg.det(tet_pts[:, 1:] - tet_pts[:, :1])
-    orient_sign = np.sign(orient)
-    for t, tet in enumerate(tets):
-        s = orient_sign[t]
-        if s == 0:
-            s = orient3d_exact(*(pts[v] for v in tet))
-        if s == 0:
-            raise GeneralPositionViolation(
-                f"degenerate (coplanar) Delaunay tetrahedron {tet}", tet
-            )
-        orient_sign[t] = s
-    n = pts.shape[0]
-    for t, tet in enumerate(tets):
-        member = np.zeros(n, dtype=bool)
-        member[list(tet)] = True
-        others = np.nonzero(~member)[0]
-        if others.size == 0:
-            continue
-        # lifted rows per query point: tetra vertices relative to the query
-        rel = tet_pts[t][None, :, :] - pts[others][:, None, :]  # (O, 4, 3)
-        lift = np.concatenate(
-            [rel, np.einsum("oij,oij->oi", rel, rel)[..., None]], axis=2
+    missing = np.setdiff1d(np.arange(pts.shape[0]), tets)
+    if missing.size:
+        p = int(missing[0])
+        raise GeneralPositionViolation(
+            f"point {p} is not a Delaunay vertex (it duplicates a point, "
+            "or is cospherical beyond float resolution)",
+            (p,),
         )
-        vals = -np.linalg.det(lift) * orient_sign[t]
-        bounds = _FILTER_REL * np.prod(np.linalg.norm(lift, axis=2), axis=1)
-        suspect = np.abs(vals) <= bounds
-        inside = vals > 0
-        for o_idx in np.nonzero(suspect | inside)[0]:
-            p = int(others[o_idx])
-            sign = insphere_exact(*(pts[v] for v in tet), pts[p])
-            if sign == 0:
-                raise GeneralPositionViolation(
-                    f"points {tuple(tet) + (p,)} are exactly cospherical",
-                    tuple(tet) + (p,),
-                )
-            if sign > 0:
-                raise GeneralPositionViolation(
-                    f"point {p} lies inside the circumsphere of {tet} "
-                    "(input is cospherical beyond float resolution)",
-                    tuple(tet) + (p,),
-                )
+    tet_pts = pts[np.asarray(tets)]  # (T, 4, 3)
+    orient_sign = np.sign(np.linalg.det(tet_pts[:, 1:] - tet_pts[:, :1]))
+    for t in np.flatnonzero(orient_sign == 0):
+        orient_sign[t] = orient3d_exact(*tet_pts[t])
+        if orient_sign[t] == 0:
+            raise GeneralPositionViolation(
+                f"degenerate (coplanar) Delaunay tetrahedron {tets[t]}", tets[t]
+            )
+    t_idx, far = across_triangles(tets, cofacet_map)
+    # lifted rows per (tetrahedron, far vertex): tetra vertices relative to it
+    rel = tet_pts[t_idx] - pts[far][:, None, :]  # (P, 4, 3)
+    lift = np.concatenate([rel, np.einsum("pij,pij->pi", rel, rel)[..., None]], axis=2)
+    vals = -np.linalg.det(lift) * orient_sign[t_idx]
+    bounds = _FILTER_REL * np.prod(np.linalg.norm(lift, axis=2), axis=1)
+    for i in np.flatnonzero((np.abs(vals) <= bounds) | (vals > 0)):
+        tet, p = tets[t_idx[i]], int(far[i])
+        sign = insphere_exact(*(pts[v] for v in tet), pts[p])
+        if sign == 0:
+            raise GeneralPositionViolation(
+                f"points {tet + (p,)} are exactly cospherical", tet + (p,)
+            )
+        if sign > 0:
+            raise GeneralPositionViolation(
+                f"point {p} lies inside the circumsphere of {tet} "
+                "(input is cospherical beyond float resolution)",
+                tet + (p,),
+            )
 
 
 def _affine_dim(pts, rel_tol=1e-12):
@@ -186,7 +174,7 @@ def _affine_dim(pts, rel_tol=1e-12):
     return int(np.sum(sv > rel_tol * scale))
 
 
-def delaunay3(config: Configuration, verify: bool = True) -> DelaunayComplex:
+def delaunay3(config: Configuration) -> DelaunayComplex:
     """Delaunay triangulation of the cloud, verified empty-circumsphere exact.
 
     M = 1, 2, 3 clouds yield the trivial complex of the points themselves
@@ -194,6 +182,7 @@ def delaunay3(config: Configuration, verify: bool = True) -> DelaunayComplex:
     """
     pts = np.asarray(config.points, dtype=float)
     m = pts.shape[0]
+    tets = ()
     if m <= 3:
         dim = _affine_dim(pts)
         if m == 1:
@@ -206,17 +195,14 @@ def delaunay3(config: Configuration, verify: bool = True) -> DelaunayComplex:
             if dim < 2:
                 raise DegenerateInput("collinear 3-point cloud")
             top = [(0, 1, 2)]
-        by_dim = _close_down(top, m)
-        return DelaunayComplex(pts, (), by_dim, _cofacets(by_dim))
-
-    if m == 4:
+    elif m == 4:
         # the Delaunay complex of four non-coplanar points is the tetrahedron
         orient = float(np.linalg.det(pts[1:] - pts[0]))
         scale = np.abs(pts - pts.mean(axis=0)).max() or 1.0
         if abs(orient) <= 1e-9 * scale**3:
             if orient3d_exact(*pts) == 0:
                 raise DegenerateInput("four coplanar points")
-        tets = [(0, 1, 2, 3)]
+        top = tets = [(0, 1, 2, 3)]
     else:
         try:
             tri = _SciPyDelaunay(pts)
@@ -224,11 +210,12 @@ def delaunay3(config: Configuration, verify: bool = True) -> DelaunayComplex:
             raise DegenerateInput(
                 f"triangulation failed: coplanar or degenerate input ({exc})"
             )
-        tets = sorted(set(simplex_key(s) for s in tri.simplices))
-        if verify:
-            _verify_empty(pts, tets)
-    by_dim = _close_down(tets, m)
-    return DelaunayComplex(pts, tuple(tets), by_dim, _cofacets(by_dim))
+        top = tets = sorted(set(simplex_key(s) for s in tri.simplices))
+    by_dim = _close_down(top, m)
+    cofacet_map = cofacets(by_dim)
+    if m > 4:
+        _verify_empty(pts, tets, cofacet_map)
+    return DelaunayComplex(pts, tuple(tets), by_dim, cofacet_map)
 
 
 def attaching_flags(dc: DelaunayComplex, keys, centers, radii) -> np.ndarray:

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateSimplex, GaugeViolation
 
@@ -24,6 +25,38 @@ def simplex_key(vertices) -> SimplexKey:
     if len(set(key)) != len(key):
         raise ValueError(f"repeated vertex in simplex {key}")
     return key
+
+
+def faces(key, dim):
+    """The dim-dimensional faces of a simplex key, as sorted keys."""
+    return [tuple(c) for c in itertools.combinations(key, dim + 1)]
+
+
+def cofacets(by_dim):
+    """Edge and triangle keys -> the keys one dimension up that contain them."""
+    out = {}
+    for dim in (2, 3):
+        for key in by_dim.get(dim, ()):
+            for face in faces(key, dim - 1):
+                out.setdefault(face, []).append(key)
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def across_triangles(tets, cofacet_map):
+    """Each tetrahedron against the far vertex of each neighbour.
+
+    Returns index arrays (t, p), sorted: for every triangle that tets[t]
+    shares with another tetrahedron, p is that tetrahedron's vertex off the
+    triangle. By the local Delaunay lemma these are the only points that
+    decide whether a triangulation is Delaunay.
+    """
+    index = {tet: t for t, tet in enumerate(tets)}
+    pairs = sorted(
+        (index[tet], sum(other) - sum(tri))
+        for tri, cofaces in cofacet_map.items() if len(tri) == 3 and len(cofaces) == 2
+        for tet, other in (cofaces, cofaces[::-1])
+    )
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
 def _free_slots(n_points: int, gauge: bool):
@@ -284,9 +317,9 @@ def check_general_position(fc, tol: float = 1e-9):
     pts = fc.config.points
     report = GeneralPositionReport(fc.kind)
 
-    for i, j in itertools.combinations(range(fc.config.n_points), 2):
-        if np.linalg.norm(pts[i] - pts[j]) <= tol:
-            report.violations.append(GPViolation("coincident_points", (i, j)))
+    report.violations.extend(
+        GPViolation("coincident_points", pair) for pair in sorted(cKDTree(pts).query_pairs(tol))
+    )
 
     if fc.kind == "rips":
         report.violations.extend(_radius_ties(fc.attaching_radii, tol))
@@ -305,18 +338,9 @@ def check_general_position(fc, tol: float = 1e-9):
     if not tets:
         return report
     centers, radii, _, _ = circumspheres(pts[np.array(tets)])
-    cofacets = {}
-    for t, tet in enumerate(tets):
-        for tri in itertools.combinations(tet, 3):
-            cofacets.setdefault(tri, []).append(t)
-    near = {}
-    for tri, cofaces in cofacets.items():
-        if len(cofaces) != 2:
-            continue
-        for t, other in (cofaces, cofaces[::-1]):
-            p = sum(tets[other]) - sum(tri)  # the vertex of the other tetrahedron off tri
-            if abs(np.linalg.norm(pts[p] - centers[t]) - radii[t]) <= tol:
-                near[(tets[t], p)] = float(radii[t])
+    t_idx, far = across_triangles(tets, cofacets({3: tets}))
+    close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
+    near = {(tets[t], int(p)): float(radii[t]) for t, p in zip(t_idx[close], far[close])}
     report.violations.extend(
         GPViolation("near_cospherical", key, (r,)) for key, r in sorted(near.items())
     )

@@ -2,7 +2,9 @@
 
 The bottleneck distance is exact: the optimum is always one of the candidate
 pairwise or point-to-diagonal distances, so a binary search over the sorted
-candidate set with a matching feasibility test settles it without tolerance.
+candidates settles it without tolerance. Each step asks whether the
+diagonal-augmented bipartite graph of pairs within the candidate distance has
+a perfect matching (scipy.sparse.csgraph.maximum_bipartite_matching).
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import EmptyDiagram, InfinityMismatch, NotAcute
 from .geometry import Configuration
-
-_INF = math.inf
 
 
 def _split(diagram):
@@ -27,87 +29,8 @@ def _split(diagram):
     return finite, essential
 
 
-def _dist_inf(p, q):
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
 def _diag_gap(p):
     return (p[1] - p[0]) / 2.0
-
-
-def _hopcroft_karp(adj, n_left, n_right):
-    """Maximum bipartite matching size (layered BFS/DFS augmenting phases).
-
-    Left vertices exhausted in a phase get dist = inf; right vertices are
-    never marked (the same right vertex may serve paths at different levels).
-    """
-    nil = n_left
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0] * (n_left + 1)
-    size = 0
-
-    def bfs():
-        queue = []
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        dist[nil] = _INF
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            if dist[u] < dist[nil]:
-                for v in adj[u]:
-                    w = match_r[v]
-                    w = nil if w == -1 else w
-                    if dist[w] == _INF:
-                        dist[w] = dist[u] + 1
-                        if w != nil:
-                            queue.append(w)
-        return dist[nil] != _INF
-
-    def dfs(u):
-        if u == nil:
-            return True
-        for v in adj[u]:
-            w = match_r[v]
-            w = nil if w == -1 else w
-            if dist[w] == dist[u] + 1 and dfs(w):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = _INF
-        return False
-
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
-    return size
-
-
-def _feasible(p_pts, q_pts, r):
-    """Perfect matching at cost r in the diagonal-augmented bipartite graph."""
-    np_, nq = len(p_pts), len(q_pts)
-    n = np_ + nq
-    # left: p points then nq diagonal slots; right: q points then np_ diagonal slots
-    adj = [[] for _ in range(n)]
-    for i, p in enumerate(p_pts):
-        for j, q in enumerate(q_pts):
-            if _dist_inf(p, q) <= r:
-                adj[i].append(j)
-        if _diag_gap(p) <= r:
-            adj[i].extend(range(nq, n))
-    for i in range(nq):
-        q = q_pts[i]
-        if _diag_gap(q) <= r:
-            adj[np_ + i].append(i)
-        adj[np_ + i].extend(range(nq, n))
-    return _hopcroft_karp(adj, n, n) == n
 
 
 def bottleneck(diagram_a, diagram_b) -> float:
@@ -128,22 +51,27 @@ def bottleneck(diagram_a, diagram_b) -> float:
     if not fin_a and not fin_b:
         return ess
 
-    candidates = {0.0}
-    for p in fin_a:
-        candidates.add(_diag_gap(p))
-        for q in fin_b:
-            candidates.add(_dist_inf(p, q))
-    for q in fin_b:
-        candidates.add(_diag_gap(q))
-    values = sorted(candidates)
+    a = np.array(fin_a).reshape(-1, 2)
+    b = np.array(fin_b).reshape(-1, 2)
+    dist = np.abs(a[:, None] - b[None]).max(axis=2)
+    gap_a, gap_b = _diag_gap(a.T), _diag_gap(b.T)
+    values = np.unique(np.concatenate([dist.ravel(), gap_a, gap_b, [0.0]]))
+    # rows: the points of a, then a diagonal slot per point of b; columns:
+    # the points of b, then a diagonal slot per point of a
+    slots = np.ones((len(b), len(a)), dtype=bool)
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(fin_a, fin_b, values[mid]):
+        r = values[mid]
+        graph = np.block([
+            [dist <= r, np.repeat(gap_a[:, None] <= r, len(a), axis=1)],
+            [np.diag(gap_b <= r), slots],
+        ])
+        if (maximum_bipartite_matching(csr_matrix(graph), perm_type="column") >= 0).all():
             hi = mid
         else:
             lo = mid + 1
-    return max(ess, values[lo])
+    return max(ess, float(values[lo]))
 
 
 def hausdorff(points_a, points_b) -> float:

@@ -14,6 +14,9 @@ import numpy as np
 from hypothesis import settings
 from scipy.optimize import minimize
 
+from pdcont.delaunay import _FILTER_REL, insphere_exact, orient3d_exact
+from pdcont.errors import GeneralPositionViolation
+
 # property tests draw the same examples on every run and keep no database
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -174,6 +177,57 @@ def all_points_attaching(points, key, rel_tol=1e-9):
     if np.any(np.abs(dist - radius) <= rel_tol * radius):
         return None
     return bool(np.all(dist > radius))
+
+
+def verify_empty_all_points(points, tets):
+    """Check every tetra circumsphere is empty; exact fallback near ties.
+
+    The global O(T * M) scan, every tetrahedron against every other point,
+    with the package's float filter and exact predicates.
+    """
+    pts = np.asarray(points, dtype=float)
+    tet_pts = pts[np.asarray(tets)]  # (T, 4, 3)
+    orient = np.linalg.det(tet_pts[:, 1:] - tet_pts[:, :1])
+    orient_sign = np.sign(orient)
+    for t, tet in enumerate(tets):
+        s = orient_sign[t]
+        if s == 0:
+            s = orient3d_exact(*(pts[v] for v in tet))
+        if s == 0:
+            raise GeneralPositionViolation(
+                f"degenerate (coplanar) Delaunay tetrahedron {tet}", tet
+            )
+        orient_sign[t] = s
+    n = pts.shape[0]
+    for t, tet in enumerate(tets):
+        member = np.zeros(n, dtype=bool)
+        member[list(tet)] = True
+        others = np.nonzero(~member)[0]
+        if others.size == 0:
+            continue
+        # lifted rows per query point: tetra vertices relative to the query
+        rel = tet_pts[t][None, :, :] - pts[others][:, None, :]  # (O, 4, 3)
+        lift = np.concatenate(
+            [rel, np.einsum("oij,oij->oi", rel, rel)[..., None]], axis=2
+        )
+        vals = -np.linalg.det(lift) * orient_sign[t]
+        bounds = _FILTER_REL * np.prod(np.linalg.norm(lift, axis=2), axis=1)
+        suspect = np.abs(vals) <= bounds
+        inside = vals > 0
+        for o_idx in np.nonzero(suspect | inside)[0]:
+            p = int(others[o_idx])
+            sign = insphere_exact(*(pts[v] for v in tet), pts[p])
+            if sign == 0:
+                raise GeneralPositionViolation(
+                    f"points {tuple(tet) + (p,)} are exactly cospherical",
+                    tuple(tet) + (p,),
+                )
+            if sign > 0:
+                raise GeneralPositionViolation(
+                    f"point {p} lies inside the circumsphere of {tet} "
+                    "(input is cospherical beyond float resolution)",
+                    tuple(tet) + (p,),
+                )
 
 
 def well_shaped(points, rel=0.05):

@@ -1,13 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
+from pdcont.cli import apply_jitter, fibonacci_sphere
 from pdcont.delaunay import attaching_flags, delaunay3, is_attaching
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
-from pdcont.geometry import Configuration, circumspheres
+from pdcont.geometry import Configuration, circumspheres, simplex_key
 
 from helpers import (
     PROPERTY,
@@ -15,6 +18,7 @@ from helpers import (
     circumsphere_lstsq,
     hull_volume_bruteforce,
     random_cloud,
+    verify_empty_all_points,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -127,6 +131,73 @@ class TestDelaunay3:
         text = dc.dump_text()
         assert "0 1 2 3" in text
         assert text.startswith("# delaunay complex")
+
+
+def _violation(check, *args):
+    try:
+        check(*args)
+    except GeneralPositionViolation:
+        return True
+    return False
+
+
+def _local_and_global(pts):
+    """Whether delaunay3's local check and the all-points scan reject pts."""
+    tets = sorted(simplex_key(s) for s in Delaunay(pts).simplices)
+    return _violation(delaunay3, _cfg(pts)), _violation(verify_empty_all_points, pts, tets)
+
+
+def _dodecahedron():
+    phi = (1 + math.sqrt(5)) / 2
+    pts = list(itertools.product((-1.0, 1.0), repeat=3))
+    for a, b in itertools.product((-1.0, 1.0), repeat=2):
+        pts += [(0.0, a / phi, b * phi), (a / phi, b * phi, 0.0), (b * phi, 0.0, a / phi)]
+    return np.array(pts)
+
+
+class TestVerification:
+    """The check across shared triangles against the all-points scan."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 60))
+    def test_random_clouds_agree(self, seed, m):
+        pts = np.random.RandomState(seed).rand(m, 3)
+        local, scan = _local_and_global(pts)
+        assert local == scan
+
+    # every pair is a float-filter suspect here, so the all-points scan makes
+    # O(T * M) exact calls: fewer and smaller examples keep it to seconds
+    @settings(PROPERTY, max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 30), exponent=st.integers(6, 13))
+    def test_jittered_spheres_agree(self, seed, m, exponent):
+        pts = apply_jitter(fibonacci_sphere(m), seed=seed, magnitude=10.0**-exponent)
+        local, scan = _local_and_global(pts)
+        assert local == scan
+
+    def test_dodecahedron(self):
+        local, scan = _local_and_global(_dodecahedron())
+        assert local == scan
+
+    def test_fibonacci_sphere(self):
+        local, scan = _local_and_global(fibonacci_sphere(200))
+        assert local == scan
+
+    def test_exact_cospherical_bipyramid(self):
+        # two tetrahedra on one triangle; each far vertex lies exactly on the
+        # other's sphere, so only the float filter's exact fallback sees it
+        pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+        assert _local_and_global(pts) == (True, True)
+
+    def test_integer_grid(self):
+        grid = np.array(list(itertools.product(range(4), range(4), range(3))), dtype=float)
+        assert _local_and_global(grid) == (True, True)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-15])
+    def test_duplicated_point_rejected(self, offset):
+        pts = random_cloud(np.random.RandomState(4), 12)
+        pts = np.vstack([pts, pts[5] + offset])
+        with pytest.raises(GeneralPositionViolation):
+            delaunay3(_cfg(pts))
 
 
 class TestIsAttaching:

@@ -296,6 +296,20 @@ class TestGeneralPosition:
         tied_dims = {len(k) for v in tied for k in v.simplices}
         assert 3 in tied_dims  # the four congruent faces tie
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_coincident_points_match_all_pairs(self, tol):
+        pts = random_cloud(np.random.RandomState(8), 12)
+        pts[7] = pts[2] + 1e-10
+        pts[9] = pts[4] + 5e-4
+        report = check_general_position(build_rips(Configuration(pts, gauge=False), max_dim=1), tol)
+        found = [v.simplices for v in report.violations if v.kind == "coincident_points"]
+        expected = [
+            (i, j) for i, j in itertools.combinations(range(12), 2)
+            if np.linalg.norm(pts[i] - pts[j]) <= tol
+        ]
+        assert found == expected
+        assert len(found) == (1 if tol < 1e-6 else 2)
+
     def test_generic_cloud_clean(self):
         rng = np.random.RandomState(41)
         config = Configuration(random_cloud(rng, 6), gauge=False)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdcont.errors import EmptyDiagram, InfinityMismatch, NotAcute
 from pdcont.geometry import Configuration
@@ -14,13 +16,23 @@ from pdcont.metrics import (
 )
 from pdcont.persistence import diagram
 
-from helpers import exhaustive_matching_bottleneck, random_acute_triangle, random_cloud
+from helpers import (
+    PROPERTY,
+    exhaustive_matching_bottleneck,
+    random_acute_triangle,
+    random_cloud,
+)
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
 
 def _cfg(pts):
     return Configuration(np.asarray(pts, dtype=float), gauge=False)
+
+
+# (birth, persistence) in steps of 0.5: ties, zero-length points and shared
+# candidate distances are common
+_GRID_POINTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=3)
 
 
 class TestBottleneck:
@@ -52,6 +64,24 @@ class TestBottleneck:
             assert bottleneck(d1, d2) == pytest.approx(
                 exhaustive_matching_bottleneck(d1, d2), abs=1e-14
             )
+
+    @PROPERTY
+    @given(
+        a=_GRID_POINTS,
+        b=_GRID_POINTS,
+        essential=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=2),
+    )
+    def test_grid_diagrams_equal_exhaustive_oracle(self, a, b, essential):
+        d1 = [(0.5 * x, 0.5 * (x + g)) for x, g in a]
+        d2 = [(0.5 * x, 0.5 * (x + g)) for x, g in b]
+        ess1 = sorted(0.5 * x for x, _ in essential)
+        ess2 = sorted(0.5 * y for _, y in essential)
+        expected = max(
+            [exhaustive_matching_bottleneck(d1, d2)] + [abs(x - y) for x, y in zip(ess1, ess2)]
+        )
+        d1 += [(x, math.inf) for x in ess1]
+        d2 += [(y, math.inf) for y in ess2]
+        assert bottleneck(d1, d2) == expected
 
     def test_pseudometric_properties(self):
         rng = np.random.RandomState(9)
