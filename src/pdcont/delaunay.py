@@ -1,8 +1,9 @@
 """3D Delaunay triangulation with exact empty-circumsphere verification.
 
 The triangulation itself is delegated to Qhull (scipy.spatial.Delaunay) and
-then verified with a floating-point filter backed by exact rational
-arithmetic, so silent near-degeneracy cannot slip through. By the local
+then verified with a floating-point filter backed by exact integer
+arithmetic (the points of a predicate are scaled to integers by one common
+power of two), so silent near-degeneracy cannot slip through. By the local
 Delaunay lemma the check is local: every point must be a vertex, and across
 each triangle shared by two tetrahedra the far vertex of one must lie outside
 the circumsphere of the other. Exact cospherical 5-tuples are an error, never
@@ -15,7 +16,6 @@ edge, triangle); larger coplanar clouds are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciPyDelaunay
@@ -72,15 +72,25 @@ def _close_down(top_simplices, n_points):
 
 # --- exact predicates -----------------------------------------------------------
 
+def _as_ints(points):
+    """The points as integers under one common power-of-two scale.
+
+    Floats are dyadic rationals n / 2^e; a positive common scale keeps signs.
+    """
+    ratios = [float(x).as_integer_ratio() for p in points for x in p]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    return [ints[i:i + 3] for i in range(0, len(ints), 3)]
+
+
 def _det_exact(rows):
-    """Exact determinant of a small matrix of Fractions (cofactor expansion)."""
+    """Exact determinant of a small integer matrix (cofactor expansion)."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    sign = 1
+    total, sign = 0, 1
     for j in range(n):
         if rows[0][j]:
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
@@ -89,12 +99,13 @@ def _det_exact(rows):
     return total
 
 
+def _orient_det(a, b, c, d):
+    return _det_exact([[p[k] - a[k] for k in range(3)] for p in (b, c, d)])
+
+
 def orient3d_exact(a, b, c, d):
-    """Sign of det[b-a; c-a; d-a], computed in exact rational arithmetic."""
-    rows = []
-    for p in (b, c, d):
-        rows.append([Fraction(p[k]) - Fraction(a[k]) for k in range(3)])
-    det = _det_exact(rows)
+    """Sign of det[b-a; c-a; d-a], computed in exact integer arithmetic."""
+    det = _orient_det(*_as_ints((a, b, c, d)))
     return (det > 0) - (det < 0)
 
 
@@ -105,15 +116,15 @@ def insphere_exact(a, b, c, d, p):
     cospherical. With rows (vertex - p, |vertex - p|^2) the determinant of a
     positively oriented tetrahedron is negative for interior p.
     """
+    *tet, p = _as_ints((a, b, c, d, p))
     rows = []
-    for q in (a, b, c, d):
-        rel = [Fraction(q[k]) - Fraction(p[k]) for k in range(3)]
+    for q in tet:
+        rel = [q[k] - p[k] for k in range(3)]
         rows.append(rel + [rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2])
-    det = _det_exact(rows)
-    orient = orient3d_exact(a, b, c, d)
+    orient = _orient_det(*tet)
     if orient == 0:
         raise DegenerateInput("flat tetrahedron in in-sphere test")
-    val = -det * orient
+    val = -_det_exact(rows) * orient
     return (val > 0) - (val < 0)
 
 

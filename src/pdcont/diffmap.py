@@ -10,6 +10,7 @@ nonzeros for Rips, 12 for alpha.
 from __future__ import annotations
 
 import bisect
+import functools
 import io
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import NearDegenerateJacobian
 from .filtration import FilteredComplex
-from .geometry import Configuration, circumradius_gradient
+from .geometry import Configuration, _free_slots, circumradius_gradient
 from .persistence import PersistenceData
 
 
@@ -64,27 +65,44 @@ def singular_values(jac: PersistenceJacobian) -> np.ndarray:
     return jac.singular_values()
 
 
-def _attaching_gradient(kind: str, attaching, config: Configuration):
-    """Gradient of the coordinate's radius w.r.t. the attaching simplex vertices."""
+@functools.lru_cache
+def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
+    """Column of each point coordinate among the free ones, -1 where pinned."""
+    cols = np.full((n_points, 3), -1)
+    for c, (i, axis) in enumerate(_free_slots(n_points, gauge)):
+        cols[i, axis] = c
+    cols.flags.writeable = False  # one array serves every caller
+    return cols
+
+
+def _attaching_gradients(kind: str, keys, config: Configuration):
+    """Radius gradients of attaching simplices, as rows over the free columns.
+
+    Returns the (len(keys), n) rows and the norm of each whole gradient,
+    pinned coordinates included. Alpha gradients come from one kernel call
+    per simplex size; vertices are born at radius zero.
+    """
     pts = config.points
-    if len(attaching) == 1:
-        return np.zeros((1, 3))  # vertices are born at radius zero
-    if kind == "rips":
-        i, j = attaching
-        diff = pts[i] - pts[j]
-        unit = diff / (2.0 * np.linalg.norm(diff))
-        return np.stack([unit, -unit])
-    return circumradius_gradient(pts[list(attaching)])
-
-
-def _scatter(grad, attaching, col_index, n):
-    row = np.zeros(n)
-    for vtx, g in zip(attaching, grad):
-        for axis in range(3):
-            col = col_index.get((vtx, axis))
-            if col is not None:
-                row[col] = g[axis]
-    return row
+    cols = _free_columns(config.n_points, config.gauge)
+    # pinned coordinates (column -1) land in a spare last column, cut off below
+    rows, norms = np.zeros((len(keys), config.free_dim + 1)), np.zeros(len(keys))
+    by_size = {}
+    for r, key in enumerate(keys):
+        by_size.setdefault(len(key), []).append(r)
+    for size, idx in by_size.items():
+        if size == 1:
+            continue
+        verts = np.array([keys[r] for r in idx])
+        if kind == "rips":
+            diff = pts[verts[:, 0]] - pts[verts[:, 1]]
+            # a norm per edge rounds as the one-edge-at-a-time rows did
+            unit = diff / (2.0 * np.array([np.linalg.norm(d) for d in diff]))[:, None]
+            grads = np.stack([unit, -unit], axis=1)
+        else:
+            grads = circumradius_gradient(pts[verts])
+        norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
+        rows[np.array(idx)[:, None, None], cols[verts]] = grads
+    return rows[:, :-1], norms
 
 
 def _warn_near_ties(rows, fc: FilteredComplex, tol: float):
@@ -125,26 +143,17 @@ def jacobian(
     kind = "rips" if kind.lower() in ("rips", "vr") else "alpha"
     if include_essential is None:
         include_essential = pd.dim == 0
-    col_index = {slot: c for c, slot in enumerate(config.free_slots())}
-    n = len(col_index)
     rows = []
-    data = []
     for idx, pair in enumerate(pd.finite):
         for coord, key, att, val in (
             ("birth", pair.birth_key, pair.birth_attaching, pair.birth),
             ("death", pair.death_key, pair.death_attaching, pair.death),
         ):
-            grad = _attaching_gradient(kind, att, config)
             rows.append(JacobianRow(idx, coord, key, att, val))
-            data.append(_scatter(grad, att, col_index, n))
     if include_essential:
         for idx, ess in enumerate(pd.essential):
-            grad = _attaching_gradient(kind, ess.birth_attaching, config)
-            rows.append(
-                JacobianRow(idx, "essential", ess.birth_key, ess.birth_attaching, ess.birth)
-            )
-            data.append(_scatter(grad, ess.birth_attaching, col_index, n))
-    matrix = np.array(data) if data else np.zeros((0, n))
+            rows.append(JacobianRow(idx, "essential", ess.birth_key, ess.birth_attaching, ess.birth))
+    matrix, _ = _attaching_gradients(kind, [r.attaching_key for r in rows], config)
     jac = PersistenceJacobian(matrix, tuple(rows), tuple(config.free_slots()))
     if fc is not None:
         _warn_near_ties(jac.rows, fc, tie_tol)

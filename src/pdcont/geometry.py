@@ -215,23 +215,28 @@ def circumspheres(simplices, rel_tol: float = 1e-12):
     return centers, radii, weights, degenerate
 
 
-def _one_sphere(pts, rel_tol):
-    pts = np.asarray(pts, dtype=float)
-    centers, radii, weights, degenerate = circumspheres(pts[None], rel_tol)
-    if degenerate[0]:
-        raise DegenerateSimplex(f"{_DEGENERATE[pts.shape[0]]} in {pts.shape[0] - 1}-simplex")
-    return pts, centers[0], float(radii[0]), weights[0]
+def _spheres(stack, rel_tol):
+    centers, radii, weights, degenerate = circumspheres(stack, rel_tol)
+    if degenerate.any():
+        raise DegenerateSimplex(f"{_DEGENERATE[stack.shape[1]]} in {stack.shape[1] - 1}-simplex")
+    return centers, radii, weights
 
 
 def circumradius(pts, denom_rel_tol: float = 1e-12) -> float:
     """Radius of the smallest sphere through 2, 3, or 4 points in R^3."""
-    return _one_sphere(pts, denom_rel_tol)[2]
+    return float(_spheres(np.asarray(pts, dtype=float)[None], denom_rel_tol)[1][0])
 
 
 def circumradius_gradient(pts, denom_rel_tol: float = 1e-12) -> np.ndarray:
-    """Gradient of the circumradius w.r.t. every vertex coordinate, shape (k, 3)."""
-    pts, center, radius, weights = _one_sphere(pts, denom_rel_tol)
-    return weights[:, None] * ((pts - center) / radius)
+    """Gradient of the circumradius w.r.t. every vertex coordinate, shape (k, 3).
+
+    A stack of simplices (S, k, 3) gives its gradients from one kernel call.
+    """
+    pts = np.asarray(pts, dtype=float)
+    stack = pts if pts.ndim == 3 else pts[None]
+    centers, radii, weights = _spheres(stack, denom_rel_tol)
+    grads = weights[..., None] * ((stack - centers[:, None]) / radii[:, None, None])
+    return grads if pts.ndim == 3 else grads[0]
 
 
 # --- Vietoris-Rips birth radii ------------------------------------------------

@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial import cKDTree
 
 from .errors import EmptyDiagram, InfinityMismatch, NotAcute
 from .geometry import Configuration
@@ -78,8 +79,7 @@ def hausdorff(points_a, points_b) -> float:
     """Hausdorff distance between two finite clouds in R^3."""
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
 
 
 def diag_distance(diagram) -> float:

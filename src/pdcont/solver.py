@@ -1,11 +1,13 @@
 """Pseudo-inverse Newton iteration and continuation of a point cloud.
 
 The SVD is a one-sided Jacobi (rotations until the working columns are
-orthogonal to machine precision), the pseudo-inverse follows from it with a
-singular-value cutoff, and the continuation walks the diagram target along a
-straight segment, re-seeding each solve with the previous solution. Diagram
-coordinates are tracked across steps primarily by generating-simplex identity,
-with an optimal assignment fallback when the generators change.
+orthogonal to machine precision, accurate in relative terms near the image
+boundary) up to a short side of 16, and LAPACK's above. The pseudo-inverse
+follows from it with a singular-value cutoff, and the continuation walks the
+diagram target along a straight segment, re-seeding each solve with the
+previous solution. Diagram coordinates are tracked across steps primarily by
+generating-simplex identity, with an optimal assignment fallback when the
+generators change.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diffmap import PersistenceJacobian, jacobian
+from .diffmap import PersistenceJacobian, _attaching_gradients, jacobian
 from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
 from .filtration import build
 from .geometry import Configuration
@@ -70,6 +72,9 @@ def _jacobi_tall(a):
     return u, norms, v
 
 
+_JACOBI_SIZE_LIMIT = 16  # q(q - 1)/2 rotations per sweep on the short side q
+
+
 def svd(a):
     """SVD a = V @ diag(s) @ W.T with s non-increasing.
 
@@ -82,6 +87,9 @@ def svd(a):
     m, n = a.shape
     if m == 0 or n == 0:
         return np.eye(m), np.zeros(min(m, n)), np.eye(n)[:, : min(m, n)]
+    if min(m, n) > _JACOBI_SIZE_LIMIT:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return u, s, vt.T
     if m <= n:
         w, s, v = _jacobi_tall(a.T)
         return v, s, w
@@ -97,15 +105,8 @@ class PinvInfo:
     rank_deficient: bool
 
 
-_JACOBI_SIZE_LIMIT = 64  # larger factorizations go through LAPACK
-
-
 def _pinv_parts(a, sigma_cutoff_rel):
-    if max(a.shape) > _JACOBI_SIZE_LIMIT:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        v, w = u, vt.T
-    else:
-        v, s, w = svd(a)
+    v, s, w = svd(a)
     cutoff = sigma_cutoff_rel * (s[0] if s.size else 0.0)
     keep = s > cutoff
     info = PinvInfo(s, cutoff, int(keep.sum()), bool(np.any(~keep)))
@@ -303,8 +304,6 @@ def _tie_rows(flip_groups, matched, v_target, fc, kind, config, window, offsets)
     Only the step direction is affected; the convergence test uses the true
     diagram residual.
     """
-    from .diffmap import _attaching_gradient, _scatter
-
     entry_by_key = {e.key: e for e in fc.entries}
     generator_keys = set()
     for rec in matched:
@@ -312,9 +311,7 @@ def _tie_rows(flip_groups, matched, v_target, fc, kind, config, window, offsets)
         generator_keys.add(rec.death_key)
     attaching = fc.attaching_radii
 
-    col_index = {slot: c for c, slot in enumerate(config.free_slots())}
-    n = len(col_index)
-    rows, res = [], []
+    keys, res = [], []
     for i, rec in enumerate(matched):
         for which, current, value in (
             ("birth", rec.birth_key, rec.birth),
@@ -336,14 +333,11 @@ def _tie_rows(flip_groups, matched, v_target, fc, kind, config, window, offsets)
                 slot_key = (i, which, key)
                 if slot_key not in offsets:
                     offsets[slot_key] = entry.radius / value if value else 1.0
-                grad = _attaching_gradient(kind, entry.attaching, config)
-                if np.linalg.norm(grad) > _TIE_GRADIENT_CAP:
-                    continue  # sliver simplex: radius too ill-conditioned to pin
-                rows.append(_scatter(grad, entry.attaching, col_index, n))
+                keys.append(entry.attaching)
                 res.append(entry.radius - target * offsets[slot_key])
-    if not rows:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.vstack(rows), np.array(res)
+    rows, norms = _attaching_gradients(kind, keys, config)
+    keep = ~(norms > _TIE_GRADIENT_CAP)  # a sliver's radius is too ill-conditioned to pin
+    return rows[keep], np.array(res)[keep]
 
 
 def _newton_core(

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's own computation paths:
 brute-force searches, exhaustive enumeration, finite differences, GF(2) rank
-computations on bitsets, exact rational reduction, and hand-rolled hull
-volumes.
+computations on bitsets, exact rational reduction and predicates, dense
+all-pairs distances, and hand-rolled hull volumes.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import settings
 from scipy.optimize import minimize
 
 from pdcont.delaunay import _FILTER_REL, insphere_exact, orient3d_exact
-from pdcont.errors import GeneralPositionViolation
+from pdcont.errors import DegenerateInput, GeneralPositionViolation
 
 # property tests draw the same examples on every run and keep no database
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -177,6 +177,51 @@ def all_points_attaching(points, key, rel_tol=1e-9):
     if np.any(np.abs(dist - radius) <= rel_tol * radius):
         return None
     return bool(np.all(dist > radius))
+
+
+def fraction_det_exact(rows):
+    """Exact determinant of a small matrix of Fractions (cofactor expansion)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = Fraction(0)
+    sign = 1
+    for j in range(n):
+        if rows[0][j]:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += sign * rows[0][j] * fraction_det_exact(minor)
+        sign = -sign
+    return total
+
+
+def fraction_orient3d_exact(a, b, c, d):
+    """Sign of det[b-a; c-a; d-a], computed in exact rational arithmetic."""
+    rows = []
+    for p in (b, c, d):
+        rows.append([Fraction(p[k]) - Fraction(a[k]) for k in range(3)])
+    det = fraction_det_exact(rows)
+    return (det > 0) - (det < 0)
+
+
+def fraction_insphere_exact(a, b, c, d, p):
+    """Exact in-sphere test of p against the circumsphere of tetra (a,b,c,d).
+
+    Returns +1 when p is strictly inside, -1 when strictly outside, 0 when
+    cospherical. With rows (vertex - p, |vertex - p|^2) the determinant of a
+    positively oriented tetrahedron is negative for interior p.
+    """
+    rows = []
+    for q in (a, b, c, d):
+        rel = [Fraction(q[k]) - Fraction(p[k]) for k in range(3)]
+        rows.append(rel + [rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2])
+    det = fraction_det_exact(rows)
+    orient = fraction_orient3d_exact(a, b, c, d)
+    if orient == 0:
+        raise DegenerateInput("flat tetrahedron in in-sphere test")
+    val = -det * orient
+    return (val > 0) - (val < 0)
 
 
 def verify_empty_all_points(points, tets):
@@ -475,6 +520,14 @@ def exhaustive_matching_bottleneck(d1, d2):
                         cost = max(cost, gap(fin2[b]))
                 best = min(best, cost)
     return best
+
+
+def dense_hausdorff(points_a, points_b):
+    """Hausdorff distance from the full matrix of pairwise distances."""
+    a = np.asarray(points_a, dtype=float)
+    b = np.asarray(points_b, dtype=float)
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def random_cloud(rng, m, scale=1.0):

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 from pdcont.cli import apply_jitter, fibonacci_sphere
-from pdcont.delaunay import attaching_flags, delaunay3, is_attaching
+from pdcont.delaunay import (
+    attaching_flags,
+    delaunay3,
+    insphere_exact,
+    is_attaching,
+    orient3d_exact,
+)
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
 from pdcont.geometry import Configuration, circumspheres, simplex_key
 
@@ -16,6 +22,8 @@ from helpers import (
     PROPERTY,
     all_points_attaching,
     circumsphere_lstsq,
+    fraction_insphere_exact,
+    fraction_orient3d_exact,
     hull_volume_bruteforce,
     random_cloud,
     verify_empty_all_points,
@@ -238,3 +246,91 @@ class TestIsAttaching:
                 expected = all_points_attaching(pts, key)
                 if expected is not None:
                     assert flag == expected, key
+
+
+def _signs(pts):
+    """(orientation, in-sphere) signs of the package and of the Fraction oracle.
+
+    The in-sphere sign is None where the tetrahedron pts[:4] is flat.
+    """
+    out = []
+    for orient, insphere in (
+        (orient3d_exact, insphere_exact),
+        (fraction_orient3d_exact, fraction_insphere_exact),
+    ):
+        try:
+            sign = insphere(*pts)
+        except DegenerateInput:
+            sign = None
+        out.append((orient(*pts[:4]), sign))
+    return out
+
+
+# integer points on the sphere of radius 9 about the origin
+_SPHERE9 = [
+    p for p in itertools.product(range(-9, 10), repeat=3) if p[0] ** 2 + p[1] ** 2 + p[2] ** 2 == 81
+]
+
+
+class TestExactPredicates:
+    """The integer predicates against the Fraction oracle."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_points_agree(self, seed):
+        pts = np.random.RandomState(seed).randn(5, 3)
+        package, oracle = _signs(pts)
+        assert package == oracle
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(6, 13))
+    def test_jittered_sphere_points_agree(self, seed, exponent):
+        rng = np.random.RandomState(seed)
+        sphere = apply_jitter(fibonacci_sphere(40), seed=seed, magnitude=10.0**-exponent)
+        pts = sphere[rng.choice(40, 5, replace=False)]
+        package, oracle = _signs(pts)
+        assert package == oracle
+
+    @PROPERTY
+    @given(
+        picks=st.lists(st.integers(0, len(_SPHERE9) - 1), min_size=5, max_size=5, unique=True),
+        exponent=st.integers(-60, 60),
+        shift=st.tuples(*[st.integers(-1000, 1000)] * 3),
+    )
+    def test_exactly_cospherical(self, picks, exponent, shift):
+        # dyadic scaling and an integer shift keep the points exactly cospherical
+        pts = (np.array([_SPHERE9[i] for i in picks], dtype=float) + shift) * 2.0**exponent
+        package, oracle = _signs(pts)
+        assert package == oracle
+        assert package[1] in (0, None)
+        assert (package[1] is None) == (package[0] == 0)
+
+    @PROPERTY
+    @given(
+        coeffs=st.tuples(*[st.integers(-5, 5)] * 3),
+        xy=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=5, max_size=5),
+        exponent=st.integers(-60, 60),
+    )
+    def test_exactly_coplanar(self, coeffs, xy, exponent):
+        a, b, c = coeffs
+        pts = np.array([(x, y, a * x + b * y + c) for x, y in xy], dtype=float) * 2.0**exponent
+        package, oracle = _signs(pts)
+        assert package == oracle == (0, None)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_coordinates_from_tiny_to_huge(self, seed):
+        # one call mixes coordinates from 2^-60 to 2^60
+        rng = np.random.RandomState(seed)
+        exponents = rng.randint(-60, 61, size=(5, 3))
+        exponents.flat[rng.choice(15, 2, replace=False)] = (-60, 60)
+        pts = rng.choice([-1.0, 1.0], size=(5, 3)) * rng.uniform(1.0, 2.0, size=(5, 3))
+        pts = pts * 2.0**exponents
+        package, oracle = _signs(pts)
+        assert package == oracle
+
+    def test_flat_tetrahedron_raises(self):
+        flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+        assert orient3d_exact(*flat) == 0
+        with pytest.raises(DegenerateInput):
+            insphere_exact(*flat, np.array([0.0, 0.0, 1.0]))

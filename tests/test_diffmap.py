@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from pdcont.diffmap import centroid_constraints, distance_constraint, jacobian
+from pdcont.diffmap import _attaching_gradients, centroid_constraints, distance_constraint, jacobian
 from pdcont.errors import NearDegenerateJacobian
 from pdcont.filtration import build
-from pdcont.geometry import Configuration
+from pdcont.geometry import Configuration, circumradius_gradient, to_gauge_frame
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
 from pdcont.solver import _constraint_rows, newton_pinv, svd
 
@@ -115,6 +115,49 @@ class TestJacobianClosedForms:
             warnings.simplefilter("always")
             jacobian(config, "alpha", pd, fc=fc)
         assert any(issubclass(w.category, NearDegenerateJacobian) for w in caught)
+
+
+def _one_at_a_time(kind, key, config):
+    """One attaching gradient, placed in the free columns by slot lookup."""
+    pts = config.points
+    if len(key) == 1:
+        grad = np.zeros((1, 3))
+    elif kind == "rips":
+        diff = pts[key[0]] - pts[key[1]]
+        unit = diff / (2.0 * np.linalg.norm(diff))
+        grad = np.stack([unit, -unit])
+    else:
+        grad = circumradius_gradient(pts[list(key)])
+    row = np.zeros(config.free_dim)
+    for c, (vtx, axis) in enumerate(config.free_slots()):
+        if vtx in key:
+            row[c] = grad[key.index(vtx), axis]
+    return row, np.linalg.norm(grad)
+
+
+class TestBatchedGradients:
+    """The batched rows against gradients taken one simplex at a time."""
+
+    @pytest.mark.parametrize("gauge", [True, False])
+    @pytest.mark.parametrize("kind", ["alpha", "rips"])
+    def test_rows_equal_one_at_a_time(self, kind, gauge):
+        rng = np.random.RandomState(11)
+        pts = random_cloud(rng, 9)
+        config = to_gauge_frame(pts) if gauge else Configuration(pts, gauge=False)
+        fc = build(config, kind, max_dim=3)
+        keys = [e.attaching for e in fc.entries]
+        keys = [keys[i] for i in rng.permutation(len(keys))]  # sizes interleaved
+        rows, norms = _attaching_gradients(kind, keys, config)
+        assert rows.shape == (len(keys), config.free_dim)
+        for key, row, norm in zip(keys, rows, norms):
+            expected_row, expected_norm = _one_at_a_time(kind, key, config)
+            assert np.array_equal(row, expected_row), key
+            assert norm == pytest.approx(expected_norm, rel=1e-14, abs=0.0)
+
+    def test_no_keys(self):
+        config = Configuration(EX1_CLOUD)
+        rows, norms = _attaching_gradients("alpha", [], config)
+        assert rows.shape == (0, config.free_dim) and norms.shape == (0,)
 
 
 class TestJacobianVsFiniteDifferences:

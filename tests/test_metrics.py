@@ -18,6 +18,7 @@ from pdcont.persistence import diagram
 
 from helpers import (
     PROPERTY,
+    dense_hausdorff,
     exhaustive_matching_bottleneck,
     random_acute_triangle,
     random_cloud,
@@ -110,6 +111,13 @@ class TestHausdorff:
             p = random_cloud(rng, m)
             q = p + rng.randn(m, 3) * 0.1
             assert hausdorff(p, q) <= np.linalg.norm((p - q).ravel()) + 1e-12
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 40))
+    def test_equals_dense_all_pairs(self, seed, m, n):
+        rng = np.random.RandomState(seed)
+        p, q = rng.randn(m, 3), rng.randn(n, 3) * rng.uniform(0.1, 10.0)
+        assert hausdorff(p, q) == dense_hausdorff(p, q)
 
 
 class TestDiagDistance:

@@ -67,6 +67,57 @@ class TestSVD:
             assert all(x >= 0 for x in s)
 
 
+def _graded_stack():
+    """A 64 x 54 matrix with singular values from 1 down to 1e-10."""
+    rng = np.random.RandomState(6)
+    left, _ = np.linalg.qr(rng.randn(64, 54))
+    right, _ = np.linalg.qr(rng.randn(54, 54))
+    sigma = np.logspace(0, -10, 54)
+    return (left * sigma) @ right.T, sigma
+
+
+class TestSVDPath:
+    """Jacobi up to a short side of 16, LAPACK above."""
+
+    @pytest.mark.parametrize("shape", [(6, 2), (6, 5), (5, 12), (12, 12)])
+    def test_short_side_up_to_limit_is_jacobi(self, shape):
+        a = np.random.RandomState(5).randn(*shape)
+        if shape[0] > shape[1]:
+            expected = solver._jacobi_tall(a)
+        else:
+            w, s, v = solver._jacobi_tall(a.T)
+            expected = (v, s, w)
+        for got, want in zip(svd(a), expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(64, 54), (17, 40)])
+    def test_long_short_side_thin_form(self, shape):
+        a = np.random.RandomState(7).randn(*shape)
+        v, s, w = svd(a)
+        k = min(shape)
+        assert v.shape == (shape[0], k) and w.shape == (shape[1], k)
+        np.testing.assert_allclose(v @ np.diag(s) @ w.T, a, atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(w.T @ w, np.eye(k), atol=1e-12)
+
+    def test_graded_singular_values_match_jacobi(self):
+        a, _ = _graded_stack()
+        _, s, _ = svd(a)
+        _, s_jacobi, _ = solver._jacobi_tall(a)
+        assert np.abs(s - s_jacobi).max() <= 1e-12 * s_jacobi[0]
+
+    def test_graded_penrose_equations(self):
+        # the products carry rounding of order eps * cond relative to the norms
+        a, sigma = _graded_stack()
+        x = pinv_matrix(a)
+        tol = 10 * np.finfo(float).eps * sigma[0] / sigma[-1]
+        norm_a, norm_x = np.abs(a).max(), np.abs(x).max()
+        assert np.abs(a @ x @ a - a).max() <= tol * norm_a
+        assert np.abs(x @ a @ x - x).max() <= tol * norm_x
+        assert np.abs((a @ x).T - a @ x).max() <= tol
+        assert np.abs((x @ a).T - x @ a).max() <= tol
+
+
 class TestPinv:
     def test_minimum_norm_solution(self):
         a = np.zeros((2, 4))
