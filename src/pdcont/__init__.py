@@ -51,7 +51,6 @@ from .diffmap import (
     centroid_constraints,
     distance_constraint,
     jacobian,
-    singular_values,
 )
 from .solver import (
     ContinuationTrace,

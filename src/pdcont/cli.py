@@ -92,11 +92,16 @@ def _load_config(args) -> Configuration:
     return make_config(points, not args.no_gauge)
 
 
-def cmd_diagram(args) -> int:
+def _diagram_of(args):
+    """The loaded cloud, its filtered complex and its diagram, built once."""
     config = _load_config(args)
     fc = build(config, args.filtration, max_dim=args.dim + 1)
     red = persistence.reduce_boundary(persistence.boundary_matrix(fc))
-    pd = persistence.persistence_data(red, fc, args.dim, args.epsilon)
+    return config, fc, persistence.persistence_data(red, fc, args.dim, args.epsilon)
+
+
+def cmd_diagram(args) -> int:
+    _, fc, pd = _diagram_of(args)
     print(pd.to_json())
     report = check_general_position(fc, args.gp_tol)
     print(report.summary(), file=sys.stderr)
@@ -116,10 +121,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    config = _load_config(args)
-    pd = persistence.diagram(config, args.filtration, args.dim, args.epsilon)
-    jac = diffmap.jacobian(config, args.filtration, pd)
-    sigma = jac.singular_values()
+    config, fc, pd = _diagram_of(args)
+    jac = diffmap.jacobian(config, args.filtration, pd, fc=fc)
+    _, sigma, _ = solver.svd(jac.matrix)
     print("singular values:", " ".join(f"{s:.9g}" for s in sigma))
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,7 +4,8 @@ Each diagram coordinate is the birth radius of a generating simplex, realized
 by an attaching simplex; its row is the circumradius gradient (alpha) or the
 half-unit-vector edge gradient (Rips) of that attaching simplex, scattered
 into the free gauge columns. Rows are therefore very sparse: at most 6
-nonzeros for Rips, 12 for alpha.
+nonzeros for Rips, 12 for alpha. Alpha gradients are read from the
+circumspheres the filtration build kept, so no circumsphere is solved twice.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDegenerateJacobian
-from .filtration import FilteredComplex
-from .geometry import Configuration, _free_slots, circumradius_gradient
+from .filtration import FilteredComplex, build
+from .geometry import Configuration, _free_slots, radius_gradients
+from .geometry import circumradius_gradient  # unused here; perfbench/tracing.py wraps this name
 from .persistence import PersistenceData
 
 
@@ -42,12 +44,6 @@ class PersistenceJacobian:
     def shape(self):
         return self.matrix.shape
 
-    def singular_values(self) -> np.ndarray:
-        from .solver import svd  # local import; solver builds on this module
-
-        _, s, _ = svd(self.matrix)
-        return s
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         header = ",".join(f"p{i}{'xyz'[a]}" for i, a in self.columns)
@@ -61,10 +57,6 @@ class PersistenceJacobian:
         return buf.getvalue()
 
 
-def singular_values(jac: PersistenceJacobian) -> np.ndarray:
-    return jac.singular_values()
-
-
 @functools.lru_cache
 def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
     """Column of each point coordinate among the free ones, -1 where pinned."""
@@ -75,13 +67,16 @@ def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
     return cols
 
 
-def _attaching_gradients(kind: str, keys, config: Configuration):
-    """Radius gradients of attaching simplices, as rows over the free columns.
+def _attaching_gradients(fc: FilteredComplex, keys):
+    """Radius gradients of attaching simplices of ``fc``, as rows over the free
+    columns.
 
     Returns the (len(keys), n) rows and the norm of each whole gradient,
-    pinned coordinates included. Alpha gradients come from one kernel call
-    per simplex size; vertices are born at radius zero.
+    pinned coordinates included. Alpha gradients are λᵢ(pᵢ − c)/R from the
+    circumspheres that ``fc`` kept, per simplex size; vertices are born at
+    radius zero.
     """
+    config = fc.config
     pts = config.points
     cols = _free_columns(config.n_points, config.gauge)
     # pinned coordinates (column -1) land in a spare last column, cut off below
@@ -93,13 +88,18 @@ def _attaching_gradients(kind: str, keys, config: Configuration):
         if size == 1:
             continue
         verts = np.array([keys[r] for r in idx])
-        if kind == "rips":
+        if fc.kind == "rips":
             diff = pts[verts[:, 0]] - pts[verts[:, 1]]
             # a norm per edge rounds as the one-edge-at-a-time rows did
             unit = diff / (2.0 * np.array([np.linalg.norm(d) for d in diff]))[:, None]
             grads = np.stack([unit, -unit], axis=1)
         else:
-            grads = circumradius_gradient(pts[verts])
+            spheres = fc.spheres[size - 1]
+            at = [spheres.row_of[keys[r]] for r in idx]
+            grads = radius_gradients(
+                pts[verts], spheres.centers[at], spheres.radii[at],
+                spheres.weights[at], spheres.degenerate[at],
+            )
         norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
         rows[np.array(idx)[:, None, None], cols[verts]] = grads
     return rows[:, :-1], norms
@@ -136,11 +136,11 @@ def jacobian(
     """Derivative of the diagram coordinates w.r.t. the free gauge coordinates.
 
     Row order follows the coordinate layout (b1, d1, b2, d2, ..., essentials).
-    Essential rows are included for dimension 0 by default. When the
-    originating filtered complex is supplied, near-ties between attaching
-    radii trigger a NearDegenerateJacobian warning.
+    Essential rows are included for dimension 0 by default. ``fc`` is the
+    filtered complex ``pd`` came from; without it the complex is built again.
+    When it is supplied, near-ties between attaching radii trigger a
+    NearDegenerateJacobian warning.
     """
-    kind = "rips" if kind.lower() in ("rips", "vr") else "alpha"
     if include_essential is None:
         include_essential = pd.dim == 0
     rows = []
@@ -153,11 +153,12 @@ def jacobian(
     if include_essential:
         for idx, ess in enumerate(pd.essential):
             rows.append(JacobianRow(idx, "essential", ess.birth_key, ess.birth_attaching, ess.birth))
-    matrix, _ = _attaching_gradients(kind, [r.attaching_key for r in rows], config)
-    jac = PersistenceJacobian(matrix, tuple(rows), tuple(config.free_slots()))
-    if fc is not None:
-        _warn_near_ties(jac.rows, fc, tie_tol)
-    return jac
+    if fc is None:
+        fc = build(config, kind, max_dim=pd.dim + 1)
+    else:
+        _warn_near_ties(rows, fc, tie_tol)
+    matrix, _ = _attaching_gradients(fc, [r.attaching_key for r in rows])
+    return PersistenceJacobian(matrix, tuple(rows), tuple(config.free_slots()))
 
 
 # --- constrained extension ----------------------------------------------------

@@ -3,14 +3,16 @@
 Every simplex carries its birth radius and the attaching simplex that realizes
 it (the argmax edge for Rips, the smallest attaching coface for alpha). The
 simplex order is (birth radius, dimension, vertex tuple), which makes every
-prefix a subcomplex and is fully deterministic under ties.
+prefix a subcomplex and is fully deterministic under ties. An alpha complex
+keeps the circumspheres its build computed, so gradients read them instead
+of solving them again.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +31,27 @@ class FiltEntry:
 
 
 @dataclass(frozen=True)
+class Circumspheres:
+    """The ``circumspheres`` output for one dimension's simplices, row by row."""
+
+    keys: tuple
+    centers: np.ndarray
+    radii: np.ndarray
+    weights: np.ndarray        # barycentric weights of the centers
+    degenerate: np.ndarray
+
+    @cached_property
+    def row_of(self) -> dict:
+        return {key: i for i, key in enumerate(self.keys)}
+
+
+@dataclass(frozen=True)
 class FilteredComplex:
     kind: str                  # "rips" | "alpha"
     config: Configuration
     entries: tuple             # FiltEntry sorted by (radius, dim, key)
     saturation_radius: float
+    spheres: dict = field(default_factory=dict)  # dim -> Circumspheres (alpha)
 
     def __len__(self):
         return len(self.entries)
@@ -82,18 +100,20 @@ def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredCo
 
     Birth radius of a simplex is the smallest circumradius among its attaching
     cofaces (itself included when attaching); the realizing coface is stored
-    as the attaching simplex.
+    as the attaching simplex. The circumspheres of every simplex of dimension
+    1 to 3 are kept on the complex.
     """
     pts = config.points
     birth = {key: 0.0 for key in dc.simplices(0)}
     realizer = {key: key for key in dc.simplices(0)}
+    spheres = {}
     for dim in (1, 2, 3):
         keys = dc.simplices(dim)
         if not keys:
             continue
-        centers, radii, _, _ = circumspheres(pts[np.array(keys)])
-        flags = _delaunay.attaching_flags(dc, keys, centers, radii)
-        for key, radius, flag in zip(keys, radii.tolist(), flags.tolist()):
+        kept = spheres[dim] = Circumspheres(keys, *circumspheres(pts[np.array(keys)]))
+        flags = _delaunay.attaching_flags(dc, keys, kept.centers, kept.radii)
+        for key, radius, flag in zip(keys, kept.radii.tolist(), flags.tolist()):
             if flag:
                 birth[key] = radius
                 realizer[key] = key
@@ -110,7 +130,7 @@ def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredCo
         for key in dc.all_simplices()
     ]
     ordered = _sorted_entries(entries)
-    return FilteredComplex("alpha", config, ordered, ordered[-1].radius)
+    return FilteredComplex("alpha", config, ordered, ordered[-1].radius, spheres)
 
 
 def build_alpha(config: Configuration) -> FilteredComplex:

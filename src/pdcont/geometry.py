@@ -215,8 +215,7 @@ def circumspheres(simplices, rel_tol: float = 1e-12):
     return centers, radii, weights, degenerate
 
 
-def _spheres(stack, rel_tol):
-    centers, radii, weights, degenerate = circumspheres(stack, rel_tol)
+def _nondegenerate(stack, centers, radii, weights, degenerate):
     if degenerate.any():
         raise DegenerateSimplex(f"{_DEGENERATE[stack.shape[1]]} in {stack.shape[1] - 1}-simplex")
     return centers, radii, weights
@@ -224,7 +223,15 @@ def _spheres(stack, rel_tol):
 
 def circumradius(pts, denom_rel_tol: float = 1e-12) -> float:
     """Radius of the smallest sphere through 2, 3, or 4 points in R^3."""
-    return float(_spheres(np.asarray(pts, dtype=float)[None], denom_rel_tol)[1][0])
+    stack = np.asarray(pts, dtype=float)[None]
+    return float(_nondegenerate(stack, *circumspheres(stack, denom_rel_tol))[1][0])
+
+
+def radius_gradients(stack, centers, radii, weights, degenerate) -> np.ndarray:
+    """Circumradius gradients (S, k, 3) of a stack from its ``circumspheres``
+    output; a degenerate simplex raises DegenerateSimplex."""
+    centers, radii, weights = _nondegenerate(stack, centers, radii, weights, degenerate)
+    return weights[..., None] * ((stack - centers[:, None]) / radii[:, None, None])
 
 
 def circumradius_gradient(pts, denom_rel_tol: float = 1e-12) -> np.ndarray:
@@ -234,8 +241,7 @@ def circumradius_gradient(pts, denom_rel_tol: float = 1e-12) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=float)
     stack = pts if pts.ndim == 3 else pts[None]
-    centers, radii, weights = _spheres(stack, denom_rel_tol)
-    grads = weights[..., None] * ((stack - centers[:, None]) / radii[:, None, None])
+    grads = radius_gradients(stack, *circumspheres(stack, denom_rel_tol))
     return grads if pts.ndim == 3 else grads[0]
 
 
@@ -330,19 +336,17 @@ def check_general_position(fc, tol: float = 1e-9):
         report.violations.extend(_radius_ties(fc.attaching_radii, tol))
         return report
 
-    by_dim = {dim: sorted(e.key for e in fc.entries if e.dim == dim) for dim in (1, 2, 3)}
-    for keys in by_dim.values():
-        if keys:
-            degenerate = circumspheres(pts[np.array(keys)])[3]
-            report.violations.extend(
-                GPViolation("degenerate_simplex", (keys[s],)) for s in np.flatnonzero(degenerate)
-            )
+    # the circumspheres the alpha build kept, per dimension in sorted key order
+    for spheres in fc.spheres.values():
+        report.violations.extend(
+            GPViolation("degenerate_simplex", (spheres.keys[s],))
+            for s in np.flatnonzero(spheres.degenerate)
+        )
     report.violations.extend(_radius_ties(fc.attaching_radii, tol))
 
-    tets = by_dim[3]
-    if not tets:
+    if 3 not in fc.spheres:
         return report
-    centers, radii, _, _ = circumspheres(pts[np.array(tets)])
+    tets, centers, radii = fc.spheres[3].keys, fc.spheres[3].centers, fc.spheres[3].radii
     t_idx, far = across_triangles(tets, cofacets({3: tets}))
     close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
     near = {(tets[t], int(p)): float(radii[t]) for t, p in zip(t_idx[close], far[close])}

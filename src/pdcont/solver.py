@@ -8,6 +8,12 @@ diagram target along a straight segment, re-seeding each solve with the
 previous solution. Diagram coordinates are tracked across steps primarily by
 generating-simplex identity, with an optimal assignment fallback when the
 generators change.
+
+Each configuration's filtration, diagram, matched Jacobian and SVD are
+computed once (``_Evaluation``): the accepted configuration of one step starts
+the next solve, and the Jacobian's SVD also gives the pseudo-inverse when no
+rows are stacked below it. The results are bit for bit those of recomputing
+them at every iterate.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diffmap import PersistenceJacobian, _attaching_gradients, jacobian
+from .diffmap import PersistenceJacobian, _attaching_gradients, _free_columns, jacobian
 from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
-from .filtration import build
+from .filtration import FilteredComplex, build
 from .geometry import Configuration
 from .persistence import PersistenceData, boundary_matrix, persistence_data, reduce_boundary
 
@@ -105,8 +111,8 @@ class PinvInfo:
     rank_deficient: bool
 
 
-def _pinv_parts(a, sigma_cutoff_rel):
-    v, s, w = svd(a)
+def _pinv_parts(factors, sigma_cutoff_rel):
+    v, s, w = factors
     cutoff = sigma_cutoff_rel * (s[0] if s.size else 0.0)
     keep = s > cutoff
     info = PinvInfo(s, cutoff, int(keep.sum()), bool(np.any(~keep)))
@@ -119,9 +125,12 @@ def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
     Singular values at or below ``sigma_cutoff_rel`` times the largest one are
     treated as zero; the returned info flags rank deficiency.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    v, s, w, keep, info = _pinv_parts(a, sigma_cutoff_rel)
+    return _pinv_solve(svd(a), np.asarray(b, dtype=float), sigma_cutoff_rel)
+
+
+def _pinv_solve(factors, b, sigma_cutoff_rel):
+    """``pinv_apply`` from the SVD factors (V, s, W) of the matrix."""
+    v, s, w, keep, info = _pinv_parts(factors, sigma_cutoff_rel)
     coeff = v.T @ b
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
@@ -130,8 +139,7 @@ def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
 
 def pinv_matrix(a, sigma_cutoff_rel: float = 1e-12) -> np.ndarray:
     """Dense pseudo-inverse (W Sigma^+ V^T); mainly for verification."""
-    a = np.asarray(a, dtype=float)
-    v, s, w, keep, _ = _pinv_parts(a, sigma_cutoff_rel)
+    v, s, w, keep, _ = _pinv_parts(svd(a), sigma_cutoff_rel)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return w @ (inv[:, None] * v.T)
@@ -253,27 +261,53 @@ class NewtonReport:
         return self.status is NewtonStatus.CONVERGED
 
 
-def _evaluate(config, kind, dim, eps, max_dim):
+@dataclass
+class _Evaluation:
+    """One configuration's filtration and diagram and, once asked for, the
+    Jacobian of its matched coordinates and that Jacobian's SVD, each computed
+    at most once. An accepted step's evaluation starts the next solve."""
+
+    fc: FilteredComplex
+    pd: PersistenceData
+    matched: tuple | None = None
+    jac: PersistenceJacobian | None = None
+    factors: tuple | None = None
+
+    def jacobian(self, matched) -> PersistenceJacobian:
+        """Jacobian with rows permuted to the matched layout order."""
+        if self.jac is None or self.matched != matched:
+            fc = self.fc
+            jac = jacobian(fc.config, fc.kind, self.pd, include_essential=False, fc=fc)
+            index_of = {id(r): i for i, r in enumerate(self.pd.finite)}
+            perm = [2 * index_of[id(rec)] + side for rec in matched for side in (0, 1)]
+            self.jac = PersistenceJacobian(
+                jac.matrix[perm], tuple(jac.rows[i] for i in perm), jac.columns
+            )
+            self.matched, self.factors = matched, None
+        return self.jac
+
+    def svd(self):
+        """SVD factors (V, s, W) of the Jacobian last asked for."""
+        if self.factors is None:
+            self.factors = svd(self.jac.matrix)
+        return self.factors
+
+
+def _evaluate(config, kind, dim, eps, max_dim) -> _Evaluation:
     fc = build(config, kind, max_dim=max_dim)
     red = reduce_boundary(boundary_matrix(fc))
-    pd = persistence_data(red, fc, dim, eps)
-    return fc, pd
+    return _Evaluation(fc, persistence_data(red, fc, dim, eps))
 
 
 def _constraint_rows(config, constraints):
     if not constraints:
         return np.zeros(0), np.zeros((0, config.free_dim))
-    col_index = {slot: c for c, slot in enumerate(config.free_slots())}
-    vals = []
-    rows = []
-    for c in constraints:
-        vals.append(c.value(config))
-        grad = np.asarray(c.gradient(config), dtype=float)
-        row = np.zeros(len(col_index))
-        for (pt, axis), col in col_index.items():
-            row[col] = grad[pt, axis]
-        rows.append(row)
-    return np.array(vals), np.vstack(rows)
+    vals = np.array([c.value(config) for c in constraints], dtype=float)
+    grads = np.array([c.gradient(config) for c in constraints], dtype=float)
+    # pinned coordinates (column -1) land in a spare last column, cut off below
+    rows = np.zeros((len(constraints), config.free_dim + 1))
+    rows[:, _free_columns(config.n_points, config.gauge)] = grads
+    return vals, rows[:, :-1]
 
 
 def _gen_keys(matched):
@@ -287,7 +321,7 @@ def _gen_keys(matched):
 _TIE_GRADIENT_CAP = 1e3
 
 
-def _tie_rows(flip_groups, matched, v_target, fc, kind, config, window, offsets):
+def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
     """Extra rows that carry near-tied radii along with their coordinate.
 
     A diagram coordinate is a max/min over attaching radii; when several radii
@@ -335,7 +369,7 @@ def _tie_rows(flip_groups, matched, v_target, fc, kind, config, window, offsets)
                     offsets[slot_key] = entry.radius / value if value else 1.0
                 keys.append(entry.attaching)
                 res.append(entry.radius - target * offsets[slot_key])
-    rows, norms = _attaching_gradients(kind, keys, config)
+    rows, norms = _attaching_gradients(fc, keys)
     keep = ~(norms > _TIE_GRADIENT_CAP)  # a sliver's radius is too ill-conditioned to pin
     return rows[keep], np.array(res)[keep]
 
@@ -343,13 +377,16 @@ def _tie_rows(flip_groups, matched, v_target, fc, kind, config, window, offsets)
 def _newton_core(
     config, kind, dim, epsilon, v_target, tol, max_iter,
     sigma_cutoff_rel, sigma_floor, layout, constraints, max_dim,
-    tie_window_rel=0.0, tie_window_abs=0.0,
+    tie_window_rel=0.0, tie_window_abs=0.0, start=None,
 ):
-    kind_norm = "rips" if kind.lower() in ("rips", "vr") else "alpha"
+    """Newton solve from ``config``; ``start`` is its _Evaluation if known.
+
+    Returns (configuration, report, layout, evaluation of the configuration).
+    """
     v_target = np.asarray(v_target, dtype=float)
-    fc, pd = _evaluate(config, kind, dim, epsilon, max_dim)
+    ev = start if start is not None else _evaluate(config, kind, dim, epsilon, max_dim)
     if layout is None:
-        layout = layout_from(pd)
+        layout = layout_from(ev.pd)
     if v_target.size != 2 * len(layout):
         raise DimensionMismatch(
             f"target has {v_target.size} coordinates, layout expects {2 * len(layout)}"
@@ -367,14 +404,14 @@ def _newton_core(
     flip_groups = {}
     tie_offsets = {}
     for it in range(max_iter + 1):
-        matched = match_to_layout(layout, pd)
+        matched = match_to_layout(layout, ev.pd)
         if matched is None:
             report = NewtonReport(
                 NewtonStatus.CARDINALITY_CHANGED,
                 it,
                 math.inf,
                 jac_snapshot,
-                f"retained pair count dropped from {len(layout)} to {len(pd.finite)}",
+                f"retained pair count dropped from {len(layout)} to {len(ev.pd.finite)}",
             )
             break
         layout = _layout_of(matched)
@@ -391,13 +428,13 @@ def _newton_core(
         if res <= tol:
             # transient extra pairs are tolerated during iterations, but an
             # accepted solution must preserve the truncated cardinality
-            if len(pd.finite) != len(layout):
+            if len(ev.pd.finite) != len(layout):
                 report = NewtonReport(
                     NewtonStatus.CARDINALITY_CHANGED,
                     it,
                     res,
                     jac_snapshot,
-                    f"retained pair count changed from {len(layout)} to {len(pd.finite)}",
+                    f"retained pair count changed from {len(layout)} to {len(ev.pd.finite)}",
                 )
             else:
                 report = NewtonReport(NewtonStatus.CONVERGED, it, res, jac_snapshot)
@@ -417,9 +454,9 @@ def _newton_core(
             increases = 0
         prev_res = res
 
-        jac = _matched_jacobian(config, kind, pd, matched, fc)
-        _, s, _ = svd(jac.matrix)
-        jac_snapshot = s
+        jac = ev.jacobian(matched)
+        factors = ev.svd()
+        s = jac_snapshot = factors[1]
         if s.size and s[-1] < sigma_floor:
             report = NewtonReport(
                 NewtonStatus.SINGULAR_JACOBIAN, it, res, s,
@@ -428,26 +465,25 @@ def _newton_core(
             break
         win = np.broadcast_to(np.asarray(tie_window_abs, dtype=float), (2,))
         tie_m, tie_r = _tie_rows(
-            flip_groups, matched, v_target, fc, kind_norm, config,
+            flip_groups, matched, v_target, ev.fc,
             np.maximum(tie_window_rel * res, win), tie_offsets,
         )
-        matrix = np.vstack([jac.matrix, tie_m, g_rows])
+        if tie_m.shape[0] or g_rows.shape[0]:
+            # otherwise the Newton matrix is the Jacobian, already decomposed
+            factors = svd(np.vstack([jac.matrix, tie_m, g_rows]))
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
-        step, _ = pinv_apply(matrix, step_res, sigma_cutoff_rel)
+        step, _ = _pinv_solve(factors, step_res, sigma_cutoff_rel)
         config = config.with_vector(config.pack() - step)
-        fc, pd = _evaluate(config, kind, dim, epsilon, max_dim)
+        ev = _evaluate(config, kind, dim, epsilon, max_dim)
 
     # singular values at the accepted configuration, for diagnostics
     if report.converged:
-        matched = match_to_layout(layout, pd)
-        if matched is not None:
-            jac = _matched_jacobian(config, kind, pd, matched, fc)
-            g_vals, g_rows = _constraint_rows(config, constraints)
-            matrix = np.vstack([jac.matrix, g_rows]) if g_rows.size else jac.matrix
-            _, s, _ = svd(matrix)
-            report.singular_values = s
-            layout = _layout_of(matched)
-    return config, report, layout, fc, pd
+        jac = ev.jacobian(matched)
+        if g_rows.size:
+            report.singular_values = svd(np.vstack([jac.matrix, g_rows]))[1]
+        else:
+            report.singular_values = ev.svd()[1]
+    return config, report, layout, ev
 
 
 def newton_pinv(
@@ -468,31 +504,19 @@ def newton_pinv(
 ):
     """Iterate u <- u - Df(u)^+ (f(u) - v) until the sup-norm residual is small.
 
-    The filtration, diagram, coordinate matching, and Jacobian are recomputed
-    at every iterate. Returns (configuration, NewtonReport, layout) where the
+    Each iterate's filtration, diagram, coordinate matching, Jacobian and SVD
+    are computed once; when no tie or constraint rows are stacked below the
+    Jacobian, its SVD also gives the pseudo-inverse. Returns (configuration, NewtonReport, layout) where the
     layout tracks the generating simplices of the matched coordinates.
     """
     if max_dim is None:
         max_dim = dim + 1
-    config, report, layout, _, _ = _newton_core(
+    config, report, layout, _ = _newton_core(
         config, kind, dim, epsilon, v_target, tol, max_iter,
         sigma_cutoff_rel, sigma_floor, layout, constraints, max_dim,
         tie_window_rel=tie_window_rel, tie_window_abs=tie_window_abs,
     )
     return config, report, layout
-
-
-def _matched_jacobian(config, kind, pd, matched, fc) -> PersistenceJacobian:
-    """Jacobian with rows permuted to the matched layout order."""
-    jac = jacobian(config, kind, pd, include_essential=False, fc=fc)
-    index_of = {id(r): i for i, r in enumerate(pd.finite)}
-    perm = []
-    for rec in matched:
-        base = 2 * index_of[id(rec)]
-        perm.extend((base, base + 1))
-    return PersistenceJacobian(
-        jac.matrix[perm], tuple(jac.rows[i] for i in perm), jac.columns
-    )
 
 
 # --- continuation driver -----------------------------------------------------------
@@ -567,9 +591,9 @@ def continue_cloud(
     """
     if max_dim is None:
         max_dim = dim + 1
-    fc, pd = _evaluate(config, kind, dim, epsilon, max_dim)
-    layout = layout_from(pd)
-    v_start = _vector_of(pd.finite)
+    ev = _evaluate(config, kind, dim, epsilon, max_dim)
+    layout = layout_from(ev.pd)
+    v_start = _vector_of(ev.pd.finite)
     v_target = np.asarray(v_target, dtype=float)
     if v_target.shape != v_start.shape:
         raise DimensionMismatch(
@@ -598,10 +622,11 @@ def continue_cloud(
         v_k = v_start + float(t_next) * (v_target - v_start)
         k += 1
         try:
-            new_config, report, new_layout, fc_acc, _ = _newton_core(
+            new_config, report, new_layout, new_ev = _newton_core(
                 config, kind, dim, epsilon, v_k, tol, max_iter,
                 sigma_cutoff_rel, sigma_floor, layout, constraints, max_dim,
                 tie_window_rel=tie_window_rel, tie_window_abs=tie_window_abs,
+                start=ev,
             )
         except PdcontError as exc:
             trace.failed_step = k
@@ -616,14 +641,14 @@ def continue_cloud(
             trace.failed_step = k
             trace.reason = f"{report.status.value}: {report.message or f'residual {report.residual:.3e}'}"
             break
-        config, layout = new_config, new_layout
+        config, layout, ev = new_config, new_layout, new_ev
         t = t_next
         trace.steps.append(
             ContinuationStep(
                 k, float(t), v_k, config.pack(),
                 tuple((s.birth, s.death) for s in layout),
                 report.singular_values, report.iterations, report.residual,
-                _attaching_radii(fc_acc),
+                _attaching_radii(ev.fc),
             )
         )
     trace.reached_target = t >= 1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdcont import cli, delaunay
+from pdcont import cli, delaunay, filtration
 
 
 @pytest.fixture
@@ -118,6 +118,20 @@ class TestJacobianCommand:
         lines = open(out).read().splitlines()
         assert lines[0].startswith("coord,")
         assert len(lines) == 3  # header + birth row + death row
+
+    def test_builds_once(self, ex1_file, monkeypatch, capsys):
+        # the diagram and the Jacobian share one complex
+        calls = []
+        build_alpha = filtration.build_alpha
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build_alpha(*args, **kwargs)
+
+        monkeypatch.setattr(filtration, "build_alpha", counted)
+        assert cli.main(["jacobian", "-i", ex1_file, "--dim", "2"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith("singular values: ")
 
 
 class TestContinueCommand:

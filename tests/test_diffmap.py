@@ -3,15 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pdcont.diffmap import _attaching_gradients, centroid_constraints, distance_constraint, jacobian
+from pdcont.diffmap import (
+    _attaching_gradients, _free_columns, centroid_constraints, distance_constraint, jacobian,
+)
 from pdcont.errors import NearDegenerateJacobian
 from pdcont.filtration import build
 from pdcont.geometry import Configuration, circumradius_gradient, to_gauge_frame
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
 from pdcont.solver import _constraint_rows, newton_pinv, svd
 
-from helpers import fd_gradient, random_cloud
+from helpers import PROPERTY, fd_gradient, random_cloud
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -147,7 +151,7 @@ class TestBatchedGradients:
         fc = build(config, kind, max_dim=3)
         keys = [e.attaching for e in fc.entries]
         keys = [keys[i] for i in rng.permutation(len(keys))]  # sizes interleaved
-        rows, norms = _attaching_gradients(kind, keys, config)
+        rows, norms = _attaching_gradients(fc, keys)
         assert rows.shape == (len(keys), config.free_dim)
         for key, row, norm in zip(keys, rows, norms):
             expected_row, expected_norm = _one_at_a_time(kind, key, config)
@@ -156,8 +160,26 @@ class TestBatchedGradients:
 
     def test_no_keys(self):
         config = Configuration(EX1_CLOUD)
-        rows, norms = _attaching_gradients("alpha", [], config)
+        rows, norms = _attaching_gradients(build(config, "alpha"), [])
         assert rows.shape == (0, config.free_dim) and norms.shape == (0,)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
+    def test_stored_spheres_equal_kernel(self, seed, m):
+        # rows read from the build's circumspheres against one kernel call per size
+        config = to_gauge_frame(random_cloud(np.random.RandomState(seed), m))
+        fc = build(config, "alpha")
+        keys = sorted({e.attaching for e in fc.entries if e.dim >= 1}, key=lambda k: (len(k), k))
+        rows, _ = _attaching_gradients(fc, keys)
+        cols = _free_columns(config.n_points, config.gauge)
+        expected = np.zeros((len(keys), config.free_dim + 1))
+        start = 0
+        for size in (2, 3, 4):
+            verts = np.array([k for k in keys if len(k) == size]).reshape(-1, size)
+            grads = circumradius_gradient(config.points[verts])
+            expected[np.arange(start, start + len(verts))[:, None, None], cols[verts]] = grads
+            start += len(verts)
+        assert np.array_equal(rows, expected[:, :-1])
 
 
 class TestJacobianVsFiniteDifferences:

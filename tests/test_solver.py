@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdcont.diffmap import jacobian
 from pdcont.errors import DimensionMismatch
 from pdcont.geometry import Configuration
 from pdcont import solver
@@ -251,7 +252,7 @@ class TestContinuation:
             calls.append(None)
             if len(calls) == 1:
                 report = NewtonReport(NewtonStatus.MAX_ITERATIONS, 0, 1.0)
-                return config, report, None, None, None
+                return config, report, None, None
             return core(config, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_newton_core", fail_once)
@@ -274,3 +275,52 @@ class TestContinuation:
         np.testing.assert_allclose(
             final.vector(include_essential=False), vt, atol=1e-9
         )
+
+
+class TestEvaluatedOnce:
+    """A continuation computes each configuration's filtration, Jacobian and
+    SVD once: an accepted step's evaluation starts the next solve."""
+
+    def _run(self, monkeypatch, shift, **kwargs):
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        builds, matrices, reports = [], [], []
+        build, decompose, core = solver.build, solver.svd, solver._newton_core
+
+        def counted_build(*args, **kw):
+            builds.append(None)
+            return build(*args, **kw)
+
+        def recorded_svd(a):
+            matrices.append(np.array(a, dtype=float))
+            return decompose(a)
+
+        def reported_core(*args, **kw):
+            out = core(*args, **kw)
+            reports.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver, "build", counted_build)
+        monkeypatch.setattr(solver, "svd", recorded_svd)
+        monkeypatch.setattr(solver, "_newton_core", reported_core)
+        trace = continue_cloud(config, "alpha", 2, 0.0, v0 + shift, **kwargs)
+        monkeypatch.undo()
+        assert trace.reached_target
+        # one build for the start, then one per Newton step, failed solves included
+        assert len(builds) == 1 + sum(r.iterations for r in reports)
+        for a, b in zip(matrices, matrices[1:]):
+            assert not (a.shape == b.shape and a.tobytes() == b.tobytes())
+        for step in trace.steps:
+            cfg = config.with_vector(step.u)
+            _, s, _ = svd(jacobian(cfg, "alpha", diagram(cfg, "alpha", 2, 0.0)).matrix)
+            assert np.array_equal(step.singular_values, s)
+        return trace, reports
+
+    def test_short_run(self, monkeypatch):
+        trace, reports = self._run(monkeypatch, 0.05, n_steps=5)
+        assert len(trace.steps) == len(reports) == 5
+
+    def test_adaptive_halving(self, monkeypatch):
+        trace, reports = self._run(monkeypatch, 0.3, n_steps=2, max_iter=2, adaptive=True)
+        failed = [r for r in reports if not r.converged]
+        assert failed and len(reports) == len(trace.steps) + len(failed)
