@@ -9,12 +9,19 @@ each triangle shared by two tetrahedra the far vertex of one must lie outside
 the circumsphere of the other. Exact cospherical 5-tuples are an error, never
 perturbed away silently.
 
+The combinatorics of a triangulation, its simplices closed under faces and
+the index arrays that the verification and the alpha filtration read, form a
+``Skeleton``. When Qhull returns exactly the tetrahedra of a previous complex,
+the new complex shares that complex's skeleton; the verification always runs
+on the new points.
+
 Point clouds that span fewer than 3 dimensions are handled for M <= 3 (vertex,
 edge, triangle); larger coplanar clouds are rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,52 +29,131 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, GeneralPositionViolation
-from .geometry import Configuration, across_triangles, circumspheres, cofacets, faces, simplex_key
+from .geometry import Configuration, _row_norms, circumspheres
 
 # Hadamard-style relative filter: float determinants smaller than this times
 # the row-norm product are re-evaluated exactly.
 _FILTER_REL = 1e-10
 
 
+def _encode(rows, n):
+    """One integer per sorted vertex row (last axis); codes sort like the rows."""
+    if n ** rows.shape[-1] > 2**63:
+        raise ValueError(f"{n} points overflow the 64-bit codes of {rows.shape[-1]}-vertex rows")
+    code = rows[..., 0].astype(np.int64)
+    for j in range(1, rows.shape[-1]):
+        code = code * n + rows[..., j]
+    return code
+
+
+def _facets(simplices, n):
+    """The distinct facets of the (S, k) sorted rows ``simplices``, sorted, and
+    the row of each simplex's facets among them, (S, k), in
+    ``itertools.combinations`` order; facet j omits the vertex in column k-1-j."""
+    k = simplices.shape[1]
+    faces = simplices[:, list(itertools.combinations(range(k), k - 1))].reshape(-1, k - 1)
+    _, first, inverse = np.unique(_encode(faces, n), return_index=True, return_inverse=True)
+    return faces[first], inverse.reshape(-1, k)
+
+
+# each edge of a tetrahedron once among the 4 x 3 edges of its triangles:
+# 01, 02, 12 of triangle 012, then 03, 13 of 013, then 23 of 023
+_TET_EDGES = [0, 1, 2, 4, 5, 8]
+
+
+@dataclass(frozen=True, eq=False)
+class Skeleton:
+    """Simplices of a triangulation closed under faces, with index arrays.
+
+    ``vertices[d]`` holds the d-simplices as sorted vertex rows, in sorted
+    order. A simplex's global index counts the simplices of lower dimension
+    first (``offsets``), so global order is (dimension, key) order.
+    """
+
+    n_points: int
+    vertices: dict
+    attach: dict = field(repr=False)    # dim -> (row, far vertex of a cofacet)
+    across: tuple = field(repr=False)   # (tetrahedron, far vertex of a neighbour)
+    faces: tuple = field(repr=False)    # birth candidates: (coface, face, first of each face)
+    by_dim: dict = field(repr=False)
+    keys: tuple = field(repr=False)     # every key in global order
+    dims: tuple = field(repr=False)
+    offsets: dict = field(repr=False)
+
+    @property
+    def tetrahedra(self):
+        return self.by_dim.get(3, ())
+
+
+def _skeleton(top, n):
+    """Skeleton of the maximal simplices ``top`` ((S, k) sorted rows, sorted)."""
+    top_dim = top.shape[1] - 1
+    vertices = {0: np.arange(n)[:, None], top_dim: top}
+    facets = {}
+    for dim in range(top_dim, 1, -1):
+        vertices[dim - 1], facets[dim] = _facets(vertices[dim], n)
+    # attachment rule: a simplex against the vertex of each cofacet off it
+    none = np.zeros(0, dtype=int)
+    attach = {dim: (none, none) for dim in range(1, top_dim + 1)}
+    attach.update(
+        (dim - 1, (rows.ravel(), vertices[dim][:, ::-1].ravel())) for dim, rows in facets.items()
+    )
+    # local Delaunay check: each tetrahedron against the far vertex of each
+    # neighbour across a shared triangle, sorted
+    across = (none, none)
+    if 3 in facets:
+        tri, far = attach[2]
+        tet = np.repeat(np.arange(len(top)), 4)
+        by_tri = np.argsort(tri, kind="stable")
+        shared = tri[by_tri[1:]] == tri[by_tri[:-1]]
+        a, b = by_tri[:-1][shared], by_tri[1:][shared]
+        t_idx, p = np.concatenate([tet[a], tet[b]]), np.concatenate([far[b], far[a]])
+        order = np.lexsort((p, t_idx))
+        across = (t_idx[order], p[order])
+    sizes = [len(vertices[d]) for d in range(top_dim + 1)]
+    offsets = dict(enumerate(np.cumsum([0] + sizes[:-1]).tolist()))
+    # birth candidates of each simplex, grouped by simplex: itself, then its
+    # tetrahedra, then its triangles (the order in which a tie is won), each
+    # in row order
+    total = sum(sizes)
+    cofaces, faces = [np.arange(total)], [np.arange(total)]
+    for dim in sorted(facets, reverse=True):
+        rows = facets[dim]
+        cofaces.append(offsets[dim] + np.repeat(np.arange(len(rows)), dim + 1))
+        faces.append(offsets[dim - 1] + rows.ravel())
+        if dim == 3:
+            edges = facets[2][rows].reshape(len(rows), 12)[:, _TET_EDGES]
+            cofaces.append(offsets[3] + np.repeat(np.arange(len(rows)), 6))
+            faces.append(offsets[1] + edges.ravel())
+    grouped = np.argsort(np.concatenate(faces), kind="stable")
+    cofaces, faces = np.concatenate(cofaces)[grouped], np.concatenate(faces)[grouped]
+    first = np.searchsorted(faces, np.arange(total))
+    by_dim = {d: tuple(map(tuple, v.tolist())) for d, v in sorted(vertices.items())}
+    keys = tuple(itertools.chain.from_iterable(by_dim.values()))
+    dims = tuple(d for d, simplices in by_dim.items() for _ in simplices)
+    return Skeleton(n, vertices, attach, across, (cofaces, faces, first), by_dim, keys, dims, offsets)
+
+
 @dataclass(frozen=True)
 class DelaunayComplex:
-    """Simplices of the Delaunay triangulation, closed under faces."""
+    """Simplices of the Delaunay triangulation of ``points``, closed under faces."""
 
     points: np.ndarray
-    tetrahedra: tuple
-    by_dim: dict = field(repr=False)
-    cofacets: dict = field(repr=False)   # edge or triangle key -> its cofacet keys
+    skeleton: Skeleton = field(repr=False)
+
+    @property
+    def tetrahedra(self):
+        return self.skeleton.tetrahedra
+
+    @property
+    def by_dim(self):
+        return self.skeleton.by_dim
 
     def simplices(self, dim: int):
         return self.by_dim.get(dim, ())
 
     def all_simplices(self):
-        for dim in sorted(self.by_dim):
-            yield from self.by_dim[dim]
-
-    def dump_text(self) -> str:
-        """Plain-text listing of the tetrahedra (one per line) for inspection."""
-        lines = [f"# delaunay complex: {self.points.shape[0]} points, "
-                 f"{len(self.tetrahedra)} tetrahedra"]
-        for tet in self.tetrahedra:
-            corner = " ".join(
-                "(" + " ".join(f"{x:.9g}" for x in self.points[v]) + ")" for v in tet
-            )
-            lines.append(f"{tet[0]} {tet[1]} {tet[2]} {tet[3]}  {corner}")
-        return "\n".join(lines)
-
-
-def _close_down(top_simplices, n_points):
-    by_dim = {0: tuple((i,) for i in range(n_points))}
-    seen = {1: set(), 2: set(), 3: set()}
-    for key in top_simplices:
-        d = len(key) - 1
-        for dim in range(1, d + 1):
-            seen[dim].update(faces(key, dim))
-    for dim in (1, 2, 3):
-        if seen[dim]:
-            by_dim[dim] = tuple(sorted(seen[dim]))
-    return by_dim
+        return iter(self.skeleton.keys)
 
 
 # --- exact predicates -----------------------------------------------------------
@@ -128,7 +214,22 @@ def insphere_exact(a, b, c, d, p):
     return (val > 0) - (val < 0)
 
 
-def _verify_empty(points, tets, cofacet_map):
+def _orient_signs(tet_pts) -> np.ndarray:
+    """Orientation sign of each tetrahedron of a (T, 4, 3) stack.
+
+    Float determinants within the relative filter of the row-norm product are
+    re-evaluated exactly; 0 marks an exactly flat tetrahedron.
+    """
+    rel = tet_pts[:, 1:] - tet_pts[:, :1]
+    det = np.linalg.det(rel)
+    bounds = _FILTER_REL * np.prod(np.sqrt(np.add.reduce(rel * rel, axis=2)), axis=1)
+    signs = np.sign(det)
+    for t in np.flatnonzero(np.abs(det) <= bounds):
+        signs[t] = orient3d_exact(*tet_pts[t])
+    return signs
+
+
+def _verify_empty(points, skeleton: Skeleton):
     """Check the triangulation is Delaunay; exact fallback near ties.
 
     Every point must be a vertex: Qhull sets duplicate and near-duplicate
@@ -139,7 +240,8 @@ def _verify_empty(points, tets, cofacet_map):
     a neighbour in it whose far vertex lies on the sphere.
     """
     pts = np.asarray(points, dtype=float)
-    missing = np.setdiff1d(np.arange(pts.shape[0]), tets)
+    tets, top = skeleton.tetrahedra, skeleton.vertices[3]
+    missing = np.setdiff1d(np.arange(pts.shape[0]), top)
     if missing.size:
         p = int(missing[0])
         raise GeneralPositionViolation(
@@ -147,15 +249,15 @@ def _verify_empty(points, tets, cofacet_map):
             "or is cospherical beyond float resolution)",
             (p,),
         )
-    tet_pts = pts[np.asarray(tets)]  # (T, 4, 3)
-    orient_sign = np.sign(np.linalg.det(tet_pts[:, 1:] - tet_pts[:, :1]))
-    for t in np.flatnonzero(orient_sign == 0):
-        orient_sign[t] = orient3d_exact(*tet_pts[t])
-        if orient_sign[t] == 0:
-            raise GeneralPositionViolation(
-                f"degenerate (coplanar) Delaunay tetrahedron {tets[t]}", tets[t]
-            )
-    t_idx, far = across_triangles(tets, cofacet_map)
+    tet_pts = pts[top]  # (T, 4, 3)
+    orient_sign = _orient_signs(tet_pts)
+    flat = np.flatnonzero(orient_sign == 0)
+    if flat.size:
+        t = flat[0]
+        raise GeneralPositionViolation(
+            f"degenerate (coplanar) Delaunay tetrahedron {tets[t]}", tets[t]
+        )
+    t_idx, far = skeleton.across
     # lifted rows per (tetrahedron, far vertex): tetra vertices relative to it
     rel = tet_pts[t_idx] - pts[far][:, None, :]  # (P, 4, 3)
     lift = np.concatenate([rel, np.einsum("pij,pij->pi", rel, rel)[..., None]], axis=2)
@@ -185,27 +287,23 @@ def _affine_dim(pts, rel_tol=1e-12):
     return int(np.sum(sv > rel_tol * scale))
 
 
-def delaunay3(config: Configuration) -> DelaunayComplex:
+def delaunay3(config: Configuration, previous: DelaunayComplex | None = None) -> DelaunayComplex:
     """Delaunay triangulation of the cloud, verified empty-circumsphere exact.
 
     M = 1, 2, 3 clouds yield the trivial complex of the points themselves
-    (vertex / edge / triangle). M >= 4 requires non-coplanar points.
+    (vertex / edge / triangle). M >= 4 requires non-coplanar points. When the
+    tetrahedra equal those of ``previous`` (the complex of a nearby cloud),
+    the result shares its skeleton.
     """
     pts = np.asarray(config.points, dtype=float)
     m = pts.shape[0]
-    tets = ()
     if m <= 3:
         dim = _affine_dim(pts)
-        if m == 1:
-            top = [(0,)]
-        elif m == 2:
-            if dim == 0:
-                raise DegenerateInput("coincident points")
-            top = [(0, 1)]
-        else:
-            if dim < 2:
-                raise DegenerateInput("collinear 3-point cloud")
-            top = [(0, 1, 2)]
+        if m == 2 and dim == 0:
+            raise DegenerateInput("coincident points")
+        if m == 3 and dim < 2:
+            raise DegenerateInput("collinear 3-point cloud")
+        top = np.arange(m)[None]
     elif m == 4:
         # the Delaunay complex of four non-coplanar points is the tetrahedron
         orient = float(np.linalg.det(pts[1:] - pts[0]))
@@ -213,7 +311,7 @@ def delaunay3(config: Configuration) -> DelaunayComplex:
         if abs(orient) <= 1e-9 * scale**3:
             if orient3d_exact(*pts) == 0:
                 raise DegenerateInput("four coplanar points")
-        top = tets = [(0, 1, 2, 3)]
+        top = np.arange(m)[None]
     else:
         try:
             tri = _SciPyDelaunay(pts)
@@ -221,41 +319,47 @@ def delaunay3(config: Configuration) -> DelaunayComplex:
             raise DegenerateInput(
                 f"triangulation failed: coplanar or degenerate input ({exc})"
             )
-        top = tets = sorted(set(simplex_key(s) for s in tri.simplices))
-    by_dim = _close_down(top, m)
-    cofacet_map = cofacets(by_dim)
+        top = np.unique(np.sort(tri.simplices, axis=1), axis=0)
+    skeleton = previous.skeleton if previous is not None else None
+    if skeleton is None or skeleton.n_points != m or not np.array_equal(
+        skeleton.vertices[top.shape[1] - 1], top
+    ):
+        skeleton = _skeleton(top, m)
     if m > 4:
-        _verify_empty(pts, tets, cofacet_map)
-    return DelaunayComplex(pts, tuple(tets), by_dim, cofacet_map)
+        _verify_empty(pts, skeleton)
+    return DelaunayComplex(pts, skeleton)
 
 
-def attaching_flags(dc: DelaunayComplex, keys, centers, radii) -> np.ndarray:
-    """Which of the Delaunay simplices ``keys`` are attaching.
-
-    A simplex is attaching iff its smallest circumsphere (``centers``,
-    ``radii``, one row per key) contains no cloud point. For a Delaunay
-    simplex it suffices to test the vertices of its cofacets (Edelsbrunner &
-    Mücke, Three-dimensional alpha shapes, 1994): vertices and tetrahedra are
-    always attaching, a triangle is tested against the far vertices of its at
-    most two tetrahedra, an edge against the third vertices of its triangles.
-    """
-    rows, others = [], []
-    for s, key in enumerate(keys):
-        for coface in dc.cofacets.get(key, ()):
-            rows.append(s)
-            others.append(sum(coface) - sum(key))  # the vertex of coface off key
-    flags = np.ones(len(keys), dtype=bool)
-    if rows:
-        rows = np.array(rows)
-        dist = np.linalg.norm(dc.points[others] - centers[rows], axis=1)
-        flags[rows[dist < radii[rows]]] = False
+def _outside(points, centers, radii, rows, far) -> np.ndarray:
+    """False for each row ``r`` of ``centers`` whose sphere has some ``far``
+    point of a pair (r, far) strictly inside."""
+    flags = np.ones(len(radii), dtype=bool)
+    if len(rows):
+        flags[rows[_row_norms(points[far] - centers[rows]) < radii[rows]]] = False
     return flags
+
+
+def attaching_flags(dc: DelaunayComplex, dim: int, centers, radii) -> np.ndarray:
+    """Which of the Delaunay ``dim``-simplices are attaching.
+
+    ``centers`` and ``radii`` give the smallest circumsphere of each
+    ``dc.simplices(dim)``, row by row. A simplex is attaching iff that sphere
+    contains no cloud point. For a Delaunay simplex it suffices to test the
+    vertices of its cofacets (Edelsbrunner & Mücke, Three-dimensional alpha
+    shapes, 1994): vertices and tetrahedra are always attaching, a triangle is
+    tested against the far vertices of its at most two tetrahedra, an edge
+    against the third vertices of its triangles.
+    """
+    return _outside(dc.points, centers, radii, *dc.skeleton.attach[dim])
 
 
 def is_attaching(simplex, dc: DelaunayComplex) -> bool:
     """True iff the smallest circumsphere of the simplex contains no cloud point."""
     key = tuple(simplex)
-    if len(key) == 1:
+    dim = len(key) - 1
+    if dim == 0:
         return True
+    rows, far = dc.skeleton.attach[dim]
+    far = far[rows == dc.simplices(dim).index(key)]
     centers, radii, _, _ = circumspheres(dc.points[list(key)][None])
-    return bool(attaching_flags(dc, [key], centers, radii)[0])
+    return bool(_outside(dc.points, centers, radii, np.zeros(len(far), dtype=int), far)[0])

@@ -5,7 +5,8 @@ it (the argmax edge for Rips, the smallest attaching coface for alpha). The
 simplex order is (birth radius, dimension, vertex tuple), which makes every
 prefix a subcomplex and is fully deterministic under ties. An alpha complex
 keeps the circumspheres its build computed, so gradients read them instead
-of solving them again.
+of solving them again, and its Delaunay complex, whose skeleton the build of a
+nearby cloud can share.
 """
 
 from __future__ import annotations
@@ -52,9 +53,15 @@ class FilteredComplex:
     entries: tuple             # FiltEntry sorted by (radius, dim, key)
     saturation_radius: float
     spheres: dict = field(default_factory=dict)  # dim -> Circumspheres (alpha)
+    delaunay: _delaunay.DelaunayComplex | None = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.entries)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """The simplex keys in filtration order."""
+        return tuple(e.key for e in self.entries)
 
     @cached_property
     def attaching_radii(self) -> tuple:
@@ -100,48 +107,53 @@ def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredCo
 
     Birth radius of a simplex is the smallest circumradius among its attaching
     cofaces (itself included when attaching); the realizing coface is stored
-    as the attaching simplex. The circumspheres of every simplex of dimension
-    1 to 3 are kept on the complex.
+    as the attaching simplex. Ties go to the simplex itself, then to
+    tetrahedra before triangles, then to the smaller key. The circumspheres of
+    every simplex of dimension 1 to 3 are kept on the complex.
     """
     pts = config.points
-    birth = {key: 0.0 for key in dc.simplices(0)}
-    realizer = {key: key for key in dc.simplices(0)}
+    skeleton = dc.skeleton
     spheres = {}
+    # each simplex's radius as a birth candidate: inf where it is not attaching
+    candidate = np.zeros(len(skeleton.keys))
     for dim in (1, 2, 3):
-        keys = dc.simplices(dim)
-        if not keys:
+        verts = skeleton.vertices.get(dim)
+        if verts is None:
             continue
-        kept = spheres[dim] = Circumspheres(keys, *circumspheres(pts[np.array(keys)]))
-        flags = _delaunay.attaching_flags(dc, keys, kept.centers, kept.radii)
-        for key, radius, flag in zip(keys, kept.radii.tolist(), flags.tolist()):
-            if flag:
-                birth[key] = radius
-                realizer[key] = key
-    for key in sorted(birth, key=lambda k: -len(k)):
-        r = birth[key]
-        for dim in range(len(key) - 1):
-            for face in itertools.combinations(key, dim + 1):
-                if face not in birth or r < birth[face]:
-                    birth[face] = r
-                    realizer[face] = key
-
-    entries = [
-        FiltEntry(key, len(key) - 1, birth[key], realizer[key])
-        for key in dc.all_simplices()
-    ]
-    ordered = _sorted_entries(entries)
-    return FilteredComplex("alpha", config, ordered, ordered[-1].radius, spheres)
+        kept = spheres[dim] = Circumspheres(dc.by_dim[dim], *circumspheres(pts[verts]))
+        flags = _delaunay.attaching_flags(dc, dim, kept.centers, kept.radii)
+        at = skeleton.offsets[dim]
+        candidate[at:at + len(verts)] = np.where(flags, kept.radii, np.inf)
+    cofaces, faces, first = skeleton.faces
+    radii = candidate[cofaces]
+    # the earliest candidate at each simplex's smallest radius
+    hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
+    best = hits[np.searchsorted(hits, first)]
+    birth, realizer = radii[best], cofaces[best]
+    order = np.argsort(birth, kind="stable")  # global index order is (dim, key) order
+    keys, dims = skeleton.keys, skeleton.dims
+    entries = tuple(
+        FiltEntry(keys[i], dims[i], r, keys[a])
+        for i, r, a in zip(order.tolist(), birth[order].tolist(), realizer[order].tolist())
+    )
+    return FilteredComplex("alpha", config, entries, entries[-1].radius, spheres, dc)
 
 
-def build_alpha(config: Configuration) -> FilteredComplex:
-    """Alpha filtration of the cloud; see ``alpha_on``."""
-    return alpha_on(config, _delaunay.delaunay3(config))
+def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
+    """Alpha filtration of the cloud; see ``alpha_on``. ``previous`` is the
+    Delaunay complex of a nearby cloud, whose skeleton is shared when the
+    tetrahedra agree."""
+    return alpha_on(config, _delaunay.delaunay3(config, previous))
 
 
-def build(config: Configuration, kind: str, max_dim: int = 3) -> FilteredComplex:
+def build(
+    config: Configuration, kind: str, max_dim: int = 3, previous: FilteredComplex | None = None
+) -> FilteredComplex:
+    """Rips or alpha filtration; an alpha build shares the Delaunay skeleton
+    of ``previous``, the filtration of a nearby cloud, when it still holds."""
     kind = kind.lower()
     if kind in ("rips", "vr"):
         return build_rips(config, max_dim=max_dim)
     if kind == "alpha":
-        return build_alpha(config)
+        return build_alpha(config, previous.delaunay if previous is not None else None)
     raise ValueError(f"unknown filtration kind {kind!r}")

@@ -27,38 +27,6 @@ def simplex_key(vertices) -> SimplexKey:
     return key
 
 
-def faces(key, dim):
-    """The dim-dimensional faces of a simplex key, as sorted keys."""
-    return [tuple(c) for c in itertools.combinations(key, dim + 1)]
-
-
-def cofacets(by_dim):
-    """Edge and triangle keys -> the keys one dimension up that contain them."""
-    out = {}
-    for dim in (2, 3):
-        for key in by_dim.get(dim, ()):
-            for face in faces(key, dim - 1):
-                out.setdefault(face, []).append(key)
-    return {k: tuple(v) for k, v in out.items()}
-
-
-def across_triangles(tets, cofacet_map):
-    """Each tetrahedron against the far vertex of each neighbour.
-
-    Returns index arrays (t, p), sorted: for every triangle that tets[t]
-    shares with another tetrahedron, p is that tetrahedron's vertex off the
-    triangle. By the local Delaunay lemma these are the only points that
-    decide whether a triangulation is Delaunay.
-    """
-    index = {tet: t for t, tet in enumerate(tets)}
-    pairs = sorted(
-        (index[tet], sum(other) - sum(tri))
-        for tri, cofaces in cofacet_map.items() if len(tri) == 3 and len(cofaces) == 2
-        for tet, other in (cofaces, cofaces[::-1])
-    )
-    return np.array(pairs, dtype=int).reshape(-1, 2).T
-
-
 def _free_slots(n_points: int, gauge: bool):
     """(point, axis) pairs of the free coordinates, in packing order."""
     if not gauge:
@@ -127,18 +95,6 @@ class Configuration:
             pts[i, a] = x
         return Configuration(pts, gauge=True)
 
-    @classmethod
-    def from_vector(cls, vec, gauge: bool = True) -> "Configuration":
-        vec = np.asarray(vec, dtype=float)
-        if gauge:
-            if (vec.size + 6) % 3 != 0 or vec.size < 3:
-                raise ValueError(f"gauged vector length {vec.size} is not 3M-6")
-            m = (vec.size + 6) // 3
-            return cls(np.zeros((m, 3)), gauge=True).with_vector(vec)
-        if vec.size % 3 != 0:
-            raise ValueError(f"vector length {vec.size} is not 3M")
-        return cls(vec.reshape(-1, 3), gauge=False)
-
 
 def to_gauge_frame(points) -> Configuration:
     """Rigid motion bringing a cloud into the gauge frame.
@@ -175,6 +131,12 @@ def to_gauge_frame(points) -> Configuration:
 _DEGENERATE = {2: "coincident points", 3: "collinear points", 4: "coplanar points"}
 
 
+def _row_norms(x):
+    """Euclidean norm of each row; ``np.linalg.norm(x, axis=1)`` without its
+    per-call overhead, and the same bits."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def circumspheres(simplices, rel_tol: float = 1e-12):
     """Smallest circumspheres of a stack of 2-, 3- or 4-point simplices.
 
@@ -201,12 +163,14 @@ def circumspheres(simplices, rel_tol: float = 1e-12):
             [np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)]
         )
     centers = pts[:, 0] + np.einsum("sji,sj->si", rel, coeff)
-    radii = np.linalg.norm(centers - pts[:, 0], axis=1)
+    radii = _row_norms(centers - pts[:, 0])
     weights = np.concatenate([1.0 - coeff.sum(axis=1, keepdims=True), coeff], axis=1)
     if k == 2:
-        content = np.linalg.norm(rel[:, 0], axis=1)
+        content = _row_norms(rel[:, 0])
     elif k == 3:
-        content = np.linalg.norm(np.cross(rel[:, 0], rel[:, 1]), axis=1)
+        (a0, a1, a2), (b0, b1, b2) = rel[:, 0].T, rel[:, 1].T
+        cross = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+        content = _row_norms(cross)
     else:
         content = np.abs(np.linalg.det(rel))
     diff = pts[:, :, None] - pts[:, None, :]
@@ -347,7 +311,7 @@ def check_general_position(fc, tol: float = 1e-9):
     if 3 not in fc.spheres:
         return report
     tets, centers, radii = fc.spheres[3].keys, fc.spheres[3].centers, fc.spheres[3].radii
-    t_idx, far = across_triangles(tets, cofacets({3: tets}))
+    t_idx, far = fc.delaunay.skeleton.across
     close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
     near = {(tets[t], int(p)): float(radii[t]) for t, p in zip(t_idx[close], far[close])}
     report.violations.extend(

@@ -12,8 +12,13 @@ generators change.
 Each configuration's filtration, diagram, matched Jacobian and SVD are
 computed once (``_Evaluation``): the accepted configuration of one step starts
 the next solve, and the Jacobian's SVD also gives the pseudo-inverse when no
-rows are stacked below it. The results are bit for bit those of recomputing
-them at every iterate.
+rows are stacked below it. Each Newton iterate is evaluated with the previous
+one: when Qhull returns the same tetrahedra the build shares the previous
+Delaunay skeleton (its closure, cofacets and index arrays), and when the
+simplex order is unchanged the previous Z/2 pairing is kept, since a
+reduction depends on the order alone. Every radius and diagram value is
+computed anew, so the results are bit for bit those of recomputing
+everything at every iterate.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from .diffmap import PersistenceJacobian, _attaching_gradients, _free_columns, j
 from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
 from .filtration import FilteredComplex, build
 from .geometry import Configuration
-from .persistence import PersistenceData, boundary_matrix, persistence_data, reduce_boundary
+from .persistence import (
+    PersistenceData, Reduction, boundary_matrix, persistence_data, reduce_boundary,
+)
 
 # --- dense SVD by one-sided Jacobi ---------------------------------------------
 
@@ -263,12 +270,14 @@ class NewtonReport:
 
 @dataclass
 class _Evaluation:
-    """One configuration's filtration and diagram and, once asked for, the
-    Jacobian of its matched coordinates and that Jacobian's SVD, each computed
-    at most once. An accepted step's evaluation starts the next solve."""
+    """One configuration's filtration, pairing and diagram and, once asked
+    for, the Jacobian of its matched coordinates and that Jacobian's SVD, each
+    computed at most once. An accepted step's evaluation starts the next
+    solve, and each evaluation is the ``previous`` of the next iterate's."""
 
     fc: FilteredComplex
     pd: PersistenceData
+    reduction: Reduction
     matched: tuple | None = None
     jac: PersistenceJacobian | None = None
     factors: tuple | None = None
@@ -293,10 +302,19 @@ class _Evaluation:
         return self.factors
 
 
-def _evaluate(config, kind, dim, eps, max_dim) -> _Evaluation:
-    fc = build(config, kind, max_dim=max_dim)
-    red = reduce_boundary(boundary_matrix(fc))
-    return _Evaluation(fc, persistence_data(red, fc, dim, eps))
+def _evaluate(config, kind, dim, eps, max_dim, previous=None) -> _Evaluation:
+    """Evaluate ``config``; ``previous`` is the evaluation of a nearby one.
+
+    The build shares the previous Delaunay skeleton when the tetrahedra agree,
+    and a Z/2 reduction depends on the simplex order alone, so an unchanged
+    order keeps the previous pairing.
+    """
+    fc = build(config, kind, max_dim=max_dim, previous=previous.fc if previous else None)
+    if previous is not None and fc.keys == previous.fc.keys:
+        red = previous.reduction
+    else:
+        red = reduce_boundary(boundary_matrix(fc))
+    return _Evaluation(fc, persistence_data(red, fc, dim, eps), red)
 
 
 def _constraint_rows(config, constraints):
@@ -474,7 +492,7 @@ def _newton_core(
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
         step, _ = _pinv_solve(factors, step_res, sigma_cutoff_rel)
         config = config.with_vector(config.pack() - step)
-        ev = _evaluate(config, kind, dim, epsilon, max_dim)
+        ev = _evaluate(config, kind, dim, epsilon, max_dim, previous=ev)
 
     # singular values at the accepted configuration, for diagnostics
     if report.converged:

@@ -16,9 +16,79 @@ from scipy.optimize import minimize
 
 from pdcont.delaunay import _FILTER_REL, insphere_exact, orient3d_exact
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
+from pdcont.geometry import _DEGENERATE, Configuration
 
 # property tests draw the same examples on every run and keep no database
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def circumspheres_reference(simplices, rel_tol: float = 1e-12):
+    """The circumsphere kernel as it stood before its per-call overhead was
+    trimmed, kept verbatim as a bitwise oracle.
+
+    Smallest circumspheres of a stack of 2-, 3- or 4-point simplices.
+
+    ``simplices`` has shape (S, k, 3). The center lies in the affine span of
+    the vertices: with e_j = p_j - p_0 it is p_0 + sum_j a_j e_j, where the
+    Gram system (e_i . e_j) a = |e_i|^2 / 2 fixes a. Returns the centers
+    (S, 3), the radii (S,), the barycentric weights (S, k) of the centers and
+    a degenerate mask (S,): the simplex's content (length, twice the area or
+    six times the volume) is at most ``rel_tol`` times its diameter to the
+    power k - 1. The radius gradient is dR/dp_i = w_i (p_i - c) / R.
+    """
+    pts = np.asarray(simplices, dtype=float)
+    k = pts.shape[1]
+    if k not in _DEGENERATE:
+        raise ValueError(f"circumsphere defined for 2..4 vertices, got {k}")
+    rel = pts[:, 1:] - pts[:, :1]
+    gram = np.einsum("sid,sjd->sij", rel, rel)
+    rhs = 0.5 * np.einsum("sij,sij->si", rel, rel)
+    try:
+        coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # sliver simplices can make a Gram matrix exactly singular
+        coeff = np.stack(
+            [np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)]
+        )
+    centers = pts[:, 0] + np.einsum("sji,sj->si", rel, coeff)
+    radii = np.linalg.norm(centers - pts[:, 0], axis=1)
+    weights = np.concatenate([1.0 - coeff.sum(axis=1, keepdims=True), coeff], axis=1)
+    if k == 2:
+        content = np.linalg.norm(rel[:, 0], axis=1)
+    elif k == 3:
+        content = np.linalg.norm(np.cross(rel[:, 0], rel[:, 1]), axis=1)
+    else:
+        content = np.abs(np.linalg.det(rel))
+    diff = pts[:, :, None] - pts[:, None, :]
+    diameter = np.sqrt(np.einsum("sijk,sijk->sij", diff, diff).max(axis=(1, 2)))
+    degenerate = content <= rel_tol * diameter ** (k - 1)
+    return centers, radii, weights, degenerate
+
+
+def config_from_vector(vec, gauge: bool = True) -> Configuration:
+    """The configuration whose free coordinates are ``vec``; M follows from
+    its length (3M - 6 with the gauge, 3M without)."""
+    vec = np.asarray(vec, dtype=float)
+    if gauge:
+        if (vec.size + 6) % 3 != 0 or vec.size < 3:
+            raise ValueError(f"gauged vector length {vec.size} is not 3M-6")
+        m = (vec.size + 6) // 3
+        return Configuration(np.zeros((m, 3)), gauge=True).with_vector(vec)
+    if vec.size % 3 != 0:
+        raise ValueError(f"vector length {vec.size} is not 3M")
+    return Configuration(vec.reshape(-1, 3), gauge=False)
+
+
+def dump_text(dc) -> str:
+    """Plain-text listing of a Delaunay complex's tetrahedra (one per line)."""
+    lines = [f"# delaunay complex: {dc.points.shape[0]} points, "
+             f"{len(dc.tetrahedra)} tetrahedra"]
+    for tet in dc.tetrahedra:
+        corner = " ".join(
+            "(" + " ".join(f"{x:.9g}" for x in dc.points[v]) + ")" for v in tet
+        )
+        lines.append(f"{tet[0]} {tet[1]} {tet[2]} {tet[3]}  {corner}")
+    return "\n".join(lines)
 
 
 def fd_gradient(func, x0, h=1e-6):

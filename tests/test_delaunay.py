@@ -9,6 +9,7 @@ from scipy.spatial import Delaunay
 
 from pdcont.cli import apply_jitter, fibonacci_sphere
 from pdcont.delaunay import (
+    _orient_signs,
     attaching_flags,
     delaunay3,
     insphere_exact,
@@ -22,6 +23,7 @@ from helpers import (
     PROPERTY,
     all_points_attaching,
     circumsphere_lstsq,
+    dump_text,
     fraction_insphere_exact,
     fraction_orient3d_exact,
     hull_volume_bruteforce,
@@ -136,7 +138,7 @@ class TestDelaunay3:
 
     def test_dump_text(self):
         dc = delaunay3(_cfg(EX1_CLOUD))
-        text = dc.dump_text()
+        text = dump_text(dc)
         assert "0 1 2 3" in text
         assert text.startswith("# delaunay complex")
 
@@ -241,7 +243,7 @@ class TestIsAttaching:
         for dim in (1, 2, 3):
             keys = dc.simplices(dim)
             centers, radii, _, _ = circumspheres(pts[np.array(keys)])
-            flags = attaching_flags(dc, keys, centers, radii)
+            flags = attaching_flags(dc, dim, centers, radii)
             for key, flag in zip(keys, flags):
                 expected = all_points_attaching(pts, key)
                 if expected is not None:
@@ -328,6 +330,18 @@ class TestExactPredicates:
         pts = pts * 2.0**exponents
         package, oracle = _signs(pts)
         assert package == oracle
+
+    def test_filtered_orientation_signs_are_exact(self):
+        # the fourth point lies off the plane of the first three by a relative
+        # 1e-15, below float resolution of the determinant
+        rng = np.random.default_rng(1)
+        n = 20_000
+        a, b, c = rng.standard_normal((3, n, 3))
+        s, t = rng.random((2, n, 1))
+        normal = np.cross(b - a, c - a)
+        d = a + s * (b - a) + t * (c - a) + 1e-15 * rng.standard_normal((n, 1)) * normal
+        tets = np.stack([a, b, c, d], axis=1)
+        assert _orient_signs(tets).tolist() == [orient3d_exact(*tet) for tet in tets]
 
     def test_flat_tetrahedron_raises(self):
         flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)

@@ -23,7 +23,9 @@ from helpers import (
     PROPERTY,
     brute_min_max_radius,
     circumsphere_lstsq,
+    circumspheres_reference,
     cofactor_circumradius_gradient,
+    config_from_vector,
     fd_gradient,
     random_cloud,
     random_rotation,
@@ -44,7 +46,7 @@ class TestPacking:
         for _ in range(20):
             m = rng.randint(3, 9)
             vec = rng.randn(3 * m - 6)
-            config = Configuration.from_vector(vec)
+            config = config_from_vector(vec)
             assert config.n_points == m
             np.testing.assert_array_equal(config.pack(), vec)
             again = config.with_vector(config.pack())
@@ -186,6 +188,17 @@ def _simplices():
 
 
 class TestCircumspheres:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), size=st.integers(1, 6),
+           exponent=st.floats(-3.0, 3.0), flat=st.booleans())
+    def test_bitwise_equal_to_reference_kernel(self, seed, k, size, exponent, flat):
+        pts = np.random.default_rng(seed).standard_normal((size, k, 3)) * 10.0**exponent
+        if flat:
+            pts[0, -1] = pts[0, 0]  # one degenerate simplex in the stack
+        for out, ref in zip(circumspheres(pts), circumspheres_reference(pts)):
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            assert out.tobytes() == ref.tobytes()
+
     def test_matches_lstsq_route(self):
         rng = np.random.RandomState(8)
         for k in (2, 3, 4):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pdcont.delaunay import delaunay3
 from pdcont.diffmap import jacobian
-from pdcont.errors import DimensionMismatch
+from pdcont.errors import DimensionMismatch, GeneralPositionViolation
 from pdcont.geometry import Configuration
 from pdcont import solver
 from pdcont.persistence import diagram
@@ -20,7 +23,7 @@ from pdcont.solver import (
     svd,
 )
 
-from helpers import random_cloud
+from helpers import PROPERTY, random_cloud
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -284,12 +287,18 @@ class TestEvaluatedOnce:
     def _run(self, monkeypatch, shift, **kwargs):
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        builds, matrices, reports = [], [], []
-        build, decompose, core = solver.build, solver.svd, solver._newton_core
+        builds, reductions, matrices, reports = [], [], [], []
+        build, reduce, decompose = solver.build, solver.reduce_boundary, solver.svd
+        core = solver._newton_core
 
         def counted_build(*args, **kw):
-            builds.append(None)
-            return build(*args, **kw)
+            fc = build(*args, **kw)
+            builds.append((fc, kw.get("previous")))
+            return fc
+
+        def counted_reduce(b):
+            reductions.append(None)
+            return reduce(b)
 
         def recorded_svd(a):
             matrices.append(np.array(a, dtype=float))
@@ -301,6 +310,7 @@ class TestEvaluatedOnce:
             return out
 
         monkeypatch.setattr(solver, "build", counted_build)
+        monkeypatch.setattr(solver, "reduce_boundary", counted_reduce)
         monkeypatch.setattr(solver, "svd", recorded_svd)
         monkeypatch.setattr(solver, "_newton_core", reported_core)
         trace = continue_cloud(config, "alpha", 2, 0.0, v0 + shift, **kwargs)
@@ -308,6 +318,11 @@ class TestEvaluatedOnce:
         assert trace.reached_target
         # one build for the start, then one per Newton step, failed solves included
         assert len(builds) == 1 + sum(r.iterations for r in reports)
+        # only the start is built without a previous evaluation, and a pairing
+        # is recomputed only where the simplex order changed
+        assert [prev is None for _, prev in builds].count(True) == 1
+        changes = sum(prev is not None and fc.keys != prev.keys for fc, prev in builds)
+        assert len(reductions) == 1 + changes
         for a, b in zip(matrices, matrices[1:]):
             assert not (a.shape == b.shape and a.tobytes() == b.tobytes())
         for step in trace.steps:
@@ -324,3 +339,96 @@ class TestEvaluatedOnce:
         trace, reports = self._run(monkeypatch, 0.3, n_steps=2, max_iter=2, adaptive=True)
         failed = [r for r in reports if not r.converged]
         assert failed and len(reports) == len(trace.steps) + len(failed)
+
+
+def _evaluation_bytes(ev):
+    """Everything an evaluation computed, with arrays as raw bytes."""
+    spheres = {
+        dim: (sp.keys, sp.centers.tobytes(), sp.radii.tobytes(), sp.weights.tobytes(),
+              sp.degenerate.tobytes())
+        for dim, sp in ev.fc.spheres.items()
+    }
+    return ev.fc.entries, spheres, ev.reduction, ev.pd
+
+
+def _first_change(points, direction, changed, steps=24, reach=0.2):
+    """Configurations just before and just after the first point along
+    ``points + s * direction`` (0 < s <= reach) where ``changed`` holds,
+    bisected down to a relative width of 2**-steps; None if it never does."""
+    lo, hi = 0.0, reach
+    if not changed(points + hi * direction):
+        return None
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if changed(points + mid * direction):
+            hi = mid
+        else:
+            lo = mid
+    return points + lo * direction, points + hi * direction
+
+
+def _cloud_and_direction(seed, m):
+    rng = np.random.RandomState(seed)
+    points = random_cloud(rng, m)
+    direction = rng.randn(m, 3)
+    return points, direction / np.abs(direction).max()
+
+
+class TestReuseAcrossIterates:
+    """Evaluating with the previous evaluation gives exactly a fresh
+    evaluation: the Delaunay skeleton is shared while the tetrahedra agree,
+    and the pairing while the simplex order agrees."""
+
+    @staticmethod
+    def _evaluate(points, previous=None):
+        config = Configuration(points, gauge=False)
+        return solver._evaluate(config, "alpha", 1, 0.0, 2, previous=previous)
+
+    def _check(self, before, after):
+        """Evaluate ``after`` with and without the evaluation of ``before``;
+        returns (previous, reused evaluation)."""
+        try:
+            previous = self._evaluate(before)
+            reused = self._evaluate(after, previous)
+            fresh = self._evaluate(after)
+        except GeneralPositionViolation:
+            assume(False)  # too close to a flip to triangulate safely
+        assert _evaluation_bytes(reused) == _evaluation_bytes(fresh)
+        return previous, reused
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
+    def test_small_move_reuses_everything(self, seed, m):
+        points, direction = _cloud_and_direction(seed, m)
+        previous, reused = self._check(points, points + 1e-12 * direction)
+        assert reused.fc.delaunay.skeleton is previous.fc.delaunay.skeleton
+        assert reused.reduction is previous.reduction
+
+    @settings(PROPERTY, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
+    def test_order_change_recomputes_the_pairing(self, seed, m):
+        points, direction = _cloud_and_direction(seed, m)
+        keys = self._evaluate(points).fc.keys
+        pair = _first_change(points, direction, lambda p: self._evaluate(p).fc.keys != keys)
+        assume(pair is not None)
+        previous, reused = self._check(*pair)
+        # the first change along the path is a swap of two radii, not a flip
+        assume(reused.fc.delaunay.tetrahedra == previous.fc.delaunay.tetrahedra)
+        assert reused.fc.delaunay.skeleton is previous.fc.delaunay.skeleton
+        assert reused.fc.keys != previous.fc.keys
+        assert reused.reduction is not previous.reduction
+
+    @settings(PROPERTY, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
+    def test_flip_rebuilds_the_skeleton(self, seed, m):
+        points, direction = _cloud_and_direction(seed, m)
+        tets = delaunay3(Configuration(points, gauge=False)).tetrahedra
+        pair = _first_change(
+            points, direction,
+            lambda p: delaunay3(Configuration(p, gauge=False)).tetrahedra != tets,
+        )
+        assume(pair is not None)
+        previous, reused = self._check(*pair)
+        assert reused.fc.delaunay.tetrahedra != previous.fc.delaunay.tetrahedra
+        assert reused.fc.delaunay.skeleton is not previous.fc.delaunay.skeleton
+        assert reused.reduction is not previous.reduction
