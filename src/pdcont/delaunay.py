@@ -9,9 +9,10 @@ each triangle shared by two tetrahedra the far vertex of one must lie outside
 the circumsphere of the other. Exact cospherical 5-tuples are an error, never
 perturbed away silently.
 
-The combinatorics of a triangulation, its simplices closed under faces and
-the index arrays that the verification and the alpha filtration read, form a
-``Skeleton``. When Qhull returns exactly the tetrahedra of a previous complex,
+The combinatorics of a triangulation, its simplices closed under faces, their
+facet rows and the index arrays that the verification and the alpha
+filtration read, form a ``Skeleton``; a Rips complex numbers its simplices in
+one too. When Qhull returns exactly the tetrahedra of a previous complex,
 the new complex shares that complex's skeleton; the verification always runs
 on the new points.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciPyDelaunay
@@ -63,26 +65,73 @@ _TET_EDGES = [0, 1, 2, 4, 5, 8]
 
 @dataclass(frozen=True, eq=False)
 class Skeleton:
-    """Simplices of a triangulation closed under faces, with index arrays.
+    """Simplices closed under faces, each numbered once, with their facets.
 
     ``vertices[d]`` holds the d-simplices as sorted vertex rows, in sorted
-    order. A simplex's global index counts the simplices of lower dimension
-    first (``offsets``), so global order is (dimension, key) order.
+    order, and ``facets[d]`` the rows among the (d-1)-simplices of each
+    d-simplex's facets, in ``itertools.combinations`` order. A simplex's
+    global index counts the simplices of lower dimension first (``offsets``),
+    so global order is (dimension, key) order. The index arrays that only the
+    Delaunay verification and the alpha filtration read are made on first use.
     """
 
     n_points: int
     vertices: dict
-    attach: dict = field(repr=False)    # dim -> (row, far vertex of a cofacet)
-    across: tuple = field(repr=False)   # (tetrahedron, far vertex of a neighbour)
-    faces: tuple = field(repr=False)    # birth candidates: (coface, face, first of each face)
+    facets: dict = field(repr=False)
     by_dim: dict = field(repr=False)
     keys: tuple = field(repr=False)     # every key in global order
-    dims: tuple = field(repr=False)
     offsets: dict = field(repr=False)
 
     @property
     def tetrahedra(self):
         return self.by_dim.get(3, ())
+
+    @cached_property
+    def attach(self) -> dict:
+        """dim -> (row, far vertex of a cofacet): the attachment rule tests a
+        simplex against the vertex of each cofacet off it."""
+        none = np.zeros(0, dtype=int)
+        out = dict.fromkeys(range(1, len(self.vertices)), (none, none))
+        out.update(
+            (dim - 1, (self.facets[dim].ravel(), self.vertices[dim][:, ::-1].ravel()))
+            for dim in range(2, len(self.vertices))
+        )
+        return out
+
+    @cached_property
+    def across(self) -> tuple:
+        """(tetrahedron, far vertex of a neighbour across a shared triangle),
+        sorted: the pairs of the local Delaunay check."""
+        if 3 not in self.facets:
+            none = np.zeros(0, dtype=int)
+            return none, none
+        tri, far = self.attach[2]
+        tet = np.repeat(np.arange(len(self.vertices[3])), 4)
+        by_tri = np.argsort(tri, kind="stable")
+        shared = tri[by_tri[1:]] == tri[by_tri[:-1]]
+        a, b = by_tri[:-1][shared], by_tri[1:][shared]
+        t_idx, p = np.concatenate([tet[a], tet[b]]), np.concatenate([far[b], far[a]])
+        order = np.lexsort((p, t_idx))
+        return t_idx[order], p[order]
+
+    @cached_property
+    def faces(self) -> tuple:
+        """Alpha birth candidates (coface, face, first of each face), grouped by
+        simplex: itself, then its tetrahedra, then its triangles (the order in
+        which a tie is won), each in row order."""
+        offsets, total = self.offsets, len(self.keys)
+        cofaces, faces = [np.arange(total)], [np.arange(total)]
+        for dim in range(len(self.vertices) - 1, 1, -1):
+            rows = self.facets[dim]
+            cofaces.append(offsets[dim] + np.repeat(np.arange(len(rows)), dim + 1))
+            faces.append(offsets[dim - 1] + rows.ravel())
+            if dim == 3:
+                edges = self.facets[2][rows].reshape(len(rows), 12)[:, _TET_EDGES]
+                cofaces.append(offsets[3] + np.repeat(np.arange(len(rows)), 6))
+                faces.append(offsets[1] + edges.ravel())
+        grouped = np.argsort(np.concatenate(faces), kind="stable")
+        cofaces, faces = np.concatenate(cofaces)[grouped], np.concatenate(faces)[grouped]
+        return cofaces, faces, np.searchsorted(faces, np.arange(total))
 
 
 def _skeleton(top, n):
@@ -92,46 +141,13 @@ def _skeleton(top, n):
     facets = {}
     for dim in range(top_dim, 1, -1):
         vertices[dim - 1], facets[dim] = _facets(vertices[dim], n)
-    # attachment rule: a simplex against the vertex of each cofacet off it
-    none = np.zeros(0, dtype=int)
-    attach = {dim: (none, none) for dim in range(1, top_dim + 1)}
-    attach.update(
-        (dim - 1, (rows.ravel(), vertices[dim][:, ::-1].ravel())) for dim, rows in facets.items()
-    )
-    # local Delaunay check: each tetrahedron against the far vertex of each
-    # neighbour across a shared triangle, sorted
-    across = (none, none)
-    if 3 in facets:
-        tri, far = attach[2]
-        tet = np.repeat(np.arange(len(top)), 4)
-        by_tri = np.argsort(tri, kind="stable")
-        shared = tri[by_tri[1:]] == tri[by_tri[:-1]]
-        a, b = by_tri[:-1][shared], by_tri[1:][shared]
-        t_idx, p = np.concatenate([tet[a], tet[b]]), np.concatenate([far[b], far[a]])
-        order = np.lexsort((p, t_idx))
-        across = (t_idx[order], p[order])
+    if top_dim:
+        facets[1] = vertices[1]  # an edge's facets are its vertices, which are points
     sizes = [len(vertices[d]) for d in range(top_dim + 1)]
     offsets = dict(enumerate(np.cumsum([0] + sizes[:-1]).tolist()))
-    # birth candidates of each simplex, grouped by simplex: itself, then its
-    # tetrahedra, then its triangles (the order in which a tie is won), each
-    # in row order
-    total = sum(sizes)
-    cofaces, faces = [np.arange(total)], [np.arange(total)]
-    for dim in sorted(facets, reverse=True):
-        rows = facets[dim]
-        cofaces.append(offsets[dim] + np.repeat(np.arange(len(rows)), dim + 1))
-        faces.append(offsets[dim - 1] + rows.ravel())
-        if dim == 3:
-            edges = facets[2][rows].reshape(len(rows), 12)[:, _TET_EDGES]
-            cofaces.append(offsets[3] + np.repeat(np.arange(len(rows)), 6))
-            faces.append(offsets[1] + edges.ravel())
-    grouped = np.argsort(np.concatenate(faces), kind="stable")
-    cofaces, faces = np.concatenate(cofaces)[grouped], np.concatenate(faces)[grouped]
-    first = np.searchsorted(faces, np.arange(total))
     by_dim = {d: tuple(map(tuple, v.tolist())) for d, v in sorted(vertices.items())}
     keys = tuple(itertools.chain.from_iterable(by_dim.values()))
-    dims = tuple(d for d, simplices in by_dim.items() for _ in simplices)
-    return Skeleton(n, vertices, attach, across, (cofaces, faces, first), by_dim, keys, dims, offsets)
+    return Skeleton(n, vertices, facets, by_dim, keys, offsets)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Every simplex carries its birth radius and the attaching simplex that realizes
 it (the argmax edge for Rips, the smallest attaching coface for alpha). The
 simplex order is (birth radius, dimension, vertex tuple), which makes every
-prefix a subcomplex and is fully deterministic under ties. An alpha complex
+prefix a subcomplex and is fully deterministic under ties. Both kinds number
+their simplices and facets in a ``delaunay.Skeleton`` (the Delaunay closure
+for alpha, all subsets up to ``max_dim + 1`` points for Rips) and keep it with
+the filtration order, from which the boundary matrix is read. An alpha complex
 keeps the circumspheres its build computed, so gradients read them instead
 of solving them again, and its Delaunay complex, whose skeleton the build of a
 nearby cloud can share.
@@ -13,18 +16,25 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import delaunay as _delaunay
+from .errors import PdcontError
 from .geometry import Configuration, circumspheres, rips_birth_radius
 from .geometry import circumradius  # unused here; perfbench/tracing.py wraps this name
 
+# Rips complexes with more simplices are refused: a 50-point Rips diagram in
+# dimension 2 (251,175 simplices) takes 10 s and 231 MB peak RSS on a 2-vCPU
+# Xeon, about 40 us and 0.6 KB a simplex, so this bound is about 40 s, 700 MB.
+RIPS_MAX_SIMPLICES = 1_000_000
 
-@dataclass(frozen=True)
-class FiltEntry:
+
+class FiltEntry(NamedTuple):
     key: tuple
     dim: int
     radius: float
@@ -51,7 +61,8 @@ class FilteredComplex:
     kind: str                  # "rips" | "alpha"
     config: Configuration
     entries: tuple             # FiltEntry sorted by (radius, dim, key)
-    saturation_radius: float
+    skeleton: _delaunay.Skeleton = field(compare=False, repr=False)
+    order: np.ndarray = field(compare=False, repr=False)  # global index of each entry
     spheres: dict = field(default_factory=dict)  # dim -> Circumspheres (alpha)
     delaunay: _delaunay.DelaunayComplex | None = field(default=None, compare=False, repr=False)
 
@@ -70,9 +81,6 @@ class FilteredComplex:
             (e.radius, e.key) for e in self.entries if e.key == e.attaching and e.dim >= 1
         ))
 
-    def index_of(self):
-        return {e.key: i for i, e in enumerate(self.entries)}
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("dim,vertices,birth_radius,attaching_vertices\n")
@@ -84,22 +92,41 @@ class FilteredComplex:
         return buf.getvalue()
 
 
-def _sorted_entries(entries):
-    entries.sort(key=lambda e: (e.radius, e.dim, e.key))
-    return tuple(entries)
+def _filtered(kind, config, skeleton, birth, realizer, **alpha) -> FilteredComplex:
+    """The filtration of ``skeleton`` by each simplex's ``birth`` radius,
+    realized by the simplex ``realizer``, both in global index order; a stable
+    sort keeps that order, which is (dim, key) order, among equal radii."""
+    order = np.argsort(birth, kind="stable")
+    keys = skeleton.keys
+    entries = tuple(
+        FiltEntry(keys[i], len(keys[i]) - 1, r, keys[a])
+        for i, r, a in zip(order.tolist(), birth[order].tolist(), realizer[order].tolist())
+    )
+    return FilteredComplex(kind, config, entries, skeleton, order, **alpha)
 
 
 def build_rips(config: Configuration, max_dim: int = 3) -> FilteredComplex:
-    """Rips filtration with all simplices up to dimension ``max_dim``."""
+    """Rips filtration with all simplices up to dimension ``max_dim``.
+
+    Raises PdcontError, before allocating anything, when the complex would
+    have more than ``RIPS_MAX_SIMPLICES`` simplices.
+    """
     m = config.n_points
-    entries = []
-    for k in range(1, min(max_dim + 1, m) + 1):
-        for key in itertools.combinations(range(m), k):
-            birth = rips_birth_radius(key, config)
-            attaching = birth.edge if len(key) > 1 else key
-            entries.append(FiltEntry(key, k - 1, birth.radius, attaching))
-    ordered = _sorted_entries(entries)
-    return FilteredComplex("rips", config, ordered, ordered[-1].radius)
+    k = min(max_dim + 1, m)
+    size = sum(math.comb(m, j) for j in range(1, k + 1))
+    if size > RIPS_MAX_SIMPLICES:
+        raise PdcontError(
+            f"a Rips complex of {m} points up to dimension {k - 1} has {size} simplices, "
+            f"more than {RIPS_MAX_SIMPLICES}"
+        )
+    skeleton = _delaunay._skeleton(np.array(list(itertools.combinations(range(m), k))), m)
+    # a birth is realized by its longest edge, a vertex's by the vertex itself
+    index = {key: i for i, key in enumerate(skeleton.keys[:skeleton.offsets.get(2)])}
+    birth, realizer = np.empty(len(skeleton.keys)), np.empty(len(skeleton.keys), dtype=int)
+    for i, key in enumerate(skeleton.keys):
+        b = rips_birth_radius(key, config)
+        birth[i], realizer[i] = b.radius, index[b.edge]
+    return _filtered("rips", config, skeleton, birth, realizer)
 
 
 def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredComplex:
@@ -129,14 +156,9 @@ def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredCo
     # the earliest candidate at each simplex's smallest radius
     hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
     best = hits[np.searchsorted(hits, first)]
-    birth, realizer = radii[best], cofaces[best]
-    order = np.argsort(birth, kind="stable")  # global index order is (dim, key) order
-    keys, dims = skeleton.keys, skeleton.dims
-    entries = tuple(
-        FiltEntry(keys[i], dims[i], r, keys[a])
-        for i, r, a in zip(order.tolist(), birth[order].tolist(), realizer[order].tolist())
+    return _filtered(
+        "alpha", config, skeleton, radii[best], cofaces[best], spheres=spheres, delaunay=dc
     )
-    return FilteredComplex("alpha", config, entries, entries[-1].radius, spheres, dc)
 
 
 def build_alpha(config: Configuration, previous=None) -> FilteredComplex:

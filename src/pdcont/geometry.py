@@ -216,8 +216,7 @@ class RipsBirth:
     """Birth radius of a simplex in the Rips filtration plus argmax attribution."""
 
     radius: float
-    edge: SimplexKey           # argmax edge; the simplex itself for vertices
-    ties: tuple = ()           # other edges attaining the same maximum exactly
+    edge: SimplexKey           # first argmax edge; the simplex itself for vertices
 
 
 def rips_birth_radius(simplex, config: Configuration) -> RipsBirth:
@@ -228,16 +227,12 @@ def rips_birth_radius(simplex, config: Configuration) -> RipsBirth:
     pts = config.points
     best = -1.0
     best_edge = None
-    ties = []
     for i, j in itertools.combinations(key, 2):
         d = float(np.linalg.norm(pts[i] - pts[j]))
         if d > best:
             best = d
             best_edge = (i, j)
-            ties = []
-        elif d == best:
-            ties.append((i, j))
-    return RipsBirth(best / 2.0, best_edge, tuple(ties))
+    return RipsBirth(best / 2.0, best_edge)
 
 
 # --- general position reports --------------------------------------------------
@@ -311,7 +306,7 @@ def check_general_position(fc, tol: float = 1e-9):
     if 3 not in fc.spheres:
         return report
     tets, centers, radii = fc.spheres[3].keys, fc.spheres[3].centers, fc.spheres[3].radii
-    t_idx, far = fc.delaunay.skeleton.across
+    t_idx, far = fc.skeleton.across
     close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
     near = {(tets[t], int(p)): float(radii[t]) for t, p in zip(t_idx[close], far[close])}
     report.violations.extend(

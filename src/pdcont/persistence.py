@@ -23,7 +23,6 @@ points.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -49,17 +48,22 @@ class BoundaryMatrix:
 
 
 def boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
-    """Matrix of the boundary map over Z/2."""
-    rows = [[] for _ in range(max(e.dim for e in fc.entries) + 1)]
-    rank = {}
-    for j, e in enumerate(fc.entries):
-        rank[e.key] = len(rows[e.dim])
-        rows[e.dim].append(j)
-    columns = tuple(
-        tuple(sorted(rank[face] for face in itertools.combinations(e.key, e.dim))) if e.dim else ()
-        for e in fc.entries
-    )
-    return BoundaryMatrix(len(fc.entries), columns, tuple(map(tuple, rows)))
+    """Matrix of the boundary map over Z/2, read off the facet rows of the
+    complex's skeleton in its filtration order."""
+    skeleton, position = fc.skeleton, np.argsort(fc.order)
+    columns, rows = [()] * len(position), []
+    for dim, simplices in sorted(skeleton.vertices.items()):
+        pos = position[skeleton.offsets[dim]:][:len(simplices)]
+        by_pos = np.argsort(pos)  # this dimension's rows in filtration order
+        rows.append(tuple(pos[by_pos].tolist()))
+        if dim:
+            facet_ranks = np.sort(rank[skeleton.facets[dim][by_pos]], axis=1)
+            # read through ``ints`` so that the columns share one int per rank
+            for j, col in zip(rows[-1], ints[facet_ranks].tolist()):
+                columns[j] = tuple(col)
+        rank = np.argsort(by_pos)  # each row's rank among its dimension's
+        ints = np.arange(len(rank), dtype=object)
+    return BoundaryMatrix(len(position), tuple(columns), tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import bisect
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -154,22 +154,9 @@ def pinv_matrix(a, sigma_cutoff_rel: float = 1e-12) -> np.ndarray:
 
 # --- diagram coordinate tracking -------------------------------------------------
 
-@dataclass(frozen=True)
-class LayoutSlot:
-    birth_key: tuple
-    death_key: tuple
-    birth: float
-    death: float
-
-
-def layout_from(pd: PersistenceData):
-    return tuple(
-        LayoutSlot(p.birth_key, p.death_key, p.birth, p.death) for p in pd.finite
-    )
-
-
 def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
-    """Reorder the diagram's finite pairs to follow the layout.
+    """Reorder the diagram's finite pairs to follow the layout, the tuple of
+    ``FinitePair``s tracked so far.
 
     Pairs are matched by generating-simplex identity first; leftovers by the
     minimal-cost assignment under the sup-norm in the plane. Extra retained
@@ -232,17 +219,8 @@ def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
     return tuple(matched)
 
 
-def _layout_of(matched):
-    return tuple(
-        LayoutSlot(r.birth_key, r.death_key, r.birth, r.death) for r in matched
-    )
-
-
 def _vector_of(matched):
-    v = []
-    for r in matched:
-        v.extend((r.birth, r.death))
-    return np.array(v)
+    return np.array([x for r in matched for x in (r.birth, r.death)])
 
 
 # --- Newton-Raphson by pseudo-inverse --------------------------------------------
@@ -283,15 +261,10 @@ class _Evaluation:
     factors: tuple | None = None
 
     def jacobian(self, matched) -> PersistenceJacobian:
-        """Jacobian with rows permuted to the matched layout order."""
+        """Jacobian of the matched pairs' coordinates, in their order."""
         if self.jac is None or self.matched != matched:
-            fc = self.fc
-            jac = jacobian(fc.config, fc.kind, self.pd, include_essential=False, fc=fc)
-            index_of = {id(r): i for i, r in enumerate(self.pd.finite)}
-            perm = [2 * index_of[id(rec)] + side for rec in matched for side in (0, 1)]
-            self.jac = PersistenceJacobian(
-                jac.matrix[perm], tuple(jac.rows[i] for i in perm), jac.columns
-            )
+            fc, pd = self.fc, replace(self.pd, finite=matched)
+            self.jac = jacobian(fc.config, fc.kind, pd, include_essential=False, fc=fc)
             self.matched, self.factors = matched, None
         return self.jac
 
@@ -326,14 +299,6 @@ def _constraint_rows(config, constraints):
     rows = np.zeros((len(constraints), config.free_dim + 1))
     rows[:, _free_columns(config.n_points, config.gauge)] = grads
     return vals, rows[:, :-1]
-
-
-def _gen_keys(matched):
-    out = {}
-    for i, rec in enumerate(matched):
-        out[(i, "birth")] = rec.birth_key
-        out[(i, "death")] = rec.death_key
-    return out
 
 
 _TIE_GRADIENT_CAP = 1e3
@@ -404,7 +369,7 @@ def _newton_core(
     v_target = np.asarray(v_target, dtype=float)
     ev = start if start is not None else _evaluate(config, kind, dim, epsilon, max_dim)
     if layout is None:
-        layout = layout_from(ev.pd)
+        layout = ev.pd.finite
     if v_target.size != 2 * len(layout):
         raise DimensionMismatch(
             f"target has {v_target.size} coordinates, layout expects {2 * len(layout)}"
@@ -414,11 +379,6 @@ def _newton_core(
     increases = 0
     prev_res = math.inf
     jac_snapshot = np.zeros(0)
-    prev_keys = {
-        (i, which): getattr(slot, f"{which}_key")
-        for i, slot in enumerate(layout)
-        for which in ("birth", "death")
-    }
     flip_groups = {}
     tie_offsets = {}
     for it in range(max_iter + 1):
@@ -432,14 +392,12 @@ def _newton_core(
                 f"retained pair count dropped from {len(layout)} to {len(ev.pd.finite)}",
             )
             break
-        layout = _layout_of(matched)
-        keys = _gen_keys(matched)
-        for slot, key in keys.items():
-            if prev_keys[slot] != key:
-                group = flip_groups.setdefault(slot, set())
-                group.add(prev_keys[slot])
-                group.add(key)
-        prev_keys = keys
+        for i, (was, now) in enumerate(zip(layout, matched)):
+            for which in ("birth", "death"):
+                old_key, key = getattr(was, f"{which}_key"), getattr(now, f"{which}_key")
+                if old_key != key:
+                    flip_groups.setdefault((i, which), set()).update((old_key, key))
+        layout = matched
         g_vals, g_rows = _constraint_rows(config, constraints)
         residual_vec = np.concatenate([_vector_of(matched) - v_target, g_vals])
         res = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
@@ -610,7 +568,7 @@ def continue_cloud(
     if max_dim is None:
         max_dim = dim + 1
     ev = _evaluate(config, kind, dim, epsilon, max_dim)
-    layout = layout_from(ev.pd)
+    layout = ev.pd.finite
     v_start = _vector_of(ev.pd.finite)
     v_target = np.asarray(v_target, dtype=float)
     if v_target.shape != v_start.shape:

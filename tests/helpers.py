@@ -12,14 +12,32 @@ from fractions import Fraction
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from pdcont.delaunay import _FILTER_REL, insphere_exact, orient3d_exact
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
+from pdcont.filtration import FiltEntry
 from pdcont.geometry import _DEGENERATE, Configuration
+from pdcont.persistence import BoundaryMatrix
 
 # property tests draw the same examples on every run and keep no database
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+_GRID = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
+
+
+@st.composite
+def grid_clouds(draw, min_size, max_size, exact=True):
+    """Distinct points of the 3 x 3 x 3 integer grid, where many distances tie
+    exactly; moved by up to 1e-6 per coordinate unless ``exact`` allows and
+    draws the exact grid."""
+    row = st.integers(0, len(_GRID) - 1)
+    points = _GRID[draw(st.lists(row, min_size=min_size, max_size=max_size, unique=True))]
+    if exact and draw(st.booleans()):
+        return points
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    return points + rng.uniform(-1e-6, 1e-6, points.shape)
 
 
 def circumspheres_reference(simplices, rel_tol: float = 1e-12):
@@ -410,7 +428,7 @@ def hull_volume_bruteforce(points):
 
 def signed_boundary(fc):
     """Boundary columns over Q, ``{row index: Fraction(+-1)}`` with (-1)^k signs."""
-    index = fc.index_of()
+    index = {key: i for i, key in enumerate(fc.keys)}
     columns = []
     for entry in fc.entries:
         col = {}
@@ -447,6 +465,58 @@ def rational_reduction(columns):
                     col.pop(i, None)
     used = {i for p in pairs for i in p}
     return tuple(pairs), tuple(i for i in range(len(columns)) if i not in used)
+
+
+# --- the Rips build and boundary matrix by enumeration --------------------------
+# As they stood before both read the facet rows of a Skeleton, kept verbatim as
+# exact oracles, except that they take and return the tuple of entries and the
+# birth radius comes from its own copy of the argmax-edge loop.
+
+def rips_birth_reference(key, config):
+    """Half the maximum pairwise distance of the simplex ``key`` and the first
+    edge, in ``itertools.combinations`` order, that attains it."""
+    if len(key) == 1:
+        return 0.0, key
+    pts = config.points
+    best = -1.0
+    best_edge = None
+    for i, j in itertools.combinations(key, 2):
+        d = float(np.linalg.norm(pts[i] - pts[j]))
+        if d > best:
+            best = d
+            best_edge = (i, j)
+    return best / 2.0, best_edge
+
+
+def sorted_entries_reference(entries):
+    entries.sort(key=lambda e: (e.radius, e.dim, e.key))
+    return tuple(entries)
+
+
+def build_rips_reference(config, max_dim=3):
+    """Entries of the Rips filtration with all simplices up to dimension ``max_dim``."""
+    m = config.n_points
+    entries = []
+    for k in range(1, min(max_dim + 1, m) + 1):
+        for key in itertools.combinations(range(m), k):
+            radius, edge = rips_birth_reference(key, config)
+            attaching = edge if len(key) > 1 else key
+            entries.append(FiltEntry(key, k - 1, radius, attaching))
+    return sorted_entries_reference(entries)
+
+
+def boundary_matrix_reference(entries):
+    """Matrix of the boundary map over Z/2 of the filtration ``entries``."""
+    rows = [[] for _ in range(max(e.dim for e in entries) + 1)]
+    rank = {}
+    for j, e in enumerate(entries):
+        rank[e.key] = len(rows[e.dim])
+        rows[e.dim].append(j)
+    columns = tuple(
+        tuple(sorted(rank[face] for face in itertools.combinations(e.key, e.dim))) if e.dim else ()
+        for e in entries
+    )
+    return BoundaryMatrix(len(entries), columns, tuple(map(tuple, rows)))
 
 
 # --- GF(2) rank oracle for persistence pairings ----------------------------------

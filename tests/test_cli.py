@@ -96,6 +96,14 @@ class TestDiagramCommand:
         assert pers[0] >= 5 * (pers[1] if len(pers) > 1 else pers[0] / 100)
 
 
+    def test_large_rips_complex_refused(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        points = np.random.RandomState(0).rand(400, 3)
+        path.write_text("\n".join(" ".join(map(str, p)) for p in points))
+        code = cli.main(["diagram", "-i", str(path), "--filtration", "rips", "--dim", "2"])
+        assert code == 8  # library error: C(400, 4) simplices
+
+
 class TestCheckCommand:
     def test_clean_cloud(self, tmp_path, capsys):
         rng = np.random.RandomState(3)

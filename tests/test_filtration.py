@@ -3,12 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pdcont import filtration
+from pdcont.errors import PdcontError
 from pdcont.filtration import build_alpha, build_rips
 from pdcont.geometry import Configuration
 from pdcont.persistence import betti_numbers, diagram
 
-from helpers import random_cloud
+from helpers import (
+    PROPERTY, build_rips_reference, grid_clouds, random_cloud, sorted_entries_reference,
+)
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -63,7 +69,40 @@ class TestBuildRips:
         assert 2 * pair.death == pytest.approx(dist("B", "D"), abs=1e-12)
 
 
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), max_dim=st.integers(0, 3))
+    def test_entries_equal_enumeration(self, seed, m, max_dim):
+        cfg = _cfg(random_cloud(np.random.RandomState(seed), m))
+        assert build_rips(cfg, max_dim).entries == build_rips_reference(cfg, max_dim)
+
+    @PROPERTY
+    @given(points=grid_clouds(1, 10), max_dim=st.integers(0, 3))
+    def test_grid_entries_equal_enumeration(self, points, max_dim):
+        # exact distance ties: the attaching edge is the first longest one
+        cfg = _cfg(points)
+        assert build_rips(cfg, max_dim).entries == build_rips_reference(cfg, max_dim)
+
+    def test_large_complex_refused(self):
+        # C(400, 4) simplices: refused before any is enumerated
+        with pytest.raises(PdcontError, match="simplices"):
+            build_rips(_cfg(np.random.RandomState(0).rand(400, 3)), max_dim=3)
+
+    def test_size_counts_every_simplex(self, monkeypatch):
+        monkeypatch.setattr(filtration, "RIPS_MAX_SIMPLICES", 15)
+        cfg = _cfg(np.random.RandomState(0).rand(5, 3))
+        assert len(build_rips(cfg, max_dim=1)) == 5 + 10
+        assert len(build_rips(_cfg(cfg.points[:4]), max_dim=3)) == 15
+        with pytest.raises(PdcontError):
+            build_rips(cfg, max_dim=2)
+
+
 class TestBuildAlpha:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 60))
+    def test_entries_in_filtration_order(self, seed, m):
+        fc = build_alpha(_cfg(random_cloud(np.random.RandomState(seed), m)))
+        assert fc.entries == sorted_entries_reference(list(fc.entries))
+
     def test_equilateral_triangle(self):
         side = 2.0
         fc = build_alpha(_cfg([[0, 0, 0], [side, 0, 0], [side / 2, side * math.sqrt(3) / 2, 0]]))

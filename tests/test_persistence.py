@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from pdcont.errors import InfinityMismatch
+from pdcont.errors import InfinityMismatch, PdcontError
 from pdcont.filtration import build_alpha, build_rips
 from pdcont.geometry import Configuration
 from pdcont.metrics import bottleneck, diag_distance, hausdorff
@@ -19,7 +19,10 @@ from pdcont.persistence import (
     reduce_boundary,
 )
 
-from helpers import PROPERTY, random_cloud, rank_function_pairs, rational_reduction, signed_boundary
+from helpers import (
+    PROPERTY, boundary_matrix_reference, grid_clouds, random_cloud, rank_function_pairs,
+    rational_reduction, signed_boundary,
+)
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 EX4_CLOUD = np.array([[0, 0, 0], [1, 0, 0], [1.1, 1.2, 0], [0.5, 0.6, 1.3]])
@@ -56,7 +59,7 @@ class TestBoundaryMatrix:
 
     def test_tetra_column_sign_pattern(self):
         fc = build_alpha(Configuration(EX1_CLOUD))
-        col = signed_boundary(fc)[fc.index_of()[(0, 1, 2, 3)]]
+        col = signed_boundary(fc)[fc.keys.index((0, 1, 2, 3))]
         assert len(col) == 4
         assert sorted(col.values()) == [Fraction(-1), Fraction(-1), Fraction(1), Fraction(1)]
 
@@ -78,6 +81,33 @@ class TestBoundaryMatrix:
         b = boundary_matrix(fc)
         for j, col in enumerate(signed_boundary(fc)):
             assert _facets(b, j) == sorted(col)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 60))
+    def test_alpha_equals_enumeration(self, seed, m):
+        fc = build_alpha(_cfg(random_cloud(np.random.RandomState(seed), m)))
+        assert boundary_matrix(fc) == boundary_matrix_reference(fc.entries)
+
+    @PROPERTY
+    @given(points=grid_clouds(5, 20, exact=False))
+    def test_alpha_grid_equals_enumeration(self, points):
+        try:
+            fc = build_alpha(_cfg(points))
+        except PdcontError:
+            assume(False)  # a flat or cospherical draw has no alpha complex
+        assert boundary_matrix(fc) == boundary_matrix_reference(fc.entries)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), max_dim=st.integers(0, 3))
+    def test_rips_equals_enumeration(self, seed, m, max_dim):
+        fc = build_rips(_cfg(random_cloud(np.random.RandomState(seed), m)), max_dim)
+        assert boundary_matrix(fc) == boundary_matrix_reference(fc.entries)
+
+    @PROPERTY
+    @given(points=grid_clouds(1, 10), max_dim=st.integers(0, 3))
+    def test_rips_grid_equals_enumeration(self, points, max_dim):
+        fc = build_rips(_cfg(points), max_dim)
+        assert boundary_matrix(fc) == boundary_matrix_reference(fc.entries)
 
     def test_strictly_upper_triangular(self):
         fc = build_alpha(_cfg(random_cloud(np.random.RandomState(2), 7)))

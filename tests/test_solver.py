@@ -15,7 +15,6 @@ from pdcont.solver import (
     NewtonReport,
     NewtonStatus,
     continue_cloud,
-    layout_from,
     match_to_layout,
     newton_pinv,
     pinv_apply,
@@ -197,14 +196,14 @@ class TestMatching:
     def test_key_identity_match(self):
         config = Configuration(EX1_CLOUD)
         pd = diagram(config, "alpha", 2, 0.0)
-        layout = layout_from(pd)
+        layout = pd.finite
         matched = match_to_layout(layout, pd)
         assert matched == pd.finite
 
     def test_deficit_returns_none(self):
         config = Configuration(EX1_CLOUD)
         pd = diagram(config, "alpha", 2, 0.0)
-        layout = layout_from(pd) * 2  # pretend two slots
+        layout = pd.finite * 2  # pretend two slots
         assert match_to_layout(layout, pd) is None
 
 
