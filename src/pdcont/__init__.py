@@ -29,7 +29,7 @@ from .geometry import (
     simplex_key,
     to_gauge_frame,
 )
-from .delaunay import DelaunayComplex, delaunay3, is_attaching
+from .delaunay import delaunay3
 from .filtration import FilteredComplex, build_alpha, build_rips
 from .persistence import (
     PersistenceData,

@@ -56,15 +56,33 @@ def read_cloud(path: str) -> np.ndarray:
     """Read a cloud from a JSON array of [x, y, z] or whitespace XYZ text."""
     text = sys.stdin.read() if path == "-" else open(path).read()
     stripped = text.lstrip()
-    if stripped.startswith("["):
-        data = np.asarray(json.loads(stripped), dtype=float)
-    else:
-        data = np.array(
-            [[float(x) for x in line.split()] for line in text.splitlines() if line.strip()]
-        )
+    try:
+        if stripped.startswith("["):
+            data = np.asarray(json.loads(stripped), dtype=float)
+        else:
+            data = np.array(
+                [[float(x) for x in line.split()] for line in text.splitlines() if line.strip()]
+            )
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise DegenerateInput(f"cannot read coordinates: {exc}")
     if data.ndim != 2 or data.shape[1] != 3:
         raise DegenerateInput(f"expected (M, 3) coordinates, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise DegenerateInput("coordinates must be finite (NaN or inf found)")
     return data
+
+
+def target_vector(text: str) -> np.ndarray:
+    """The ``--target`` argument, a JSON list of finite [birth, death] pairs,
+    as the flat diagram vector; anything else is a usage error."""
+    try:
+        pairs = json.loads(text)
+        pairs = np.array(pairs, dtype=float) if pairs != [] else np.zeros((0, 2))
+        if pairs.ndim == 2 and pairs.shape[1] == 2 and np.isfinite(pairs).all():
+            return pairs.ravel()
+    except (ValueError, TypeError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"need a JSON list of finite [birth, death] pairs: {text!r}")
 
 
 def write_cloud(path: str, points: np.ndarray):
@@ -187,9 +205,7 @@ def _run_continuation(config, args, v_target):
 
 def cmd_continue(args) -> int:
     config = _load_config(args)
-    target_pairs = json.loads(args.target)
-    v_target = np.array([x for pair in target_pairs for x in pair], dtype=float)
-    trace = _run_continuation(config, args, v_target)
+    trace = _run_continuation(config, args, args.target)
     print(trace.termination)
     if trace.steps:
         final = trace.steps[-1]
@@ -246,6 +262,13 @@ def _edge_spread(points: np.ndarray) -> float:
     return (max(edges) - min(edges)) / float(np.mean(edges))
 
 
+def _reached(trace):
+    """(trace, verdict, details) of a run that must reach its target to 1e-8."""
+    ok = trace.reached_target and trace.steps[-1].residual <= 1e-8
+    details = f"residual {trace.steps[-1].residual:.3g}" if trace.steps else "no steps"
+    return trace, ok, details
+
+
 def _run_example(n: int, out_prefix: str | None):
     """Run packaged example ``n``; returns (trace, verdict, details)."""
     if n == 1:
@@ -253,9 +276,7 @@ def _run_example(n: int, out_prefix: str | None):
         trace = solver.continue_cloud(
             config, "alpha", 2, 0.0, [8.42719, 8.89015], step=0.01
         )
-        ok = trace.reached_target and trace.steps[-1].residual <= 1e-8
-        details = f"residual {trace.steps[-1].residual:.3g}" if trace.steps else "no steps"
-        return trace, ok, details
+        return _reached(trace)
     if n == 2:
         config = to_gauge_frame(EXAMPLE_1_CLOUD)
         trace = solver.continue_cloud(
@@ -288,9 +309,7 @@ def _run_example(n: int, out_prefix: str | None):
             config, "alpha", 1, 0.0,
             [0.770801, 0.817236, 0.798346, 0.863075], step=0.001,
         )
-        ok = trace.reached_target and trace.steps[-1].residual <= 1e-8
-        details = f"residual {trace.steps[-1].residual:.3g}" if trace.steps else "no steps"
-        return trace, ok, details
+        return _reached(trace)
     if n == 5:
         points = apply_jitter(dodecahedron_vertices(), seed=11, magnitude=1e-6)
         config = to_gauge_frame(points)
@@ -302,9 +321,7 @@ def _run_example(n: int, out_prefix: str | None):
             config, "alpha", 2, 1e-3, v0 * (1 + 0.5 / v0[1]), step=0.01,
             max_iter=300, tie_window_rel=0.5, tie_window_abs=1.0,
         )
-        ok = trace.reached_target and trace.steps[-1].residual <= 1e-8
-        details = f"residual {trace.steps[-1].residual:.3g}" if trace.steps else "no steps"
-        return trace, ok, details
+        return _reached(trace)
     if n == 6:
         points = apply_jitter(fibonacci_sphere(100), seed=23, magnitude=1e-6)
         config = to_gauge_frame(points)
@@ -314,9 +331,7 @@ def _run_example(n: int, out_prefix: str | None):
             config, "alpha", 2, 1e-5, v0 * 1.3, step=0.03,
             max_iter=300, tie_window_rel=0.5, tie_window_abs=1.0,
         )
-        ok = trace.reached_target and trace.steps[-1].residual <= 1e-8
-        details = f"residual {trace.steps[-1].residual:.3g}" if trace.steps else "no steps"
-        return trace, ok, details
+        return _reached(trace)
     raise ValueError(f"no packaged example {n}")
 
 
@@ -363,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continue", help="continuation toward a target diagram")
     common(p)
-    p.add_argument("--target", required=True, help='target pairs, e.g. "[[8.4, 8.9]]"')
+    p.add_argument("--target", required=True, type=target_vector,
+                   help='target pairs, e.g. "[[8.4, 8.9]]"')
     p.add_argument("--step", type=float, default=0.01, help="segment length per step")
     p.add_argument("--n-steps", type=int, default=None, help="override step count")
     p.add_argument("--tol", type=float, default=1e-10)

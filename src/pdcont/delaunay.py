@@ -11,10 +11,11 @@ perturbed away silently.
 
 The combinatorics of a triangulation, its simplices closed under faces, their
 facet rows and the index arrays that the verification and the alpha
-filtration read, form a ``Skeleton``; a Rips complex numbers its simplices in
-one too. When Qhull returns exactly the tetrahedra of a previous complex,
-the new complex shares that complex's skeleton; the verification always runs
-on the new points.
+filtration read, form a ``Skeleton``, which is the Delaunay complex; a Rips
+complex numbers its simplices in one too. A simplex's global index in its
+skeleton is its one name from the build to the Jacobian. When Qhull returns
+exactly the tetrahedra of a previous skeleton, ``delaunay3`` returns that
+skeleton; the verification always runs on the new points.
 
 Point clouds that span fewer than 3 dimensions are handled for M <= 3 (vertex,
 edge, triangle); larger coplanar clouds are rejected.
@@ -31,7 +32,7 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, GeneralPositionViolation
-from .geometry import Configuration, _row_norms, circumspheres
+from .geometry import Configuration, _row_norms
 
 # Hadamard-style relative filter: float determinants smaller than this times
 # the row-norm product are re-evaluated exactly.
@@ -58,11 +59,6 @@ def _facets(simplices, n):
     return faces[first], inverse.reshape(-1, k)
 
 
-# each edge of a tetrahedron once among the 4 x 3 edges of its triangles:
-# 01, 02, 12 of triangle 012, then 03, 13 of 013, then 23 of 023
-_TET_EDGES = [0, 1, 2, 4, 5, 8]
-
-
 @dataclass(frozen=True, eq=False)
 class Skeleton:
     """Simplices closed under faces, each numbered once, with their facets.
@@ -71,8 +67,9 @@ class Skeleton:
     order, and ``facets[d]`` the rows among the (d-1)-simplices of each
     d-simplex's facets, in ``itertools.combinations`` order. A simplex's
     global index counts the simplices of lower dimension first (``offsets``),
-    so global order is (dimension, key) order. The index arrays that only the
-    Delaunay verification and the alpha filtration read are made on first use.
+    so global order is (dimension, key) order, and ``index`` maps a key to it.
+    The index arrays that only the Delaunay verification and the alpha
+    filtration read are made on first use.
     """
 
     n_points: int
@@ -87,11 +84,23 @@ class Skeleton:
         return self.by_dim.get(3, ())
 
     @cached_property
+    def index(self) -> dict:
+        """key -> global index."""
+        return {key: i for i, key in enumerate(self.keys)}
+
+    def edge_rows(self, dim):
+        """The rows among the edges of each ``dim``-simplex's edges, (S, C(dim + 1, 2)),
+        in ``itertools.combinations`` order."""
+        pairs = self.vertices[dim][:, list(itertools.combinations(range(dim + 1), 2))]
+        edges = _encode(self.vertices[1], self.n_points)
+        return np.searchsorted(edges, _encode(pairs, self.n_points))
+
+    @cached_property
     def attach(self) -> dict:
         """dim -> (row, far vertex of a cofacet): the attachment rule tests a
         simplex against the vertex of each cofacet off it."""
         none = np.zeros(0, dtype=int)
-        out = dict.fromkeys(range(1, len(self.vertices)), (none, none))
+        out = dict.fromkeys(range(len(self.vertices)), (none, none))
         out.update(
             (dim - 1, (self.facets[dim].ravel(), self.vertices[dim][:, ::-1].ravel()))
             for dim in range(2, len(self.vertices))
@@ -126,9 +135,8 @@ class Skeleton:
             cofaces.append(offsets[dim] + np.repeat(np.arange(len(rows)), dim + 1))
             faces.append(offsets[dim - 1] + rows.ravel())
             if dim == 3:
-                edges = self.facets[2][rows].reshape(len(rows), 12)[:, _TET_EDGES]
                 cofaces.append(offsets[3] + np.repeat(np.arange(len(rows)), 6))
-                faces.append(offsets[1] + edges.ravel())
+                faces.append(offsets[1] + self.edge_rows(3).ravel())
         grouped = np.argsort(np.concatenate(faces), kind="stable")
         cofaces, faces = np.concatenate(cofaces)[grouped], np.concatenate(faces)[grouped]
         return cofaces, faces, np.searchsorted(faces, np.arange(total))
@@ -148,28 +156,6 @@ def _skeleton(top, n):
     by_dim = {d: tuple(map(tuple, v.tolist())) for d, v in sorted(vertices.items())}
     keys = tuple(itertools.chain.from_iterable(by_dim.values()))
     return Skeleton(n, vertices, facets, by_dim, keys, offsets)
-
-
-@dataclass(frozen=True)
-class DelaunayComplex:
-    """Simplices of the Delaunay triangulation of ``points``, closed under faces."""
-
-    points: np.ndarray
-    skeleton: Skeleton = field(repr=False)
-
-    @property
-    def tetrahedra(self):
-        return self.skeleton.tetrahedra
-
-    @property
-    def by_dim(self):
-        return self.skeleton.by_dim
-
-    def simplices(self, dim: int):
-        return self.by_dim.get(dim, ())
-
-    def all_simplices(self):
-        return iter(self.skeleton.keys)
 
 
 # --- exact predicates -----------------------------------------------------------
@@ -303,13 +289,14 @@ def _affine_dim(pts, rel_tol=1e-12):
     return int(np.sum(sv > rel_tol * scale))
 
 
-def delaunay3(config: Configuration, previous: DelaunayComplex | None = None) -> DelaunayComplex:
-    """Delaunay triangulation of the cloud, verified empty-circumsphere exact.
+def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skeleton:
+    """Delaunay triangulation of the cloud, verified empty-circumsphere exact,
+    as the skeleton of its simplices.
 
     M = 1, 2, 3 clouds yield the trivial complex of the points themselves
     (vertex / edge / triangle). M >= 4 requires non-coplanar points. When the
-    tetrahedra equal those of ``previous`` (the complex of a nearby cloud),
-    the result shares its skeleton.
+    tetrahedra equal those of ``previous`` (the skeleton of a nearby cloud),
+    the result is ``previous``.
     """
     pts = np.asarray(config.points, dtype=float)
     m = pts.shape[0]
@@ -336,46 +323,29 @@ def delaunay3(config: Configuration, previous: DelaunayComplex | None = None) ->
                 f"triangulation failed: coplanar or degenerate input ({exc})"
             )
         top = np.unique(np.sort(tri.simplices, axis=1), axis=0)
-    skeleton = previous.skeleton if previous is not None else None
+    skeleton = previous
     if skeleton is None or skeleton.n_points != m or not np.array_equal(
         skeleton.vertices[top.shape[1] - 1], top
     ):
         skeleton = _skeleton(top, m)
     if m > 4:
         _verify_empty(pts, skeleton)
-    return DelaunayComplex(pts, skeleton)
+    return skeleton
 
 
-def _outside(points, centers, radii, rows, far) -> np.ndarray:
-    """False for each row ``r`` of ``centers`` whose sphere has some ``far``
-    point of a pair (r, far) strictly inside."""
+def attaching_flags(points, skeleton: Skeleton, dim: int, centers, radii) -> np.ndarray:
+    """Which of the Delaunay ``dim``-simplices of ``points`` are attaching.
+
+    ``centers`` and ``radii`` give the smallest circumsphere of each
+    ``skeleton.by_dim[dim]``, row by row. A simplex is attaching iff that
+    sphere contains no cloud point. For a Delaunay simplex it suffices to test
+    the vertices of its cofacets (Edelsbrunner & Mücke, Three-dimensional
+    alpha shapes, 1994): vertices and tetrahedra are always attaching, a
+    triangle is tested against the far vertices of its at most two
+    tetrahedra, an edge against the third vertices of its triangles.
+    """
+    rows, far = skeleton.attach[dim]
     flags = np.ones(len(radii), dtype=bool)
     if len(rows):
         flags[rows[_row_norms(points[far] - centers[rows]) < radii[rows]]] = False
     return flags
-
-
-def attaching_flags(dc: DelaunayComplex, dim: int, centers, radii) -> np.ndarray:
-    """Which of the Delaunay ``dim``-simplices are attaching.
-
-    ``centers`` and ``radii`` give the smallest circumsphere of each
-    ``dc.simplices(dim)``, row by row. A simplex is attaching iff that sphere
-    contains no cloud point. For a Delaunay simplex it suffices to test the
-    vertices of its cofacets (Edelsbrunner & Mücke, Three-dimensional alpha
-    shapes, 1994): vertices and tetrahedra are always attaching, a triangle is
-    tested against the far vertices of its at most two tetrahedra, an edge
-    against the third vertices of its triangles.
-    """
-    return _outside(dc.points, centers, radii, *dc.skeleton.attach[dim])
-
-
-def is_attaching(simplex, dc: DelaunayComplex) -> bool:
-    """True iff the smallest circumsphere of the simplex contains no cloud point."""
-    key = tuple(simplex)
-    dim = len(key) - 1
-    if dim == 0:
-        return True
-    rows, far = dc.skeleton.attach[dim]
-    far = far[rows == dc.simplices(dim).index(key)]
-    centers, radii, _, _ = circumspheres(dc.points[list(key)][None])
-    return bool(_outside(dc.points, centers, radii, np.zeros(len(far), dtype=int), far)[0])

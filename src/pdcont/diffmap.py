@@ -67,41 +67,38 @@ def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
     return cols
 
 
-def _attaching_gradients(fc: FilteredComplex, keys):
-    """Radius gradients of attaching simplices of ``fc``, as rows over the free
-    columns.
+def _attaching_gradients(fc: FilteredComplex, simplices):
+    """Radius gradients of the attaching simplices of ``fc`` with the global
+    indices ``simplices``, as rows over the free columns.
 
-    Returns the (len(keys), n) rows and the norm of each whole gradient,
+    Returns the (len(simplices), n) rows and the norm of each whole gradient,
     pinned coordinates included. Alpha gradients are λᵢ(pᵢ − c)/R from the
-    circumspheres that ``fc`` kept, per simplex size; vertices are born at
-    radius zero.
+    circumspheres that ``fc`` kept, per dimension; a Rips edge's are
+    ±(pᵢ − pⱼ)/(4 birth), and 4 birth is twice its length, bit for bit.
     """
-    config = fc.config
-    pts = config.points
+    config, skeleton, pts = fc.config, fc.skeleton, fc.config.points
     cols = _free_columns(config.n_points, config.gauge)
     # pinned coordinates (column -1) land in a spare last column, cut off below
-    rows, norms = np.zeros((len(keys), config.free_dim + 1)), np.zeros(len(keys))
-    by_size = {}
-    for r, key in enumerate(keys):
-        by_size.setdefault(len(key), []).append(r)
-    for size, idx in by_size.items():
-        if size == 1:
-            continue
-        verts = np.array([keys[r] for r in idx])
+    rows, norms = np.zeros((len(simplices), config.free_dim + 1)), np.zeros(len(simplices))
+    starts, by_dim = list(skeleton.offsets.values()), {}
+    for r, g in enumerate(simplices):
+        by_dim.setdefault(bisect.bisect_right(starts, g) - 1, []).append(r)
+    by_dim.pop(0, None)  # vertices are born at radius zero
+    simplices = np.asarray(simplices, dtype=int)
+    for dim, idx in by_dim.items():
+        idx = np.array(idx)
+        at = simplices[idx] - skeleton.offsets[dim]  # rows among the dim-simplices
+        verts = skeleton.vertices[dim][at]
         if fc.kind == "rips":
-            diff = pts[verts[:, 0]] - pts[verts[:, 1]]
-            # a norm per edge rounds as the one-edge-at-a-time rows did
-            unit = diff / (2.0 * np.array([np.linalg.norm(d) for d in diff]))[:, None]
+            unit = (pts[verts[:, 0]] - pts[verts[:, 1]]) / (4.0 * fc.birth[simplices[idx]])[:, None]
             grads = np.stack([unit, -unit], axis=1)
         else:
-            spheres = fc.spheres[size - 1]
-            at = [spheres.row_of[keys[r]] for r in idx]
+            s = fc.spheres[dim]
             grads = radius_gradients(
-                pts[verts], spheres.centers[at], spheres.radii[at],
-                spheres.weights[at], spheres.degenerate[at],
+                pts[verts], s.centers[at], s.radii[at], s.weights[at], s.degenerate[at]
             )
         norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
-        rows[np.array(idx)[:, None, None], cols[verts]] = grads
+        rows[idx[:, None, None], cols[verts]] = grads
     return rows[:, :-1], norms
 
 
@@ -157,7 +154,8 @@ def jacobian(
         fc = build(config, kind, max_dim=pd.dim + 1)
     else:
         _warn_near_ties(rows, fc, tie_tol)
-    matrix, _ = _attaching_gradients(fc, [r.attaching_key for r in rows])
+    index = fc.skeleton.index
+    matrix, _ = _attaching_gradients(fc, [index[r.attaching_key] for r in rows])
     return PersistenceJacobian(matrix, tuple(rows), tuple(config.free_slots()))
 
 

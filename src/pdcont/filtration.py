@@ -5,11 +5,11 @@ it (the argmax edge for Rips, the smallest attaching coface for alpha). The
 simplex order is (birth radius, dimension, vertex tuple), which makes every
 prefix a subcomplex and is fully deterministic under ties. Both kinds number
 their simplices and facets in a ``delaunay.Skeleton`` (the Delaunay closure
-for alpha, all subsets up to ``max_dim + 1`` points for Rips) and keep it with
-the filtration order, from which the boundary matrix is read. An alpha complex
-keeps the circumspheres its build computed, so gradients read them instead
-of solving them again, and its Delaunay complex, whose skeleton the build of a
-nearby cloud can share.
+for alpha, all subsets up to ``max_dim + 1`` points for Rips), which the
+build of a nearby cloud can share, and a filtration is arrays over that
+numbering: each simplex's birth and realizer by global index. An alpha
+complex keeps the circumspheres its build computed, row for row with the
+skeleton's simplices, so gradients read them instead of solving them again.
 """
 
 from __future__ import annotations
@@ -25,12 +25,15 @@ import numpy as np
 
 from . import delaunay as _delaunay
 from .errors import PdcontError
-from .geometry import Configuration, circumspheres, rips_birth_radius
+from .geometry import Configuration, circumspheres
 from .geometry import circumradius  # unused here; perfbench/tracing.py wraps this name
+from .geometry import rips_birth_radius  # unused here; perfbench/tracing.py wraps this name
 
-# Rips complexes with more simplices are refused: a 50-point Rips diagram in
-# dimension 2 (251,175 simplices) takes 10 s and 231 MB peak RSS on a 2-vCPU
-# Xeon, about 40 us and 0.6 KB a simplex, so this bound is about 40 s, 700 MB.
+# Rips complexes with more simplices are refused. On a 2-vCPU Xeon a 50-point
+# Rips diagram in dimension 2 (251,175 simplices) takes 3.8 s and 199 MB peak
+# RSS; with 70 points (974,120 simplices) the build takes 3.2 s and the diagram
+# 24 s, most of it in the reduction, and 594 MB. Memory, about 0.6 KB a
+# simplex, is what bounds the size: this bound is about 600 MB.
 RIPS_MAX_SIMPLICES = 1_000_000
 
 
@@ -41,45 +44,60 @@ class FiltEntry(NamedTuple):
     attaching: tuple
 
 
-@dataclass(frozen=True)
-class Circumspheres:
-    """The ``circumspheres`` output for one dimension's simplices, row by row."""
+class Circumspheres(NamedTuple):
+    """The ``circumspheres`` output for one dimension's simplices, row for row
+    with the skeleton's simplices of that dimension."""
 
-    keys: tuple
     centers: np.ndarray
     radii: np.ndarray
     weights: np.ndarray        # barycentric weights of the centers
     degenerate: np.ndarray
 
-    @cached_property
-    def row_of(self) -> dict:
-        return {key: i for i, key in enumerate(self.keys)}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilteredComplex:
+    """The filtration of ``skeleton`` by each simplex's ``birth`` radius,
+    realized by the simplex ``realizer``, both by global index; the rest are
+    views made on first use."""
+
     kind: str                  # "rips" | "alpha"
     config: Configuration
-    entries: tuple             # FiltEntry sorted by (radius, dim, key)
-    skeleton: _delaunay.Skeleton = field(compare=False, repr=False)
-    order: np.ndarray = field(compare=False, repr=False)  # global index of each entry
-    spheres: dict = field(default_factory=dict)  # dim -> Circumspheres (alpha)
-    delaunay: _delaunay.DelaunayComplex | None = field(default=None, compare=False, repr=False)
+    skeleton: _delaunay.Skeleton = field(repr=False)
+    birth: np.ndarray = field(repr=False)
+    realizer: np.ndarray = field(repr=False)
+    spheres: dict = field(default_factory=dict, repr=False)  # dim -> Circumspheres (alpha)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.order)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The global index of each simplex in filtration order; a stable sort
+        keeps global index order, which is (dim, key) order, among equal radii."""
+        return np.argsort(self.birth, kind="stable")
+
+    @cached_property
+    def entries(self) -> tuple:
+        """FiltEntry per simplex, sorted by (radius, dim, key)."""
+        keys, order = self.skeleton.keys, self.order
+        birth, realizer = self.birth[order].tolist(), self.realizer[order].tolist()
+        return tuple(
+            FiltEntry(keys[i], len(keys[i]) - 1, r, keys[a])
+            for i, r, a in zip(order.tolist(), birth, realizer)
+        )
 
     @cached_property
     def keys(self) -> tuple:
         """The simplex keys in filtration order."""
-        return tuple(e.key for e in self.entries)
+        return tuple(map(self.skeleton.keys.__getitem__, self.order.tolist()))
 
     @cached_property
     def attaching_radii(self) -> tuple:
         """(radius, key) of every attaching simplex of dimension >= 1, sorted."""
-        return tuple(sorted(
-            (e.radius, e.key) for e in self.entries if e.key == e.attaching and e.dim >= 1
-        ))
+        keys = self.skeleton.keys
+        at = np.flatnonzero(self.realizer == np.arange(len(keys)))
+        at = at[at >= self.skeleton.offsets.get(1, len(keys))].tolist()
+        return tuple(sorted(zip(self.birth[at].tolist(), map(keys.__getitem__, at))))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -92,24 +110,14 @@ class FilteredComplex:
         return buf.getvalue()
 
 
-def _filtered(kind, config, skeleton, birth, realizer, **alpha) -> FilteredComplex:
-    """The filtration of ``skeleton`` by each simplex's ``birth`` radius,
-    realized by the simplex ``realizer``, both in global index order; a stable
-    sort keeps that order, which is (dim, key) order, among equal radii."""
-    order = np.argsort(birth, kind="stable")
-    keys = skeleton.keys
-    entries = tuple(
-        FiltEntry(keys[i], len(keys[i]) - 1, r, keys[a])
-        for i, r, a in zip(order.tolist(), birth[order].tolist(), realizer[order].tolist())
-    )
-    return FilteredComplex(kind, config, entries, skeleton, order, **alpha)
-
-
-def build_rips(config: Configuration, max_dim: int = 3) -> FilteredComplex:
-    """Rips filtration with all simplices up to dimension ``max_dim``.
-
-    Raises PdcontError, before allocating anything, when the complex would
-    have more than ``RIPS_MAX_SIMPLICES`` simplices.
+def build_rips(
+    config: Configuration, max_dim: int = 3, previous: _delaunay.Skeleton | None = None
+) -> FilteredComplex:
+    """Rips filtration with all simplices up to dimension ``max_dim``; a simplex
+    is born at half its first longest edge in ``combinations`` order, which
+    realizes it. ``previous`` is the skeleton of a Rips complex, shared when
+    it has as many points and dimensions. Raises PdcontError, before
+    allocating anything, above ``RIPS_MAX_SIMPLICES`` simplices.
     """
     m = config.n_points
     k = min(max_dim + 1, m)
@@ -119,18 +127,27 @@ def build_rips(config: Configuration, max_dim: int = 3) -> FilteredComplex:
             f"a Rips complex of {m} points up to dimension {k - 1} has {size} simplices, "
             f"more than {RIPS_MAX_SIMPLICES}"
         )
-    skeleton = _delaunay._skeleton(np.array(list(itertools.combinations(range(m), k))), m)
-    # a birth is realized by its longest edge, a vertex's by the vertex itself
-    index = {key: i for i, key in enumerate(skeleton.keys[:skeleton.offsets.get(2)])}
-    birth, realizer = np.empty(len(skeleton.keys)), np.empty(len(skeleton.keys), dtype=int)
-    for i, key in enumerate(skeleton.keys):
-        b = rips_birth_radius(key, config)
-        birth[i], realizer[i] = b.radius, index[b.edge]
-    return _filtered("rips", config, skeleton, birth, realizer)
+    skeleton = previous
+    if skeleton is None or skeleton.n_points != m or len(skeleton.vertices) != k:
+        skeleton = _delaunay._skeleton(np.array(list(itertools.combinations(range(m), k))), m)
+    birth, realizer = np.zeros(len(skeleton.keys)), np.arange(len(skeleton.keys))
+    if k > 1:
+        pts, at = config.points, skeleton.offsets[1]
+        # one norm call per edge rounds as geometry.rips_birth_radius does
+        length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in skeleton.by_dim[1]])
+        birth[at:at + len(length)] = length / 2.0
+        for dim in range(2, k):
+            rows = skeleton.edge_rows(dim)
+            longest = at + rows[np.arange(len(rows)), np.argmax(length[rows], axis=1)]
+            first = skeleton.offsets[dim]
+            birth[first:first + len(rows)] = birth[longest]
+            realizer[first:first + len(rows)] = longest
+    return FilteredComplex("rips", config, skeleton, birth, realizer)
 
 
-def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredComplex:
-    """Alpha filtration on the Delaunay complex ``dc`` of ``config``.
+def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
+    """Alpha filtration on the Delaunay skeleton of the cloud; ``previous`` is
+    the skeleton of a nearby cloud, shared when the tetrahedra agree.
 
     Birth radius of a simplex is the smallest circumradius among its attaching
     cofaces (itself included when attaching); the realizing coface is stored
@@ -138,8 +155,7 @@ def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredCo
     tetrahedra before triangles, then to the smaller key. The circumspheres of
     every simplex of dimension 1 to 3 are kept on the complex.
     """
-    pts = config.points
-    skeleton = dc.skeleton
+    pts, skeleton = config.points, _delaunay.delaunay3(config, previous)
     spheres = {}
     # each simplex's radius as a birth candidate: inf where it is not attaching
     candidate = np.zeros(len(skeleton.keys))
@@ -147,8 +163,8 @@ def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredCo
         verts = skeleton.vertices.get(dim)
         if verts is None:
             continue
-        kept = spheres[dim] = Circumspheres(dc.by_dim[dim], *circumspheres(pts[verts]))
-        flags = _delaunay.attaching_flags(dc, dim, kept.centers, kept.radii)
+        kept = spheres[dim] = Circumspheres(*circumspheres(pts[verts]))
+        flags = _delaunay.attaching_flags(pts, skeleton, dim, kept.centers, kept.radii)
         at = skeleton.offsets[dim]
         candidate[at:at + len(verts)] = np.where(flags, kept.radii, np.inf)
     cofaces, faces, first = skeleton.faces
@@ -156,26 +172,19 @@ def alpha_on(config: Configuration, dc: _delaunay.DelaunayComplex) -> FilteredCo
     # the earliest candidate at each simplex's smallest radius
     hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
     best = hits[np.searchsorted(hits, first)]
-    return _filtered(
-        "alpha", config, skeleton, radii[best], cofaces[best], spheres=spheres, delaunay=dc
-    )
-
-
-def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
-    """Alpha filtration of the cloud; see ``alpha_on``. ``previous`` is the
-    Delaunay complex of a nearby cloud, whose skeleton is shared when the
-    tetrahedra agree."""
-    return alpha_on(config, _delaunay.delaunay3(config, previous))
+    return FilteredComplex("alpha", config, skeleton, radii[best], cofaces[best], spheres)
 
 
 def build(
     config: Configuration, kind: str, max_dim: int = 3, previous: FilteredComplex | None = None
 ) -> FilteredComplex:
-    """Rips or alpha filtration; an alpha build shares the Delaunay skeleton
-    of ``previous``, the filtration of a nearby cloud, when it still holds."""
-    kind = kind.lower()
-    if kind in ("rips", "vr"):
-        return build_rips(config, max_dim=max_dim)
+    """Rips or alpha filtration; the build shares the skeleton of
+    ``previous``, the filtration of a nearby cloud of the same kind, when it
+    still holds."""
+    kind = {"vr": "rips"}.get(kind.lower(), kind.lower())
+    skeleton = previous.skeleton if previous is not None and previous.kind == kind else None
+    if kind == "rips":
+        return build_rips(config, max_dim=max_dim, previous=skeleton)
     if kind == "alpha":
-        return build_alpha(config, previous.delaunay if previous is not None else None)
+        return build_alpha(config, skeleton)
     raise ValueError(f"unknown filtration kind {kind!r}")

@@ -52,6 +52,8 @@ class Configuration:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must be an (M, 3) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         if pts.shape[0] < 1:
             raise ValueError("need at least one point")
         if self.gauge and pts.shape[0] < 3:
@@ -295,18 +297,19 @@ def check_general_position(fc, tol: float = 1e-9):
         report.violations.extend(_radius_ties(fc.attaching_radii, tol))
         return report
 
-    # the circumspheres the alpha build kept, per dimension in sorted key order
-    for spheres in fc.spheres.values():
+    # the circumspheres the alpha build kept, row for row with the skeleton
+    skeleton = fc.skeleton
+    for dim, spheres in fc.spheres.items():
         report.violations.extend(
-            GPViolation("degenerate_simplex", (spheres.keys[s],))
+            GPViolation("degenerate_simplex", (skeleton.by_dim[dim][s],))
             for s in np.flatnonzero(spheres.degenerate)
         )
     report.violations.extend(_radius_ties(fc.attaching_radii, tol))
 
     if 3 not in fc.spheres:
         return report
-    tets, centers, radii = fc.spheres[3].keys, fc.spheres[3].centers, fc.spheres[3].radii
-    t_idx, far = fc.skeleton.across
+    tets, centers, radii = skeleton.tetrahedra, fc.spheres[3].centers, fc.spheres[3].radii
+    t_idx, far = skeleton.across
     close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
     near = {(tets[t], int(p)): float(radii[t]) for t, p in zip(t_idx[close], far[close])}
     report.violations.extend(

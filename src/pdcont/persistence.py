@@ -178,28 +178,27 @@ def persistence_data(
     """Select the dimension-``dim`` pairs, dropping those within eps of the diagonal."""
     if dim < 0 or epsilon < 0:
         raise ValueError("dim and epsilon must be nonnegative")
-    entries = fc.entries
+    keys, offsets = fc.skeleton.keys, fc.skeleton.offsets
+    birth, realizer, order = fc.birth.tolist(), fc.realizer.tolist(), fc.order.tolist()
+    lo, hi = offsets.get(dim, len(keys)), offsets.get(dim + 1, len(keys))  # dim's global indices
     finite = []
     for i, j in reduction.pairs:
-        if entries[i].dim != dim:
+        s, t = order[i], order[j]
+        if not lo <= s < hi:
             continue
-        b, d = entries[i].radius, entries[j].radius
+        b, d = birth[s], birth[t]
         if b >= d:
             continue  # zero-length interval: trivial summand
         if (d - b) / 2.0 < epsilon:
             continue
         finite.append(
-            FinitePair(
-                b, d, i, j,
-                entries[i].key, entries[j].key,
-                entries[i].attaching, entries[j].attaching,
-            )
+            FinitePair(b, d, i, j, keys[s], keys[t], keys[realizer[s]], keys[realizer[t]])
         )
     finite.sort(key=lambda p: (p.birth, p.death, p.birth_key))
     essential = [
-        EssentialClass(entries[i].radius, i, entries[i].key, entries[i].attaching)
+        EssentialClass(birth[order[i]], i, keys[order[i]], keys[realizer[order[i]]])
         for i in reduction.essentials
-        if entries[i].dim == dim
+        if lo <= order[i] < hi
     ]
     essential.sort(key=lambda e: (e.birth, e.birth_key))
     return PersistenceData(fc.kind, dim, epsilon, tuple(finite), tuple(essential))

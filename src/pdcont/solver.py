@@ -13,12 +13,12 @@ Each configuration's filtration, diagram, matched Jacobian and SVD are
 computed once (``_Evaluation``): the accepted configuration of one step starts
 the next solve, and the Jacobian's SVD also gives the pseudo-inverse when no
 rows are stacked below it. Each Newton iterate is evaluated with the previous
-one: when Qhull returns the same tetrahedra the build shares the previous
-Delaunay skeleton (its closure, cofacets and index arrays), and when the
-simplex order is unchanged the previous Z/2 pairing is kept, since a
-reduction depends on the order alone. Every radius and diagram value is
-computed anew, so the results are bit for bit those of recomputing
-everything at every iterate.
+one: the build shares the previous skeleton (its closure, cofacets, key
+index and index arrays), a Delaunay one when Qhull returns the same
+tetrahedra and a Rips one always, and when the simplex order is unchanged
+the previous Z/2 pairing is kept, since a reduction depends on the order
+alone. Every radius and diagram value is computed anew, so the results are
+bit for bit those of recomputing everything at every iterate.
 """
 
 from __future__ import annotations
@@ -278,12 +278,13 @@ class _Evaluation:
 def _evaluate(config, kind, dim, eps, max_dim, previous=None) -> _Evaluation:
     """Evaluate ``config``; ``previous`` is the evaluation of a nearby one.
 
-    The build shares the previous Delaunay skeleton when the tetrahedra agree,
-    and a Z/2 reduction depends on the simplex order alone, so an unchanged
-    order keeps the previous pairing.
+    The build shares the previous skeleton while it holds (a Rips skeleton
+    always does), and a Z/2 reduction depends on the simplex order alone, so
+    an unchanged order on the same skeleton keeps the previous pairing.
     """
     fc = build(config, kind, max_dim=max_dim, previous=previous.fc if previous else None)
-    if previous is not None and fc.keys == previous.fc.keys:
+    same = previous is not None and fc.skeleton is previous.fc.skeleton
+    if same and np.array_equal(fc.order, previous.fc.order):
         red = previous.reduction
     else:
         red = reduce_boundary(boundary_matrix(fc))
@@ -321,14 +322,14 @@ def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
     Only the step direction is affected; the convergence test uses the true
     diagram residual.
     """
-    entry_by_key = {e.key: e for e in fc.entries}
+    index, birth, realizer = fc.skeleton.index, fc.birth, fc.realizer
     generator_keys = set()
     for rec in matched:
         generator_keys.add(rec.birth_key)
         generator_keys.add(rec.death_key)
     attaching = fc.attaching_radii
 
-    keys, res = [], []
+    simplices, res = [], []
     for i, rec in enumerate(matched):
         for which, current, value in (
             ("birth", rec.birth_key, rec.birth),
@@ -344,15 +345,16 @@ def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
             for key in sorted(candidates):
                 if key == current or key in generator_keys:
                     continue
-                entry = entry_by_key.get(key)
-                if entry is None or entry.dim != len(current) - 1:
+                g = index.get(key)
+                if g is None or len(key) != len(current):
                     continue
+                radius = float(birth[g])
                 slot_key = (i, which, key)
                 if slot_key not in offsets:
-                    offsets[slot_key] = entry.radius / value if value else 1.0
-                keys.append(entry.attaching)
-                res.append(entry.radius - target * offsets[slot_key])
-    rows, norms = _attaching_gradients(fc, keys)
+                    offsets[slot_key] = radius / value if value else 1.0
+                simplices.append(realizer[g])
+                res.append(radius - target * offsets[slot_key])
+    rows, norms = _attaching_gradients(fc, simplices)
     keep = ~(norms > _TIE_GRADIENT_CAP)  # a sliver's radius is too ill-conditioned to pin
     return rows[keep], np.array(res)[keep]
 

@@ -97,13 +97,13 @@ def config_from_vector(vec, gauge: bool = True) -> Configuration:
     return Configuration(vec.reshape(-1, 3), gauge=False)
 
 
-def dump_text(dc) -> str:
-    """Plain-text listing of a Delaunay complex's tetrahedra (one per line)."""
-    lines = [f"# delaunay complex: {dc.points.shape[0]} points, "
-             f"{len(dc.tetrahedra)} tetrahedra"]
-    for tet in dc.tetrahedra:
+def dump_text(points, skeleton) -> str:
+    """Plain-text listing of a Delaunay skeleton's tetrahedra (one per line)."""
+    lines = [f"# delaunay complex: {points.shape[0]} points, "
+             f"{len(skeleton.tetrahedra)} tetrahedra"]
+    for tet in skeleton.tetrahedra:
         corner = " ".join(
-            "(" + " ".join(f"{x:.9g}" for x in dc.points[v]) + ")" for v in tet
+            "(" + " ".join(f"{x:.9g}" for x in points[v]) + ")" for v in tet
         )
         lines.append(f"{tet[0]} {tet[1]} {tet[2]} {tet[3]}  {corner}")
     return "\n".join(lines)

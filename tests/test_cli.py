@@ -33,6 +33,47 @@ class TestInputParsing:
         with pytest.raises(cli.DegenerateInput):
             cli.read_cloud(str(path))
 
+    @pytest.mark.parametrize("text", [
+        "0 0 0\n8 0 0\n5 nan 0\n4 2 6\n",
+        "0 0 0\n8 0 0\n5 6 0\n4 2 inf\n",
+        "[[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, NaN]]",
+        "[[0, 0, 0], [8, 0, 0], [5, 6, -Infinity], [4, 2, 6]]",
+        "0 0 0\n8 0\n",
+        "0 0 0\n8 0 x\n",
+    ])
+    def test_malformed_cloud_is_degenerate_input(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(cli.DegenerateInput):
+            cli.read_cloud(str(path))
+
+    @pytest.mark.parametrize("filtration", ["alpha", "rips"])
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_non_finite_cloud_exits_3(self, tmp_path, capsys, filtration, m):
+        points = np.random.RandomState(0).rand(m, 3)
+        points[m - 1, 1] = np.nan
+        path = tmp_path / "nan.xyz"
+        path.write_text("\n".join(" ".join(map(str, p)) for p in points))
+        args = ["diagram", "-i", str(path), "--filtration", filtration, "--dim", "1"]
+        assert cli.main(args) == 3
+        assert cli.main(args + ["--no-gauge"]) == 3
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [
+        "5", "abc", "[1,2]", '[[8.4,"x"]]', "[[8.4, 8.9, 9.0]]", "[[8.4, NaN]]",
+        "[[8.4, Infinity]]", '{"pairs": []}', "[[]]",
+    ])
+    def test_malformed_target_is_usage_error(self, ex1_file, tmp_path, capsys, target):
+        out = str(tmp_path / "run")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["continue", "-i", ex1_file, "--dim", "2", "--target", target, "--out", out])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
+
+    def test_target_vector(self):
+        np.testing.assert_array_equal(cli.target_vector("[[4.48, 4.66], [1, 2]]"), [4.48, 4.66, 1, 2])
+        assert cli.target_vector("[]").shape == (0,)
+
 
 class TestDiagramCommand:
     def test_example1_values(self, ex1_file, tmp_path, capsys):

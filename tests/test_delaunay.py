@@ -13,7 +13,6 @@ from pdcont.delaunay import (
     attaching_flags,
     delaunay3,
     insphere_exact,
-    is_attaching,
     orient3d_exact,
 )
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
@@ -41,10 +40,10 @@ def _cfg(pts):
 class TestDelaunay3:
     def test_four_generic_points(self):
         dc = delaunay3(_cfg([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1.0]]))
-        assert len(dc.simplices(3)) == 1
-        assert len(dc.simplices(2)) == 4
-        assert len(dc.simplices(1)) == 6
-        assert len(dc.simplices(0)) == 4
+        assert len(dc.by_dim[3]) == 1
+        assert len(dc.by_dim[2]) == 4
+        assert len(dc.by_dim[1]) == 6
+        assert len(dc.by_dim[0]) == 4
 
     def test_example_cloud_single_tetrahedron(self):
         dc = delaunay3(_cfg(EX1_CLOUD))
@@ -54,8 +53,8 @@ class TestDelaunay3:
         rng = np.random.RandomState(12345)
         pts = random_cloud(rng, 20)
         dc = delaunay3(_cfg(pts))
-        assert len(dc.simplices(3)) >= 1
-        for tet in dc.simplices(3):
+        assert len(dc.by_dim[3]) >= 1
+        for tet in dc.by_dim[3]:
             center, radius = circumsphere_lstsq(pts[list(tet)])
             others = [i for i in range(20) if i not in tet]
             dmin = min(np.linalg.norm(pts[o] - center) for o in others)
@@ -65,9 +64,9 @@ class TestDelaunay3:
         rng = np.random.RandomState(9)
         pts = random_cloud(rng, 12)
         dc = delaunay3(_cfg(pts))
-        tris = set(dc.simplices(2))
-        edges = set(dc.simplices(1))
-        for tet in dc.simplices(3):
+        tris = set(dc.by_dim[2])
+        edges = set(dc.by_dim[1])
+        for tet in dc.by_dim[3]:
             for face in itertools.combinations(tet, 3):
                 assert face in tris
             for edge in itertools.combinations(tet, 2):
@@ -104,7 +103,7 @@ class TestDelaunay3:
             pts = random_cloud(rng, m)
             dc = delaunay3(_cfg(pts))
             total = 0.0
-            for tet in dc.simplices(3):
+            for tet in dc.by_dim[3]:
                 v = pts[list(tet)]
                 total += abs(np.linalg.det(v[1:] - v[0])) / 6.0
             hull = hull_volume_bruteforce(pts)
@@ -130,15 +129,15 @@ class TestDelaunay3:
 
     def test_small_clouds(self):
         dc = delaunay3(_cfg([[0.0, 0, 0]]))
-        assert dc.simplices(0) == ((0,),)
+        assert dc.by_dim[0] == ((0,),)
         dc = delaunay3(_cfg([[0.0, 0, 0], [1, 0, 0]]))
-        assert dc.simplices(1) == ((0, 1),)
+        assert dc.by_dim[1] == ((0, 1),)
         dc = delaunay3(_cfg([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
-        assert dc.simplices(2) == ((0, 1, 2),)
+        assert dc.by_dim[2] == ((0, 1, 2),)
 
     def test_dump_text(self):
         dc = delaunay3(_cfg(EX1_CLOUD))
-        text = dump_text(dc)
+        text = dump_text(EX1_CLOUD, dc)
         assert "0 1 2 3" in text
         assert text.startswith("# delaunay complex")
 
@@ -210,30 +209,52 @@ class TestVerification:
             delaunay3(_cfg(pts))
 
 
+class TestSkeletonIndex:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 60))
+    def test_index_numbers_every_key(self, seed, m):
+        dc = delaunay3(_cfg(random_cloud(np.random.RandomState(seed), m)))
+        assert len(dc.index) == len(dc.keys)
+        for i, key in enumerate(dc.keys):
+            assert dc.index[key] == i
+        # a key is present iff it is a simplex of the triangulation
+        edges = set(dc.by_dim[1])
+        for edge in itertools.combinations(range(m), 2):
+            assert (edge in dc.index) == (edge in edges)
+        assert (m,) not in dc.index and (0, 1, 2, 3, 4) not in dc.index
+
+
+def _flags(pts, dc, dim):
+    """attaching_flags of every ``dim``-simplex, from a fresh kernel call."""
+    pts = np.asarray(pts, dtype=float)
+    if dim == 0:
+        return attaching_flags(pts, dc, 0, pts, np.zeros(len(pts)))
+    centers, radii, _, _ = circumspheres(pts[np.array(dc.by_dim[dim])])
+    return attaching_flags(pts, dc, dim, centers, radii)
+
+
 class TestIsAttaching:
     def test_vertices_always_attach(self):
         dc = delaunay3(_cfg(EX1_CLOUD))
-        for v in range(4):
-            assert is_attaching((v,), dc)
+        assert _flags(EX1_CLOUD, dc, 0).tolist() == [True] * 4
 
     def test_obtuse_triangle_longest_edge(self):
         pts = [[0, 0, 0], [4, 0, 0], [2, 0.5, 0]]
         dc = delaunay3(_cfg(pts))
-        assert not is_attaching((0, 1), dc)  # opposite vertex inside diametric ball
-        assert is_attaching((0, 2), dc)
-        assert is_attaching((1, 2), dc)
-        assert is_attaching((0, 1, 2), dc)  # only points lie on its circumcircle
+        assert dc.by_dim[1] == ((0, 1), (0, 2), (1, 2))
+        # the opposite vertex lies inside the diametric ball of (0, 1)
+        assert _flags(pts, dc, 1).tolist() == [False, True, True]
+        assert _flags(pts, dc, 2).tolist() == [True]  # only points lie on its circumcircle
 
     def test_example_cloud_vs_bruteforce(self):
         pts = EX1_CLOUD
         dc = delaunay3(_cfg(pts))
-        for key in dc.all_simplices():
-            if len(key) < 2:
-                continue
-            center, radius = circumsphere_lstsq(pts[list(key)])
-            others = [i for i in range(4) if i not in key]
-            expected = all(np.linalg.norm(pts[o] - center) >= radius for o in others)
-            assert is_attaching(key, dc) == expected
+        for dim in (1, 2, 3):
+            for key, flag in zip(dc.by_dim[dim], _flags(pts, dc, dim)):
+                center, radius = circumsphere_lstsq(pts[list(key)])
+                others = [i for i in range(4) if i not in key]
+                expected = all(np.linalg.norm(pts[o] - center) >= radius for o in others)
+                assert flag == expected
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
@@ -241,10 +262,7 @@ class TestIsAttaching:
         pts = random_cloud(np.random.RandomState(seed), m)
         dc = delaunay3(_cfg(pts))
         for dim in (1, 2, 3):
-            keys = dc.simplices(dim)
-            centers, radii, _, _ = circumspheres(pts[np.array(keys)])
-            flags = attaching_flags(dc, dim, centers, radii)
-            for key, flag in zip(keys, flags):
+            for key, flag in zip(dc.by_dim[dim], _flags(pts, dc, dim)):
                 expected = all_points_attaching(pts, key)
                 if expected is not None:
                     assert flag == expected, key

@@ -151,7 +151,7 @@ class TestBatchedGradients:
         fc = build(config, kind, max_dim=3)
         keys = [e.attaching for e in fc.entries]
         keys = [keys[i] for i in rng.permutation(len(keys))]  # sizes interleaved
-        rows, norms = _attaching_gradients(fc, keys)
+        rows, norms = _attaching_gradients(fc, [fc.skeleton.index[key] for key in keys])
         assert rows.shape == (len(keys), config.free_dim)
         for key, row, norm in zip(keys, rows, norms):
             expected_row, expected_norm = _one_at_a_time(kind, key, config)
@@ -170,7 +170,7 @@ class TestBatchedGradients:
         config = to_gauge_frame(random_cloud(np.random.RandomState(seed), m))
         fc = build(config, "alpha")
         keys = sorted({e.attaching for e in fc.entries if e.dim >= 1}, key=lambda k: (len(k), k))
-        rows, _ = _attaching_gradients(fc, keys)
+        rows, _ = _attaching_gradients(fc, [fc.skeleton.index[key] for key in keys])
         cols = _free_columns(config.n_points, config.gauge)
         expected = np.zeros((len(keys), config.free_dim + 1))
         start = 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pdcont import filtration
 from pdcont.errors import PdcontError
-from pdcont.filtration import build_alpha, build_rips
+from pdcont.filtration import build, build_alpha, build_rips
 from pdcont.geometry import Configuration
 from pdcont.persistence import betti_numbers, diagram
 
@@ -82,6 +82,17 @@ class TestBuildRips:
         cfg = _cfg(points)
         assert build_rips(cfg, max_dim).entries == build_rips_reference(cfg, max_dim)
 
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), max_dim=st.integers(0, 3))
+    def test_index_numbers_every_key(self, seed, m, max_dim):
+        skeleton = build_rips(_cfg(random_cloud(np.random.RandomState(seed), m)), max_dim).skeleton
+        assert len(skeleton.index) == len(skeleton.keys)
+        for i, key in enumerate(skeleton.keys):
+            assert skeleton.index[key] == i
+        # absent: a vertex out of range and a simplex one dimension too high
+        assert (m,) not in skeleton.index
+        assert tuple(range(min(max_dim + 2, m + 1))) not in skeleton.index
+
     def test_large_complex_refused(self):
         # C(400, 4) simplices: refused before any is enumerated
         with pytest.raises(PdcontError, match="simplices"):
@@ -94,6 +105,34 @@ class TestBuildRips:
         assert len(build_rips(_cfg(cfg.points[:4]), max_dim=3)) == 15
         with pytest.raises(PdcontError):
             build_rips(cfg, max_dim=2)
+
+
+class TestPrevious:
+    """A build shares the skeleton of a previous complex of its own kind only."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 9), max_dim=st.integers(1, 3))
+    def test_other_kind_shares_nothing(self, seed, m, max_dim):
+        cfg = _cfg(random_cloud(np.random.RandomState(seed), m))
+        alpha, rips = build(cfg, "alpha"), build(cfg, "rips", max_dim=max_dim)
+        from_rips = build(cfg, "alpha", previous=rips)
+        from_alpha = build(cfg, "rips", max_dim=max_dim, previous=alpha)
+        assert from_rips.skeleton is not rips.skeleton
+        assert from_alpha.skeleton is not alpha.skeleton
+        assert from_rips.entries == alpha.entries
+        assert from_alpha.entries == rips.entries
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), max_dim=st.integers(0, 3))
+    def test_rips_skeleton_is_shared(self, seed, m, max_dim):
+        rng = np.random.RandomState(seed)
+        before, after = _cfg(random_cloud(rng, m)), _cfg(random_cloud(rng, m))
+        previous = build(before, "rips", max_dim=max_dim)
+        reused = build(after, "rips", max_dim=max_dim, previous=previous)
+        assert reused.skeleton is previous.skeleton
+        assert reused.entries == build_rips_reference(after, max_dim)
+        other = build(after, "rips", max_dim=max_dim + 1, previous=previous)
+        assert (other.skeleton is previous.skeleton) == (m <= max_dim + 1)
 
 
 class TestBuildAlpha:

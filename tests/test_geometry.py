@@ -68,6 +68,14 @@ class TestPacking:
         assert config.free_dim == 12
         np.testing.assert_array_equal(config.pack(), pts.ravel())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.RandomState(0).randn(4, 3)
+        pts[2, 1] = bad
+        for gauge in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                Configuration(pts, gauge=gauge)
+
 
 class TestGaugeFrame:
     def test_identity_on_gauged_cloud(self):

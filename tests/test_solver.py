@@ -343,8 +343,8 @@ class TestEvaluatedOnce:
 def _evaluation_bytes(ev):
     """Everything an evaluation computed, with arrays as raw bytes."""
     spheres = {
-        dim: (sp.keys, sp.centers.tobytes(), sp.radii.tobytes(), sp.weights.tobytes(),
-              sp.degenerate.tobytes())
+        dim: (ev.fc.skeleton.by_dim[dim], sp.centers.tobytes(), sp.radii.tobytes(),
+              sp.weights.tobytes(), sp.degenerate.tobytes())
         for dim, sp in ev.fc.spheres.items()
     }
     return ev.fc.entries, spheres, ev.reduction, ev.pd
@@ -400,7 +400,7 @@ class TestReuseAcrossIterates:
     def test_small_move_reuses_everything(self, seed, m):
         points, direction = _cloud_and_direction(seed, m)
         previous, reused = self._check(points, points + 1e-12 * direction)
-        assert reused.fc.delaunay.skeleton is previous.fc.delaunay.skeleton
+        assert reused.fc.skeleton is previous.fc.skeleton
         assert reused.reduction is previous.reduction
 
     @settings(PROPERTY, max_examples=30)
@@ -412,8 +412,8 @@ class TestReuseAcrossIterates:
         assume(pair is not None)
         previous, reused = self._check(*pair)
         # the first change along the path is a swap of two radii, not a flip
-        assume(reused.fc.delaunay.tetrahedra == previous.fc.delaunay.tetrahedra)
-        assert reused.fc.delaunay.skeleton is previous.fc.delaunay.skeleton
+        assume(reused.fc.skeleton.tetrahedra == previous.fc.skeleton.tetrahedra)
+        assert reused.fc.skeleton is previous.fc.skeleton
         assert reused.fc.keys != previous.fc.keys
         assert reused.reduction is not previous.reduction
 
@@ -428,6 +428,6 @@ class TestReuseAcrossIterates:
         )
         assume(pair is not None)
         previous, reused = self._check(*pair)
-        assert reused.fc.delaunay.tetrahedra != previous.fc.delaunay.tetrahedra
-        assert reused.fc.delaunay.skeleton is not previous.fc.delaunay.skeleton
+        assert reused.fc.skeleton.tetrahedra != previous.fc.skeleton.tetrahedra
+        assert reused.fc.skeleton is not previous.fc.skeleton
         assert reused.reduction is not previous.reduction
