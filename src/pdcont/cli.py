@@ -5,7 +5,7 @@ Outputs are deterministic: all floats print with 9 significant digits and any
 randomness is seeded. Exit codes: 0 success, 1 failed verdict or
 general-position violations found by `check`, 3 degenerate input, 4 general
 position violation, 5 gauge violation, 6 layout/matching error, 7 diagram
-error, 8 other library error, 2 usage.
+error, 8 other library error, 2 usage (including numbers out of range).
 """
 
 from __future__ import annotations
@@ -83,6 +83,27 @@ def target_vector(text: str) -> np.ndarray:
     except (ValueError, TypeError, OverflowError):
         pass
     raise argparse.ArgumentTypeError(f"need a JSON list of finite [birth, death] pairs: {text!r}")
+
+
+def _bounded(convert, ok, need):
+    """An argparse type: the argument under ``convert`` when ``ok`` holds for
+    it; anything else is a usage error that says what is needed."""
+
+    def parse(text):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}: {text!r}")
+
+    return parse
+
+
+positive_number = _bounded(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+nonnegative_number = _bounded(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+positive_int = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+nonnegative_int = _bounded(int, lambda n: n >= 0, "an integer >= 0")
 
 
 def write_cloud(path: str, points: np.ndarray):
@@ -356,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", required=True, help="cloud file (JSON or XYZ text), '-' for stdin")
         p.add_argument("--filtration", choices=("alpha", "rips"), default="alpha")
         if needs_dim:
-            p.add_argument("--dim", type=int, default=2, help="homology dimension")
-            p.add_argument("--epsilon", type=float, default=0.0, help="diagonal truncation")
+            p.add_argument("--dim", type=nonnegative_int, default=2, help="homology dimension")
+            p.add_argument("--epsilon", type=nonnegative_number, default=0.0,
+                           help="diagonal truncation")
         p.add_argument("--no-gauge", action="store_true", help="keep raw coordinates (no rigid-motion gauge)")
         p.add_argument("--jitter-seed", type=int, default=None, help="seeded jitter of 1e-9 x scale")
         p.add_argument("--gp-tol", type=float, default=1e-9, help="general-position tie tolerance")
@@ -380,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", required=True, type=target_vector,
                    help='target pairs, e.g. "[[8.4, 8.9]]"')
-    p.add_argument("--step", type=float, default=0.01, help="segment length per step")
-    p.add_argument("--n-steps", type=int, default=None, help="override step count")
+    p.add_argument("--step", type=positive_number, default=0.01,
+                   help="segment length per step")
+    p.add_argument("--n-steps", type=positive_int, default=None, help="override step count")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=nonnegative_int, default=50)
     p.add_argument("--sigma-cutoff", type=float, default=1e-12, help="relative pseudo-inverse cutoff")
     p.add_argument("--adaptive", action="store_true", help="halve the step on failure (up to 6 times)")
     p.add_argument("--tie-window", type=float, default=0.0,

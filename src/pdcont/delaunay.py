@@ -280,13 +280,13 @@ def _verify_empty(points, skeleton: Skeleton):
             )
 
 
-def _affine_dim(pts, rel_tol=1e-12):
+def _affine_dim(pts):
     rel = pts - pts[0]
     if rel.shape[0] == 1:
         return 0
     sv = np.linalg.svd(rel, compute_uv=False)
     scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    return int(np.sum(sv > rel_tol * scale))
+    return int(np.sum(sv > 1e-12 * scale))
 
 
 def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skeleton:
@@ -309,11 +309,8 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
         top = np.arange(m)[None]
     elif m == 4:
         # the Delaunay complex of four non-coplanar points is the tetrahedron
-        orient = float(np.linalg.det(pts[1:] - pts[0]))
-        scale = np.abs(pts - pts.mean(axis=0)).max() or 1.0
-        if abs(orient) <= 1e-9 * scale**3:
-            if orient3d_exact(*pts) == 0:
-                raise DegenerateInput("four coplanar points")
+        if _orient_signs(pts[None])[0] == 0:
+            raise DegenerateInput("four coplanar points")
         top = np.arange(m)[None]
     else:
         try:

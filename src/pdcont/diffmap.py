@@ -29,7 +29,6 @@ from .persistence import PersistenceData
 class JacobianRow:
     pair_index: int          # index into pd.finite (or pd.essential)
     coord: str               # "birth" | "death" | "essential"
-    simplex_key: tuple       # generating simplex
     attaching_key: tuple     # simplex whose circumradius realizes the value
     value: float
 
@@ -102,20 +101,20 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
     return rows[:, :-1], norms
 
 
-def _warn_near_ties(rows, fc: FilteredComplex, tol: float):
-    attaching = fc.attaching_radii
+_TIE_TOL = 1e-9  # attaching radii this close are a near tie
+
+
+def _warn_near_ties(rows, fc: FilteredComplex):
     events = []
     for info in rows:
         if len(info.attaching_key) == 1:
             continue
-        lo = bisect.bisect_left(attaching, (info.value - tol, ()))
-        hi = bisect.bisect_right(attaching, (info.value + tol, (np.inf,)))
-        for r, key in attaching[lo:hi]:
+        for r, key in fc.attaching_within(info.value, _TIE_TOL):
             if key != info.attaching_key:
                 events.append((info.attaching_key, key, info.value, r))
     if events:
         warnings.warn(
-            f"{len(events)} attaching radius tie(s) within {tol:g}; "
+            f"{len(events)} attaching radius tie(s) within {_TIE_TOL:g}; "
             "derivative selection is order-dependent there",
             NearDegenerateJacobian,
             stacklevel=3,
@@ -128,32 +127,28 @@ def jacobian(
     pd: PersistenceData,
     include_essential: bool | None = None,
     fc: FilteredComplex | None = None,
-    tie_tol: float = 1e-9,
 ) -> PersistenceJacobian:
     """Derivative of the diagram coordinates w.r.t. the free gauge coordinates.
 
     Row order follows the coordinate layout (b1, d1, b2, d2, ..., essentials).
     Essential rows are included for dimension 0 by default. ``fc`` is the
     filtered complex ``pd`` came from; without it the complex is built again.
-    When it is supplied, near-ties between attaching radii trigger a
-    NearDegenerateJacobian warning.
+    When it is supplied, attaching radii within ``_TIE_TOL`` of each other
+    trigger a NearDegenerateJacobian warning.
     """
     if include_essential is None:
         include_essential = pd.dim == 0
     rows = []
     for idx, pair in enumerate(pd.finite):
-        for coord, key, att, val in (
-            ("birth", pair.birth_key, pair.birth_attaching, pair.birth),
-            ("death", pair.death_key, pair.death_attaching, pair.death),
-        ):
-            rows.append(JacobianRow(idx, coord, key, att, val))
+        rows.append(JacobianRow(idx, "birth", pair.birth_attaching, pair.birth))
+        rows.append(JacobianRow(idx, "death", pair.death_attaching, pair.death))
     if include_essential:
         for idx, ess in enumerate(pd.essential):
-            rows.append(JacobianRow(idx, "essential", ess.birth_key, ess.birth_attaching, ess.birth))
+            rows.append(JacobianRow(idx, "essential", ess.birth_attaching, ess.birth))
     if fc is None:
         fc = build(config, kind, max_dim=pd.dim + 1)
     else:
-        _warn_near_ties(rows, fc, tie_tol)
+        _warn_near_ties(rows, fc)
     index = fc.skeleton.index
     matrix, _ = _attaching_gradients(fc, [index[r.attaching_key] for r in rows])
     return PersistenceJacobian(matrix, tuple(rows), tuple(config.free_slots()))

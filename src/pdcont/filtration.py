@@ -14,6 +14,7 @@ skeleton's simplices, so gradients read them instead of solving them again.
 
 from __future__ import annotations
 
+import bisect
 import io
 import itertools
 import math
@@ -99,6 +100,13 @@ class FilteredComplex:
         at = at[at >= self.skeleton.offsets.get(1, len(keys))].tolist()
         return tuple(sorted(zip(self.birth[at].tolist(), map(keys.__getitem__, at))))
 
+    def attaching_within(self, radius: float, tol: float) -> tuple:
+        """The (radius, key) entries of ``attaching_radii`` within ``tol`` of ``radius``."""
+        attaching = self.attaching_radii
+        lo = bisect.bisect_left(attaching, (radius - tol, ()))  # () precedes every key
+        hi = bisect.bisect_right(attaching, (radius + tol, (math.inf,)))  # and (inf,) follows
+        return attaching[lo:hi]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("dim,vertices,birth_radius,attaching_vertices\n")
@@ -181,7 +189,6 @@ def build(
     """Rips or alpha filtration; the build shares the skeleton of
     ``previous``, the filtration of a nearby cloud of the same kind, when it
     still holds."""
-    kind = {"vr": "rips"}.get(kind.lower(), kind.lower())
     skeleton = previous.skeleton if previous is not None and previous.kind == kind else None
     if kind == "rips":
         return build_rips(config, max_dim=max_dim, previous=skeleton)

@@ -131,6 +131,8 @@ def to_gauge_frame(points) -> Configuration:
 # --- smallest circumspheres ---------------------------------------------------
 
 _DEGENERATE = {2: "coincident points", 3: "collinear points", 4: "coplanar points"}
+# a simplex whose content is at most this times its diameter to the power k - 1
+_DEGENERATE_REL = 1e-12
 
 
 def _row_norms(x):
@@ -139,7 +141,7 @@ def _row_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def circumspheres(simplices, rel_tol: float = 1e-12):
+def circumspheres(simplices):
     """Smallest circumspheres of a stack of 2-, 3- or 4-point simplices.
 
     ``simplices`` has shape (S, k, 3). The center lies in the affine span of
@@ -147,7 +149,7 @@ def circumspheres(simplices, rel_tol: float = 1e-12):
     Gram system (e_i . e_j) a = |e_i|^2 / 2 fixes a. Returns the centers
     (S, 3), the radii (S,), the barycentric weights (S, k) of the centers and
     a degenerate mask (S,): the simplex's content (length, twice the area or
-    six times the volume) is at most ``rel_tol`` times its diameter to the
+    six times the volume) is at most ``_DEGENERATE_REL`` times its diameter to the
     power k - 1. The radius gradient is dR/dp_i = w_i (p_i - c) / R.
     """
     pts = np.asarray(simplices, dtype=float)
@@ -177,7 +179,7 @@ def circumspheres(simplices, rel_tol: float = 1e-12):
         content = np.abs(np.linalg.det(rel))
     diff = pts[:, :, None] - pts[:, None, :]
     diameter = np.sqrt(np.einsum("sijk,sijk->sij", diff, diff).max(axis=(1, 2)))
-    degenerate = content <= rel_tol * diameter ** (k - 1)
+    degenerate = content <= _DEGENERATE_REL * diameter ** (k - 1)
     return centers, radii, weights, degenerate
 
 
@@ -187,10 +189,10 @@ def _nondegenerate(stack, centers, radii, weights, degenerate):
     return centers, radii, weights
 
 
-def circumradius(pts, denom_rel_tol: float = 1e-12) -> float:
+def circumradius(pts) -> float:
     """Radius of the smallest sphere through 2, 3, or 4 points in R^3."""
     stack = np.asarray(pts, dtype=float)[None]
-    return float(_nondegenerate(stack, *circumspheres(stack, denom_rel_tol))[1][0])
+    return float(_nondegenerate(stack, *circumspheres(stack))[1][0])
 
 
 def radius_gradients(stack, centers, radii, weights, degenerate) -> np.ndarray:
@@ -200,14 +202,14 @@ def radius_gradients(stack, centers, radii, weights, degenerate) -> np.ndarray:
     return weights[..., None] * ((stack - centers[:, None]) / radii[:, None, None])
 
 
-def circumradius_gradient(pts, denom_rel_tol: float = 1e-12) -> np.ndarray:
+def circumradius_gradient(pts) -> np.ndarray:
     """Gradient of the circumradius w.r.t. every vertex coordinate, shape (k, 3).
 
     A stack of simplices (S, k, 3) gives its gradients from one kernel call.
     """
     pts = np.asarray(pts, dtype=float)
     stack = pts if pts.ndim == 3 else pts[None]
-    grads = radius_gradients(stack, *circumspheres(stack, denom_rel_tol))
+    grads = radius_gradients(stack, *circumspheres(stack))
     return grads if pts.ndim == 3 else grads[0]
 
 

@@ -104,8 +104,6 @@ def reduce_boundary(b: BoundaryMatrix) -> Reduction:
 class FinitePair:
     birth: float
     death: float
-    birth_index: int
-    death_index: int
     birth_key: tuple
     death_key: tuple
     birth_attaching: tuple
@@ -119,7 +117,6 @@ class FinitePair:
 @dataclass(frozen=True)
 class EssentialClass:
     birth: float
-    birth_index: int
     birth_key: tuple
     birth_attaching: tuple
 
@@ -192,11 +189,11 @@ def persistence_data(
         if (d - b) / 2.0 < epsilon:
             continue
         finite.append(
-            FinitePair(b, d, i, j, keys[s], keys[t], keys[realizer[s]], keys[realizer[t]])
+            FinitePair(b, d, keys[s], keys[t], keys[realizer[s]], keys[realizer[t]])
         )
     finite.sort(key=lambda p: (p.birth, p.death, p.birth_key))
     essential = [
-        EssentialClass(birth[order[i]], i, keys[order[i]], keys[realizer[order[i]]])
+        EssentialClass(birth[order[i]], keys[order[i]], keys[realizer[order[i]]])
         for i in reduction.essentials
         if lo <= order[i] < hi
     ]
@@ -204,17 +201,10 @@ def persistence_data(
     return PersistenceData(fc.kind, dim, epsilon, tuple(finite), tuple(essential))
 
 
-def diagram(
-    config: Configuration,
-    kind: str,
-    dim: int,
-    epsilon: float = 0.0,
-    max_dim: int | None = None,
-) -> PersistenceData:
-    """Build the filtration, reduce, and extract one diagram in one call."""
-    if max_dim is None:
-        max_dim = dim + 1
-    fc = build(config, kind, max_dim=max_dim)
+def diagram(config: Configuration, kind: str, dim: int, epsilon: float = 0.0) -> PersistenceData:
+    """Build the filtration up to dimension ``dim + 1``, reduce, and extract
+    the dimension-``dim`` diagram in one call."""
+    fc = build(config, kind, max_dim=dim + 1)
     red = reduce_boundary(boundary_matrix(fc))
     return persistence_data(red, fc, dim, epsilon)
 

@@ -23,7 +23,6 @@ bit for bit those of recomputing everything at every iterate.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import warnings
@@ -154,7 +153,10 @@ def pinv_matrix(a, sigma_cutoff_rel: float = 1e-12) -> np.ndarray:
 
 # --- diagram coordinate tracking -------------------------------------------------
 
-def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
+_AMBIGUITY_TOL = 1e-12  # assignment costs this close are indistinguishable
+
+
+def match_to_layout(layout, pd: PersistenceData):
     """Reorder the diagram's finite pairs to follow the layout, the tuple of
     ``FinitePair``s tracked so far.
 
@@ -162,7 +164,7 @@ def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
     minimal-cost assignment under the sup-norm in the plane. Extra retained
     pairs beyond the layout are tolerated (they are matched around); a deficit
     returns None. Raises MatchingAmbiguous when two assignments are
-    indistinguishable within ``ambiguity_tol``.
+    indistinguishable within ``_AMBIGUITY_TOL``.
     """
     records = list(pd.finite)
     if len(records) < len(layout):
@@ -173,7 +175,7 @@ def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
     free_slots = []
     for idx, slot in enumerate(layout):
         rec = by_key.get((slot.birth_key, slot.death_key))
-        if rec is not None and id(rec) not in used:
+        if rec is not None:  # a layout's pairs have distinct keys
             matched[idx] = rec
             used.add(id(rec))
         else:
@@ -201,7 +203,7 @@ def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
                     - cost[a_row, a_col] - cost[b_row, b_col]
                     + cost[a_row, b_col] + cost[b_row, a_col]
                 )
-                if swapped <= total + ambiguity_tol:
+                if swapped <= total + _AMBIGUITY_TOL:
                     raise MatchingAmbiguous(
                         "two diagram-coordinate assignments have equal cost; "
                         "cannot track pairs across this step"
@@ -209,7 +211,7 @@ def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
             for other_col in range(len(leftovers)):
                 if other_col in chosen.values():
                     continue
-                if cost[a_row, other_col] <= cost[a_row, a_col] + ambiguity_tol:
+                if cost[a_row, other_col] <= cost[a_row, a_col] + _AMBIGUITY_TOL:
                     raise MatchingAmbiguous(
                         "an untracked diagram point is indistinguishably close "
                         "to a tracked coordinate"
@@ -219,8 +221,14 @@ def match_to_layout(layout, pd: PersistenceData, ambiguity_tol: float = 1e-12):
     return tuple(matched)
 
 
-def _vector_of(matched):
-    return np.array([x for r in matched for x in (r.birth, r.death)])
+def _values(pairs):
+    """The diagram coordinates (b1, d1, b2, d2, ...) of the pairs."""
+    return np.array([x for r in pairs for x in (r.birth, r.death)])
+
+
+def _generators(pairs):
+    """The generating simplex of each coordinate, in the order of ``_values``."""
+    return [key for r in pairs for key in (r.birth_key, r.death_key)]
 
 
 # --- Newton-Raphson by pseudo-inverse --------------------------------------------
@@ -275,14 +283,15 @@ class _Evaluation:
         return self.factors
 
 
-def _evaluate(config, kind, dim, eps, max_dim, previous=None) -> _Evaluation:
-    """Evaluate ``config``; ``previous`` is the evaluation of a nearby one.
+def _evaluate(config, kind, dim, eps, previous=None) -> _Evaluation:
+    """Evaluate ``config``, built to dimension ``dim + 1``; ``previous`` is
+    the evaluation of a nearby one.
 
     The build shares the previous skeleton while it holds (a Rips skeleton
     always does), and a Z/2 reduction depends on the simplex order alone, so
     an unchanged order on the same skeleton keeps the previous pairing.
     """
-    fc = build(config, kind, max_dim=max_dim, previous=previous.fc if previous else None)
+    fc = build(config, kind, dim + 1, previous=previous.fc if previous else None)
     same = previous is not None and fc.skeleton is previous.fc.skeleton
     if same and np.array_equal(fc.order, previous.fc.order):
         red = previous.reduction
@@ -303,6 +312,7 @@ def _constraint_rows(config, constraints):
 
 
 _TIE_GRADIENT_CAP = 1e3
+_SIGMA_FLOOR = 1e-12  # a Jacobian with a smaller singular value stops the solve
 
 
 def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
@@ -316,60 +326,44 @@ def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
     limit directly without symmetrizing the cloud into exact degeneracy, and
     is exactly consistent with similarity deformations of the cloud.
 
-    Participants are the generators observed to flip between iterates plus,
-    when the per-side ``window`` (birth, death) is positive, all attaching
+    Participants of coordinate c are the generators observed to flip there
+    between iterates plus, when ``window`` is positive, all attaching
     simplices of the right dimension within it of the coordinate's value.
     Only the step direction is affected; the convergence test uses the true
     diagram residual.
     """
     index, birth, realizer = fc.skeleton.index, fc.birth, fc.realizer
-    generator_keys = set()
-    for rec in matched:
-        generator_keys.add(rec.birth_key)
-        generator_keys.add(rec.death_key)
-    attaching = fc.attaching_radii
-
+    generators = _generators(matched)
     simplices, res = [], []
-    for i, rec in enumerate(matched):
-        for which, current, value in (
-            ("birth", rec.birth_key, rec.birth),
-            ("death", rec.death_key, rec.death),
-        ):
-            candidates = set(flip_groups.get((i, which), ()))
-            side_window = window[0] if which == "birth" else window[1]
-            if side_window > 0.0:
-                lo = bisect.bisect_left(attaching, (value - side_window, ()))
-                hi = bisect.bisect_right(attaching, (value + side_window, (np.inf,)))
-                candidates.update(key for _, key in attaching[lo:hi])
-            target = v_target[2 * i + (0 if which == "birth" else 1)]
-            for key in sorted(candidates):
-                if key == current or key in generator_keys:
-                    continue
-                g = index.get(key)
-                if g is None or len(key) != len(current):
-                    continue
-                radius = float(birth[g])
-                slot_key = (i, which, key)
-                if slot_key not in offsets:
-                    offsets[slot_key] = radius / value if value else 1.0
-                simplices.append(realizer[g])
-                res.append(radius - target * offsets[slot_key])
+    for c, (current, value) in enumerate(zip(generators, _values(matched).tolist())):
+        candidates = set(flip_groups.get(c, ()))
+        if window > 0.0:
+            candidates.update(key for _, key in fc.attaching_within(value, window))
+        for key in sorted(candidates.difference(generators)):
+            g = index.get(key)
+            if g is None or len(key) != len(current):
+                continue
+            radius = float(birth[g])
+            if (c, key) not in offsets:
+                offsets[c, key] = radius / value if value else 1.0
+            simplices.append(realizer[g])
+            res.append(radius - v_target[c] * offsets[c, key])
     rows, norms = _attaching_gradients(fc, simplices)
     keep = ~(norms > _TIE_GRADIENT_CAP)  # a sliver's radius is too ill-conditioned to pin
     return rows[keep], np.array(res)[keep]
 
 
 def _newton_core(
-    config, kind, dim, epsilon, v_target, tol, max_iter,
-    sigma_cutoff_rel, sigma_floor, layout, constraints, max_dim,
-    tie_window_rel=0.0, tie_window_abs=0.0, start=None,
+    config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
+    layout, constraints, tie_window_rel=0.0, tie_window_abs=0.0, start=None,
 ):
-    """Newton solve from ``config``; ``start`` is its _Evaluation if known.
+    """Newton solve from ``config``; ``start`` is its _Evaluation if known,
+    and ``layout`` the pairs tracked so far (None: the diagram of ``config``).
 
     Returns (configuration, report, layout, evaluation of the configuration).
     """
     v_target = np.asarray(v_target, dtype=float)
-    ev = start if start is not None else _evaluate(config, kind, dim, epsilon, max_dim)
+    ev = start if start is not None else _evaluate(config, kind, dim, epsilon)
     if layout is None:
         layout = ev.pd.finite
     if v_target.size != 2 * len(layout):
@@ -381,8 +375,8 @@ def _newton_core(
     increases = 0
     prev_res = math.inf
     jac_snapshot = np.zeros(0)
-    flip_groups = {}
-    tie_offsets = {}
+    flip_groups = {}  # coordinate -> every generator it has had since the first flip
+    tie_offsets = {}  # (coordinate, key) -> radius ratio when the key joined its ties
     for it in range(max_iter + 1):
         matched = match_to_layout(layout, ev.pd)
         if matched is None:
@@ -394,14 +388,12 @@ def _newton_core(
                 f"retained pair count dropped from {len(layout)} to {len(ev.pd.finite)}",
             )
             break
-        for i, (was, now) in enumerate(zip(layout, matched)):
-            for which in ("birth", "death"):
-                old_key, key = getattr(was, f"{which}_key"), getattr(now, f"{which}_key")
-                if old_key != key:
-                    flip_groups.setdefault((i, which), set()).update((old_key, key))
+        for c, (was, now) in enumerate(zip(_generators(layout), _generators(matched))):
+            if was != now:
+                flip_groups.setdefault(c, set()).update((was, now))
         layout = matched
         g_vals, g_rows = _constraint_rows(config, constraints)
-        residual_vec = np.concatenate([_vector_of(matched) - v_target, g_vals])
+        residual_vec = np.concatenate([_values(matched) - v_target, g_vals])
         res = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
         if res <= tol:
             # transient extra pairs are tolerated during iterations, but an
@@ -435,16 +427,15 @@ def _newton_core(
         jac = ev.jacobian(matched)
         factors = ev.svd()
         s = jac_snapshot = factors[1]
-        if s.size and s[-1] < sigma_floor:
+        if s.size and s[-1] < _SIGMA_FLOOR:
             report = NewtonReport(
                 NewtonStatus.SINGULAR_JACOBIAN, it, res, s,
-                f"smallest singular value {s[-1]:.3e} below floor {sigma_floor:.0e}",
+                f"smallest singular value {s[-1]:.3e} below floor {_SIGMA_FLOOR:.0e}",
             )
             break
-        win = np.broadcast_to(np.asarray(tie_window_abs, dtype=float), (2,))
         tie_m, tie_r = _tie_rows(
             flip_groups, matched, v_target, ev.fc,
-            np.maximum(tie_window_rel * res, win), tie_offsets,
+            max(tie_window_rel * res, tie_window_abs), tie_offsets,
         )
         if tie_m.shape[0] or g_rows.shape[0]:
             # otherwise the Newton matrix is the Jacobian, already decomposed
@@ -452,7 +443,7 @@ def _newton_core(
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
         step, _ = _pinv_solve(factors, step_res, sigma_cutoff_rel)
         config = config.with_vector(config.pack() - step)
-        ev = _evaluate(config, kind, dim, epsilon, max_dim, previous=ev)
+        ev = _evaluate(config, kind, dim, epsilon, previous=ev)
 
     # singular values at the accepted configuration, for diagnostics
     if report.converged:
@@ -473,10 +464,7 @@ def newton_pinv(
     tol: float = 1e-10,
     max_iter: int = 50,
     sigma_cutoff_rel: float = 1e-12,
-    sigma_floor: float = 1e-12,
-    layout=None,
     constraints=(),
-    max_dim: int | None = None,
     tie_window_rel: float = 0.0,
     tie_window_abs: float = 0.0,
 ):
@@ -484,15 +472,15 @@ def newton_pinv(
 
     Each iterate's filtration, diagram, coordinate matching, Jacobian and SVD
     are computed once; when no tie or constraint rows are stacked below the
-    Jacobian, its SVD also gives the pseudo-inverse. Returns (configuration, NewtonReport, layout) where the
-    layout tracks the generating simplices of the matched coordinates.
+    Jacobian, its SVD also gives the pseudo-inverse. Attaching radii within
+    ``max(tie_window_rel * residual, tie_window_abs)`` of a coordinate are
+    carried along with it. Returns (configuration, NewtonReport, layout)
+    where the layout tracks the generating simplices of the matched
+    coordinates.
     """
-    if max_dim is None:
-        max_dim = dim + 1
     config, report, layout, _ = _newton_core(
-        config, kind, dim, epsilon, v_target, tol, max_iter,
-        sigma_cutoff_rel, sigma_floor, layout, constraints, max_dim,
-        tie_window_rel=tie_window_rel, tie_window_abs=tie_window_abs,
+        config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
+        None, constraints, tie_window_rel, tie_window_abs,
     )
     return config, report, layout
 
@@ -551,11 +539,9 @@ def continue_cloud(
     tol: float = 1e-10,
     max_iter: int = 50,
     sigma_cutoff_rel: float = 1e-12,
-    sigma_floor: float = 1e-12,
     constraints=(),
     adaptive: bool = False,
     max_halvings: int = 6,
-    max_dim: int | None = None,
     tie_window_rel: float = 0.0,
     tie_window_abs: float = 0.0,
 ) -> ContinuationTrace:
@@ -567,11 +553,9 @@ def continue_cloud(
     ``adaptive`` is set, in which case the piece is halved up to
     ``max_halvings`` times before giving up.
     """
-    if max_dim is None:
-        max_dim = dim + 1
-    ev = _evaluate(config, kind, dim, epsilon, max_dim)
+    ev = _evaluate(config, kind, dim, epsilon)
     layout = ev.pd.finite
-    v_start = _vector_of(ev.pd.finite)
+    v_start = _values(layout)
     v_target = np.asarray(v_target, dtype=float)
     if v_target.shape != v_start.shape:
         raise DimensionMismatch(
@@ -601,10 +585,8 @@ def continue_cloud(
         k += 1
         try:
             new_config, report, new_layout, new_ev = _newton_core(
-                config, kind, dim, epsilon, v_k, tol, max_iter,
-                sigma_cutoff_rel, sigma_floor, layout, constraints, max_dim,
-                tie_window_rel=tie_window_rel, tie_window_abs=tie_window_abs,
-                start=ev,
+                config, kind, dim, epsilon, v_k, tol, max_iter, sigma_cutoff_rel,
+                layout, constraints, tie_window_rel, tie_window_abs, start=ev,
             )
         except PdcontError as exc:
             trace.failed_step = k

@@ -75,6 +75,48 @@ class TestInputParsing:
         assert cli.target_vector("[]").shape == (0,)
 
 
+class TestNumberRanges:
+    """Numbers out of range are usage errors (exit 2), caught before any run."""
+
+    @staticmethod
+    def _usage_error(argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["diagram", "jacobian", "continue"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "-1"), ("--dim", "1.5"),
+        ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+    ])
+    def test_dim_and_epsilon(self, ex1_file, tmp_path, capsys, command, flag, value):
+        argv = [command, "-i", ex1_file, flag, value, "--out", str(tmp_path / "out")]
+        if command == "continue":
+            argv += ["--target", "[[4.48, 4.66]]"]
+        self._usage_error(argv, flag, capsys)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"),
+        ("--n-steps", "0"), ("--n-steps", "-2"), ("--max-iter", "-1"),
+    ])
+    def test_continuation_numbers(self, ex1_file, tmp_path, capsys, flag, value):
+        argv = [
+            "continue", "-i", ex1_file, "--dim", "2", "--target", "[[4.48, 4.66]]",
+            flag, value, "--out", str(tmp_path / "run"),
+        ]
+        self._usage_error(argv, flag, capsys)
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_bounds_are_accepted(self):
+        args = cli.build_parser().parse_args([
+            "continue", "-i", "cloud.xyz", "--target", "[]", "--dim", "0", "--epsilon", "0",
+            "--step", "1e-300", "--n-steps", "1", "--max-iter", "0",
+        ])
+        parsed = (args.dim, args.epsilon, args.step, args.n_steps, args.max_iter)
+        assert parsed == (0, 0.0, 1e-300, 1, 0)
+
+
 class TestDiagramCommand:
     def test_example1_values(self, ex1_file, tmp_path, capsys):
         out = str(tmp_path / "diag")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
@@ -114,6 +114,34 @@ class TestDelaunay3:
         flat = np.column_stack([pts, np.zeros(6)])
         with pytest.raises(DegenerateInput):
             delaunay3(_cfg(flat))
+
+    @PROPERTY
+    @given(
+        corner=st.lists(st.integers(-1000, 1000), min_size=3, max_size=3),
+        spans=st.lists(st.integers(-50, 50), min_size=6, max_size=6),
+        steps=st.lists(st.integers(-20, 20), min_size=8, max_size=8),
+        power=st.integers(-60, 60),
+    )
+    def test_four_coplanar_points_rejected(self, corner, spans, steps, power):
+        # integer points corner + i u + j v stay exactly coplanar at every power-of-two scale
+        u, v = np.array(spans[:3]), np.array(spans[3:])
+        pts = np.array([corner + i * u + j * v for i, j in zip(steps[::2], steps[1::2])])
+        with pytest.raises(DegenerateInput, match="four coplanar points"):
+            delaunay3(_cfg(np.ldexp(pts.astype(float), power)))
+
+    @PROPERTY
+    @given(
+        plane=st.lists(st.integers(-1000, 1000), min_size=8, max_size=8),
+        power=st.integers(-60, 60),
+        side=st.sampled_from((-1.0, 1.0)),
+    )
+    def test_four_points_just_off_a_plane_build_the_tetrahedron(self, plane, power, side):
+        pts = np.column_stack([np.array(plane, dtype=float).reshape(4, 2), np.zeros(4)])
+        assume(orient3d_exact(*pts[:3], pts[0] + [0.0, 0.0, 1.0]) != 0)  # a triangle spans z = 0
+        diameter = max(np.linalg.norm(p - q) for p, q in itertools.combinations(pts, 2))
+        pts[3, 2] = side * 1e-15 * diameter
+        dc = delaunay3(_cfg(np.ldexp(pts, power)))
+        assert dc.tetrahedra == ((0, 1, 2, 3),)
 
     def test_exact_cospherical_rejected(self):
         # octahedron vertices plus two more points on the same sphere

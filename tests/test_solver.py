@@ -381,7 +381,7 @@ class TestReuseAcrossIterates:
     @staticmethod
     def _evaluate(points, previous=None):
         config = Configuration(points, gauge=False)
-        return solver._evaluate(config, "alpha", 1, 0.0, 2, previous=previous)
+        return solver._evaluate(config, "alpha", 1, 0.0, previous=previous)
 
     def _check(self, before, after):
         """Evaluate ``after`` with and without the evaluation of ``before``;
