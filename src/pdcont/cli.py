@@ -54,7 +54,11 @@ def _fmt(x: float) -> float:
 
 def read_cloud(path: str) -> np.ndarray:
     """Read a cloud from a JSON array of [x, y, z] or whitespace XYZ text."""
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     stripped = text.lstrip()
     try:
         if stripped.startswith("["):
@@ -104,6 +108,7 @@ positive_number = _bounded(float, lambda x: math.isfinite(x) and x > 0, "a finit
 nonnegative_number = _bounded(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 positive_int = _bounded(int, lambda n: n >= 1, "an integer >= 1")
 nonnegative_int = _bounded(int, lambda n: n >= 0, "an integer >= 0")
+seed_int = _bounded(int, lambda n: 0 <= n < 2**32, "an integer in [0, 2**32)")
 
 
 def write_cloud(path: str, points: np.ndarray):
@@ -381,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epsilon", type=nonnegative_number, default=0.0,
                            help="diagonal truncation")
         p.add_argument("--no-gauge", action="store_true", help="keep raw coordinates (no rigid-motion gauge)")
-        p.add_argument("--jitter-seed", type=int, default=None, help="seeded jitter of 1e-9 x scale")
-        p.add_argument("--gp-tol", type=float, default=1e-9, help="general-position tie tolerance")
+        p.add_argument("--jitter-seed", type=seed_int, default=None, help="seeded jitter of 1e-9 x scale")
+        p.add_argument("--gp-tol", type=nonnegative_number, default=1e-9, help="general-position tie tolerance")
 
     p = sub.add_parser("diagram", help="compute a persistence diagram")
     common(p)
@@ -405,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=positive_number, default=0.01,
                    help="segment length per step")
     p.add_argument("--n-steps", type=positive_int, default=None, help="override step count")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=positive_number, default=1e-10)
     p.add_argument("--max-iter", type=nonnegative_int, default=50)
-    p.add_argument("--sigma-cutoff", type=float, default=1e-12, help="relative pseudo-inverse cutoff")
+    p.add_argument("--sigma-cutoff", type=nonnegative_number, default=1e-12, help="relative pseudo-inverse cutoff")
     p.add_argument("--adaptive", action="store_true", help="halve the step on failure (up to 6 times)")
-    p.add_argument("--tie-window", type=float, default=0.0,
+    p.add_argument("--tie-window", type=nonnegative_number, default=0.0,
                    help="carry attaching radii within this fraction of the residual")
     p.add_argument("--out", help="output prefix (default 'continuation')")
     p.set_defaults(func=cmd_continue)

@@ -1,10 +1,24 @@
 """Distances between diagrams and clouds: bottleneck, Hausdorff, diagonal gap.
 
 The bottleneck distance is exact: the optimum is always one of the candidate
-pairwise or point-to-diagonal distances, so a binary search over the sorted
-candidates settles it without tolerance. Each step asks whether the
-diagonal-augmented bipartite graph of pairs within the candidate distance has
-a perfect matching (scipy.sparse.csgraph.maximum_bipartite_matching).
+pairwise (sup-norm) or point-to-diagonal distances, so a search over the
+sorted candidates settles it without tolerance. The answer is at least
+``lower``, the largest over all points of the distance to the nearest point
+of the other diagram or to the diagonal, and at most ``upper``, the largest
+distance to the diagonal (send every point there). The search gallops upward
+from ``lower``: on nearby diagrams the first test is the answer.
+
+A test at radius r asks for a perfect matching of the diagonal-augmented
+bipartite graph: the points of A and a diagonal slot b'_j per point of B
+against the points of B and a slot a'_i per point of A. Its slot-slot block
+needs no edges of its own: in a perfect matching the spare slots b'_j and
+a'_i are those of the matched pairs a_i-b_j, and b'_j-a'_i along the same
+pairs matches them. So the test asks for a matching of the pairs within r
+that covers every point farther than r from the diagonal. By the
+Mendelsohn-Dulmage theorem one exists exactly when one matching covers those
+points of A and another covers those of B: two maximum matchings
+(scipy.sparse.csgraph.maximum_bipartite_matching) on sparse rows of the
+point block.
 """
 
 from __future__ import annotations
@@ -23,10 +37,13 @@ from .geometry import Configuration
 def _split(diagram):
     finite, essential = [], []
     for b, d in diagram:
+        b, d = float(b), float(d)
+        if not (math.isfinite(b) and d >= b):
+            raise ValueError(f"malformed pair ({b!r}, {d!r}): need a finite birth and death >= birth")
         if math.isinf(d):
             essential.append(b)
         else:
-            finite.append((float(b), float(d)))
+            finite.append((b, d))
     return finite, essential
 
 
@@ -34,11 +51,25 @@ def _diag_gap(p):
     return (p[1] - p[0]) / 2.0
 
 
+def _covers_rows(close) -> bool:
+    """Whether some matching of the bipartite graph ``close`` (a dense boolean
+    block, rows against columns) covers every row."""
+    return bool((maximum_bipartite_matching(csr_matrix(close), perm_type="column") >= 0).all())
+
+
+def _within(dist, gap_a, gap_b, r) -> bool:
+    """Whether a matching moves every point of either diagram at most ``r``,
+    to a point of the other diagram or to the diagonal."""
+    close = dist <= r
+    return _covers_rows(close[gap_a > r]) and _covers_rows(close[:, gap_b > r].T)
+
+
 def bottleneck(diagram_a, diagram_b) -> float:
     """Bottleneck distance between two diagrams (lists of (birth, death)).
 
     Deaths may be inf; essential classes are matched among themselves and
-    their counts must agree.
+    their counts must agree. A NaN, an infinite birth or a death below its
+    birth raises ValueError.
     """
     fin_a, ess_a = _split(diagram_a)
     fin_b, ess_b = _split(diagram_b)
@@ -54,24 +85,30 @@ def bottleneck(diagram_a, diagram_b) -> float:
 
     a = np.array(fin_a).reshape(-1, 2)
     b = np.array(fin_b).reshape(-1, 2)
-    dist = np.abs(a[:, None] - b[None]).max(axis=2)
+    dist = np.maximum(
+        np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1])
+    )
     gap_a, gap_b = _diag_gap(a.T), _diag_gap(b.T)
-    values = np.unique(np.concatenate([dist.ravel(), gap_a, gap_b, [0.0]]))
-    # rows: the points of a, then a diagonal slot per point of b; columns:
-    # the points of b, then a diagonal slot per point of a
-    slots = np.ones((len(b), len(a)), dtype=bool)
-    lo, hi = 0, len(values) - 1
+    # each point moves at least to its nearest partner or to the diagonal,
+    # and moving every point to the diagonal is a matching: the answer is a
+    # candidate distance in [lower, upper]
+    lower = max(
+        np.minimum(gap_a, dist.min(axis=1, initial=np.inf)).max(initial=0.0),
+        np.minimum(gap_b, dist.min(axis=0, initial=np.inf)).max(initial=0.0),
+    )
+    upper = max(gap_a.max(initial=0.0), gap_b.max(initial=0.0))
+    values = np.concatenate([dist.ravel(), gap_a, gap_b])
+    values = np.unique(values[(values >= lower) & (values <= upper)])
+    # gallop upward from the lower bound: probe 1, 2, 4, ... candidates past
+    # the last failed test, and bisect once that passes the middle of the rest
+    lo, hi, step = 0, len(values) - 1, 1
     while lo < hi:
-        mid = (lo + hi) // 2
-        r = values[mid]
-        graph = np.block([
-            [dist <= r, np.repeat(gap_a[:, None] <= r, len(a), axis=1)],
-            [np.diag(gap_b <= r), slots],
-        ])
-        if (maximum_bipartite_matching(csr_matrix(graph), perm_type="column") >= 0).all():
+        mid = min(lo + step - 1, (lo + hi) // 2)
+        if _within(dist, gap_a, gap_b, values[mid]):
             hi = mid
         else:
             lo = mid + 1
+            step *= 2
     return max(ess, float(values[lo]))
 
 
@@ -83,7 +120,10 @@ def hausdorff(points_a, points_b) -> float:
 
 
 def diag_distance(diagram) -> float:
-    """Distance of the closest finite diagram point to the diagonal."""
+    """Distance of the closest finite diagram point to the diagonal.
+
+    A malformed pair raises ValueError, as in ``bottleneck``.
+    """
     finite, _ = _split(diagram)
     if not finite:
         raise EmptyDiagram("diagram has no finite pairs")

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own computation paths:
 brute-force searches, exhaustive enumeration, finite differences, GF(2) rank
 computations on bitsets, exact rational reduction and predicates, dense
-all-pairs distances, and hand-rolled hull volumes.
+all-pairs distances, a dense block-graph bottleneck search, and hand-rolled
+hull volumes.
 """
 
 import itertools
@@ -14,6 +15,8 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdcont.delaunay import _FILTER_REL, insphere_exact, orient3d_exact
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
@@ -660,6 +663,37 @@ def exhaustive_matching_bottleneck(d1, d2):
                         cost = max(cost, gap(fin2[b]))
                 best = min(best, cost)
     return best
+
+
+def dense_block_bottleneck(d1, d2):
+    """Bottleneck distance of the finite parts by a plain binary search over
+    every candidate distance, each step a maximum matching on the dense
+    diagonal-augmented block graph whose diagonal-diagonal block is complete."""
+    fin1 = [(b, d) for b, d in d1 if not math.isinf(d)]
+    fin2 = [(b, d) for b, d in d2 if not math.isinf(d)]
+    if not fin1 and not fin2:
+        return 0.0
+    a = np.array(fin1, dtype=float).reshape(-1, 2)
+    b = np.array(fin2, dtype=float).reshape(-1, 2)
+    dist = np.abs(a[:, None] - b[None]).max(axis=2)
+    gap_a, gap_b = (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+    values = np.unique(np.concatenate([dist.ravel(), gap_a, gap_b, [0.0]]))
+    # rows: the points of a, then a diagonal slot per point of b; columns:
+    # the points of b, then a diagonal slot per point of a
+    slots = np.ones((len(b), len(a)), dtype=bool)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        r = values[mid]
+        graph = np.block([
+            [dist <= r, np.repeat(gap_a[:, None] <= r, len(a), axis=1)],
+            [np.diag(gap_b <= r), slots],
+        ])
+        if (maximum_bipartite_matching(csr_matrix(graph), perm_type="column") >= 0).all():
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
 
 
 def dense_hausdorff(points_a, points_b):

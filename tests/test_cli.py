@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,13 @@ class TestInputParsing:
         a = cli.read_cloud(ex1_file)
         b = cli.read_cloud(ex1_json)
         np.testing.assert_array_equal(a, b)
+
+    def test_read_cloud_closes_its_file(self, ex1_file):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.read_cloud(ex1_file)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_bad_shape(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -99,6 +108,7 @@ class TestNumberRanges:
     @pytest.mark.parametrize("flag, value", [
         ("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"),
         ("--n-steps", "0"), ("--n-steps", "-2"), ("--max-iter", "-1"),
+        ("--tol", "0"), ("--sigma-cutoff", "-1"), ("--tie-window", "nan"),
     ])
     def test_continuation_numbers(self, ex1_file, tmp_path, capsys, flag, value):
         argv = [
@@ -108,13 +118,31 @@ class TestNumberRanges:
         self._usage_error(argv, flag, capsys)
         assert not (tmp_path / "run.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["diagram", "check", "jacobian", "continue"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--gp-tol", "-0.5"), ("--jitter-seed", "-1"), ("--jitter-seed", "4294967296"),
+    ])
+    def test_common_numbers(self, ex1_file, capsys, command, flag, value):
+        argv = [command, "-i", ex1_file, flag, value]
+        if command == "continue":
+            argv += ["--target", "[[4.48, 4.66]]"]
+        self._usage_error(argv, flag, capsys)
+
     def test_bounds_are_accepted(self):
         args = cli.build_parser().parse_args([
             "continue", "-i", "cloud.xyz", "--target", "[]", "--dim", "0", "--epsilon", "0",
-            "--step", "1e-300", "--n-steps", "1", "--max-iter", "0",
+            "--step", "1e-300", "--n-steps", "1", "--max-iter", "0", "--tol", "1e-300",
+            "--sigma-cutoff", "0", "--tie-window", "0", "--gp-tol", "0",
+            "--jitter-seed", "4294967295",
         ])
-        parsed = (args.dim, args.epsilon, args.step, args.n_steps, args.max_iter)
-        assert parsed == (0, 0.0, 1e-300, 1, 0)
+        parsed = (
+            args.dim, args.epsilon, args.step, args.n_steps, args.max_iter, args.tol,
+            args.sigma_cutoff, args.tie_window, args.gp_tol, args.jitter_seed,
+        )
+        assert parsed == (0, 0.0, 1e-300, 1, 0, 1e-300, 0.0, 0.0, 0.0, 2**32 - 1)
+        assert cli.build_parser().parse_args(
+            ["check", "-i", "cloud.xyz", "--jitter-seed", "0"]
+        ).jitter_seed == 0
 
 
 class TestDiagramCommand:
@@ -203,10 +231,10 @@ class TestCheckCommand:
 
 class TestJacobianCommand:
     def test_csv_output(self, ex1_file, tmp_path):
-        out = str(tmp_path / "jac.csv")
-        code = cli.main(["jacobian", "-i", ex1_file, "--dim", "2", "--out", out])
+        out = tmp_path / "jac.csv"
+        code = cli.main(["jacobian", "-i", ex1_file, "--dim", "2", "--out", str(out)])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = out.read_text().splitlines()
         assert lines[0].startswith("coord,")
         assert len(lines) == 3  # header + birth row + death row
 

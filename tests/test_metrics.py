@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pdcont import metrics
 from pdcont.errors import EmptyDiagram, InfinityMismatch, NotAcute
 from pdcont.geometry import Configuration
 from pdcont.metrics import (
@@ -18,6 +19,7 @@ from pdcont.persistence import diagram
 
 from helpers import (
     PROPERTY,
+    dense_block_bottleneck,
     dense_hausdorff,
     exhaustive_matching_bottleneck,
     random_acute_triangle,
@@ -34,6 +36,12 @@ def _cfg(pts):
 # (birth, persistence) in steps of 0.5: ties, zero-length points and shared
 # candidate distances are common
 _GRID_POINTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=3)
+_GRID_DIAGRAMS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=40)
+
+
+def _random_diagram(rng, n, spread=1.0):
+    births = rng.uniform(0.0, spread, n)
+    return np.stack([births, births + rng.exponential(0.2 * spread, n)], axis=1)
 
 
 class TestBottleneck:
@@ -83,6 +91,64 @@ class TestBottleneck:
         d1 += [(x, math.inf) for x in ess1]
         d2 += [(y, math.inf) for y in ess2]
         assert bottleneck(d1, d2) == expected
+
+    @pytest.mark.parametrize("pair", [
+        (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (math.inf, math.inf),
+        (2.0, 1.0), (1.0, -math.inf),
+    ])
+    def test_malformed_pair_raises(self, pair):
+        with pytest.raises(ValueError, match="malformed pair"):
+            bottleneck([pair], [(0.0, 1.0)])
+        with pytest.raises(ValueError, match="malformed pair"):
+            bottleneck([], [pair])
+
+    def test_near_copy_takes_one_feasibility_test(self, monkeypatch):
+        # on a copy moved by far less than the point spacing every point's
+        # nearest partner is its own copy, so the lower bound is the answer
+        # and the first feasibility test settles it
+        radii = []
+        within = metrics._within
+        monkeypatch.setattr(
+            metrics, "_within", lambda *args: radii.append(args[-1]) or within(*args)
+        )
+        rng = np.random.RandomState(2)
+        a = np.array([(x, x + 2.0 + y) for x in range(6) for y in range(6)], dtype=float)
+        b = a + rng.uniform(-1e-3, 1e-3, a.shape)
+        assert bottleneck(a, b) == np.abs(a - b).max()
+        assert radii == [np.abs(a - b).max()]
+
+    @PROPERTY
+    @given(a=_GRID_DIAGRAMS, b=_GRID_DIAGRAMS)
+    def test_grid_diagrams_equal_dense_block_search(self, a, b):
+        d1 = [(0.5 * x, 0.5 * (x + g)) for x, g in a]
+        d2 = [(0.5 * x, 0.5 * (x + g)) for x, g in b]
+        assert bottleneck(d1, d2) == dense_block_bottleneck(d1, d2)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 40),
+        m=st.integers(0, 40),
+        case=st.sampled_from(["independent", "one_side_empty", "near_copy", "far_apart"]),
+    )
+    def test_continuous_diagrams_equal_dense_block_search(self, seed, n, m, case):
+        rng = np.random.RandomState(seed)
+        a = _random_diagram(rng, n)
+        if case == "independent":
+            b = _random_diagram(rng, m)
+        elif case == "one_side_empty":
+            b = np.zeros((0, 2))
+        elif case == "near_copy":
+            b = a + rng.uniform(-1e-3, 1e-3, a.shape)
+            b[:, 1] = np.maximum(b[:, 1], b[:, 0])
+        else:
+            # long bars against a shifted copy of other long bars: the answer
+            # lies many candidates above the lower bound
+            a[:, 1] += 2.0
+            b = _random_diagram(rng, m)
+            b += rng.uniform(0.2, 0.5)
+            b[:, 1] += 2.0
+        assert bottleneck(a, b) == dense_block_bottleneck(a, b)
 
     def test_pseudometric_properties(self):
         rng = np.random.RandomState(9)
