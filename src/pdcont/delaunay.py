@@ -1,9 +1,15 @@
 """3D Delaunay triangulation with exact empty-circumsphere verification.
 
 The triangulation itself is delegated to Qhull (scipy.spatial.Delaunay) and
-then verified with a floating-point filter backed by exact integer
-arithmetic (the points of a predicate are scaled to integers by one common
-power of two), so silent near-degeneracy cannot slip through. By the local
+then verified with floating-point filters backed by exact integer
+arithmetic, so silent near-degeneracy cannot slip through. A filter
+evaluates the orientation or in-sphere determinant in floats as Shewchuk's
+orient3d and insphere do, and certifies its sign when its magnitude exceeds
+the stage-A error bound times the expression's permanent (Shewchuk, Adaptive
+precision floating-point arithmetic and fast robust geometric predicates,
+1997). Every other sign, including those of rows whose products may
+underflow and of rows that overflow, is decided exactly (the points of a
+predicate are scaled to integers by one common power of two). By the local
 Delaunay lemma the check is local: every point must be a vertex, and across
 each triangle shared by two tetrahedra the far vertex of one must lie outside
 the circumsphere of the other. Exact cospherical 5-tuples are an error, never
@@ -34,9 +40,17 @@ from scipy.spatial import QhullError
 from .errors import DegenerateInput, GeneralPositionViolation
 from .geometry import Configuration, _row_norms
 
-# Hadamard-style relative filter: float determinants smaller than this times
-# the row-norm product are re-evaluated exactly.
-_FILTER_REL = 1e-10
+# Shewchuk's stage-A error bounds, with eps = 2^-53: a determinant evaluated
+# in floats as in _orient3d_terms / _insphere_terms whose magnitude exceeds the
+# bound times its permanent has the sign of the exact determinant.
+_EPS = 2.0**-53
+_O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
+_ISP_BOUND = (16.0 + 224.0 * _EPS) * _EPS
+# The bounds assume that no product underflows. A coordinate of magnitude at
+# least 2^-142 is a multiple of 2^-194, so when every coordinate is that or 0
+# every nonzero intermediate of degree <= 5, and the bound times the
+# permanent, is a normal float (above 2^-1022).
+_TINY = 2.0**-142
 
 
 def _encode(rows, n):
@@ -216,23 +230,117 @@ def insphere_exact(a, b, c, d, p):
     return (val > 0) - (val < 0)
 
 
-def _orient_signs(tet_pts) -> np.ndarray:
-    """Orientation sign of each tetrahedron of a (T, 4, 3) stack.
+def _orient3d_terms(ax, bx, cx, ay, by, cy, az, bz, cz):
+    """det [a; b; c] of three difference rows and its permanent, evaluated as
+    in Shewchuk's orient3d; the arguments are floats or equal-shape arrays."""
+    bxcy, cxby = bx * cy, cx * by
+    cxay, axcy = cx * ay, ax * cy
+    axby, bxay = ax * by, bx * ay
+    det = az * (bxcy - cxby) + bz * (cxay - axcy) + cz * (axby - bxay)
+    permanent = (
+        (abs(bxcy) + abs(cxby)) * abs(az)
+        + (abs(cxay) + abs(axcy)) * abs(bz)
+        + (abs(axby) + abs(bxay)) * abs(cz)
+    )
+    return det, permanent
 
-    Float determinants within the relative filter of the row-norm product are
-    re-evaluated exactly; 0 marks an exactly flat tetrahedron.
-    """
-    rel = tet_pts[:, 1:] - tet_pts[:, :1]
-    det = np.linalg.det(rel)
-    bounds = _FILTER_REL * np.prod(np.sqrt(np.add.reduce(rel * rel, axis=2)), axis=1)
+
+def _insphere_terms(aex, bex, cex, dex, aey, bey, cey, dey, aez, bez, cez, dez):
+    """det [a, |a|^2; b, |b|^2; c, |c|^2; d, |d|^2] of four difference rows
+    and its permanent, evaluated as in Shewchuk's insphere; the arguments are
+    floats or equal-shape arrays."""
+    aexbey, bexaey = aex * bey, bex * aey
+    bexcey, cexbey = bex * cey, cex * bey
+    cexdey, dexcey = cex * dey, dex * cey
+    dexaey, aexdey = dex * aey, aex * dey
+    aexcey, cexaey = aex * cey, cex * aey
+    bexdey, dexbey = bex * dey, dex * bey
+    ab, bc, cd = aexbey - bexaey, bexcey - cexbey, cexdey - dexcey
+    da, ac, bd = dexaey - aexdey, aexcey - cexaey, bexdey - dexbey
+    abc = aez * bc - bez * ac + cez * ab
+    bcd = bez * cd - cez * bd + dez * bc
+    cda = cez * da + dez * ac + aez * cd
+    dab = dez * ab + aez * bd + bez * da
+    alift = aex * aex + aey * aey + aez * aez
+    blift = bex * bex + bey * bey + bez * bez
+    clift = cex * cex + cey * cey + cez * cez
+    dlift = dex * dex + dey * dey + dez * dez
+    det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+    # the permanent: the same sums over the magnitudes of the products
+    aezp, bezp, cezp, dezp = abs(aez), abs(bez), abs(cez), abs(dez)
+    abp, bcp = abs(aexbey) + abs(bexaey), abs(bexcey) + abs(cexbey)
+    cdp, dap = abs(cexdey) + abs(dexcey), abs(dexaey) + abs(aexdey)
+    acp, bdp = abs(aexcey) + abs(cexaey), abs(bexdey) + abs(dexbey)
+    permanent = (
+        (cdp * bezp + bdp * cezp + bcp * dezp) * alift
+        + (dap * cezp + acp * dezp + cdp * aezp) * blift
+        + (abp * dezp + bdp * aezp + dap * bezp) * clift
+        + (bcp * aezp + acp * bezp + abp * cezp) * dlift
+    )
+    return det, permanent
+
+
+def _fine(pts) -> np.ndarray:
+    """Per point: whether every coordinate is 0 or at least ``_TINY`` in
+    magnitude, as the stage-A bounds need."""
+    return ((pts == 0.0) | (np.abs(pts) >= _TINY)).all(axis=1)
+
+
+def _certain(det, bound, fine, *rows):
+    """Where |det| exceeds ``bound`` (never for NaN) and every point of the
+    row, given by (P, k) index arrays into ``fine``, is fine."""
+    certain = np.abs(det) > bound
+    if not fine.all():
+        for idx in rows:
+            certain &= fine[idx].all(axis=1)
+    return certain
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows are decided exactly
+def _orient_filter(pts, tets):
+    """(det [b-a; c-a; d-a], certain) per tetrahedron (a, b, c, d) of the
+    (T, 4) rows ``tets`` into ``pts``: the float determinant has the exact
+    sign where certain."""
+    corners = np.take(pts.T, tets.T, axis=1)  # (3, 4, T)
+    det, permanent = _orient3d_terms(*(corners[:, 1:] - corners[:, :1]).reshape(9, -1))
+    return det, _certain(det, _O3D_BOUND * permanent, _fine(pts), tets)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows are decided exactly
+def _insphere_filter(pts, tets, far):
+    """(lifted determinant, certain) per tetrahedron of the (P, 4) rows
+    ``tets`` into ``pts`` and point ``far`` (P,), with rows (vertex - point,
+    |vertex - point|^2): the float determinant has the exact sign where
+    certain."""
+    rel = np.take(pts.T, tets.T, axis=1) - np.take(pts.T, far, axis=1)[:, None]  # (3, 4, P)
+    det, permanent = _insphere_terms(*rel.reshape(12, -1))
+    return det, _certain(det, _ISP_BOUND * permanent, _fine(pts), tets, far[:, None])
+
+
+def _orient_signs(pts, tets) -> np.ndarray:
+    """Orientation sign of each tetrahedron of the (T, 4) rows ``tets`` into
+    ``pts``: certified in floats by the stage-A bound, otherwise computed
+    exactly; 0 marks an exactly flat tetrahedron."""
+    if len(tets) == 1:
+        # one tetrahedron (a 4-point cloud): Python floats round like numpy's
+        # elementwise ops, without their per-call overhead
+        a, *rest = corners = pts[tets[0]].tolist()
+        det, permanent = _orient3d_terms(*[q[k] - a[k] for k in range(3) for q in rest])
+        if abs(det) > _O3D_BOUND * permanent and all(
+            x == 0.0 or abs(x) >= _TINY for q in corners for x in q
+        ):
+            return np.array([1.0 if det > 0 else -1.0])
+        return np.array([float(orient3d_exact(*corners))])
+    det, certain = _orient_filter(pts, tets)
     signs = np.sign(det)
-    for t in np.flatnonzero(np.abs(det) <= bounds):
-        signs[t] = orient3d_exact(*tet_pts[t])
+    for t in np.flatnonzero(~certain):
+        signs[t] = orient3d_exact(*pts[tets[t]])
     return signs
 
 
 def _verify_empty(points, skeleton: Skeleton):
-    """Check the triangulation is Delaunay; exact fallback near ties.
+    """Check the triangulation is Delaunay; exact where the float filters
+    cannot certify a sign.
 
     Every point must be a vertex: Qhull sets duplicate and near-duplicate
     points aside. By the local Delaunay lemma it then suffices that, across
@@ -251,8 +359,7 @@ def _verify_empty(points, skeleton: Skeleton):
             "or is cospherical beyond float resolution)",
             (p,),
         )
-    tet_pts = pts[top]  # (T, 4, 3)
-    orient_sign = _orient_signs(tet_pts)
+    orient_sign = _orient_signs(pts, top)
     flat = np.flatnonzero(orient_sign == 0)
     if flat.size:
         t = flat[0]
@@ -260,12 +367,8 @@ def _verify_empty(points, skeleton: Skeleton):
             f"degenerate (coplanar) Delaunay tetrahedron {tets[t]}", tets[t]
         )
     t_idx, far = skeleton.across
-    # lifted rows per (tetrahedron, far vertex): tetra vertices relative to it
-    rel = tet_pts[t_idx] - pts[far][:, None, :]  # (P, 4, 3)
-    lift = np.concatenate([rel, np.einsum("pij,pij->pi", rel, rel)[..., None]], axis=2)
-    vals = -np.linalg.det(lift) * orient_sign[t_idx]
-    bounds = _FILTER_REL * np.prod(np.linalg.norm(lift, axis=2), axis=1)
-    for i in np.flatnonzero((np.abs(vals) <= bounds) | (vals > 0)):
+    det, certain = _insphere_filter(pts, top[t_idx], far)
+    for i in np.flatnonzero(~certain | (det * orient_sign[t_idx] < 0)):
         tet, p = tets[t_idx[i]], int(far[i])
         sign = insphere_exact(*(pts[v] for v in tet), pts[p])
         if sign == 0:
@@ -309,9 +412,9 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
         top = np.arange(m)[None]
     elif m == 4:
         # the Delaunay complex of four non-coplanar points is the tetrahedron
-        if _orient_signs(pts[None])[0] == 0:
-            raise DegenerateInput("four coplanar points")
         top = np.arange(m)[None]
+        if _orient_signs(pts, top)[0] == 0:
+            raise DegenerateInput("four coplanar points")
     else:
         try:
             tri = _SciPyDelaunay(pts)
@@ -319,7 +422,10 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
             raise DegenerateInput(
                 f"triangulation failed: coplanar or degenerate input ({exc})"
             )
-        top = np.unique(np.sort(tri.simplices, axis=1), axis=0)
+        # the distinct sorted tetrahedra, in row order
+        rows = np.sort(tri.simplices, axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        top = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
     skeleton = previous
     if skeleton is None or skeleton.n_points != m or not np.array_equal(
         skeleton.vertices[top.shape[1] - 1], top

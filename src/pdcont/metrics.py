@@ -5,8 +5,9 @@ pairwise (sup-norm) or point-to-diagonal distances, so a search over the
 sorted candidates settles it without tolerance. The answer is at least
 ``lower``, the largest over all points of the distance to the nearest point
 of the other diagram or to the diagonal, and at most ``upper``, the largest
-distance to the diagonal (send every point there). The search gallops upward
-from ``lower``: on nearby diagrams the first test is the answer.
+distance to the diagonal (send every point there). The search tests
+``lower`` first, which settles nearby diagrams before any candidate is
+sorted, and otherwise gallops upward from it.
 
 A test at radius r asks for a perfect matching of the diagonal-augmented
 bipartite graph: the points of A and a diagonal slot b'_j per point of B
@@ -96,12 +97,15 @@ def bottleneck(diagram_a, diagram_b) -> float:
         np.minimum(gap_a, dist.min(axis=1, initial=np.inf)).max(initial=0.0),
         np.minimum(gap_b, dist.min(axis=0, initial=np.inf)).max(initial=0.0),
     )
+    if _within(dist, gap_a, gap_b, lower):
+        return max(ess, float(lower))
     upper = max(gap_a.max(initial=0.0), gap_b.max(initial=0.0))
     values = np.concatenate([dist.ravel(), gap_a, gap_b])
     values = np.unique(values[(values >= lower) & (values <= upper)])
-    # gallop upward from the lower bound: probe 1, 2, 4, ... candidates past
-    # the last failed test, and bisect once that passes the middle of the rest
-    lo, hi, step = 0, len(values) - 1, 1
+    # values[0] is lower, which failed: gallop upward, probing 1, 2, 4, ...
+    # candidates past the last failed test, and bisect once that passes the
+    # middle of the rest
+    lo, hi, step = 1, len(values) - 1, 2
     while lo < hi:
         mid = min(lo + step - 1, (lo + hi) // 2)
         if _within(dist, gap_a, gap_b, values[mid]):

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from pdcont.delaunay import _FILTER_REL, insphere_exact, orient3d_exact
+from pdcont.delaunay import insphere_exact, orient3d_exact
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
 from pdcont.filtration import FiltEntry
 from pdcont.geometry import _DEGENERATE, Configuration
@@ -315,11 +315,18 @@ def fraction_insphere_exact(a, b, c, d, p):
     return (val > 0) - (val < 0)
 
 
+# The all-points scan's own float filter, independent of the package's:
+# lifted determinants within this times the product of their row norms are
+# decided by the exact predicate.
+VERIFY_FILTER_REL = 1e-10
+
+
 def verify_empty_all_points(points, tets):
     """Check every tetra circumsphere is empty; exact fallback near ties.
 
     The global O(T * M) scan, every tetrahedron against every other point,
-    with the package's float filter and exact predicates.
+    with a Hadamard-style float filter (``VERIFY_FILTER_REL``) and the
+    package's exact predicates.
     """
     pts = np.asarray(points, dtype=float)
     tet_pts = pts[np.asarray(tets)]  # (T, 4, 3)
@@ -347,7 +354,7 @@ def verify_empty_all_points(points, tets):
             [rel, np.einsum("oij,oij->oi", rel, rel)[..., None]], axis=2
         )
         vals = -np.linalg.det(lift) * orient_sign[t]
-        bounds = _FILTER_REL * np.prod(np.linalg.norm(lift, axis=2), axis=1)
+        bounds = VERIFY_FILTER_REL * np.prod(np.linalg.norm(lift, axis=2), axis=1)
         suspect = np.abs(vals) <= bounds
         inside = vals > 0
         for o_idx in np.nonzero(suspect | inside)[0]:
