@@ -138,6 +138,19 @@ class Skeleton:
         return t_idx[order], p[order]
 
     @cached_property
+    def cofaces(self) -> np.ndarray:
+        """The rows of the two tetrahedra on either side of each triangle of a
+        triangulation, (T, 2), where ``len(vertices[3])`` is the outside."""
+        triangles = self.facets[3].ravel()
+        out = np.full((len(self.vertices[2]), 2), len(self.vertices[3]))
+        by_triangle = np.argsort(triangles, kind="stable")  # a triangle's tetrahedra, adjacent
+        sides = triangles[by_triangle]
+        second = np.zeros(len(sides), dtype=np.intp)
+        second[1:] = sides[1:] == sides[:-1]
+        out[sides, second] = by_triangle // 4
+        return out
+
+    @cached_property
     def faces(self) -> tuple:
         """Alpha birth candidates (coface, face, first of each face), grouped by
         simplex: itself, then its tetrahedra, then its triangles (the order in

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own computation paths:
 brute-force searches, exhaustive enumeration, finite differences, GF(2) rank
-computations on bitsets, exact rational reduction and predicates, dense
-all-pairs distances, a dense block-graph bottleneck search, and hand-rolled
-hull volumes.
+computations on bitsets, exact rational reduction and predicates, the
+all-dimension bitset reduction and per-pair diagram extraction that the
+package used to run, dense all-pairs distances, a dense block-graph
+bottleneck search, and hand-rolled hull volumes.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from pdcont.delaunay import insphere_exact, orient3d_exact
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
 from pdcont.filtration import FiltEntry
 from pdcont.geometry import _DEGENERATE, Configuration
-from pdcont.persistence import BoundaryMatrix
+from pdcont.persistence import BoundaryMatrix, EssentialClass, FinitePair, PersistenceData
 
 # property tests draw the same examples on every run and keep no database
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -477,10 +478,11 @@ def rational_reduction(columns):
     return tuple(pairs), tuple(i for i in range(len(columns)) if i not in used)
 
 
-# --- the Rips build and boundary matrix by enumeration --------------------------
-# As they stood before both read the facet rows of a Skeleton, kept verbatim as
-# exact oracles, except that they take and return the tuple of entries and the
-# birth radius comes from its own copy of the argmax-edge loop.
+# --- the Rips build, boundary matrix, reduction and diagram by enumeration ------
+# As they stood before they read the facet rows of a Skeleton or paired by
+# union-find, kept as exact oracles, except that they take and return the
+# tuple of entries and the birth radius comes from its own copy of the
+# argmax-edge loop.
 
 def rips_birth_reference(key, config):
     """Half the maximum pairwise distance of the simplex ``key`` and the first
@@ -515,8 +517,10 @@ def build_rips_reference(config, max_dim=3):
     return sorted_entries_reference(entries)
 
 
-def boundary_matrix_reference(entries):
-    """Matrix of the boundary map over Z/2 of the filtration ``entries``."""
+def _enumerated_boundary(entries):
+    """(rows, columns) of the filtration ``entries``: ``rows[d]`` lists the
+    positions of the d-simplices, ascending, and ``columns[j]`` the ranks
+    among ``rows[d - 1]`` of the facets of the simplex at position j."""
     rows = [[] for _ in range(max(e.dim for e in entries) + 1)]
     rank = {}
     for j, e in enumerate(entries):
@@ -526,7 +530,85 @@ def boundary_matrix_reference(entries):
         tuple(sorted(rank[face] for face in itertools.combinations(e.key, e.dim))) if e.dim else ()
         for e in entries
     )
-    return BoundaryMatrix(len(entries), columns, tuple(map(tuple, rows)))
+    return rows, columns
+
+
+def boundary_matrix_reference(entries, kind):
+    """Matrix of the boundary map over Z/2 of the filtration ``entries``, with
+    the cofaces of each triangle of an alpha complex by enumeration, ascending."""
+    rows, columns = _enumerated_boundary(entries)
+    facets = tuple(
+        np.array([columns[j] for j in row], dtype=np.intp).reshape(len(row), dim and dim + 1)
+        for dim, row in enumerate(rows)
+    )
+    cofaces = None
+    if kind == "alpha" and len(rows) == 4:
+        sides = [[] for _ in rows[2]]
+        for tet, j in enumerate(rows[3]):
+            for triangle in columns[j]:
+                sides[triangle].append(tet)
+        outside = [len(rows[3])] * 2
+        cofaces = np.array([(side + outside)[:2] for side in sides], dtype=np.intp)
+    positions = tuple(np.array(row, dtype=np.intp) for row in rows)
+    return BoundaryMatrix(len(entries), positions, facets, cofaces)
+
+
+def bitset_reduction_reference(entries):
+    """The column reduction over Z/2 with clearing of every dimension, on
+    ``int`` bitsets, as the package ran it before it paired H0 and the alpha
+    H2 by union-find. Returns (pivot pairs (i, j) sorted by j, unpaired
+    positions ascending)."""
+    rows, columns = _enumerated_boundary(entries)
+    pairs = []
+    cleared = set()
+    for dim in range(len(rows) - 1, 0, -1):
+        below = rows[dim - 1]
+        owner_col = {}  # pivot rank -> reduced column that owns it
+        for j in rows[dim]:
+            if j in cleared:
+                continue  # a pivot row is a known cycle
+            col = sum(1 << r for r in columns[j])
+            while col:
+                piv = col.bit_length() - 1
+                other = owner_col.get(piv)
+                if other is None:
+                    owner_col[piv] = col
+                    pairs.append((below[piv], j))
+                    cleared.add(below[piv])
+                    break
+                col ^= other
+    pairs.sort(key=lambda ij: ij[1])
+    used = set(i for p in pairs for i in p)
+    return tuple(pairs), tuple(i for i in range(len(entries)) if i not in used)
+
+
+def persistence_data_reference(pairs, essentials, fc, dim, epsilon):
+    """The dimension-``dim`` diagram of the pairing (``pairs``,
+    ``essentials``) of ``fc``, extracted by a loop over every pair."""
+    keys, offsets = fc.skeleton.keys, fc.skeleton.offsets
+    birth, realizer, order = fc.birth.tolist(), fc.realizer.tolist(), fc.order.tolist()
+    lo, hi = offsets.get(dim, len(keys)), offsets.get(dim + 1, len(keys))
+    finite = []
+    for i, j in pairs:
+        s, t = order[i], order[j]
+        if not lo <= s < hi:
+            continue
+        b, d = birth[s], birth[t]
+        if b >= d:
+            continue  # zero-length interval: trivial summand
+        if (d - b) / 2.0 < epsilon:
+            continue
+        finite.append(
+            FinitePair(b, d, keys[s], keys[t], keys[realizer[s]], keys[realizer[t]])
+        )
+    finite.sort(key=lambda p: (p.birth, p.death, p.birth_key))
+    essential = [
+        EssentialClass(birth[order[i]], keys[order[i]], keys[realizer[order[i]]])
+        for i in essentials
+        if lo <= order[i] < hi
+    ]
+    essential.sort(key=lambda e: (e.birth, e.birth_key))
+    return PersistenceData(fc.kind, dim, epsilon, tuple(finite), tuple(essential))
 
 
 # --- GF(2) rank oracle for persistence pairings ----------------------------------

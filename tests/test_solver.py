@@ -347,7 +347,7 @@ def _evaluation_bytes(ev):
               sp.weights.tobytes(), sp.degenerate.tobytes())
         for dim, sp in ev.fc.spheres.items()
     }
-    return ev.fc.entries, spheres, ev.reduction, ev.pd
+    return ev.fc.entries, spheres, ev.reduction.pairs, ev.reduction.essentials, ev.pd
 
 
 def _first_change(points, direction, changed, steps=24, reach=0.2):
