@@ -102,6 +102,14 @@ class Skeleton:
         """key -> global index."""
         return {key: i for i, key in enumerate(self.keys)}
 
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """Every simplex's vertex row by global index, padded with -1."""
+        out = np.full((len(self.keys), len(self.vertices)), -1)
+        for dim, rows in self.vertices.items():
+            out[self.offsets[dim]:self.offsets[dim] + len(rows), :dim + 1] = rows
+        return out
+
     def edge_rows(self, dim):
         """The rows among the edges of each ``dim``-simplex's edges, (S, C(dim + 1, 2)),
         in ``itertools.combinations`` order."""

@@ -10,8 +10,6 @@ circumspheres the filtration build kept, so no circumsphere is solved twice.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import io
 import warnings
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ import numpy as np
 
 from .errors import NearDegenerateJacobian
 from .filtration import FilteredComplex, build
-from .geometry import Configuration, _free_slots, radius_gradients
+from .geometry import Configuration, _free_columns, radius_gradients
 from .geometry import circumradius_gradient  # unused here; perfbench/tracing.py wraps this name
 from .persistence import PersistenceData
 
@@ -56,48 +54,36 @@ class PersistenceJacobian:
         return buf.getvalue()
 
 
-@functools.lru_cache
-def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
-    """Column of each point coordinate among the free ones, -1 where pinned."""
-    cols = np.full((n_points, 3), -1)
-    for c, (i, axis) in enumerate(_free_slots(n_points, gauge)):
-        cols[i, axis] = c
-    cols.flags.writeable = False  # one array serves every caller
-    return cols
-
-
 def _attaching_gradients(fc: FilteredComplex, simplices):
     """Radius gradients of the attaching simplices of ``fc`` with the global
     indices ``simplices``, as rows over the free columns.
 
     Returns the (len(simplices), n) rows and the norm of each whole gradient,
     pinned coordinates included. Alpha gradients are λᵢ(pᵢ − c)/R from the
-    circumspheres that ``fc`` kept, per dimension; a Rips edge's are
-    ±(pᵢ − pⱼ)/(4 birth), and 4 birth is twice its length, bit for bit.
+    circumspheres that ``fc`` kept, gathered for every dimension at once
+    through the skeleton's padded vertex rows: a padded slot has weight zero
+    and lands in the spare column. A Rips edge's are ±(pᵢ − pⱼ)/(4 birth),
+    and 4 birth is twice its length, bit for bit.
     """
     config, skeleton, pts = fc.config, fc.skeleton, fc.config.points
     cols = _free_columns(config.n_points, config.gauge)
     # pinned coordinates (column -1) land in a spare last column, cut off below
     rows, norms = np.zeros((len(simplices), config.free_dim + 1)), np.zeros(len(simplices))
-    starts, by_dim = list(skeleton.offsets.values()), {}
-    for r, g in enumerate(simplices):
-        by_dim.setdefault(bisect.bisect_right(starts, g) - 1, []).append(r)
-    by_dim.pop(0, None)  # vertices are born at radius zero
     simplices = np.asarray(simplices, dtype=int)
-    for dim, idx in by_dim.items():
-        idx = np.array(idx)
-        at = simplices[idx] - skeleton.offsets[dim]  # rows among the dim-simplices
-        verts = skeleton.vertices[dim][at]
-        if fc.kind == "rips":
-            unit = (pts[verts[:, 0]] - pts[verts[:, 1]]) / (4.0 * fc.birth[simplices[idx]])[:, None]
-            grads = np.stack([unit, -unit], axis=1)
-        else:
-            s = fc.spheres[dim]
-            grads = radius_gradients(
-                pts[verts], s.centers[at], s.radii[at], s.weights[at], s.degenerate[at]
-            )
-        norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
-        rows[idx[:, None, None], cols[verts]] = grads
+    # vertices are born at radius zero
+    at = (simplices >= skeleton.offsets.get(1, len(skeleton.keys))).nonzero()[0]
+    g = simplices[at]
+    if not g.size:
+        return rows[:, :-1], norms
+    if fc.kind == "rips":
+        verts = skeleton.vertices[1][g - skeleton.offsets[1]]
+        unit = (pts[verts[:, 0]] - pts[verts[:, 1]]) / (4.0 * fc.birth[g])[:, None]
+        grads = np.stack([unit, -unit], axis=1)
+    else:
+        verts = skeleton.padded[g]
+        grads = radius_gradients(pts[verts], *(kept[g] for kept in fc.spheres))
+    norms[at] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
+    rows[at[:, None, None], cols[verts]] = grads
     return rows[:, :-1], norms
 
 

@@ -8,8 +8,8 @@ their simplices and facets in a ``delaunay.Skeleton`` (the Delaunay closure
 for alpha, all subsets up to ``max_dim + 1`` points for Rips), which the
 build of a nearby cloud can share, and a filtration is arrays over that
 numbering: each simplex's birth and realizer by global index. An alpha
-complex keeps the circumspheres its build computed, row for row with the
-skeleton's simplices, so gradients read them instead of solving them again.
+complex keeps the circumspheres its build computed, in arrays by global
+index, so gradients read them instead of solving them again.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class FiltEntry(NamedTuple):
 
 
 class Circumspheres(NamedTuple):
-    """The ``circumspheres`` output for one dimension's simplices, row for row
-    with the skeleton's simplices of that dimension."""
+    """The ``circumspheres`` output of an alpha complex's simplices by global
+    index; weights are zero-padded like ``Skeleton.padded``, vertex rows zero."""
 
     centers: np.ndarray
     radii: np.ndarray
@@ -66,7 +66,7 @@ class FilteredComplex:
     skeleton: _delaunay.Skeleton = field(repr=False)
     birth: np.ndarray = field(repr=False)
     realizer: np.ndarray = field(repr=False)
-    spheres: dict = field(default_factory=dict, repr=False)  # dim -> Circumspheres (alpha)
+    spheres: Circumspheres | None = field(default=None, repr=False)  # alpha only
 
     def __len__(self):
         return len(self.order)
@@ -161,20 +161,25 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     cofaces (itself included when attaching); the realizing coface is stored
     as the attaching simplex. Ties go to the simplex itself, then to
     tetrahedra before triangles, then to the smaller key. The circumspheres of
-    every simplex of dimension 1 to 3 are kept on the complex.
+    every simplex of dimension 1 to 3 are kept on the complex, by global index.
     """
     pts, skeleton = config.points, _delaunay.delaunay3(config, previous)
-    spheres = {}
+    n = len(skeleton.keys)
+    spheres = Circumspheres(
+        np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
+    )
     # each simplex's radius as a birth candidate: inf where it is not attaching
-    candidate = np.zeros(len(skeleton.keys))
+    candidate = np.zeros(n)
     for dim in (1, 2, 3):
         verts = skeleton.vertices.get(dim)
         if verts is None:
             continue
-        kept = spheres[dim] = Circumspheres(*circumspheres(pts[verts]))
-        flags = _delaunay.attaching_flags(pts, skeleton, dim, kept.centers, kept.radii)
-        at = skeleton.offsets[dim]
-        candidate[at:at + len(verts)] = np.where(flags, kept.radii, np.inf)
+        centers, radii, weights, degenerate = circumspheres(pts[verts])
+        at = slice(skeleton.offsets[dim], skeleton.offsets[dim] + len(verts))
+        spheres.centers[at], spheres.radii[at], spheres.degenerate[at] = centers, radii, degenerate
+        spheres.weights[at, :dim + 1] = weights
+        flags = _delaunay.attaching_flags(pts, skeleton, dim, centers, radii)
+        candidate[at] = np.where(flags, radii, np.inf)
     cofaces, faces, first = skeleton.faces
     radii = candidate[cofaces]
     # the earliest candidate at each simplex's smallest radius

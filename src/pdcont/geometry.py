@@ -8,6 +8,7 @@ center, and those weights give the gradient in closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -36,6 +37,16 @@ def _free_slots(n_points: int, gauge: bool):
     return slots
 
 
+@functools.lru_cache
+def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
+    """Free column of each point coordinate, -1 where pinned and in a spare last row."""
+    cols = np.full((n_points + 1, 3), -1)
+    for c, (i, axis) in enumerate(_free_slots(n_points, gauge)):
+        cols[i, axis] = c
+    cols.flags.writeable = False  # one array serves every caller
+    return cols
+
+
 @dataclass(frozen=True)
 class Configuration:
     """An ordered point cloud in R^3 with an optional rigid-motion gauge.
@@ -49,7 +60,7 @@ class Configuration:
     gauge: bool = True
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        pts = np.array(self.points, dtype=float, order="C")  # a copy, not the caller's array
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must be an (M, 3) array")
         if not np.isfinite(pts).all():
@@ -74,28 +85,22 @@ class Configuration:
 
     def pack(self) -> np.ndarray:
         """Free coordinates as a vector, in point order (x1, x2, y2, x3, ...)."""
-        if self.gauge:
-            fixed = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-            for i, a in fixed:
-                if self.points[i, a] != 0.0:
-                    raise GaugeViolation(
-                        f"point {i} coordinate {'xyz'[a]} = {self.points[i, a]!r} "
-                        "is pinned by the gauge and must be zero"
-                    )
-        return np.array([self.points[i, a] for i, a in self.free_slots()])
+        cols = _free_columns(self.n_points, self.gauge)[:-1]
+        if self.gauge and self.points[cols < 0].any():
+            i, a = np.argwhere((cols < 0) & (self.points != 0.0))[0]
+            raise GaugeViolation(
+                f"point {i} coordinate {'xyz'[a]} = {self.points[i, a]!r} "
+                "is pinned by the gauge and must be zero"
+            )
+        return self.points[cols >= 0]  # in C order, which is the packing order
 
     def with_vector(self, vec) -> "Configuration":
         """New configuration with the free coordinates replaced by ``vec``."""
         vec = np.asarray(vec, dtype=float)
-        slots = self.free_slots()
-        if vec.shape != (len(slots),):
-            raise ValueError(f"expected vector of length {len(slots)}, got {vec.shape}")
-        pts = np.zeros_like(self.points)
-        if not self.gauge:
-            return Configuration(vec.reshape(-1, 3), gauge=False)
-        for (i, a), x in zip(slots, vec):
-            pts[i, a] = x
-        return Configuration(pts, gauge=True)
+        if vec.shape != (self.free_dim,):
+            raise ValueError(f"expected vector of length {self.free_dim}, got {vec.shape}")
+        cols = _free_columns(self.n_points, self.gauge)[:-1]
+        return Configuration(np.append(vec, 0.0)[cols], self.gauge)  # pinned: the zero appended
 
 
 def to_gauge_frame(points) -> Configuration:
@@ -133,6 +138,7 @@ def to_gauge_frame(points) -> Configuration:
 _DEGENERATE = {2: "coincident points", 3: "collinear points", 4: "coplanar points"}
 # a simplex whose content is at most this times its diameter to the power k - 1
 _DEGENERATE_REL = 1e-12
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # a x b = a[N] b[P] - a[P] b[N]
 
 
 def _row_norms(x):
@@ -158,7 +164,7 @@ def circumspheres(simplices):
         raise ValueError(f"circumsphere defined for 2..4 vertices, got {k}")
     rel = pts[:, 1:] - pts[:, :1]
     gram = np.einsum("sid,sjd->sij", rel, rel)
-    rhs = 0.5 * np.einsum("sij,sij->si", rel, rel)
+    rhs = 0.5 * gram.diagonal(0, 1, 2)  # the same sums of the same products
     try:
         coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -168,19 +174,19 @@ def circumspheres(simplices):
         )
     centers = pts[:, 0] + np.einsum("sji,sj->si", rel, coeff)
     radii = _row_norms(centers - pts[:, 0])
-    weights = np.concatenate([1.0 - coeff.sum(axis=1, keepdims=True), coeff], axis=1)
+    weights = np.empty(pts.shape[:2])
+    weights[:, 0], weights[:, 1:] = 1.0 - np.add.reduce(coeff, axis=1), coeff
     if k == 2:
-        content = _row_norms(rel[:, 0])
-    elif k == 3:
-        (a0, a1, a2), (b0, b1, b2) = rel[:, 0].T, rel[:, 1].T
-        cross = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-        content = _row_norms(cross)
+        length = _row_norms(rel[:, 0])  # an edge is its own diameter: degenerate at 0 or inf
+        return centers, radii, weights, length <= _DEGENERATE_REL * length
+    if k == 3:
+        ahead, behind = rel.take(_NEXT, axis=2), rel.take(_PREV, axis=2)
+        content = _row_norms(ahead[:, 0] * behind[:, 1] - behind[:, 0] * ahead[:, 1])
     else:
         content = np.abs(np.linalg.det(rel))
     diff = pts[:, :, None] - pts[:, None, :]
-    diameter = np.sqrt(np.einsum("sijk,sijk->sij", diff, diff).max(axis=(1, 2)))
-    degenerate = content <= _DEGENERATE_REL * diameter ** (k - 1)
-    return centers, radii, weights, degenerate
+    diameter = np.sqrt(np.maximum.reduce(np.einsum("sijk,sijk->sij", diff, diff), axis=(1, 2)))
+    return centers, radii, weights, content <= _DEGENERATE_REL * diameter ** (k - 1)
 
 
 def _nondegenerate(stack, centers, radii, weights, degenerate):
@@ -295,22 +301,17 @@ def check_general_position(fc, tol: float = 1e-9):
         GPViolation("coincident_points", pair) for pair in sorted(cKDTree(pts).query_pairs(tol))
     )
 
-    if fc.kind == "rips":
-        report.violations.extend(_radius_ties(fc.attaching_radii, tol))
-        return report
-
-    # the circumspheres the alpha build kept, row for row with the skeleton
-    skeleton = fc.skeleton
-    for dim, spheres in fc.spheres.items():
+    skeleton, spheres = fc.skeleton, fc.spheres  # the alpha build's, by global index
+    if spheres is not None:
         report.violations.extend(
-            GPViolation("degenerate_simplex", (skeleton.by_dim[dim][s],))
-            for s in np.flatnonzero(spheres.degenerate)
+            GPViolation("degenerate_simplex", (skeleton.keys[g],))
+            for g in np.flatnonzero(spheres.degenerate)
         )
     report.violations.extend(_radius_ties(fc.attaching_radii, tol))
-
-    if 3 not in fc.spheres:
+    if spheres is None or 3 not in skeleton.vertices:
         return report
-    tets, centers, radii = skeleton.tetrahedra, fc.spheres[3].centers, fc.spheres[3].radii
+    at = skeleton.offsets[3]  # the tetrahedra come last in global order
+    tets, centers, radii = skeleton.tetrahedra, spheres.centers[at:], spheres.radii[at:]
     t_idx, far = skeleton.across
     close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
     near = {(tets[t], int(p)): float(radii[t]) for t, p in zip(t_idx[close], far[close])}

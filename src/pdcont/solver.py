@@ -32,10 +32,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diffmap import PersistenceJacobian, _attaching_gradients, _free_columns, jacobian
+from .diffmap import PersistenceJacobian, _attaching_gradients, jacobian
 from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
 from .filtration import FilteredComplex, build
-from .geometry import Configuration
+from .geometry import Configuration, _free_columns
 from .persistence import (
     PersistenceData, Reduction, boundary_matrix, persistence_data, reduce_boundary,
 )
@@ -47,18 +47,24 @@ _JACOBI_SWEEPS = 60
 
 
 def _jacobi_tall(a):
-    """Thin SVD of a tall matrix (p >= q) by one-sided Jacobi column rotations."""
+    """Thin SVD of a tall matrix (p >= q) by one-sided Jacobi column rotations.
+
+    U and V rotate as one (p + q) x q block in the layout of ``np.array(a)``, as a dot's
+    last bit follows its strides; a column's squared norm is kept until it rotates."""
     u = np.array(a, dtype=float)
-    q = u.shape[1]
-    v = np.eye(q)
+    p, q = u.shape
+    block = np.empty((p + q, q), order="F" if u.flags.f_contiguous else "C")
+    block[:p], block[p:] = u, np.eye(q)
+    cols = [block[:, j] for j in range(q)]
+    heads = [col[:p] for col in cols]
+    squares = [float(x.dot(x)) for x in heads]
     for _ in range(_JACOBI_SWEEPS):
         rotated = False
         for i in range(q - 1):
+            x = heads[i]
             for j in range(i + 1, q):
-                x, y = u[:, i], u[:, j]
-                alpha = float(x @ x)
-                beta = float(y @ y)
-                gamma = float(x @ y)
+                y = heads[j]
+                alpha, beta, gamma = squares[i], squares[j], float(x.dot(y))
                 if gamma == 0.0 or abs(gamma) <= _JACOBI_EPS * math.sqrt(alpha * beta):
                     continue
                 rotated = True
@@ -66,22 +72,20 @@ def _jacobi_tall(a):
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
                 c = 1.0 / math.hypot(1.0, t)
                 s = c * t
-                ui, uj = u[:, i].copy(), u[:, j].copy()
-                u[:, i] = c * ui - s * uj
-                u[:, j] = s * ui + c * uj
-                vi, vj = v[:, i].copy(), v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
+                bi, bj = cols[i], cols[j]
+                new_i = c * bi - s * bj
+                bj *= c
+                bj += s * bi  # s * bi + c * bj, as addition commutes exactly
+                bi[:] = new_i
+                squares[i], squares[j] = float(x.dot(x)), float(y.dot(y))
         if not rotated:
             break
-    norms = np.linalg.norm(u, axis=0)
+    norms = np.sqrt(np.add.reduce(block[:p] ** 2, axis=0))  # np.linalg.norm's arithmetic
     order = np.argsort(-norms)
-    norms = norms[order]
-    u = u[:, order]
-    v = v[:, order]
-    nonzero = norms > 0
-    u[:, nonzero] = u[:, nonzero] / norms[nonzero]
-    return u, norms, v
+    if not block.flags.f_contiguous or (order != np.arange(q)).any():  # F-ordered factors
+        norms, block = norms[order], block[:, order]
+    block[:p] /= np.where(norms > 0, norms, 1.0)  # a zero column stays zero
+    return block[:p], norms, block[p:]
 
 
 _JACOBI_SIZE_LIMIT = 16  # q(q - 1)/2 rotations per sweep on the short side q
@@ -97,16 +101,13 @@ def svd(a):
     if a.ndim != 2:
         raise ValueError("svd expects a matrix")
     m, n = a.shape
-    if m == 0 or n == 0:
-        return np.eye(m), np.zeros(min(m, n)), np.eye(n)[:, : min(m, n)]
     if min(m, n) > _JACOBI_SIZE_LIMIT:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         return u, s, vt.T
     if m <= n:
         w, s, v = _jacobi_tall(a.T)
         return v, s, w
-    u, s, w = _jacobi_tall(a)
-    return u, s, w
+    return _jacobi_tall(a)
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,13 @@ class PinvInfo:
     rank_deficient: bool
 
 
-def _pinv_parts(factors, sigma_cutoff_rel):
-    v, s, w = factors
+def _inverse(s, sigma_cutoff_rel):
+    """The cutoff, which singular values exceed it, and their inverses (else 0)."""
     cutoff = sigma_cutoff_rel * (s[0] if s.size else 0.0)
     keep = s > cutoff
-    info = PinvInfo(s, cutoff, int(keep.sum()), bool(np.any(~keep)))
-    return v, s, w, keep, info
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return cutoff, keep, inv
 
 
 def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
@@ -131,24 +133,22 @@ def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
     Singular values at or below ``sigma_cutoff_rel`` times the largest one are
     treated as zero; the returned info flags rank deficiency.
     """
-    return _pinv_solve(svd(a), np.asarray(b, dtype=float), sigma_cutoff_rel)
+    factors = svd(a)
+    cutoff, keep, _ = _inverse(factors[1], sigma_cutoff_rel)
+    info = PinvInfo(factors[1], cutoff, int(keep.sum()), bool(np.any(~keep)))
+    return _pinv_solve(factors, np.asarray(b, dtype=float), sigma_cutoff_rel), info
 
 
 def _pinv_solve(factors, b, sigma_cutoff_rel):
-    """``pinv_apply`` from the SVD factors (V, s, W) of the matrix."""
-    v, s, w, keep, info = _pinv_parts(factors, sigma_cutoff_rel)
-    coeff = v.T @ b
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return w @ (inv * coeff), info
+    """The solution of ``pinv_apply`` from the SVD factors (V, s, W) of the matrix."""
+    v, s, w = factors
+    return w @ (_inverse(s, sigma_cutoff_rel)[2] * (v.T @ b))
 
 
 def pinv_matrix(a, sigma_cutoff_rel: float = 1e-12) -> np.ndarray:
     """Dense pseudo-inverse (W Sigma^+ V^T); mainly for verification."""
-    v, s, w, keep, _ = _pinv_parts(svd(a), sigma_cutoff_rel)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return w @ (inv[:, None] * v.T)
+    v, s, w = svd(a)
+    return w @ (_inverse(s, sigma_cutoff_rel)[2][:, None] * v.T)
 
 
 # --- diagram coordinate tracking -------------------------------------------------
@@ -307,7 +307,7 @@ def _constraint_rows(config, constraints):
     grads = np.array([c.gradient(config) for c in constraints], dtype=float)
     # pinned coordinates (column -1) land in a spare last column, cut off below
     rows = np.zeros((len(constraints), config.free_dim + 1))
-    rows[:, _free_columns(config.n_points, config.gauge)] = grads
+    rows[:, _free_columns(config.n_points, config.gauge)[:-1]] = grads
     return vals, rows[:, :-1]
 
 
@@ -441,7 +441,7 @@ def _newton_core(
             # otherwise the Newton matrix is the Jacobian, already decomposed
             factors = svd(np.vstack([jac.matrix, tie_m, g_rows]))
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
-        step, _ = _pinv_solve(factors, step_res, sigma_cutoff_rel)
+        step = _pinv_solve(factors, step_res, sigma_cutoff_rel)
         config = config.with_vector(config.pack() - step)
         ev = _evaluate(config, kind, dim, epsilon, previous=ev)
 

@@ -5,9 +5,12 @@ brute-force searches, exhaustive enumeration, finite differences, GF(2) rank
 computations on bitsets, exact rational reduction and predicates, the
 all-dimension bitset reduction and per-pair diagram extraction that the
 package used to run, dense all-pairs distances, a dense block-graph
-bottleneck search, and hand-rolled hull volumes.
+bottleneck search, and hand-rolled hull volumes; and, as bitwise oracles,
+the circumsphere kernel, the Jacobi SVD and the attaching gradients as they
+stood before their per-call overhead was trimmed.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +25,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from pdcont.delaunay import insphere_exact, orient3d_exact
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
 from pdcont.filtration import FiltEntry
-from pdcont.geometry import _DEGENERATE, Configuration
+from pdcont.geometry import _DEGENERATE, Configuration, _free_columns, radius_gradients
 from pdcont.persistence import BoundaryMatrix, EssentialClass, FinitePair, PersistenceData
 
 # property tests draw the same examples on every run and keep no database
@@ -45,8 +48,8 @@ def grid_clouds(draw, min_size, max_size, exact=True):
 
 
 def circumspheres_reference(simplices, rel_tol: float = 1e-12):
-    """The circumsphere kernel as it stood before its per-call overhead was
-    trimmed, kept verbatim as a bitwise oracle.
+    """The circumsphere kernel as it stood before its degenerate test, weights
+    and cross product were trimmed, kept as a bitwise oracle.
 
     Smallest circumspheres of a stack of 2-, 3- or 4-point simplices.
 
@@ -73,18 +76,94 @@ def circumspheres_reference(simplices, rel_tol: float = 1e-12):
             [np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)]
         )
     centers = pts[:, 0] + np.einsum("sji,sj->si", rel, coeff)
-    radii = np.linalg.norm(centers - pts[:, 0], axis=1)
+    radii = _row_norms_reference(centers - pts[:, 0])
     weights = np.concatenate([1.0 - coeff.sum(axis=1, keepdims=True), coeff], axis=1)
     if k == 2:
-        content = np.linalg.norm(rel[:, 0], axis=1)
+        content = _row_norms_reference(rel[:, 0])
     elif k == 3:
-        content = np.linalg.norm(np.cross(rel[:, 0], rel[:, 1]), axis=1)
+        (a0, a1, a2), (b0, b1, b2) = rel[:, 0].T, rel[:, 1].T
+        cross = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+        content = _row_norms_reference(cross)
     else:
         content = np.abs(np.linalg.det(rel))
     diff = pts[:, :, None] - pts[:, None, :]
     diameter = np.sqrt(np.einsum("sijk,sijk->sij", diff, diff).max(axis=(1, 2)))
     degenerate = content <= rel_tol * diameter ** (k - 1)
     return centers, radii, weights, degenerate
+
+
+def _row_norms_reference(x):
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def jacobi_reference(a, eps=1e-15, sweeps=60):
+    """The one-sided Jacobi SVD of a tall matrix as it stood before U and V
+    shared one block, kept as a bitwise oracle: U, V rotate separately and
+    every pair recomputes its three dot products."""
+    u = np.array(a, dtype=float)
+    q = u.shape[1]
+    v = np.eye(q)
+    for _ in range(sweeps):
+        rotated = False
+        for i in range(q - 1):
+            for j in range(i + 1, q):
+                x, y = u[:, i], u[:, j]
+                alpha = float(x @ x)
+                beta = float(y @ y)
+                gamma = float(x @ y)
+                if gamma == 0.0 or abs(gamma) <= eps * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                ui, uj = u[:, i].copy(), u[:, j].copy()
+                u[:, i] = c * ui - s * uj
+                u[:, j] = s * ui + c * uj
+                vi, vj = v[:, i].copy(), v[:, j].copy()
+                v[:, i] = c * vi - s * vj
+                v[:, j] = s * vi + c * vj
+        if not rotated:
+            break
+    norms = np.linalg.norm(u, axis=0)
+    order = np.argsort(-norms)
+    norms = norms[order]
+    u = u[:, order]
+    v = v[:, order]
+    nonzero = norms > 0
+    u[:, nonzero] = u[:, nonzero] / norms[nonzero]
+    return u, norms, v
+
+
+def attaching_gradients_reference(fc, simplices):
+    """The attaching gradient rows and norms as computed before one pass
+    gathered every dimension, kept as a bitwise oracle: the simplices are
+    grouped by dimension and each group reads its own rows of the kept
+    circumspheres."""
+    config, skeleton, pts = fc.config, fc.skeleton, fc.config.points
+    cols = _free_columns(config.n_points, config.gauge)
+    rows, norms = np.zeros((len(simplices), config.free_dim + 1)), np.zeros(len(simplices))
+    starts, by_dim = list(skeleton.offsets.values()), {}
+    for r, g in enumerate(simplices):
+        by_dim.setdefault(bisect.bisect_right(starts, g) - 1, []).append(r)
+    by_dim.pop(0, None)  # vertices are born at radius zero
+    simplices = np.asarray(simplices, dtype=int)
+    for dim, idx in by_dim.items():
+        idx = np.array(idx)
+        g = simplices[idx]
+        verts = skeleton.vertices[dim][g - skeleton.offsets[dim]]
+        if fc.kind == "rips":
+            unit = (pts[verts[:, 0]] - pts[verts[:, 1]]) / (4.0 * fc.birth[g])[:, None]
+            grads = np.stack([unit, -unit], axis=1)
+        else:
+            s = fc.spheres
+            grads = radius_gradients(
+                pts[verts], s.centers[g], s.radii[g], s.weights[g, :dim + 1], s.degenerate[g]
+            )
+        norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
+        rows[idx[:, None, None], cols[verts]] = grads
+    return rows[:, :-1], norms
 
 
 def config_from_vector(vec, gauge: bool = True) -> Configuration:

@@ -15,7 +15,7 @@ from pdcont.geometry import Configuration, circumradius_gradient, to_gauge_frame
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
 from pdcont.solver import _constraint_rows, newton_pinv, svd
 
-from helpers import PROPERTY, fd_gradient, random_cloud
+from helpers import PROPERTY, attaching_gradients_reference, fd_gradient, random_cloud
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -180,6 +180,28 @@ class TestBatchedGradients:
             expected[np.arange(start, start + len(verts))[:, None, None], cols[verts]] = grads
             start += len(verts)
         assert np.array_equal(rows, expected[:, :-1])
+
+
+class TestGradientsAgainstReference:
+    """One pass over every dimension gives the rows of the pass per dimension,
+    byte for byte."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 30),
+           kind=st.sampled_from(["alpha", "rips"]), gauge=st.booleans(), data=st.data())
+    def test_mixed_selection(self, seed, m, kind, gauge, data):
+        pts = random_cloud(np.random.RandomState(seed), m)
+        config = to_gauge_frame(pts) if gauge else Configuration(pts, gauge=False)
+        fc = build(config, kind, max_dim=3 if kind == "alpha" else 2)
+        attaching = sorted({fc.skeleton.index[e.attaching] for e in fc.entries})
+        # any mix of dimensions, vertices included, in any order, with repeats
+        simplices = data.draw(st.lists(st.sampled_from(attaching), max_size=40))
+        rows, norms = _attaching_gradients(fc, simplices)
+        expected_rows, expected_norms = attaching_gradients_reference(fc, simplices)
+        assert rows.shape == expected_rows.shape and rows.tobytes() == expected_rows.tobytes()
+        # the padded sum of an edge's squares may round its last bit otherwise;
+        # the norms only meet the sliver cap of the tie rows
+        np.testing.assert_array_max_ulp(norms, expected_norms, maxulp=2)
 
 
 class TestJacobianVsFiniteDifferences:

@@ -68,6 +68,25 @@ class TestPacking:
         assert config.free_dim == 12
         np.testing.assert_array_equal(config.pack(), pts.ravel())
 
+    @pytest.mark.parametrize("gauge", [True, False])
+    def test_the_callers_array_stays_its_own(self, gauge):
+        pts = to_gauge_frame(np.random.RandomState(1).randn(5, 3)).points.copy()
+        config = Configuration(pts, gauge=gauge)
+        assert pts.flags.writeable and not np.shares_memory(pts, config.points)
+        before = pts.copy()
+        pts[3] = 7.0
+        np.testing.assert_array_equal(config.points, before)
+
+    @pytest.mark.parametrize("gauge", [True, False])
+    def test_with_vector_keeps_no_view_of_the_vector(self, gauge):
+        config = Configuration(to_gauge_frame(np.random.RandomState(2).randn(5, 3)).points, gauge)
+        vec = config.pack() + 1.0
+        moved = config.with_vector(vec)
+        before = moved.points.copy()
+        vec[:] = 0.0
+        np.testing.assert_array_equal(moved.points, before)
+        np.testing.assert_array_equal(moved.pack(), config.pack() + 1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         pts = np.random.RandomState(0).randn(4, 3)
@@ -195,15 +214,44 @@ def _simplices():
     )
 
 
+_ROW_SHAPES = ("general", "coincident", "collinear", "coplanar", "overflowing")
+
+
+def _shaped_stack(rng, k, rows):
+    """A stack of k-point simplices, one per entry of ``rows``: general, with
+    two coincident vertices, with its third vertex on the line of the first
+    two, with its fourth in the plane of the first three, or so large that
+    the squared lengths overflow."""
+    pts = rng.standard_normal((len(rows), k, 3))
+    for s, shape in enumerate(rows):
+        p = pts[s]
+        if shape == "coincident":
+            p[-1] = p[0]
+        elif shape == "collinear" and k >= 3:
+            p[2] = p[0] + rng.uniform(-2.0, 2.0) * (p[1] - p[0])
+        elif shape == "coplanar" and k == 4:
+            p[3] = p[0] + rng.uniform(-2.0, 2.0, 2) @ (p[1:3] - p[0])
+        elif shape == "overflowing":
+            p *= 10.0 ** rng.uniform(154.0, 300.0)
+    return pts
+
+
 class TestCircumspheres:
     @PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), size=st.integers(1, 6),
-           exponent=st.floats(-3.0, 3.0), flat=st.booleans())
-    def test_bitwise_equal_to_reference_kernel(self, seed, k, size, exponent, flat):
-        pts = np.random.default_rng(seed).standard_normal((size, k, 3)) * 10.0**exponent
-        if flat:
-            pts[0, -1] = pts[0, 0]  # one degenerate simplex in the stack
-        for out, ref in zip(circumspheres(pts), circumspheres_reference(pts)):
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4),
+           rows=st.lists(st.sampled_from(_ROW_SHAPES), min_size=1, max_size=6),
+           exponent=st.floats(-3.0, 3.0))
+    def test_bitwise_equal_to_reference_kernel(self, seed, k, rows, exponent):
+        pts = _shaped_stack(np.random.default_rng(seed), k, rows) * 10.0**exponent
+        with np.errstate(all="ignore"):
+            try:
+                expected = circumspheres_reference(pts)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    circumspheres(pts)
+                return
+            got = circumspheres(pts)
+        for out, ref in zip(got, expected):
             assert out.shape == ref.shape and out.dtype == ref.dtype
             assert out.tobytes() == ref.tobytes()
 

@@ -9,7 +9,7 @@ from pdcont.delaunay import delaunay3
 from pdcont.diffmap import jacobian
 from pdcont.errors import DimensionMismatch, GeneralPositionViolation
 from pdcont.geometry import Configuration
-from pdcont import solver
+from pdcont import cli, diffmap, filtration, solver
 from pdcont.persistence import diagram
 from pdcont.solver import (
     NewtonReport,
@@ -22,7 +22,10 @@ from pdcont.solver import (
     svd,
 )
 
-from helpers import PROPERTY, random_cloud
+from helpers import (
+    PROPERTY, attaching_gradients_reference, circumspheres_reference, jacobi_reference,
+    random_cloud,
+)
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -119,6 +122,55 @@ class TestSVDPath:
         assert np.abs(x @ a @ x - x).max() <= tol * norm_x
         assert np.abs((a @ x).T - a @ x).max() <= tol
         assert np.abs((x @ a).T - x @ a).max() <= tol
+
+
+@st.composite
+def _jacobi_inputs(draw):
+    """A tall matrix with a short side of 1 to 16, scaled by 2^-500 to 2^500
+    with graded columns, some of them zero or repeated, laid out in C or F
+    order or as a column slice of a wider array."""
+    q = draw(st.integers(1, 16))
+    p = q + draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((p, q)) * 2.0 ** rng.integers(-20, 21, q)
+    for j in draw(st.lists(st.integers(0, q - 1), max_size=3)):
+        a[:, j] = 0.0 if draw(st.booleans()) else a[:, draw(st.integers(0, q - 1))]
+    a *= 2.0 ** draw(st.integers(-500, 500))
+    layout = draw(st.sampled_from(["C", "F", "slice"]))
+    if layout == "slice":
+        return np.hstack([a, a[:, :1]])[:, :-1]
+    return np.asarray(a, order=layout)
+
+
+class TestJacobiAgainstReference:
+    """The Jacobi SVD gives the bytes of its reference: U and V rotated
+    separately, three dot products per pair, every reorder and division."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(a=_jacobi_inputs())
+    def test_factors_bitwise(self, a):
+        with np.errstate(all="ignore"):
+            got, expected = solver._jacobi_tall(a), jacobi_reference(a)
+        for out, ref in zip(got, expected):
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+    @settings(PROPERTY, max_examples=60)
+    @given(a=_jacobi_inputs(), wide=st.booleans())
+    def test_both_orientations_bitwise(self, a, wide):
+        a = a.T if wide else a
+        with np.errstate(all="ignore"):
+            got = svd(a)
+            if a.shape[0] <= a.shape[1]:  # svd decomposes the transpose
+                w, s, v = jacobi_reference(a.T)
+                expected = (v, s, w)
+            else:
+                expected = jacobi_reference(a)
+            # the factors feed matrix products, whose last bits follow their layout
+            b = np.random.default_rng(0).standard_normal(a.shape[0])
+            solve = [w @ (v.T @ b) for v, _, w in (got, expected)]
+            assert solve[0].tobytes() == solve[1].tobytes()
+        for out, ref in zip(got, expected):
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 class TestPinv:
@@ -342,11 +394,7 @@ class TestEvaluatedOnce:
 
 def _evaluation_bytes(ev):
     """Everything an evaluation computed, with arrays as raw bytes."""
-    spheres = {
-        dim: (ev.fc.skeleton.by_dim[dim], sp.centers.tobytes(), sp.radii.tobytes(),
-              sp.weights.tobytes(), sp.degenerate.tobytes())
-        for dim, sp in ev.fc.spheres.items()
-    }
+    spheres = tuple(array.tobytes() for array in ev.fc.spheres)
     return ev.fc.entries, spheres, ev.reduction.pairs, ev.reduction.essentials, ev.pd
 
 
@@ -431,3 +479,25 @@ class TestReuseAcrossIterates:
         assert reused.fc.skeleton.tetrahedra != previous.fc.skeleton.tetrahedra
         assert reused.fc.skeleton is not previous.fc.skeleton
         assert reused.reduction is not previous.reduction
+
+
+@pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
+def test_traces_equal_with_the_references(monkeypatch, tmp_path):
+    """Examples 3 and 4 write the same trace bytes with the package's Jacobi
+    SVD, circumsphere kernel and gradient pass as with their references.
+    Pinned digests would not do: the BLAS picks its dot kernel per CPU."""
+
+    def traces(label):
+        out = []
+        for n in (3, 4):
+            path = tmp_path / f"{label}-example{n}.jsonl"
+            cli.write_trace(cli._run_example(n, None)[0], str(path))
+            out.append(path.read_bytes())
+        return out
+
+    package = traces("package")
+    monkeypatch.setattr(solver, "_jacobi_tall", jacobi_reference)
+    monkeypatch.setattr(filtration, "circumspheres", circumspheres_reference)
+    monkeypatch.setattr(diffmap, "_attaching_gradients", attaching_gradients_reference)
+    monkeypatch.setattr(solver, "_attaching_gradients", attaching_gradients_reference)
+    assert traces("reference") == package
