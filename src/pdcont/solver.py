@@ -2,12 +2,18 @@
 
 The SVD is a one-sided Jacobi (rotations until the working columns are
 orthogonal to machine precision, accurate in relative terms near the image
-boundary) up to a short side of 16, and LAPACK's above. The pseudo-inverse
-follows from it with a singular-value cutoff, and the continuation walks the
-diagram target along a straight segment, re-seeding each solve with the
-previous solution. Diagram coordinates are tracked across steps primarily by
-generating-simplex identity, with an optimal assignment fallback when the
-generators change.
+boundary) up to a short side of 16, and LAPACK's above. A pseudo-inverse
+solve follows the same size rule: up to a short side of 16 it applies the
+SVD factors with a singular-value cutoff, and above it LAPACK's SVD
+least-squares driver gelsd gives the same minimum-norm solution under the
+same rule (singular values at or below the cutoff count as zero) without
+forming either orthogonal factor. LAPACK reads a relative cutoff of 0 or of
+1 and above as machine epsilon, so 0 is passed as the smallest positive
+float and a cutoff of 1 or more gives the zero step without a solve. The
+continuation walks the diagram target along a straight segment, re-seeding
+each solve with the previous solution. Diagram coordinates are tracked
+across steps primarily by generating-simplex identity, with an optimal
+assignment fallback when the generators change.
 
 Each configuration's filtration, diagram, matched Jacobian and SVD are
 computed once (``_Evaluation``): the accepted configuration of one step starts
@@ -118,37 +124,73 @@ class PinvInfo:
     rank_deficient: bool
 
 
+def _cutoff(s, sigma_cutoff_rel):
+    # Python floats: a product past the largest float is inf without a warning
+    return float(sigma_cutoff_rel) * (float(s[0]) if s.size else 0.0)
+
+
 def _inverse(s, sigma_cutoff_rel):
-    """The cutoff, which singular values exceed it, and their inverses (else 0)."""
-    cutoff = sigma_cutoff_rel * (s[0] if s.size else 0.0)
-    keep = s > cutoff
+    """Which singular values exceed the cutoff, and their inverses (else 0)."""
+    keep = s > _cutoff(s, sigma_cutoff_rel)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return cutoff, keep, inv
+    return keep, inv
+
+
+def _check_cutoff(sigma_cutoff_rel):
+    if not (math.isfinite(sigma_cutoff_rel) and sigma_cutoff_rel >= 0):
+        raise ValueError(f"sigma_cutoff_rel must be finite and >= 0, got {sigma_cutoff_rel!r}")
 
 
 def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
     """Minimum-norm least-squares solution of a x = b via the SVD pseudo-inverse.
 
     Singular values at or below ``sigma_cutoff_rel`` times the largest one are
-    treated as zero; the returned info flags rank deficiency.
+    treated as zero; the returned info flags rank deficiency. A matrix whose
+    short side exceeds 16 is solved by LAPACK's gelsd, which gives the
+    singular values and the rank without forming the SVD's factors.
     """
+    _check_cutoff(sigma_cutoff_rel)
+    x, rank, s = _solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float), sigma_cutoff_rel)
+    return x, PinvInfo(s, _cutoff(s, sigma_cutoff_rel), rank, rank < s.size)
+
+
+def _solve(a, b, sigma_cutoff_rel):
+    """``pinv_apply``'s solution, how many singular values of ``a`` exceed the
+    cutoff, and those singular values: by LAPACK's least squares where ``svd``
+    would go to LAPACK, else from the SVD factors."""
+    if min(a.shape) > _JACOBI_SIZE_LIMIT:
+        return _lstsq(a, b, sigma_cutoff_rel)
     factors = svd(a)
-    cutoff, keep, _ = _inverse(factors[1], sigma_cutoff_rel)
-    info = PinvInfo(factors[1], cutoff, int(keep.sum()), bool(np.any(~keep)))
-    return _pinv_solve(factors, np.asarray(b, dtype=float), sigma_cutoff_rel), info
+    return (*_pinv_solve(factors, b, sigma_cutoff_rel), factors[1])
+
+
+_SMALLEST_RCOND = np.nextafter(0.0, 1.0)  # LAPACK reads rcond <= 0 as machine epsilon
+
+
+def _lstsq(a, b, sigma_cutoff_rel):
+    """``_solve`` by LAPACK's gelsd, which never forms the SVD's orthogonal
+    factors: singular values at or below ``sigma_cutoff_rel`` times the
+    largest count as zero, as in ``_inverse``."""
+    if sigma_cutoff_rel >= 1.0:  # LAPACK would read it as machine epsilon
+        return np.zeros((a.shape[1],) + b.shape[1:]), 0, np.linalg.svd(a, compute_uv=False)
+    x, _, rank, s = np.linalg.lstsq(a, b, rcond=max(sigma_cutoff_rel, _SMALLEST_RCOND))
+    return x, int(rank), s
 
 
 def _pinv_solve(factors, b, sigma_cutoff_rel):
-    """The solution of ``pinv_apply`` from the SVD factors (V, s, W) of the matrix."""
+    """The solution of ``pinv_apply`` from the SVD factors (V, s, W) of the
+    matrix, and how many singular values exceed the cutoff."""
     v, s, w = factors
-    return w @ (_inverse(s, sigma_cutoff_rel)[2] * (v.T @ b))
+    keep, inv = _inverse(s, sigma_cutoff_rel)
+    return w @ (inv * (v.T @ b)), int(keep.sum())
 
 
 def pinv_matrix(a, sigma_cutoff_rel: float = 1e-12) -> np.ndarray:
     """Dense pseudo-inverse (W Sigma^+ V^T); mainly for verification."""
+    _check_cutoff(sigma_cutoff_rel)
     v, s, w = svd(a)
-    return w @ (_inverse(s, sigma_cutoff_rel)[2][:, None] * v.T)
+    return w @ (_inverse(s, sigma_cutoff_rel)[1][:, None] * v.T)
 
 
 # --- diagram coordinate tracking -------------------------------------------------
@@ -348,6 +390,8 @@ def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
                 offsets[c, key] = radius / value if value else 1.0
             simplices.append(realizer[g])
             res.append(radius - v_target[c] * offsets[c, key])
+    if not simplices:
+        return np.zeros((0, fc.config.free_dim)), np.zeros(0)
     rows, norms = _attaching_gradients(fc, simplices)
     keep = ~(norms > _TIE_GRADIENT_CAP)  # a sliver's radius is too ill-conditioned to pin
     return rows[keep], np.array(res)[keep]
@@ -437,11 +481,11 @@ def _newton_core(
             flip_groups, matched, v_target, ev.fc,
             max(tie_window_rel * res, tie_window_abs), tie_offsets,
         )
-        if tie_m.shape[0] or g_rows.shape[0]:
-            # otherwise the Newton matrix is the Jacobian, already decomposed
-            factors = svd(np.vstack([jac.matrix, tie_m, g_rows]))
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
-        step = _pinv_solve(factors, step_res, sigma_cutoff_rel)
+        if tie_m.shape[0] or g_rows.shape[0]:
+            step = _solve(np.vstack([jac.matrix, tie_m, g_rows]), step_res, sigma_cutoff_rel)[0]
+        else:  # the Newton matrix is the Jacobian, already decomposed
+            step = _pinv_solve(factors, step_res, sigma_cutoff_rel)[0]
         config = config.with_vector(config.pack() - step)
         ev = _evaluate(config, kind, dim, epsilon, previous=ev)
 
@@ -478,6 +522,7 @@ def newton_pinv(
     where the layout tracks the generating simplices of the matched
     coordinates.
     """
+    _check_cutoff(sigma_cutoff_rel)
     config, report, layout, _ = _newton_core(
         config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
         None, constraints, tie_window_rel, tie_window_abs,
@@ -553,6 +598,7 @@ def continue_cloud(
     ``adaptive`` is set, in which case the piece is halved up to
     ``max_halvings`` times before giving up.
     """
+    _check_cutoff(sigma_cutoff_rel)
     ev = _evaluate(config, kind, dim, epsilon)
     layout = ev.pd.finite
     v_start = _values(layout)

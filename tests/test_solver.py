@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pdcont.delaunay import delaunay3
 from pdcont.diffmap import jacobian
 from pdcont.errors import DimensionMismatch, GeneralPositionViolation
-from pdcont.geometry import Configuration
+from pdcont.geometry import Configuration, to_gauge_frame
 from pdcont import cli, diffmap, filtration, solver
 from pdcont.persistence import diagram
 from pdcont.solver import (
@@ -202,6 +202,100 @@ class TestPinv:
         assert x[0] == pytest.approx(best, abs=0.02)
         assert x[0] == pytest.approx(1.5, abs=1e-12)
         assert x[1] == 0.0
+
+
+@st.composite
+def _lapack_inputs(draw):
+    """A matrix whose short side (17 to 40) sends it to LAPACK, tall or wide,
+    with some columns of its tall form zero or repeated, scaled by 2^-500 to
+    2^500, and a right-hand side."""
+    q = draw(st.integers(17, 40))
+    p = q + draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((p, q))
+    for j in draw(st.lists(st.integers(0, q - 1), max_size=4)):
+        a[:, j] = 0.0 if draw(st.booleans()) else a[:, draw(st.integers(0, q - 1))]
+    a *= 2.0 ** draw(st.integers(-500, 500))
+    if draw(st.booleans()):
+        a = a.T
+    return a, rng.standard_normal(a.shape[0])
+
+
+class TestLapackSolve:
+    """Above a short side of 16 a solve goes to LAPACK's least squares, with
+    the SVD path's solution, singular values and cutoff rule."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(inputs=_lapack_inputs(), rel=st.sampled_from([1e-12, 1e-6, 0.1]))
+    def test_matches_the_dense_pseudo_inverse(self, inputs, rel):
+        a, b = inputs
+        x, info = pinv_apply(a, b, rel)
+        s = info.singular_values
+        expected = np.linalg.svd(a, compute_uv=False)
+        assert np.abs(s - expected).max() <= 1e-13 * expected[0]
+        assert info.rank == int((s > rel * s[0]).sum()) >= 1
+        assert info.rank_deficient == (info.rank < min(a.shape))
+        assert info.cutoff == rel * s[0]
+        # a backward-stable solve is accurate to eps * kappa relative to |b| / sigma_r
+        kept = s[info.rank - 1]
+        tol = 64 * np.finfo(float).eps * (s[0] / kept) * np.linalg.norm(b) / kept
+        assert np.linalg.norm(x - pinv_matrix(a, rel) @ b) <= tol
+
+    @settings(PROPERTY, max_examples=60)
+    @given(inputs=_lapack_inputs())
+    def test_zero_cutoff_keeps_every_nonzero_value(self, inputs):
+        a, b = inputs
+        _, info = pinv_apply(a, b, 0.0)
+        s = info.singular_values
+        assert info.rank == int((s > 0).sum())
+        assert info.rank_deficient == (info.rank < min(a.shape))
+
+    @settings(PROPERTY, max_examples=30)
+    @given(inputs=_lapack_inputs(), rel=st.sampled_from([1.0, 2.0, 1e300]))
+    def test_cutoff_of_one_or_more_gives_the_zero_step(self, inputs, rel):
+        a, b = inputs
+        x, info = pinv_apply(a, b, rel)
+        assert x.shape == (a.shape[1],) and not x.any()
+        assert info.rank == 0 and info.rank_deficient
+        assert np.abs(info.singular_values - np.linalg.svd(a, compute_uv=False)).max() <= (
+            1e-13 * info.singular_values[0]
+        )
+
+    def test_full_rank_zero_cutoff_solution(self):
+        a, sigma = _graded_stack()
+        b = np.random.RandomState(8).randn(a.shape[0])
+        x, info = pinv_apply(a, b, 0.0)
+        assert info.rank == a.shape[1] and not info.rank_deficient
+        tol = 64 * np.finfo(float).eps * (sigma[0] / sigma[-1]) * np.linalg.norm(b) / sigma[-1]
+        assert np.linalg.norm(x - pinv_matrix(a, 0.0) @ b) <= tol
+
+
+class TestCutoffValidation:
+    """A negative or non-finite cutoff is refused where it enters the package."""
+
+    @pytest.mark.parametrize("cutoff", [-1.0, -1e-300, math.nan, math.inf])
+    def test_pinv_apply(self, cutoff):
+        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
+            pinv_apply([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], sigma_cutoff_rel=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, -math.inf])
+    def test_pinv_matrix(self, cutoff):
+        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
+            pinv_matrix([[1.0, 0.0], [1.0, 0.0]], sigma_cutoff_rel=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, math.inf])
+    def test_newton_pinv(self, cutoff):
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
+            newton_pinv(config, "alpha", 2, 0.0, v0 + 0.01, sigma_cutoff_rel=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, math.inf])
+    def test_continue_cloud(self, cutoff):
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
+            continue_cloud(config, "alpha", 2, 0.0, v0 + 0.01, n_steps=2, sigma_cutoff_rel=cutoff)
 
 
 class TestNewton:
@@ -481,15 +575,45 @@ class TestReuseAcrossIterates:
         assert reused.reduction is not previous.reduction
 
 
+def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
+    """A Newton matrix with tie rows stacked below the Jacobian and a short
+    side above 16 is solved by LAPACK's least squares; only the Jacobian
+    itself reaches the SVD."""
+    decomposed, solved = [], []
+    decompose, lstsq = solver.svd, solver._lstsq
+
+    def recorded_svd(a):
+        decomposed.append(np.shape(a))
+        return decompose(a)
+
+    def recorded_lstsq(a, b, sigma_cutoff_rel):
+        solved.append(a.shape)
+        return lstsq(a, b, sigma_cutoff_rel)
+
+    monkeypatch.setattr(solver, "svd", recorded_svd)
+    monkeypatch.setattr(solver, "_lstsq", recorded_lstsq)
+    config = to_gauge_frame(cli.apply_jitter(cli.fibonacci_sphere(20), seed=0, magnitude=1e-6))
+    assert config.free_dim == 54
+    v0 = diagram(config, "alpha", 2, 1e-3).vector(include_essential=False)
+    trace = continue_cloud(
+        config, "alpha", 2, 1e-3, v0 * 1.02, n_steps=2, max_iter=300,
+        tie_window_rel=0.5, tie_window_abs=1.0,
+    )
+    assert trace.reached_target
+    assert decomposed and all(shape == (v0.size, 54) for shape in decomposed)
+    assert solved and all(min(shape) > solver._JACOBI_SIZE_LIMIT for shape in solved)
+
+
 @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
 def test_traces_equal_with_the_references(monkeypatch, tmp_path):
-    """Examples 3 and 4 write the same trace bytes with the package's Jacobi
-    SVD, circumsphere kernel and gradient pass as with their references.
-    Pinned digests would not do: the BLAS picks its dot kernel per CPU."""
+    """Examples 1, 3 and 4 write the same trace bytes with the package's
+    Jacobi SVD, circumsphere kernel and gradient pass as with their
+    references. Pinned digests would not do: the BLAS picks its dot kernel
+    per CPU."""
 
     def traces(label):
         out = []
-        for n in (3, 4):
+        for n in (1, 3, 4):
             path = tmp_path / f"{label}-example{n}.jsonl"
             cli.write_trace(cli._run_example(n, None)[0], str(path))
             out.append(path.read_bytes())
