@@ -198,40 +198,18 @@ def write_trace(trace: solver.ContinuationTrace, path: str):
     with open(path, "w") as fh:
         for rec in _trace_records(trace):
             fh.write(json.dumps(rec) + "\n")
-        fh.write(
-            json.dumps(
-                {
-                    "termination": trace.termination,
-                    "reached_target": trace.reached_target,
-                    "failed_step": trace.failed_step,
-                    "reason": trace.reason,
-                    "n_planned": trace.n_planned,
-                }
-            )
-            + "\n"
-        )
-
-
-def _run_continuation(config, args, v_target):
-    return solver.continue_cloud(
-        config,
-        args.filtration,
-        args.dim,
-        args.epsilon,
-        v_target,
-        step=args.step,
-        n_steps=args.n_steps,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        sigma_cutoff_rel=args.sigma_cutoff,
-        adaptive=args.adaptive,
-        tie_window_rel=args.tie_window,
-    )
+        end = {"termination": trace.termination, "reached_target": trace.reached_target,
+               "failed_step": trace.failed_step, "reason": trace.reason,
+               "n_planned": trace.n_planned}
+        fh.write(json.dumps(end) + "\n")
 
 
 def cmd_continue(args) -> int:
-    config = _load_config(args)
-    trace = _run_continuation(config, args, args.target)
+    trace = solver.continue_cloud(
+        _load_config(args), args.filtration, args.dim, args.epsilon, args.target,
+        step=args.step, n_steps=args.n_steps, tol=args.tol, max_iter=args.max_iter,
+        sigma_cutoff_rel=args.sigma_cutoff, adaptive=args.adaptive, tie_window_rel=args.tie_window,
+    )
     print(trace.termination)
     if trace.steps:
         final = trace.steps[-1]

@@ -118,16 +118,15 @@ class Skeleton:
         return np.searchsorted(edges, _encode(pairs, self.n_points))
 
     @cached_property
-    def attach(self) -> dict:
-        """dim -> (row, far vertex of a cofacet): the attachment rule tests a
-        simplex against the vertex of each cofacet off it."""
-        none = np.zeros(0, dtype=int)
-        out = dict.fromkeys(range(len(self.vertices)), (none, none))
-        out.update(
-            (dim - 1, (self.facets[dim].ravel(), self.vertices[dim][:, ::-1].ravel()))
-            for dim in range(2, len(self.vertices))
-        )
-        return out
+    def attach(self) -> tuple:
+        """(global index of a simplex, far vertex of a cofacet), over every
+        dimension at once, by cofacet dimension and row: the attachment rule
+        tests a simplex against the vertex of each cofacet off it."""
+        index, far = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        for dim in range(2, len(self.vertices)):
+            index.append(self.offsets[dim - 1] + self.facets[dim].ravel())
+            far.append(self.vertices[dim][:, ::-1].ravel())
+        return np.concatenate(index), np.concatenate(far)
 
     @cached_property
     def across(self) -> tuple:
@@ -136,7 +135,8 @@ class Skeleton:
         if 3 not in self.facets:
             none = np.zeros(0, dtype=int)
             return none, none
-        tri, far = self.attach[2]
+        # the tetrahedra's entries of ``attach``, by triangle row
+        tri, far = self.facets[3].ravel(), self.vertices[3][:, ::-1].ravel()
         tet = np.repeat(np.arange(len(self.vertices[3])), 4)
         by_tri = np.argsort(tri, kind="stable")
         shared = tri[by_tri[1:]] == tri[by_tri[:-1]]
@@ -457,19 +457,16 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
     return skeleton
 
 
-def attaching_flags(points, skeleton: Skeleton, dim: int, centers, radii) -> np.ndarray:
-    """Which of the Delaunay ``dim``-simplices of ``points`` are attaching.
-
-    ``centers`` and ``radii`` give the smallest circumsphere of each
-    ``skeleton.by_dim[dim]``, row by row. A simplex is attaching iff that
-    sphere contains no cloud point. For a Delaunay simplex it suffices to test
-    the vertices of its cofacets (Edelsbrunner & Mücke, Three-dimensional
-    alpha shapes, 1994): vertices and tetrahedra are always attaching, a
-    triangle is tested against the far vertices of its at most two
-    tetrahedra, an edge against the third vertices of its triangles.
+def attaching_flags(points, skeleton: Skeleton, centers, radii) -> np.ndarray:
+    """Which simplices of the Delaunay ``skeleton`` of ``points`` are
+    attaching, by global index, from the smallest circumsphere of each
+    simplex, in one pass over the cofacet tests of ``skeleton.attach``. A
+    simplex attaches iff its sphere contains no cloud point; for a Delaunay
+    simplex it suffices to test the vertices of its cofacets (Edelsbrunner &
+    Mücke, Three-dimensional alpha shapes, 1994), so vertices and tetrahedra
+    always attach.
     """
-    rows, far = skeleton.attach[dim]
+    g, far = skeleton.attach
     flags = np.ones(len(radii), dtype=bool)
-    if len(rows):
-        flags[rows[_row_norms(points[far] - centers[rows]) < radii[rows]]] = False
+    flags[g[_row_norms(points.take(far, 0) - centers.take(g, 0)) < radii[g]]] = False
     return flags

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import delaunay as _delaunay
 from .errors import PdcontError
-from .geometry import Configuration, circumspheres
+from .geometry import Configuration, _circumspheres
 from .geometry import circumradius  # unused here; perfbench/tracing.py wraps this name
 from .geometry import rips_birth_radius  # unused here; perfbench/tracing.py wraps this name
 
@@ -160,26 +160,24 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     Birth radius of a simplex is the smallest circumradius among its attaching
     cofaces (itself included when attaching); the realizing coface is stored
     as the attaching simplex. Ties go to the simplex itself, then to
-    tetrahedra before triangles, then to the smaller key. The circumspheres of
-    every simplex of dimension 1 to 3 are kept on the complex, by global index.
+    tetrahedra before triangles, then to the smaller key. One kernel pass
+    over every simplex of dimension 1 to 3, its vertex row padded by vertex
+    0, gives the circumspheres, kept on the complex by global index, and one
+    pass of the attachment rule over every cofacet test the candidates.
     """
     pts, skeleton = config.points, _delaunay.delaunay3(config, previous)
-    n = len(skeleton.keys)
+    n, at = len(skeleton.keys), skeleton.offsets.get(1, len(skeleton.keys))
     spheres = Circumspheres(
         np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
     )
+    verts, ends = skeleton.padded[at:], [*skeleton.offsets.values(), n]
+    blocks = [(k, slice(ends[k - 1] - at, ends[k] - at)) for k in range(2, len(ends))]
+    kernel = _circumspheres(pts, np.where(verts < 0, verts[:, :1], verts), blocks)
+    for kept, out in zip(spheres, kernel):
+        kept[at:] = out
     # each simplex's radius as a birth candidate: inf where it is not attaching
-    candidate = np.zeros(n)
-    for dim in (1, 2, 3):
-        verts = skeleton.vertices.get(dim)
-        if verts is None:
-            continue
-        centers, radii, weights, degenerate = circumspheres(pts[verts])
-        at = slice(skeleton.offsets[dim], skeleton.offsets[dim] + len(verts))
-        spheres.centers[at], spheres.radii[at], spheres.degenerate[at] = centers, radii, degenerate
-        spheres.weights[at, :dim + 1] = weights
-        flags = _delaunay.attaching_flags(pts, skeleton, dim, centers, radii)
-        candidate[at] = np.where(flags, radii, np.inf)
+    flags = _delaunay.attaching_flags(pts, skeleton, spheres.centers, spheres.radii)
+    candidate = np.where(flags, spheres.radii, np.inf)
     cofaces, faces, first = skeleton.faces
     radii = candidate[cofaces]
     # the earliest candidate at each simplex's smallest radius

@@ -3,7 +3,8 @@
 Every circumradius in the package, and its gradient, comes from one batched
 kernel: the smallest sphere through the vertices of a simplex is solved from
 its Gram system, whose solution also gives the barycentric weights of the
-center, and those weights give the gradient in closed form.
+center, and those weights give the gradient in closed form. The alpha build
+passes every size at once, padded by each simplex's vertex 0, to one solve.
 """
 
 from __future__ import annotations
@@ -139,12 +140,66 @@ _DEGENERATE = {2: "coincident points", 3: "collinear points", 4: "coplanar point
 # a simplex whose content is at most this times its diameter to the power k - 1
 _DEGENERATE_REL = 1e-12
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # a x b = a[N] b[P] - a[P] b[N]
+_PAIRS = {k: tuple(map(np.array, zip(*itertools.combinations(range(k), 2)))) for k in (2, 3, 4)}
 
 
 def _row_norms(x):
     """Euclidean norm of each row; ``np.linalg.norm(x, axis=1)`` without its
     per-call overhead, and the same bits."""
     return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def _coefficients(rel, blocks):
+    """The solutions a of the Gram systems (e_i . e_j) a = |e_i|^2 / 2 of the
+    edge vectors ``rel``, in one solve: a pad row of ``rel`` is zero, so a 1
+    on its diagonal leaves each simplex the bits of its own system and a zero
+    coefficient. The Gram stack is freed on return, before the mask pass."""
+    gram = np.zeros(rel.shape[:2] + rel.shape[1:2])
+    for k, at in blocks:
+        np.einsum("sid,sjd->sij", rel[at, :k - 1], rel[at, :k - 1], out=gram[at, :k - 1, :k - 1])
+    diagonal = np.einsum("sii->si", gram)  # a writable view
+    rhs = 0.5 * diagonal  # the same sums of the same products
+    for k, at in blocks:
+        diagonal[at, k - 1:] = 1.0
+    try:
+        return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # a singular Gram matrix: each size alone
+        coeff = np.zeros(rhs.shape)
+    for k, at in blocks:
+        g, r = gram[at, :k - 1, :k - 1], rhs[at, :k - 1]
+        try:
+            coeff[at, :k - 1] = np.linalg.solve(g, r[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # sliver simplices, row by row
+            coeff[at, :k - 1] = [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(g, r)]
+    return coeff
+
+
+def _circumspheres(points, verts, blocks):
+    """``circumspheres`` of the simplices with the vertex rows ``verts``
+    (S, K) into ``points``, of mixed sizes in one pass: ``blocks`` lists
+    (k, slice of the k-vertex rows), and the K - k pad vertices of a
+    k-simplex repeat its vertex 0. The weights are (S, K), zero on the pads."""
+    base = points.take(verts[:, 0], axis=0)  # take gathers rows faster than indexing
+    rel = points.take(verts[:, 1:], axis=0) - base[:, None]  # pad rows are exact zeros
+    coeff = _coefficients(rel, blocks)
+    centers = base + np.einsum("sji,sj->si", rel, coeff)
+    weights = np.empty(verts.shape)
+    weights[:, 0], weights[:, 1:] = 1.0 - np.add.reduce(coeff, axis=1), coeff
+    degenerate = np.empty(len(verts), dtype=bool)
+    for k, at in blocks:
+        (i, j), rows = _PAIRS[k], verts[at]
+        diff = points.take(rows.take(i, axis=1), axis=0) - points.take(rows.take(j, axis=1), axis=0)
+        diameter = np.sqrt(np.maximum.reduce(np.einsum("sck,sck->sc", diff, diff), axis=1))
+        if k == 2:  # an edge is its own diameter: degenerate at 0 or inf
+            content = diameter
+        elif k == 3:
+            a, b = rel[at, 0], rel[at, 1]
+            cross = a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
+            content = _row_norms(cross)
+        else:
+            content = np.abs(np.linalg.det(rel[at]))
+        degenerate[at] = content <= _DEGENERATE_REL * diameter ** (k - 1)
+    return centers, _row_norms(centers - base), weights, degenerate
 
 
 def circumspheres(simplices):
@@ -162,31 +217,8 @@ def circumspheres(simplices):
     k = pts.shape[1]
     if k not in _DEGENERATE:
         raise ValueError(f"circumsphere defined for 2..4 vertices, got {k}")
-    rel = pts[:, 1:] - pts[:, :1]
-    gram = np.einsum("sid,sjd->sij", rel, rel)
-    rhs = 0.5 * gram.diagonal(0, 1, 2)  # the same sums of the same products
-    try:
-        coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # sliver simplices can make a Gram matrix exactly singular
-        coeff = np.stack(
-            [np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)]
-        )
-    centers = pts[:, 0] + np.einsum("sji,sj->si", rel, coeff)
-    radii = _row_norms(centers - pts[:, 0])
-    weights = np.empty(pts.shape[:2])
-    weights[:, 0], weights[:, 1:] = 1.0 - np.add.reduce(coeff, axis=1), coeff
-    if k == 2:
-        length = _row_norms(rel[:, 0])  # an edge is its own diameter: degenerate at 0 or inf
-        return centers, radii, weights, length <= _DEGENERATE_REL * length
-    if k == 3:
-        ahead, behind = rel.take(_NEXT, axis=2), rel.take(_PREV, axis=2)
-        content = _row_norms(ahead[:, 0] * behind[:, 1] - behind[:, 0] * ahead[:, 1])
-    else:
-        content = np.abs(np.linalg.det(rel))
-    diff = pts[:, :, None] - pts[:, None, :]
-    diameter = np.sqrt(np.maximum.reduce(np.einsum("sijk,sijk->sij", diff, diff), axis=(1, 2)))
-    return centers, radii, weights, content <= _DEGENERATE_REL * diameter ** (k - 1)
+    verts = np.arange(pts.size // 3).reshape(-1, k)
+    return _circumspheres(pts.reshape(-1, 3), verts, [(k, slice(None))])
 
 
 def _nondegenerate(stack, centers, radii, weights, degenerate):
@@ -273,15 +305,6 @@ class GeneralPositionReport:
         return "\n".join(lines)
 
 
-def _radius_ties(attaching_radii, tol):
-    """Neighbouring (radius, key) entries of a sorted list that agree within tol."""
-    out = []
-    for (r1, k1), (r2, k2) in zip(attaching_radii, attaching_radii[1:]):
-        if abs(r2 - r1) <= tol:
-            out.append(GPViolation("equal_attaching_radii", (k1, k2), (r1, r2)))
-    return out
-
-
 def check_general_position(fc, tol: float = 1e-9):
     """Report (not raise) general-position violations of a built filtration.
 
@@ -307,7 +330,11 @@ def check_general_position(fc, tol: float = 1e-9):
             GPViolation("degenerate_simplex", (skeleton.keys[g],))
             for g in np.flatnonzero(spheres.degenerate)
         )
-    report.violations.extend(_radius_ties(fc.attaching_radii, tol))
+    ties = fc.attaching_radii  # sorted (radius, key): neighbours within tol tie
+    report.violations.extend(
+        GPViolation("equal_attaching_radii", (k1, k2), (r1, r2))
+        for (r1, k1), (r2, k2) in zip(ties, ties[1:]) if abs(r2 - r1) <= tol
+    )
     if spheres is None or 3 not in skeleton.vertices:
         return report
     at = skeleton.offsets[3]  # the tetrahedra come last in global order

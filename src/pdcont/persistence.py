@@ -284,8 +284,8 @@ def persistence_data(
     reduction: Reduction, fc: FilteredComplex, dim: int, epsilon: float = 0.0
 ) -> PersistenceData:
     """Select the dimension-``dim`` pairs, dropping those within eps of the diagonal."""
-    if dim < 0 or epsilon < 0:
-        raise ValueError("dim and epsilon must be nonnegative")
+    if dim < 0 or not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"need dim >= 0 and a finite epsilon >= 0, got {dim}, {epsilon!r}")
     at, n = reduction.dimension(dim)
     simplex = fc.order[at]
     radius, attaching = fc.birth[simplex], fc.realizer[simplex]

@@ -6,8 +6,9 @@ computations on bitsets, exact rational reduction and predicates, the
 all-dimension bitset reduction and per-pair diagram extraction that the
 package used to run, dense all-pairs distances, a dense block-graph
 bottleneck search, and hand-rolled hull volumes; and, as bitwise oracles,
-the circumsphere kernel, the Jacobi SVD and the attaching gradients as they
-stood before their per-call overhead was trimmed.
+the circumsphere kernel, the per-dimension alpha build, the Jacobi SVD and
+the attaching gradients as they stood before their per-call overhead was
+trimmed.
 """
 
 import bisect
@@ -22,9 +23,9 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from pdcont.delaunay import insphere_exact, orient3d_exact
+from pdcont.delaunay import delaunay3, insphere_exact, orient3d_exact
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
-from pdcont.filtration import FiltEntry
+from pdcont.filtration import Circumspheres, FilteredComplex, FiltEntry
 from pdcont.geometry import _DEGENERATE, Configuration, _free_columns, radius_gradients
 from pdcont.persistence import BoundaryMatrix, EssentialClass, FinitePair, PersistenceData
 
@@ -164,6 +165,39 @@ def attaching_gradients_reference(fc, simplices):
         norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
         rows[idx[:, None, None], cols[verts]] = grads
     return rows[:, :-1], norms
+
+
+def build_alpha_reference(config, previous=None):
+    """The alpha build as it stood before one kernel pass covered every
+    dimension, kept as a bitwise oracle: one ``circumspheres_reference`` call
+    and one attachment test per dimension, each dimension's cofacet tests
+    read from the skeleton's facet rows."""
+    pts, skeleton = config.points, delaunay3(config, previous)
+    n = len(skeleton.keys)
+    spheres = Circumspheres(
+        np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
+    )
+    candidate = np.zeros(n)
+    for dim in (1, 2, 3):
+        verts = skeleton.vertices.get(dim)
+        if verts is None:
+            continue
+        centers, radii, weights, degenerate = circumspheres_reference(pts[verts])
+        at = slice(skeleton.offsets[dim], skeleton.offsets[dim] + len(verts))
+        spheres.centers[at], spheres.radii[at], spheres.degenerate[at] = centers, radii, degenerate
+        spheres.weights[at, :dim + 1] = weights
+        flags = np.ones(len(radii), dtype=bool)
+        if dim + 1 in skeleton.vertices:
+            rows = skeleton.facets[dim + 1].ravel()
+            far = skeleton.vertices[dim + 1][:, ::-1].ravel()
+            inside = _row_norms_reference(pts[far] - centers[rows]) < radii[rows]
+            flags[rows[inside]] = False
+        candidate[at] = np.where(flags, radii, np.inf)
+    cofaces, faces, first = skeleton.faces
+    radii = candidate[cofaces]
+    hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
+    best = hits[np.searchsorted(hits, first)]
+    return FilteredComplex("alpha", config, skeleton, radii[best], cofaces[best], spheres)
 
 
 def config_from_vector(vec, gauge: bool = True) -> Configuration:

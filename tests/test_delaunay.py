@@ -259,12 +259,14 @@ class TestSkeletonIndex:
 
 
 def _flags(pts, dc, dim):
-    """attaching_flags of every ``dim``-simplex, from a fresh kernel call."""
+    """attaching_flags of every ``dim``-simplex, from a fresh kernel call per
+    dimension."""
     pts = np.asarray(pts, dtype=float)
-    if dim == 0:
-        return attaching_flags(pts, dc, 0, pts, np.zeros(len(pts)))
-    centers, radii, _, _ = circumspheres(pts[np.array(dc.by_dim[dim])])
-    return attaching_flags(pts, dc, dim, centers, radii)
+    centers, radii = np.zeros((len(dc.keys), 3)), np.zeros(len(dc.keys))
+    for d, verts in dc.vertices.items():
+        at = slice(dc.offsets[d], dc.offsets[d] + len(verts))
+        centers[at], radii[at] = circumspheres(pts[verts])[:2] if d else (pts, 0.0)
+    return attaching_flags(pts, dc, centers, radii)[dc.offsets[dim]:][:len(dc.vertices[dim])]
 
 
 class TestIsAttaching:

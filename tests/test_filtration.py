@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdcont import filtration
+from pdcont.cli import apply_jitter, fibonacci_sphere
 from pdcont.errors import PdcontError
 from pdcont.filtration import build, build_alpha, build_rips
 from pdcont.geometry import Configuration
 from pdcont.persistence import betti_numbers, diagram
 
 from helpers import (
-    PROPERTY, build_rips_reference, grid_clouds, random_cloud, sorted_entries_reference,
+    PROPERTY, build_alpha_reference, build_rips_reference, grid_clouds, random_cloud,
+    sorted_entries_reference,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -202,3 +205,76 @@ class TestBuildAlpha:
         text = fc.to_csv()
         assert text.startswith("dim,vertices,birth_radius,attaching_vertices")
         assert len(text.strip().splitlines()) == 16
+
+
+def _scaled(m, seed, exponent):
+    return random_cloud(np.random.RandomState(seed), m) * 2.0**exponent
+
+
+def _shell(n, seed):
+    return apply_jitter(fibonacci_sphere(n), seed, magnitude=1e-6)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+ONE_PASS_CLOUDS = st.one_of(
+    st.builds(_scaled, st.integers(5, 30), SEEDS, st.integers(-60, 60)),
+    grid_clouds(4, 20),  # exact grids: flat, cospherical or singular draws
+    st.builds(_scaled, st.integers(1, 4), SEEDS, st.integers(-60, 60)),
+    st.builds(_shell, st.integers(8, 60), SEEDS),
+)
+
+
+class TestOnePassBuild:
+    """The one-pass alpha build against the per-dimension build it replaced."""
+
+    @PROPERTY
+    @given(points=ONE_PASS_CLOUDS)
+    def test_bitwise_equal_to_per_dimension_reference(self, points):
+        config = _cfg(points)
+        try:
+            expected = build_alpha_reference(config)
+        except PdcontError as exc:
+            with pytest.raises(type(exc)):
+                build_alpha(config)
+            return
+        got = build_alpha(config)
+        pairs = [(got.birth, expected.birth), (got.realizer, expected.realizer)]
+        for out, ref in pairs + list(zip(got.spheres, expected.spheres)):
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m", [4, 30])
+    def test_one_solve_per_build(self, monkeypatch, m):
+        # one padded Gram solve covers every dimension; no least squares
+        calls = []
+
+        def counted(name):
+            call = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        fc = build_alpha(_cfg(random_cloud(np.random.RandomState(m), m)))
+        assert calls == ["solve"] and len(fc) > 1
+
+    def test_memory_of_a_reused_skeleton_build(self):
+        # tracemalloc peak of a 1,000-point build on a shared skeleton: 11.8 MB
+        # with one kernel call per dimension and with the one pass alike (the
+        # Delaunay verification sets it), 16.2 MB for a one-pass variant that
+        # gathered every simplex's padded points at once and kept its
+        # temporaries (CPython 3.11, numpy 2.4, x86-64)
+        config = _cfg(np.random.default_rng(0).uniform(0.0, 10.0, (1000, 3)))
+        skeleton = build_alpha(config).skeleton
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build_alpha(config, skeleton)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,6 +11,7 @@ from pdcont.errors import DegenerateSimplex, GaugeViolation
 from pdcont.filtration import build_alpha, build_rips
 from pdcont.geometry import (
     Configuration,
+    _circumspheres,
     check_general_position,
     circumradius,
     circumradius_gradient,
@@ -254,6 +255,50 @@ class TestCircumspheres:
         for out, ref in zip(got, expected):
             assert out.shape == ref.shape and out.dtype == ref.dtype
             assert out.tobytes() == ref.tobytes()
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.lists(st.sampled_from(_ROW_SHAPES), max_size=5),
+                          min_size=3, max_size=3),
+           exponent=st.floats(-3.0, 3.0))
+    def test_padded_stack_bitwise_equal_to_each_size_alone(self, seed, sizes, exponent):
+        """2-, 3- and 4-point simplices in one padded stack, as the alpha build
+        passes them, against the reference kernel on each size alone, and
+        zero weights on the pads. A row that overflows may give a NaN of the
+        other sign, so those rows compare with equal_nan, and NaN pad weights
+        beside its NaN weights."""
+        rng = np.random.default_rng(seed)
+        stacks = {k: (_shaped_stack(rng, k, rows) * 10.0**exponent, rows)
+                  for k, rows in zip((2, 3, 4), sizes) if rows}
+        assume(stacks)
+        width, points, verts, blocks = max(stacks), [], [], []
+        for k, (stack, _) in stacks.items():
+            first, row = sum(map(len, points)), sum(map(len, verts))
+            idx = first + np.arange(stack.size // 3).reshape(-1, k)
+            verts.append(np.hstack([idx, np.repeat(idx[:, :1], width - k, axis=1)]))
+            blocks.append((k, slice(row, row + len(stack))))
+            points.append(stack.reshape(-1, 3))
+        points, verts = np.concatenate(points), np.concatenate(verts)
+        with np.errstate(all="ignore"):
+            try:
+                expected = [circumspheres_reference(stack) for stack, _ in stacks.values()]
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _circumspheres(points, verts, blocks)
+                return
+            got = _circumspheres(points, verts, blocks)
+        for (k, at), ref, (_, shapes) in zip(blocks, expected, stacks.values()):
+            centers, radii, weights, degenerate = (out[at] for out in got)
+            for out, want in zip((centers, radii, weights[:, :k], degenerate), ref):
+                assert out.dtype == want.dtype and out.shape == want.shape
+                for shape, o, w in zip(shapes, out, want):
+                    if shape == "overflowing":
+                        assert np.array_equal(o, w, equal_nan=True)
+                    else:
+                        assert o.tobytes() == w.tobytes()
+            for shape, pad, w in zip(shapes, weights[:, k:], weights[:, :k]):
+                zero = pad.tobytes() == bytes(pad.nbytes)
+                assert zero or (shape == "overflowing" and np.isnan(w).all())
 
     def test_matches_lstsq_route(self):
         rng = np.random.RandomState(8)

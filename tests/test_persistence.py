@@ -310,6 +310,14 @@ class TestPersistenceData:
         assert len(pd_keep.finite) == 1
         assert len(pd_drop.finite) == 0
 
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_negative_epsilon_refused(self, epsilon):
+        # no gap compares >= NaN, so a NaN epsilon would keep no pair at all
+        config = _cfg(np.random.default_rng(0).uniform(0.0, 1.0, (30, 3)))
+        assert diagram(config, "alpha", 1, 0.0).finite
+        with pytest.raises(ValueError, match="epsilon"):
+            diagram(config, "alpha", 1, epsilon)
+
     def test_truncation_cardinality_stability(self):
         # bottleneck-close perturbations preserve the truncated count
         rng = np.random.RandomState(19)

@@ -23,7 +23,7 @@ from pdcont.solver import (
 )
 
 from helpers import (
-    PROPERTY, attaching_gradients_reference, circumspheres_reference, jacobi_reference,
+    PROPERTY, attaching_gradients_reference, build_alpha_reference, jacobi_reference,
     random_cloud,
 )
 
@@ -296,6 +296,23 @@ class TestCutoffValidation:
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
         with pytest.raises(ValueError, match="sigma_cutoff_rel"):
             continue_cloud(config, "alpha", 2, 0.0, v0 + 0.01, n_steps=2, sigma_cutoff_rel=cutoff)
+
+
+class TestEpsilonValidation:
+    """A negative or non-finite diagonal cutoff epsilon is refused, not read as
+    a cutoff that empties the diagram."""
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_newton_pinv(self, epsilon):
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        with pytest.raises(ValueError, match="epsilon"):
+            newton_pinv(config, "alpha", 2, epsilon, v0 + 0.01)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_continue_cloud(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            continue_cloud(Configuration(EX1_CLOUD), "alpha", 2, epsilon, [], step=0.01)
 
 
 class TestNewton:
@@ -607,7 +624,7 @@ def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
 @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
 def test_traces_equal_with_the_references(monkeypatch, tmp_path):
     """Examples 1, 3 and 4 write the same trace bytes with the package's
-    Jacobi SVD, circumsphere kernel and gradient pass as with their
+    Jacobi SVD, one-pass alpha build and gradient pass as with their
     references. Pinned digests would not do: the BLAS picks its dot kernel
     per CPU."""
 
@@ -621,7 +638,7 @@ def test_traces_equal_with_the_references(monkeypatch, tmp_path):
 
     package = traces("package")
     monkeypatch.setattr(solver, "_jacobi_tall", jacobi_reference)
-    monkeypatch.setattr(filtration, "circumspheres", circumspheres_reference)
+    monkeypatch.setattr(filtration, "build_alpha", build_alpha_reference)
     monkeypatch.setattr(diffmap, "_attaching_gradients", attaching_gradients_reference)
     monkeypatch.setattr(solver, "_attaching_gradients", attaching_gradients_reference)
     assert traces("reference") == package
