@@ -33,7 +33,6 @@ from .delaunay import delaunay3
 from .filtration import FilteredComplex, build_alpha, build_rips
 from .persistence import (
     PersistenceData,
-    betti_numbers,
     boundary_matrix,
     diagram,
     persistence_data,
@@ -41,7 +40,6 @@ from .persistence import (
 )
 from .metrics import (
     bottleneck,
-    diag_distance,
     hausdorff,
     triangle_ratio_check,
 )

@@ -18,10 +18,12 @@ perturbed away silently.
 The combinatorics of a triangulation, its simplices closed under faces, their
 facet rows and the index arrays that the verification and the alpha
 filtration read, form a ``Skeleton``, which is the Delaunay complex; a Rips
-complex numbers its simplices in one too. A simplex's global index in its
-skeleton is its one name from the build to the Jacobian. When Qhull returns
-exactly the tetrahedra of a previous skeleton, ``delaunay3`` returns that
-skeleton; the verification always runs on the new points.
+complex numbers its simplices in one too. Within a skeleton a simplex is
+named by its global index; across skeletons by an integer of its vertices
+alone that sorts like global order, which ``Skeleton.locate`` finds by binary
+search. Vertex tuples are made only for output and error messages. When
+Qhull returns exactly the tetrahedra of a previous skeleton, ``delaunay3``
+returns that skeleton; the verification always runs on the new points.
 
 Point clouds that span fewer than 3 dimensions are handled for M <= 3 (vertex,
 edge, triangle); larger coplanar clouds are rejected.
@@ -54,13 +56,24 @@ _TINY = 2.0**-142
 
 
 def _encode(rows, n):
-    """One integer per sorted vertex row (last axis); codes sort like the rows."""
-    if n ** rows.shape[-1] > 2**63:
+    """One integer per sorted vertex row (last axis); codes sort like the rows.
+    Rows of dtype object give Python ints, which never overflow."""
+    wide = rows.dtype == object
+    if not wide and n ** rows.shape[-1] > 2**63:
         raise ValueError(f"{n} points overflow the 64-bit codes of {rows.shape[-1]}-vertex rows")
-    code = rows[..., 0].astype(np.int64)
+    code = rows[..., 0] if wide else rows[..., 0].astype(np.int64)  # Qhull's rows are int32
     for j in range(1, rows.shape[-1]):
         code = code * n + rows[..., j]
     return code
+
+
+def _names(rows, n):
+    """The name of each simplex of the (S, k) sorted vertex rows ``rows`` of n
+    points: its ``_encode`` code after the n + ... + n^(k-1) of smaller
+    simplices, so names sort like global order; Python ints past 64 bits."""
+    k, first = rows.shape[1], sum(n**j for j in range(1, rows.shape[1]))
+    wide = first + n**k > 2**63
+    return first + _encode(rows.astype(object) if wide else rows, n)
 
 
 def _facets(simplices, n):
@@ -81,34 +94,54 @@ class Skeleton:
     order, and ``facets[d]`` the rows among the (d-1)-simplices of each
     d-simplex's facets, in ``itertools.combinations`` order. A simplex's
     global index counts the simplices of lower dimension first (``offsets``),
-    so global order is (dimension, key) order, and ``index`` maps a key to it.
-    The index arrays that only the Delaunay verification and the alpha
-    filtration read are made on first use.
+    so global order is (dimension, vertex row) order, the order of the
+    simplices' integer ``names``. The arrays that only the verification, the
+    alpha filtration and the continuation read are made on first use.
     """
 
     n_points: int
     vertices: dict
     facets: dict = field(repr=False)
-    by_dim: dict = field(repr=False)
-    keys: tuple = field(repr=False)     # every key in global order
     offsets: dict = field(repr=False)
 
+    def __len__(self):
+        return sum(map(len, self.vertices.values()))
+
     @property
-    def tetrahedra(self):
-        return self.by_dim.get(3, ())
+    def tetrahedra(self) -> np.ndarray:
+        return self.vertices.get(3, np.zeros((0, 4), dtype=int))
 
     @cached_property
-    def index(self) -> dict:
-        """key -> global index."""
-        return {key: i for i, key in enumerate(self.keys)}
+    def dim(self) -> np.ndarray:
+        """Each simplex's dimension by global index, then -1 for the index -1."""
+        sizes = [len(self.vertices[d]) for d in range(len(self.vertices))]
+        return np.append(np.repeat(np.arange(len(sizes)), sizes), -1)
 
     @cached_property
     def padded(self) -> np.ndarray:
-        """Every simplex's vertex row by global index, padded with -1."""
-        out = np.full((len(self.keys), len(self.vertices)), -1)
+        """Every simplex's vertex row by global index, padded to the widest
+        size by repeating its vertex 0."""
+        out = np.empty((len(self), len(self.vertices)), dtype=int)
         for dim, rows in self.vertices.items():
-            out[self.offsets[dim]:self.offsets[dim] + len(rows), :dim + 1] = rows
+            at = slice(self.offsets[dim], self.offsets[dim] + len(rows))
+            out[at, :dim + 1], out[at, dim + 1:] = rows, rows[:, :1]
         return out
+
+    @cached_property
+    def names(self) -> np.ndarray:
+        """Every simplex's integer name (``_names``) by global index, ascending."""
+        dims = sorted(self.vertices)
+        return np.concatenate([_names(self.vertices[d], self.n_points) for d in dims])
+
+    def locate(self, names) -> np.ndarray:
+        """The global index of each of ``names``, -1 where there is no such simplex."""
+        at = self.names.searchsorted(names)
+        return np.where(self.names.take(at, mode="clip") == names, at, -1)
+
+    def vertex_tuples(self, g) -> list:
+        """The vertex tuples of the simplices ``g``, for output and messages."""
+        rows = self.padded.take(g, axis=0).tolist()
+        return [tuple(row[:d + 1]) for row, d in zip(rows, self.dim.take(g).tolist())]
 
     def edge_rows(self, dim):
         """The rows among the edges of each ``dim``-simplex's edges, (S, C(dim + 1, 2)),
@@ -163,7 +196,7 @@ class Skeleton:
         """Alpha birth candidates (coface, face, first of each face), grouped by
         simplex: itself, then its tetrahedra, then its triangles (the order in
         which a tie is won), each in row order."""
-        offsets, total = self.offsets, len(self.keys)
+        offsets, total = self.offsets, len(self)
         cofaces, faces = [np.arange(total)], [np.arange(total)]
         for dim in range(len(self.vertices) - 1, 1, -1):
             rows = self.facets[dim]
@@ -188,9 +221,7 @@ def _skeleton(top, n):
         facets[1] = vertices[1]  # an edge's facets are its vertices, which are points
     sizes = [len(vertices[d]) for d in range(top_dim + 1)]
     offsets = dict(enumerate(np.cumsum([0] + sizes[:-1]).tolist()))
-    by_dim = {d: tuple(map(tuple, v.tolist())) for d, v in sorted(vertices.items())}
-    keys = tuple(itertools.chain.from_iterable(by_dim.values()))
-    return Skeleton(n, vertices, facets, by_dim, keys, offsets)
+    return Skeleton(n, vertices, facets, offsets)
 
 
 # --- exact predicates -----------------------------------------------------------
@@ -371,8 +402,8 @@ def _verify_empty(points, skeleton: Skeleton):
     a neighbour in it whose far vertex lies on the sphere.
     """
     pts = np.asarray(points, dtype=float)
-    tets, top = skeleton.tetrahedra, skeleton.vertices[3]
-    missing = np.setdiff1d(np.arange(pts.shape[0]), top)
+    top = skeleton.tetrahedra
+    missing = np.flatnonzero(np.bincount(top.ravel(), minlength=pts.shape[0]) == 0)
     if missing.size:
         p = int(missing[0])
         raise GeneralPositionViolation(
@@ -383,14 +414,12 @@ def _verify_empty(points, skeleton: Skeleton):
     orient_sign = _orient_signs(pts, top)
     flat = np.flatnonzero(orient_sign == 0)
     if flat.size:
-        t = flat[0]
-        raise GeneralPositionViolation(
-            f"degenerate (coplanar) Delaunay tetrahedron {tets[t]}", tets[t]
-        )
+        tet = tuple(top[flat[0]].tolist())
+        raise GeneralPositionViolation(f"degenerate (coplanar) Delaunay tetrahedron {tet}", tet)
     t_idx, far = skeleton.across
     det, certain = _insphere_filter(pts, top[t_idx], far)
     for i in np.flatnonzero(~certain | (det * orient_sign[t_idx] < 0)):
-        tet, p = tets[t_idx[i]], int(far[i])
+        tet, p = tuple(top[t_idx[i]].tolist()), int(far[i])
         sign = insphere_exact(*(pts[v] for v in tet), pts[p])
         if sign == 0:
             raise GeneralPositionViolation(

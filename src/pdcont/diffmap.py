@@ -27,7 +27,7 @@ from .persistence import PersistenceData
 class JacobianRow:
     pair_index: int          # index into pd.finite (or pd.essential)
     coord: str               # "birth" | "death" | "essential"
-    attaching_key: tuple     # simplex whose circumradius realizes the value
+    attaching_key: int       # name of the simplex whose circumradius realizes the value
     value: float
 
 
@@ -61,7 +61,7 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
     Returns the (len(simplices), n) rows and the norm of each whole gradient,
     pinned coordinates included. Alpha gradients are λᵢ(pᵢ − c)/R from the
     circumspheres that ``fc`` kept, gathered for every dimension at once
-    through the skeleton's padded vertex rows: a padded slot has weight zero
+    through the skeleton's padded vertex rows: a pad slot has weight zero
     and lands in the spare column. A Rips edge's are ±(pᵢ − pⱼ)/(4 birth),
     and 4 birth is twice its length, bit for bit.
     """
@@ -71,36 +71,38 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
     rows, norms = np.zeros((len(simplices), config.free_dim + 1)), np.zeros(len(simplices))
     simplices = np.asarray(simplices, dtype=int)
     # vertices are born at radius zero
-    at = (simplices >= skeleton.offsets.get(1, len(skeleton.keys))).nonzero()[0]
-    g = simplices[at]
+    at = (simplices >= skeleton.offsets.get(1, len(fc.birth))).nonzero()[0]
+    g = simplices.take(at)
     if not g.size:
         return rows[:, :-1], norms
     if fc.kind == "rips":
-        verts = skeleton.vertices[1][g - skeleton.offsets[1]]
-        unit = (pts[verts[:, 0]] - pts[verts[:, 1]]) / (4.0 * fc.birth[g])[:, None]
+        verts = skeleton.vertices[1].take(g - skeleton.offsets[1], axis=0)
+        ends = pts.take(verts, axis=0)
+        unit = (ends[:, 0] - ends[:, 1]) / (4.0 * fc.birth.take(g))[:, None]
         grads = np.stack([unit, -unit], axis=1)
     else:
-        verts = skeleton.padded[g]
-        grads = radius_gradients(pts[verts], *(kept[g] for kept in fc.spheres))
+        verts = skeleton.padded.take(g, axis=0)
+        kept = (x.take(g, axis=0) for x in fc.spheres)
+        grads = radius_gradients(pts.take(verts, axis=0), *kept)
+        # pad slots, which repeat vertex 0 of a sorted row, go to the spare row
+        verts[:, 1:][verts[:, 1:] == verts[:, :1]] = config.n_points
     norms[at] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
-    rows[at[:, None, None], cols[verts]] = grads
+    rows[at[:, None, None], cols.take(verts, axis=0)] = grads
     return rows[:, :-1], norms
 
 
 _TIE_TOL = 1e-9  # attaching radii this close are a near tie
 
 
-def _warn_near_ties(rows, fc: FilteredComplex):
-    events = []
-    for info in rows:
-        if len(info.attaching_key) == 1:
-            continue
-        for r, key in fc.attaching_within(info.value, _TIE_TOL):
-            if key != info.attaching_key:
-                events.append((info.attaching_key, key, info.value, r))
+def _warn_near_ties(names, values, fc: FilteredComplex):
+    """Warn once if another attaching radius lies within ``_TIE_TOL`` of a
+    row's value, unless the row's attaching simplex is a vertex (a name
+    below ``n_points``); the row's own radius is in its window."""
+    lo, hi = fc.attaching_within(values, _TIE_TOL)
+    events = int((hi - lo - 1)[names >= fc.config.n_points].sum())
     if events:
         warnings.warn(
-            f"{len(events)} attaching radius tie(s) within {_TIE_TOL:g}; "
+            f"{events} attaching radius tie(s) within {_TIE_TOL:g}; "
             "derivative selection is order-dependent there",
             NearDegenerateJacobian,
             stacklevel=3,
@@ -131,12 +133,12 @@ def jacobian(
     if include_essential:
         for idx, ess in enumerate(pd.essential):
             rows.append(JacobianRow(idx, "essential", ess.birth_attaching, ess.birth))
+    names = np.array([r.attaching_key for r in rows])
     if fc is None:
         fc = build(config, kind, max_dim=pd.dim + 1)
     else:
-        _warn_near_ties(rows, fc)
-    index = fc.skeleton.index
-    matrix, _ = _attaching_gradients(fc, [index[r.attaching_key] for r in rows])
+        _warn_near_ties(names, np.array([r.value for r in rows]), fc)
+    matrix, _ = _attaching_gradients(fc, fc.skeleton.names.searchsorted(names))
     return PersistenceJacobian(matrix, tuple(rows), tuple(config.free_slots()))
 
 

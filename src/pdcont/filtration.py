@@ -7,15 +7,14 @@ prefix a subcomplex and is fully deterministic under ties. Both kinds number
 their simplices and facets in a ``delaunay.Skeleton`` (the Delaunay closure
 for alpha, all subsets up to ``max_dim + 1`` points for Rips), which the
 build of a nearby cloud can share, and a filtration is arrays over that
-numbering: each simplex's birth and realizer by global index. An alpha
-complex keeps the circumspheres its build computed, in arrays by global
-index, so gradients read them instead of solving them again.
+numbering: each simplex's birth and realizer by global index, and the
+attaching radii sorted in one array. An alpha complex keeps the circumspheres
+its build computed, in arrays by global index, so gradients read them
+instead of solving them again. Only ``entries`` makes vertex tuples.
 """
 
 from __future__ import annotations
 
-import bisect
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ class FiltEntry(NamedTuple):
 
 class Circumspheres(NamedTuple):
     """The ``circumspheres`` output of an alpha complex's simplices by global
-    index; weights are zero-padded like ``Skeleton.padded``, vertex rows zero."""
+    index; weights are zero on the pad slots of ``Skeleton.padded``, vertex rows zero."""
 
     centers: np.ndarray
     radii: np.ndarray
@@ -79,8 +78,10 @@ class FilteredComplex:
 
     @cached_property
     def entries(self) -> tuple:
-        """FiltEntry per simplex, sorted by (radius, dim, key)."""
-        keys, order = self.skeleton.keys, self.order
+        """FiltEntry per simplex, sorted by (radius, dim, vertex tuple)."""
+        rows = map(self.skeleton.vertices.get, sorted(self.skeleton.vertices))
+        keys = tuple(itertools.chain.from_iterable(map(tuple, v.tolist()) for v in rows))
+        order = self.order
         birth, realizer = self.birth[order].tolist(), self.realizer[order].tolist()
         return tuple(
             FiltEntry(keys[i], len(keys[i]) - 1, r, keys[a])
@@ -88,34 +89,18 @@ class FilteredComplex:
         )
 
     @cached_property
-    def keys(self) -> tuple:
-        """The simplex keys in filtration order."""
-        return tuple(map(self.skeleton.keys.__getitem__, self.order.tolist()))
+    def attaching(self) -> tuple:
+        """(radii, global indices) of every attaching simplex of dimension >= 1,
+        by radius, then global index."""
+        at = np.flatnonzero(self.realizer == np.arange(len(self.realizer)))
+        at = at[at >= self.skeleton.offsets.get(1, len(self.realizer))]
+        at = at[np.argsort(self.birth[at], kind="stable")]
+        return self.birth[at], at
 
-    @cached_property
-    def attaching_radii(self) -> tuple:
-        """(radius, key) of every attaching simplex of dimension >= 1, sorted."""
-        keys = self.skeleton.keys
-        at = np.flatnonzero(self.realizer == np.arange(len(keys)))
-        at = at[at >= self.skeleton.offsets.get(1, len(keys))].tolist()
-        return tuple(sorted(zip(self.birth[at].tolist(), map(keys.__getitem__, at))))
-
-    def attaching_within(self, radius: float, tol: float) -> tuple:
-        """The (radius, key) entries of ``attaching_radii`` within ``tol`` of ``radius``."""
-        attaching = self.attaching_radii
-        lo = bisect.bisect_left(attaching, (radius - tol, ()))  # () precedes every key
-        hi = bisect.bisect_right(attaching, (radius + tol, (math.inf,)))  # and (inf,) follows
-        return attaching[lo:hi]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("dim,vertices,birth_radius,attaching_vertices\n")
-        for e in self.entries:
-            buf.write(
-                f"{e.dim},{' '.join(map(str, e.key))},{e.radius:.9g},"
-                f"{' '.join(map(str, e.attaching))}\n"
-            )
-        return buf.getvalue()
+    def attaching_within(self, radii, tol) -> tuple:
+        """The windows (lo, hi) of ``attaching`` within ``tol`` of each of ``radii``."""
+        attaching = self.attaching[0]
+        return attaching.searchsorted(radii - tol), attaching.searchsorted(radii + tol, "right")
 
 
 def build_rips(
@@ -138,11 +123,11 @@ def build_rips(
     skeleton = previous
     if skeleton is None or skeleton.n_points != m or len(skeleton.vertices) != k:
         skeleton = _delaunay._skeleton(np.array(list(itertools.combinations(range(m), k))), m)
-    birth, realizer = np.zeros(len(skeleton.keys)), np.arange(len(skeleton.keys))
+    birth, realizer = np.zeros(len(skeleton)), np.arange(len(skeleton))
     if k > 1:
-        pts, at = config.points, skeleton.offsets[1]
+        pts, at, edges = config.points, skeleton.offsets[1], skeleton.vertices[1].tolist()
         # one norm call per edge rounds as geometry.rips_birth_radius does
-        length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in skeleton.by_dim[1]])
+        length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in edges])
         birth[at:at + len(length)] = length / 2.0
         for dim in range(2, k):
             rows = skeleton.edge_rows(dim)
@@ -166,13 +151,13 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     pass of the attachment rule over every cofacet test the candidates.
     """
     pts, skeleton = config.points, _delaunay.delaunay3(config, previous)
-    n, at = len(skeleton.keys), skeleton.offsets.get(1, len(skeleton.keys))
+    n, at = len(skeleton), skeleton.offsets.get(1, len(skeleton))
     spheres = Circumspheres(
         np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
     )
-    verts, ends = skeleton.padded[at:], [*skeleton.offsets.values(), n]
+    ends = [*skeleton.offsets.values(), n]
     blocks = [(k, slice(ends[k - 1] - at, ends[k] - at)) for k in range(2, len(ends))]
-    kernel = _circumspheres(pts, np.where(verts < 0, verts[:, :1], verts), blocks)
+    kernel = _circumspheres(pts, skeleton.padded[at:], blocks)
     for kept, out in zip(spheres, kernel):
         kept[at:] = out
     # each simplex's radius as a birth candidate: inf where it is not attaching

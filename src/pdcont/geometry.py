@@ -327,21 +327,24 @@ def check_general_position(fc, tol: float = 1e-9):
     skeleton, spheres = fc.skeleton, fc.spheres  # the alpha build's, by global index
     if spheres is not None:
         report.violations.extend(
-            GPViolation("degenerate_simplex", (skeleton.keys[g],))
-            for g in np.flatnonzero(spheres.degenerate)
+            GPViolation("degenerate_simplex", (key,))
+            for key in skeleton.vertex_tuples(np.flatnonzero(spheres.degenerate))
         )
-    ties = fc.attaching_radii  # sorted (radius, key): neighbours within tol tie
+    radii, at = fc.attaching  # sorted by radius: neighbours within tol tie
+    tied = np.flatnonzero(np.abs(np.diff(radii)) <= tol)
+    ties = zip(*(skeleton.vertex_tuples(at[i]) for i in (tied, tied + 1)),
+               radii[tied].tolist(), radii[tied + 1].tolist())
     report.violations.extend(
-        GPViolation("equal_attaching_radii", (k1, k2), (r1, r2))
-        for (r1, k1), (r2, k2) in zip(ties, ties[1:]) if abs(r2 - r1) <= tol
+        GPViolation("equal_attaching_radii", (k1, k2), (r1, r2)) for k1, k2, r1, r2 in ties
     )
     if spheres is None or 3 not in skeleton.vertices:
         return report
     at = skeleton.offsets[3]  # the tetrahedra come last in global order
-    tets, centers, radii = skeleton.tetrahedra, spheres.centers[at:], spheres.radii[at:]
+    centers, radii = spheres.centers[at:], spheres.radii[at:]
     t_idx, far = skeleton.across
     close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
-    near = {(tets[t], int(p)): float(radii[t]) for t, p in zip(t_idx[close], far[close])}
+    tets = skeleton.vertex_tuples(at + t_idx[close])
+    near = {(tet, p): float(radii[t]) for tet, t, p in zip(tets, t_idx[close], far[close].tolist())}
     report.violations.extend(
         GPViolation("near_cospherical", key, (r,)) for key, r in sorted(near.items())
     )

@@ -31,7 +31,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
-from .errors import EmptyDiagram, InfinityMismatch, NotAcute
+from .errors import InfinityMismatch, NotAcute
 from .geometry import Configuration
 
 
@@ -121,17 +121,6 @@ def hausdorff(points_a, points_b) -> float:
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
     return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
-
-
-def diag_distance(diagram) -> float:
-    """Distance of the closest finite diagram point to the diagonal.
-
-    A malformed pair raises ValueError, as in ``bottleneck``.
-    """
-    finite, _ = _split(diagram)
-    if not finite:
-        raise EmptyDiagram("diagram has no finite pairs")
-    return min(_diag_gap(p) for p in finite)
 
 
 MAX_TRIANGLE_RATIO = 2.0 / math.sqrt(3.0)

@@ -77,8 +77,8 @@ def boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
     dims = np.zeros(n, dtype=np.intp)
     for start in starts[1:-1]:
         dims[start:] += 1
-    by_dim = dims[order].argsort(kind="stable")  # positions, grouped by dimension
-    simplex = order[by_dim]
+    grouped = dims[order].argsort(kind="stable")  # positions, grouped by dimension
+    simplex = order[grouped]
     # grouping keeps each dimension where the global numbering has it
     first = np.array(starts)[dims]
     row = simplex - first  # the skeleton row of each simplex, grouped
@@ -87,10 +87,10 @@ def boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
     rank = np.empty(n + 1, dtype=np.intp)
     rank[simplex] = np.arange(n) - first
     rank[n] = n - starts[-2]
-    positions, facets = [by_dim[:starts[1]]], [np.zeros((starts[1], 0), dtype=np.intp)]
+    positions, facets = [grouped[:starts[1]]], [np.zeros((starts[1], 0), dtype=np.intp)]
     for dim in range(1, len(starts) - 1):
         below, lo, hi = starts[dim - 1:dim + 2]
-        positions.append(by_dim[lo:hi])
+        positions.append(grouped[lo:hi])
         ranks = rank[below:lo][skeleton.facets[dim][row[lo:hi]]]
         ranks.sort(axis=1)
         facets.append(ranks)
@@ -215,10 +215,10 @@ def reduce_boundary(b: BoundaryMatrix) -> Reduction:
 class FinitePair:
     birth: float
     death: float
-    birth_key: tuple
-    death_key: tuple
-    birth_attaching: tuple
-    death_attaching: tuple
+    birth_key: int           # simplices by ``Skeleton.names``, the same in every cloud
+    death_key: int
+    birth_attaching: int
+    death_attaching: int
 
     @property
     def persistence(self) -> float:
@@ -228,8 +228,8 @@ class FinitePair:
 @dataclass(frozen=True)
 class EssentialClass:
     birth: float
-    birth_key: tuple
-    birth_attaching: tuple
+    birth_key: int
+    birth_attaching: int
 
 
 @dataclass(frozen=True)
@@ -293,14 +293,14 @@ def persistence_data(
     # zero-length intervals are trivial summands; a gap of at least
     # epsilon > 0 drops them too
     kept = ((d - b) / 2.0 >= epsilon if epsilon else b < d).tolist()
-    radius, simplex, attaching = radius.tolist(), simplex.tolist(), attaching.tolist()
-    key = fc.skeleton.keys
+    simplex, attaching = fc.skeleton.names.take([simplex, attaching]).tolist()  # by name
+    radius = radius.tolist()
     # a pair's birth and death lie n apart; compress stops after the pairs
     rows = compress(zip(radius, radius[n:], simplex, simplex[n:], attaching, attaching[n:]), kept)
-    finite = [FinitePair(b, d, key[s], key[t], key[p], key[q]) for b, d, s, t, p, q in rows]
+    finite = [FinitePair(*row) for row in rows]
     finite.sort(key=lambda p: (p.birth, p.death, p.birth_key))
     rows = zip(radius[2 * n:], simplex[2 * n:], attaching[2 * n:])
-    essential = [EssentialClass(b, key[s], key[p]) for b, s, p in rows]
+    essential = [EssentialClass(*row) for row in rows]
     essential.sort(key=lambda e: (e.birth, e.birth_key))
     return PersistenceData(fc.kind, dim, epsilon, tuple(finite), tuple(essential))
 
@@ -312,13 +312,3 @@ def diagram(config: Configuration, kind: str, dim: int, epsilon: float = 0.0) ->
     red = reduce_boundary(boundary_matrix(fc))
     return persistence_data(red, fc, dim, epsilon)
 
-
-def betti_numbers(config: Configuration, kind: str, up_to_dim: int = 2):
-    """Betti numbers of the saturated complex (essential-class counts)."""
-    fc = build(config, kind, max_dim=up_to_dim + 1)
-    red = reduce_boundary(boundary_matrix(fc))
-    out = []
-    for dim in range(up_to_dim + 1):
-        pd = persistence_data(red, fc, dim, 0.0)
-        out.append(len(pd.essential))
-    return tuple(out)

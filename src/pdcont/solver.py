@@ -13,14 +13,17 @@ float and a cutoff of 1 or more gives the zero step without a solve. The
 continuation walks the diagram target along a straight segment, re-seeding
 each solve with the previous solution. Diagram coordinates are tracked
 across steps primarily by generating-simplex identity, with an optimal
-assignment fallback when the generators change.
+assignment fallback when the generators change. A simplex is named across
+iterates by its integer name (``Skeleton.names``), and the tie bookkeeping
+(flipped generators, windows of attaching radii, tie offsets) runs on those
+names and on global indices, as arrays.
 
 Each configuration's filtration, diagram, matched Jacobian and SVD are
 computed once (``_Evaluation``): the accepted configuration of one step starts
 the next solve, and the Jacobian's SVD also gives the pseudo-inverse when no
 rows are stacked below it. Each Newton iterate is evaluated with the previous
-one: the build shares the previous skeleton (its closure, cofacets, key
-index and index arrays), a Delaunay one when Qhull returns the same
+one: the build shares the previous skeleton (its closure, cofacets, names
+and index arrays), a Delaunay one when Qhull returns the same
 tetrahedra and a Rips one always, and when the simplex order is unchanged
 the previous Z/2 pairing is kept, since a reduction depends on the order
 alone. Every radius and diagram value is computed anew, so the results are
@@ -137,9 +140,18 @@ def _inverse(s, sigma_cutoff_rel):
     return keep, inv
 
 
-def _check_cutoff(sigma_cutoff_rel):
-    if not (math.isfinite(sigma_cutoff_rel) and sigma_cutoff_rel >= 0):
-        raise ValueError(f"sigma_cutoff_rel must be finite and >= 0, got {sigma_cutoff_rel!r}")
+def _check_controls(sigma_cutoff_rel, tol=None, max_iter=None, tie_window_rel=None,
+                    tie_window_abs=None, step=None, n_steps=None):
+    """Refuse, as ValueError, the solver controls that the CLI refuses."""
+    checks = (("sigma_cutoff_rel", sigma_cutoff_rel, False), ("tol", tol, True),
+              ("step", step, True), ("tie_window_rel", tie_window_rel, False),
+              ("tie_window_abs", tie_window_abs, False))
+    for name, x, strict in checks:
+        if x is not None and not (math.isfinite(x) and (x > 0 if strict else x >= 0)):
+            raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
+    for name, n, least in (("max_iter", max_iter, 0), ("n_steps", n_steps, 1)):
+        if n is not None and n < least:
+            raise ValueError(f"{name} must be >= {least}, got {n!r}")
 
 
 def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
@@ -150,7 +162,7 @@ def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
     short side exceeds 16 is solved by LAPACK's gelsd, which gives the
     singular values and the rank without forming the SVD's factors.
     """
-    _check_cutoff(sigma_cutoff_rel)
+    _check_controls(sigma_cutoff_rel)
     x, rank, s = _solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float), sigma_cutoff_rel)
     return x, PinvInfo(s, _cutoff(s, sigma_cutoff_rel), rank, rank < s.size)
 
@@ -188,7 +200,7 @@ def _pinv_solve(factors, b, sigma_cutoff_rel):
 
 def pinv_matrix(a, sigma_cutoff_rel: float = 1e-12) -> np.ndarray:
     """Dense pseudo-inverse (W Sigma^+ V^T); mainly for verification."""
-    _check_cutoff(sigma_cutoff_rel)
+    _check_controls(sigma_cutoff_rel)
     v, s, w = svd(a)
     return w @ (_inverse(s, sigma_cutoff_rel)[1][:, None] * v.T)
 
@@ -217,47 +229,33 @@ def match_to_layout(layout, pd: PersistenceData):
     free_slots = []
     for idx, slot in enumerate(layout):
         rec = by_key.get((slot.birth_key, slot.death_key))
-        if rec is not None:  # a layout's pairs have distinct keys
+        if rec is not None:  # a layout's pairs have distinct names
             matched[idx] = rec
             used.add(id(rec))
         else:
             free_slots.append(idx)
     leftovers = [r for r in records if id(r) not in used]
     if free_slots:
-        cost = np.array(
-            [
-                [
-                    max(abs(layout[i].birth - r.birth), abs(layout[i].death - r.death))
-                    for r in leftovers
-                ]
-                for i in free_slots
-            ]
-        )
+        cost = np.array([  # the sup-norm distance of each free slot to each leftover
+            [max(abs(layout[i].birth - r.birth), abs(layout[i].death - r.death)) for r in leftovers]
+            for i in free_slots
+        ])
         rows, cols = linear_sum_assignment(cost)
-        total = cost[rows, cols].sum()
-        chosen = dict(zip(rows.tolist(), cols.tolist()))
+        total, chosen = cost[rows, cols].sum(), dict(zip(rows.tolist(), cols.tolist()))
         for a_row, a_col in chosen.items():
             for b_row, b_col in chosen.items():
-                if b_row <= a_row:
-                    continue
-                swapped = (
-                    total
-                    - cost[a_row, a_col] - cost[b_row, b_col]
-                    + cost[a_row, b_col] + cost[b_row, a_col]
-                )
-                if swapped <= total + _AMBIGUITY_TOL:
+                swapped = (total - cost[a_row, a_col] - cost[b_row, b_col]
+                           + cost[a_row, b_col] + cost[b_row, a_col])
+                if b_row > a_row and swapped <= total + _AMBIGUITY_TOL:
                     raise MatchingAmbiguous(
                         "two diagram-coordinate assignments have equal cost; "
                         "cannot track pairs across this step"
                     )
-            for other_col in range(len(leftovers)):
-                if other_col in chosen.values():
-                    continue
-                if cost[a_row, other_col] <= cost[a_row, a_col] + _AMBIGUITY_TOL:
-                    raise MatchingAmbiguous(
-                        "an untracked diagram point is indistinguishably close "
-                        "to a tracked coordinate"
-                    )
+            unused = [c for c in range(len(leftovers)) if c not in chosen.values()]
+            if any(cost[a_row, c] <= cost[a_row, a_col] + _AMBIGUITY_TOL for c in unused):
+                raise MatchingAmbiguous(
+                    "an untracked diagram point is indistinguishably close to a tracked coordinate"
+                )
         for r_i, c_i in zip(rows, cols):
             matched[free_slots[r_i]] = leftovers[c_i]
     return tuple(matched)
@@ -357,7 +355,7 @@ _TIE_GRADIENT_CAP = 1e3
 _SIGMA_FLOOR = 1e-12  # a Jacobian with a smaller singular value stops the solve
 
 
-def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
+def _tie_rows(flip_coords, flip_names, matched, v_target, fc, window, offsets):
     """Extra rows that carry near-tied radii along with their coordinate.
 
     A diagram coordinate is a max/min over attaching radii; when several radii
@@ -369,32 +367,41 @@ def _tie_rows(flip_groups, matched, v_target, fc, window, offsets):
     is exactly consistent with similarity deformations of the cloud.
 
     Participants of coordinate c are the generators observed to flip there
-    between iterates plus, when ``window`` is positive, all attaching
-    simplices of the right dimension within it of the coordinate's value.
-    Only the step direction is affected; the convergence test uses the true
-    diagram residual.
+    between iterates (listed in ``flip_coords`` and ``flip_names``) plus, when
+    ``window`` is positive, all attaching simplices of the right dimension
+    within it of the coordinate's value, but no coordinate's generator, in
+    (coordinate, global index) order. ``offsets`` maps (coordinate, name) of
+    every participant so far to its ratio: names outlive a change of
+    skeleton. Only the step direction is affected; the convergence test uses
+    the true diagram residual.
     """
-    index, birth, realizer = fc.skeleton.index, fc.birth, fc.realizer
-    generators = _generators(matched)
-    simplices, res = [], []
-    for c, (current, value) in enumerate(zip(generators, _values(matched).tolist())):
-        candidates = set(flip_groups.get(c, ()))
-        if window > 0.0:
-            candidates.update(key for _, key in fc.attaching_within(value, window))
-        for key in sorted(candidates.difference(generators)):
-            g = index.get(key)
-            if g is None or len(key) != len(current):
-                continue
-            radius = float(birth[g])
-            if (c, key) not in offsets:
-                offsets[c, key] = radius / value if value else 1.0
-            simplices.append(realizer[g])
-            res.append(radius - v_target[c] * offsets[c, key])
-    if not simplices:
-        return np.zeros((0, fc.config.free_dim)), np.zeros(0)
-    rows, norms = _attaching_gradients(fc, simplices)
+    none = np.zeros((0, fc.config.free_dim)), np.zeros(0)
+    if not flip_coords and window <= 0.0:
+        return none
+    skeleton, values, size = fc.skeleton, _values(matched), len(fc.birth)
+    # the generators and the flip participants, located in one search
+    g = skeleton.locate(np.array(_generators(matched) + flip_names))
+    gens, coord, g = g[:len(values)], np.array(flip_coords, dtype=int), g[len(values):]
+    if window > 0.0:
+        lo, hi = fc.attaching_within(values, window)
+        count = hi - lo  # each coordinate's window, in turn
+        coord = np.concatenate([coord, np.repeat(np.arange(len(values)), count)])
+        at = np.arange(count.sum()) + np.repeat(lo + count - count.cumsum(), count)
+        g = np.concatenate([g, fc.attaching[1].take(at)])
+    # a participant is a simplex of its coordinate's dimension and no generator
+    dim = skeleton.dim
+    live = (dim.take(g) == dim.take(gens).take(coord)) & ~(g[:, None] == gens).any(axis=1)
+    coord, g = np.divmod(np.unique((coord * size + g)[live]), size)
+    if not g.size:
+        return none
+    radius, value, names = fc.birth.take(g), values.take(coord), skeleton.names.take(g)
+    ratio = np.divide(radius, value, out=np.ones_like(radius), where=value != 0)
+    # each (coordinate, name) keeps the ratio it joined with: one setdefault pass
+    joined = map(offsets.setdefault, zip(coord.tolist(), names.tolist()), ratio.tolist())
+    ratio = np.fromiter(joined, float, len(ratio))
+    rows, norms = _attaching_gradients(fc, fc.realizer.take(g))
     keep = ~(norms > _TIE_GRADIENT_CAP)  # a sliver's radius is too ill-conditioned to pin
-    return rows[keep], np.array(res)[keep]
+    return rows[keep], (radius - v_target.take(coord) * ratio)[keep]
 
 
 def _newton_core(
@@ -415,26 +422,23 @@ def _newton_core(
             f"target has {v_target.size} coordinates, layout expects {2 * len(layout)}"
         )
 
-    report = None
     increases = 0
     prev_res = math.inf
     jac_snapshot = np.zeros(0)
-    flip_groups = {}  # coordinate -> every generator it has had since the first flip
-    tie_offsets = {}  # (coordinate, key) -> radius ratio when the key joined its ties
+    flips = [], []  # coordinate and name of every generator a coordinate has had at a flip
+    tie_offsets = {}  # (coordinate, name) -> radius ratio when the name joined its ties
     for it in range(max_iter + 1):
         matched = match_to_layout(layout, ev.pd)
         if matched is None:
             report = NewtonReport(
-                NewtonStatus.CARDINALITY_CHANGED,
-                it,
-                math.inf,
-                jac_snapshot,
+                NewtonStatus.CARDINALITY_CHANGED, it, math.inf, jac_snapshot,
                 f"retained pair count dropped from {len(layout)} to {len(ev.pd.finite)}",
             )
             break
         for c, (was, now) in enumerate(zip(_generators(layout), _generators(matched))):
             if was != now:
-                flip_groups.setdefault(c, set()).update((was, now))
+                flips[0].extend((c, c))
+                flips[1].extend((was, now))
         layout = matched
         g_vals, g_rows = _constraint_rows(config, constraints)
         residual_vec = np.concatenate([_values(matched) - v_target, g_vals])
@@ -444,10 +448,7 @@ def _newton_core(
             # accepted solution must preserve the truncated cardinality
             if len(ev.pd.finite) != len(layout):
                 report = NewtonReport(
-                    NewtonStatus.CARDINALITY_CHANGED,
-                    it,
-                    res,
-                    jac_snapshot,
+                    NewtonStatus.CARDINALITY_CHANGED, it, res, jac_snapshot,
                     f"retained pair count changed from {len(layout)} to {len(ev.pd.finite)}",
                 )
             else:
@@ -478,7 +479,7 @@ def _newton_core(
             )
             break
         tie_m, tie_r = _tie_rows(
-            flip_groups, matched, v_target, ev.fc,
+            *flips, matched, v_target, ev.fc,
             max(tie_window_rel * res, tie_window_abs), tie_offsets,
         )
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
@@ -522,7 +523,7 @@ def newton_pinv(
     where the layout tracks the generating simplices of the matched
     coordinates.
     """
-    _check_cutoff(sigma_cutoff_rel)
+    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window_rel, tie_window_abs)
     config, report, layout, _ = _newton_core(
         config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
         None, constraints, tie_window_rel, tie_window_abs,
@@ -567,9 +568,11 @@ class ContinuationTrace:
 
 
 def _attaching_radii(fc):
+    """Attaching radii by dimension, the dimensions in the order of their least."""
+    radii, at = fc.attaching
     out = {}
-    for radius, key in fc.attaching_radii:
-        out.setdefault(len(key) - 1, []).append(radius)
+    for dim, radius in zip(fc.skeleton.dim.take(at).tolist(), radii.tolist()):
+        out.setdefault(dim, []).append(radius)
     return {d: tuple(v) for d, v in out.items()}
 
 
@@ -598,7 +601,7 @@ def continue_cloud(
     ``adaptive`` is set, in which case the piece is halved up to
     ``max_halvings`` times before giving up.
     """
-    _check_cutoff(sigma_cutoff_rel)
+    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window_rel, tie_window_abs, step, n_steps)
     ev = _evaluate(config, kind, dim, epsilon)
     layout = ev.pd.finite
     v_start = _values(layout)
@@ -614,7 +617,7 @@ def continue_cloud(
             "free point coordinates; the target is generically unreachable"
         )
     if n_steps is not None:
-        n = max(1, int(n_steps))
+        n = int(n_steps)
     elif step is not None and span > 0:
         n = max(1, math.ceil(span / step - 1e-12))
     else:

@@ -24,10 +24,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdcont.delaunay import delaunay3, insphere_exact, orient3d_exact
-from pdcont.errors import DegenerateInput, GeneralPositionViolation
-from pdcont.filtration import Circumspheres, FilteredComplex, FiltEntry
+from pdcont.errors import DegenerateInput, EmptyDiagram, GeneralPositionViolation
+from pdcont.filtration import Circumspheres, FilteredComplex, FiltEntry, build
 from pdcont.geometry import _DEGENERATE, Configuration, _free_columns, radius_gradients
-from pdcont.persistence import BoundaryMatrix, EssentialClass, FinitePair, PersistenceData
+from pdcont.metrics import _diag_gap, _split
+from pdcont.persistence import (
+    BoundaryMatrix, EssentialClass, FinitePair, PersistenceData, boundary_matrix, persistence_data,
+    reduce_boundary,
+)
 
 # property tests draw the same examples on every run and keep no database
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -167,13 +171,145 @@ def attaching_gradients_reference(fc, simplices):
     return rows[:, :-1], norms
 
 
+def betti_numbers(config, kind, up_to_dim=2):
+    """Betti numbers of the saturated complex (essential-class counts)."""
+    fc = build(config, kind, max_dim=up_to_dim + 1)
+    red = reduce_boundary(boundary_matrix(fc))
+    return tuple(len(persistence_data(red, fc, dim, 0.0).essential) for dim in range(up_to_dim + 1))
+
+
+def filtration_csv(fc):
+    """The filtration's entries as CSV: dimension, vertices, birth radius and
+    attaching vertices."""
+    lines = ["dim,vertices,birth_radius,attaching_vertices\n"]
+    for e in fc.entries:
+        lines.append(f"{e.dim},{' '.join(map(str, e.key))},{e.radius:.9g},{' '.join(map(str, e.attaching))}\n")
+    return "".join(lines)
+
+
+def diag_distance(diagram):
+    """Distance of the closest finite diagram point to the diagonal; a
+    malformed pair raises ValueError, as in ``bottleneck``."""
+    finite, _ = _split(diagram)
+    if not finite:
+        raise EmptyDiagram("diagram has no finite pairs")
+    return min(_diag_gap(p) for p in finite)
+
+
+def skeleton_keys(skeleton):
+    """Every simplex's vertex tuple in global order, as ``Skeleton.keys``
+    held them before simplices were named by integers."""
+    return tuple(key for d in sorted(skeleton.vertices) for key in map(tuple, skeleton.vertices[d].tolist()))
+
+
+def by_dim(skeleton):
+    """dimension -> the vertex tuples of its simplices, as ``Skeleton.by_dim``
+    held them."""
+    return {d: tuple(map(tuple, v.tolist())) for d, v in sorted(skeleton.vertices.items())}
+
+
+def skeleton_index(skeleton):
+    """Vertex tuple -> global index, as ``Skeleton.index`` held it."""
+    return {key: i for i, key in enumerate(skeleton_keys(skeleton))}
+
+
+def filtration_keys(fc):
+    """The vertex tuples in filtration order, as ``FilteredComplex.keys`` held them."""
+    keys = skeleton_keys(fc.skeleton)
+    return tuple(keys[i] for i in fc.order.tolist())
+
+
+def key_of_name(name, n):
+    """The vertex tuple of the simplex of an ``n``-point cloud with the integer
+    ``name``, decoded independently of the package: the names of the
+    k-vertex simplices follow the n + n^2 + ... + n^(k-1) smaller ones."""
+    k = 1
+    while name >= n**k:
+        name -= n**k
+        k += 1
+    return tuple((name // n**(k - 1 - j)) % n for j in range(k))
+
+
+def name_of_key(key, n):
+    """The integer name of the vertex tuple ``key`` (``key_of_name`` inverted)."""
+    return sum(n**j for j in range(1, len(key))) + sum(v * n**(len(key) - 1 - j) for j, v in enumerate(key))
+
+
+# --- the tie bookkeeping on vertex tuples ----------------------------------------
+# As it stood before simplices were named by integers: the sorted (radius,
+# key) tuple and its bisect window, the near-tie loop and the tie-row loop,
+# kept as oracles for the array paths. They take and return vertex tuples
+# (``key_of_name`` translates the package's names).
+
+def attaching_radii_reference(fc):
+    """(radius, key) of every attaching simplex of dimension >= 1, sorted."""
+    keys = skeleton_keys(fc.skeleton)
+    at = np.flatnonzero(fc.realizer == np.arange(len(keys)))
+    at = at[at >= fc.skeleton.offsets.get(1, len(keys))].tolist()
+    return tuple(sorted(zip(fc.birth[at].tolist(), map(keys.__getitem__, at))))
+
+
+def attaching_within_reference(fc, radius, tol):
+    """The (radius, key) entries of ``attaching_radii_reference`` within ``tol`` of ``radius``."""
+    attaching = attaching_radii_reference(fc)
+    lo = bisect.bisect_left(attaching, (radius - tol, ()))  # () precedes every key
+    hi = bisect.bisect_right(attaching, (radius + tol, (math.inf,)))  # and (inf,) follows
+    return attaching[lo:hi]
+
+
+def near_tie_events_reference(rows, fc, tol=1e-9):
+    """The near-tie events of the Jacobian rows ``rows`` (``JacobianRow``s):
+    per row whose attaching simplex is not a vertex, each other attaching
+    radius within ``tol`` of its value."""
+    events = []
+    for info in rows:
+        key = key_of_name(info.attaching_key, fc.config.n_points)
+        if len(key) == 1:
+            continue
+        for r, other in attaching_within_reference(fc, info.value, tol):
+            if other != key:
+                events.append((key, other, info.value, r))
+    return len(events)
+
+
+def tie_rows_reference(flip_groups, matched, v_target, fc, window, offsets, cap=1e3):
+    """The tie rows and residuals by a loop over coordinates and candidates:
+    ``flip_groups`` maps a coordinate to the vertex tuples of its generators
+    seen at a flip, ``offsets`` (coordinate, vertex tuple) to a radius ratio."""
+    from pdcont.diffmap import _attaching_gradients
+
+    n = fc.config.n_points
+    index, birth, realizer = skeleton_index(fc.skeleton), fc.birth, fc.realizer
+    generators = [key_of_name(name, n) for r in matched for name in (r.birth_key, r.death_key)]
+    values = [x for r in matched for x in (r.birth, r.death)]
+    simplices, res = [], []
+    for c, (current, value) in enumerate(zip(generators, values)):
+        candidates = set(flip_groups.get(c, ()))
+        if window > 0.0:
+            candidates.update(key for _, key in attaching_within_reference(fc, value, window))
+        for key in sorted(candidates.difference(generators)):
+            g = index.get(key)
+            if g is None or len(key) != len(current):
+                continue
+            radius = float(birth[g])
+            if (c, key) not in offsets:
+                offsets[c, key] = radius / value if value else 1.0
+            simplices.append(realizer[g])
+            res.append(radius - v_target[c] * offsets[c, key])
+    if not simplices:
+        return np.zeros((0, fc.config.free_dim)), np.zeros(0)
+    rows, norms = _attaching_gradients(fc, simplices)
+    keep = ~(norms > cap)
+    return rows[keep], np.array(res)[keep]
+
+
 def build_alpha_reference(config, previous=None):
     """The alpha build as it stood before one kernel pass covered every
     dimension, kept as a bitwise oracle: one ``circumspheres_reference`` call
     and one attachment test per dimension, each dimension's cofacet tests
     read from the skeleton's facet rows."""
     pts, skeleton = config.points, delaunay3(config, previous)
-    n = len(skeleton.keys)
+    n = len(skeleton)
     spheres = Circumspheres(
         np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
     )
@@ -552,7 +688,7 @@ def hull_volume_bruteforce(points):
 
 def signed_boundary(fc):
     """Boundary columns over Q, ``{row index: Fraction(+-1)}`` with (-1)^k signs."""
-    index = {key: i for i, key in enumerate(fc.keys)}
+    index = {key: i for i, key in enumerate(filtration_keys(fc))}
     columns = []
     for entry in fc.entries:
         col = {}
@@ -697,8 +833,10 @@ def bitset_reduction_reference(entries):
 
 def persistence_data_reference(pairs, essentials, fc, dim, epsilon):
     """The dimension-``dim`` diagram of the pairing (``pairs``,
-    ``essentials``) of ``fc``, extracted by a loop over every pair."""
-    keys, offsets = fc.skeleton.keys, fc.skeleton.offsets
+    ``essentials``) of ``fc``, extracted by a loop over every pair; simplices
+    are named by ``name_of_key``."""
+    offsets, n = fc.skeleton.offsets, fc.config.n_points
+    keys = [name_of_key(key, n) for key in skeleton_keys(fc.skeleton)]
     birth, realizer, order = fc.birth.tolist(), fc.realizer.tolist(), fc.order.tolist()
     lo, hi = offsets.get(dim, len(keys)), offsets.get(dim + 1, len(keys))
     finite = []
@@ -714,13 +852,13 @@ def persistence_data_reference(pairs, essentials, fc, dim, epsilon):
         finite.append(
             FinitePair(b, d, keys[s], keys[t], keys[realizer[s]], keys[realizer[t]])
         )
-    finite.sort(key=lambda p: (p.birth, p.death, p.birth_key))
+    finite.sort(key=lambda p: (p.birth, p.death, key_of_name(p.birth_key, n)))
     essential = [
         EssentialClass(birth[order[i]], keys[order[i]], keys[realizer[order[i]]])
         for i in essentials
         if lo <= order[i] < hi
     ]
-    essential.sort(key=lambda e: (e.birth, e.birth_key))
+    essential.sort(key=lambda e: (e.birth, key_of_name(e.birth_key, n)))
     return PersistenceData(fc.kind, dim, epsilon, tuple(finite), tuple(essential))
 
 

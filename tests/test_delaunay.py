@@ -26,13 +26,16 @@ from pdcont.geometry import Configuration, circumspheres, simplex_key
 from helpers import (
     PROPERTY,
     all_points_attaching,
+    by_dim,
     circumsphere_lstsq,
     dump_text,
     fraction_det_exact,
     fraction_insphere_exact,
     fraction_orient3d_exact,
     hull_volume_bruteforce,
+    name_of_key,
     random_cloud,
+    skeleton_keys,
     verify_empty_all_points,
 )
 
@@ -46,21 +49,21 @@ def _cfg(pts):
 class TestDelaunay3:
     def test_four_generic_points(self):
         dc = delaunay3(_cfg([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1.0]]))
-        assert len(dc.by_dim[3]) == 1
-        assert len(dc.by_dim[2]) == 4
-        assert len(dc.by_dim[1]) == 6
-        assert len(dc.by_dim[0]) == 4
+        assert len(by_dim(dc)[3]) == 1
+        assert len(by_dim(dc)[2]) == 4
+        assert len(by_dim(dc)[1]) == 6
+        assert len(by_dim(dc)[0]) == 4
 
     def test_example_cloud_single_tetrahedron(self):
         dc = delaunay3(_cfg(EX1_CLOUD))
-        assert dc.tetrahedra == ((0, 1, 2, 3),)
+        assert by_dim(dc)[3] == ((0, 1, 2, 3),)
 
     def test_random_cube_empty_circumspheres(self):
         rng = np.random.RandomState(12345)
         pts = random_cloud(rng, 20)
         dc = delaunay3(_cfg(pts))
-        assert len(dc.by_dim[3]) >= 1
-        for tet in dc.by_dim[3]:
+        assert len(by_dim(dc)[3]) >= 1
+        for tet in by_dim(dc)[3]:
             center, radius = circumsphere_lstsq(pts[list(tet)])
             others = [i for i in range(20) if i not in tet]
             dmin = min(np.linalg.norm(pts[o] - center) for o in others)
@@ -70,9 +73,9 @@ class TestDelaunay3:
         rng = np.random.RandomState(9)
         pts = random_cloud(rng, 12)
         dc = delaunay3(_cfg(pts))
-        tris = set(dc.by_dim[2])
-        edges = set(dc.by_dim[1])
-        for tet in dc.by_dim[3]:
+        tris = set(by_dim(dc)[2])
+        edges = set(by_dim(dc)[1])
+        for tet in by_dim(dc)[3]:
             for face in itertools.combinations(tet, 3):
                 assert face in tris
             for edge in itertools.combinations(tet, 2):
@@ -101,7 +104,7 @@ class TestDelaunay3:
         for _ in range(5):
             moved = pts + rng.uniform(-1, 1, pts.shape) * 1e-10 * diameter
             dc2 = delaunay3(_cfg(moved))
-            assert dc2.tetrahedra == dc.tetrahedra
+            assert np.array_equal(dc2.tetrahedra, dc.tetrahedra)
 
     def test_volume_tiles_hull(self):
         rng = np.random.RandomState(55)
@@ -109,7 +112,7 @@ class TestDelaunay3:
             pts = random_cloud(rng, m)
             dc = delaunay3(_cfg(pts))
             total = 0.0
-            for tet in dc.by_dim[3]:
+            for tet in by_dim(dc)[3]:
                 v = pts[list(tet)]
                 total += abs(np.linalg.det(v[1:] - v[0])) / 6.0
             hull = hull_volume_bruteforce(pts)
@@ -147,7 +150,7 @@ class TestDelaunay3:
         diameter = max(np.linalg.norm(p - q) for p, q in itertools.combinations(pts, 2))
         pts[3, 2] = side * 1e-15 * diameter
         dc = delaunay3(_cfg(np.ldexp(pts, power)))
-        assert dc.tetrahedra == ((0, 1, 2, 3),)
+        assert by_dim(dc)[3] == ((0, 1, 2, 3),)
 
     def test_exact_cospherical_rejected(self):
         # octahedron vertices plus two more points on the same sphere
@@ -163,11 +166,11 @@ class TestDelaunay3:
 
     def test_small_clouds(self):
         dc = delaunay3(_cfg([[0.0, 0, 0]]))
-        assert dc.by_dim[0] == ((0,),)
+        assert by_dim(dc)[0] == ((0,),)
         dc = delaunay3(_cfg([[0.0, 0, 0], [1, 0, 0]]))
-        assert dc.by_dim[1] == ((0, 1),)
+        assert by_dim(dc)[1] == ((0, 1),)
         dc = delaunay3(_cfg([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
-        assert dc.by_dim[2] == ((0, 1, 2),)
+        assert by_dim(dc)[2] == ((0, 1, 2),)
 
     def test_dump_text(self):
         dc = delaunay3(_cfg(EX1_CLOUD))
@@ -248,21 +251,24 @@ class TestSkeletonIndex:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 60))
     def test_index_numbers_every_key(self, seed, m):
         dc = delaunay3(_cfg(random_cloud(np.random.RandomState(seed), m)))
-        assert len(dc.index) == len(dc.keys)
-        for i, key in enumerate(dc.keys):
-            assert dc.index[key] == i
-        # a key is present iff it is a simplex of the triangulation
-        edges = set(dc.by_dim[1])
-        for edge in itertools.combinations(range(m), 2):
-            assert (edge in dc.index) == (edge in edges)
-        assert (m,) not in dc.index and (0, 1, 2, 3, 4) not in dc.index
+        keys = skeleton_keys(dc)
+        assert dc.names.tolist() == [name_of_key(key, m) for key in keys]
+        # a name locates its simplex's global index
+        assert dc.locate(dc.names).tolist() == list(range(len(keys)))
+        # a name is present iff it is a simplex of the triangulation
+        edges = set(by_dim(dc)[1])
+        pairs = list(itertools.combinations(range(m), 2))
+        found = dc.locate(np.array([name_of_key(edge, m) for edge in pairs])) >= 0
+        assert found.tolist() == [edge in edges for edge in pairs]
+        absent = np.array([name_of_key((m,), m), name_of_key((0, 1, 2, 3, 4), m)])
+        assert dc.locate(absent).tolist() == [-1, -1]
 
 
 def _flags(pts, dc, dim):
     """attaching_flags of every ``dim``-simplex, from a fresh kernel call per
     dimension."""
     pts = np.asarray(pts, dtype=float)
-    centers, radii = np.zeros((len(dc.keys), 3)), np.zeros(len(dc.keys))
+    centers, radii = np.zeros((len(dc), 3)), np.zeros(len(dc))
     for d, verts in dc.vertices.items():
         at = slice(dc.offsets[d], dc.offsets[d] + len(verts))
         centers[at], radii[at] = circumspheres(pts[verts])[:2] if d else (pts, 0.0)
@@ -277,7 +283,7 @@ class TestIsAttaching:
     def test_obtuse_triangle_longest_edge(self):
         pts = [[0, 0, 0], [4, 0, 0], [2, 0.5, 0]]
         dc = delaunay3(_cfg(pts))
-        assert dc.by_dim[1] == ((0, 1), (0, 2), (1, 2))
+        assert by_dim(dc)[1] == ((0, 1), (0, 2), (1, 2))
         # the opposite vertex lies inside the diametric ball of (0, 1)
         assert _flags(pts, dc, 1).tolist() == [False, True, True]
         assert _flags(pts, dc, 2).tolist() == [True]  # only points lie on its circumcircle
@@ -286,7 +292,7 @@ class TestIsAttaching:
         pts = EX1_CLOUD
         dc = delaunay3(_cfg(pts))
         for dim in (1, 2, 3):
-            for key, flag in zip(dc.by_dim[dim], _flags(pts, dc, dim)):
+            for key, flag in zip(by_dim(dc)[dim], _flags(pts, dc, dim)):
                 center, radius = circumsphere_lstsq(pts[list(key)])
                 others = [i for i in range(4) if i not in key]
                 expected = all(np.linalg.norm(pts[o] - center) >= radius for o in others)
@@ -298,7 +304,7 @@ class TestIsAttaching:
         pts = random_cloud(np.random.RandomState(seed), m)
         dc = delaunay3(_cfg(pts))
         for dim in (1, 2, 3):
-            for key, flag in zip(dc.by_dim[dim], _flags(pts, dc, dim)):
+            for key, flag in zip(by_dim(dc)[dim], _flags(pts, dc, dim)):
                 expected = all_points_attaching(pts, key)
                 if expected is not None:
                     assert flag == expected, key

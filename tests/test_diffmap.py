@@ -15,7 +15,9 @@ from pdcont.geometry import Configuration, circumradius_gradient, to_gauge_frame
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
 from pdcont.solver import _constraint_rows, newton_pinv, svd
 
-from helpers import PROPERTY, attaching_gradients_reference, fd_gradient, random_cloud
+from helpers import (
+    PROPERTY, attaching_gradients_reference, fd_gradient, random_cloud, skeleton_index,
+)
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 
@@ -151,7 +153,8 @@ class TestBatchedGradients:
         fc = build(config, kind, max_dim=3)
         keys = [e.attaching for e in fc.entries]
         keys = [keys[i] for i in rng.permutation(len(keys))]  # sizes interleaved
-        rows, norms = _attaching_gradients(fc, [fc.skeleton.index[key] for key in keys])
+        index = skeleton_index(fc.skeleton)
+        rows, norms = _attaching_gradients(fc, [index[key] for key in keys])
         assert rows.shape == (len(keys), config.free_dim)
         for key, row, norm in zip(keys, rows, norms):
             expected_row, expected_norm = _one_at_a_time(kind, key, config)
@@ -170,7 +173,8 @@ class TestBatchedGradients:
         config = to_gauge_frame(random_cloud(np.random.RandomState(seed), m))
         fc = build(config, "alpha")
         keys = sorted({e.attaching for e in fc.entries if e.dim >= 1}, key=lambda k: (len(k), k))
-        rows, _ = _attaching_gradients(fc, [fc.skeleton.index[key] for key in keys])
+        index = skeleton_index(fc.skeleton)
+        rows, _ = _attaching_gradients(fc, [index[key] for key in keys])
         cols = _free_columns(config.n_points, config.gauge)
         expected = np.zeros((len(keys), config.free_dim + 1))
         start = 0
@@ -193,7 +197,8 @@ class TestGradientsAgainstReference:
         pts = random_cloud(np.random.RandomState(seed), m)
         config = to_gauge_frame(pts) if gauge else Configuration(pts, gauge=False)
         fc = build(config, kind, max_dim=3 if kind == "alpha" else 2)
-        attaching = sorted({fc.skeleton.index[e.attaching] for e in fc.entries})
+        index = skeleton_index(fc.skeleton)
+        attaching = sorted({index[e.attaching] for e in fc.entries})
         # any mix of dimensions, vertices included, in any order, with repeats
         simplices = data.draw(st.lists(st.sampled_from(attaching), max_size=40))
         rows, norms = _attaching_gradients(fc, simplices)

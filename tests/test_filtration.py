@@ -12,11 +12,11 @@ from pdcont.cli import apply_jitter, fibonacci_sphere
 from pdcont.errors import PdcontError
 from pdcont.filtration import build, build_alpha, build_rips
 from pdcont.geometry import Configuration
-from pdcont.persistence import betti_numbers, diagram
+from pdcont.persistence import diagram
 
 from helpers import (
-    PROPERTY, build_alpha_reference, build_rips_reference, grid_clouds, random_cloud,
-    sorted_entries_reference,
+    PROPERTY, betti_numbers, build_alpha_reference, build_rips_reference, filtration_csv, grid_clouds,
+    name_of_key, random_cloud, skeleton_keys, sorted_entries_reference,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -89,12 +89,12 @@ class TestBuildRips:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), max_dim=st.integers(0, 3))
     def test_index_numbers_every_key(self, seed, m, max_dim):
         skeleton = build_rips(_cfg(random_cloud(np.random.RandomState(seed), m)), max_dim).skeleton
-        assert len(skeleton.index) == len(skeleton.keys)
-        for i, key in enumerate(skeleton.keys):
-            assert skeleton.index[key] == i
+        keys = skeleton_keys(skeleton)
+        assert skeleton.names.tolist() == [name_of_key(key, m) for key in keys]
+        assert skeleton.locate(skeleton.names).tolist() == list(range(len(keys)))
         # absent: a vertex out of range and a simplex one dimension too high
-        assert (m,) not in skeleton.index
-        assert tuple(range(min(max_dim + 2, m + 1))) not in skeleton.index
+        absent = [(m,), tuple(range(min(max_dim + 2, m + 1)))]
+        assert skeleton.locate(np.array([name_of_key(key, m) for key in absent])).tolist() == [-1, -1]
 
     def test_large_complex_refused(self):
         # C(400, 4) simplices: refused before any is enumerated
@@ -202,7 +202,7 @@ class TestBuildAlpha:
 
     def test_csv_dump(self):
         fc = build_alpha(Configuration(EX1_CLOUD))
-        text = fc.to_csv()
+        text = filtration_csv(fc)
         assert text.startswith("dim,vertices,birth_radius,attaching_vertices")
         assert len(text.strip().splitlines()) == 16
 

@@ -11,7 +11,6 @@ from pdcont.geometry import Configuration
 from pdcont.metrics import (
     MAX_TRIANGLE_RATIO,
     bottleneck,
-    diag_distance,
     hausdorff,
     triangle_ratio_check,
 )
@@ -21,6 +20,7 @@ from helpers import (
     PROPERTY,
     dense_block_bottleneck,
     dense_hausdorff,
+    diag_distance,
     exhaustive_matching_bottleneck,
     random_acute_triangle,
     random_cloud,

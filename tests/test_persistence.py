@@ -13,7 +13,7 @@ from pdcont.cli import apply_jitter, fibonacci_sphere
 from pdcont.errors import InfinityMismatch, PdcontError
 from pdcont.filtration import build_alpha, build_rips
 from pdcont.geometry import Configuration
-from pdcont.metrics import bottleneck, diag_distance, hausdorff
+from pdcont.metrics import bottleneck, hausdorff
 from pdcont.persistence import (
     boundary_matrix,
     diagram,
@@ -22,7 +22,8 @@ from pdcont.persistence import (
 )
 
 from helpers import (
-    PROPERTY, bitset_reduction_reference, boundary_matrix_reference, grid_clouds,
+    PROPERTY, bitset_reduction_reference, boundary_matrix_reference, diag_distance, filtration_keys,
+    grid_clouds,
     persistence_data_reference, random_cloud, rank_function_pairs, rational_reduction,
     signed_boundary,
 )
@@ -111,7 +112,7 @@ class TestBoundaryMatrix:
 
     def test_tetra_column_sign_pattern(self):
         fc = build_alpha(Configuration(EX1_CLOUD))
-        col = signed_boundary(fc)[fc.keys.index((0, 1, 2, 3))]
+        col = signed_boundary(fc)[filtration_keys(fc).index((0, 1, 2, 3))]
         assert len(col) == 4
         assert sorted(col.values()) == [Fraction(-1), Fraction(-1), Fraction(1), Fraction(1)]
 

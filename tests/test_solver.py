@@ -23,8 +23,8 @@ from pdcont.solver import (
 )
 
 from helpers import (
-    PROPERTY, attaching_gradients_reference, build_alpha_reference, jacobi_reference,
-    random_cloud,
+    PROPERTY, attaching_gradients_reference, build_alpha_reference, filtration_keys,
+    jacobi_reference, random_cloud,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -298,6 +298,63 @@ class TestCutoffValidation:
             continue_cloud(config, "alpha", 2, 0.0, v0 + 0.01, n_steps=2, sigma_cutoff_rel=cutoff)
 
 
+class TestStepControlValidation:
+    """The library refuses the step controls that the CLI refuses: a zero step
+    divided by zero, a negative one or a step count below 1 ran one step,
+    NaN failed in ``int``, a negative iteration cap left no report and a NaN
+    tie window was ignored."""
+
+    @staticmethod
+    def _start():
+        config = Configuration(EX1_CLOUD)
+        return config, diagram(config, "alpha", 2, 0.0).vector(include_essential=False) + 0.01
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_step(self, step):
+        config, target = self._start()
+        with pytest.raises(ValueError, match="step"):
+            continue_cloud(config, "alpha", 2, 0.0, target, step=step)
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_n_steps(self, n_steps):
+        config, target = self._start()
+        with pytest.raises(ValueError, match="n_steps"):
+            continue_cloud(config, "alpha", 2, 0.0, target, n_steps=n_steps)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_tol(self, tol):
+        config, target = self._start()
+        with pytest.raises(ValueError, match="tol"):
+            newton_pinv(config, "alpha", 2, 0.0, target, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [-1, -50])
+    def test_max_iter(self, max_iter):
+        config, target = self._start()
+        with pytest.raises(ValueError, match="max_iter"):
+            newton_pinv(config, "alpha", 2, 0.0, target, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, max_iter=max_iter)
+
+    @pytest.mark.parametrize("name", ["tie_window_rel", "tie_window_abs"])
+    @pytest.mark.parametrize("window", [-0.5, math.nan, math.inf])
+    def test_tie_windows(self, name, window):
+        config, target = self._start()
+        with pytest.raises(ValueError, match=name):
+            newton_pinv(config, "alpha", 2, 0.0, target, **{name: window})
+        with pytest.raises(ValueError, match=name):
+            continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, **{name: window})
+
+    def test_boundary_values_run(self):
+        config, target = self._start()
+        _, report, _ = newton_pinv(config, "alpha", 2, 0.0, target, max_iter=0,
+                                   tie_window_rel=0.0, tie_window_abs=0.0)
+        assert report.status is NewtonStatus.MAX_ITERATIONS and report.iterations == 0
+        trace = continue_cloud(config, "alpha", 2, 0.0, target, n_steps=1, max_iter=0)
+        assert trace.failed_step == 1
+
+
 class TestEpsilonValidation:
     """A negative or non-finite diagonal cutoff epsilon is refused, not read as
     a cutoff that empties the diagram."""
@@ -483,7 +540,9 @@ class TestEvaluatedOnce:
         # only the start is built without a previous evaluation, and a pairing
         # is recomputed only where the simplex order changed
         assert [prev is None for _, prev in builds].count(True) == 1
-        changes = sum(prev is not None and fc.keys != prev.keys for fc, prev in builds)
+        changes = sum(
+            prev is not None and filtration_keys(fc) != filtration_keys(prev) for fc, prev in builds
+        )
         assert len(reductions) == 1 + changes
         for a, b in zip(matrices, matrices[1:]):
             assert not (a.shape == b.shape and a.tobytes() == b.tobytes())
@@ -566,14 +625,14 @@ class TestReuseAcrossIterates:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 40))
     def test_order_change_recomputes_the_pairing(self, seed, m):
         points, direction = _cloud_and_direction(seed, m)
-        keys = self._evaluate(points).fc.keys
-        pair = _first_change(points, direction, lambda p: self._evaluate(p).fc.keys != keys)
+        keys = filtration_keys(self._evaluate(points).fc)
+        pair = _first_change(points, direction, lambda p: filtration_keys(self._evaluate(p).fc) != keys)
         assume(pair is not None)
         previous, reused = self._check(*pair)
         # the first change along the path is a swap of two radii, not a flip
-        assume(reused.fc.skeleton.tetrahedra == previous.fc.skeleton.tetrahedra)
+        assume(np.array_equal(reused.fc.skeleton.tetrahedra, previous.fc.skeleton.tetrahedra))
         assert reused.fc.skeleton is previous.fc.skeleton
-        assert reused.fc.keys != previous.fc.keys
+        assert filtration_keys(reused.fc) != filtration_keys(previous.fc)
         assert reused.reduction is not previous.reduction
 
     @settings(PROPERTY, max_examples=30)
@@ -583,11 +642,11 @@ class TestReuseAcrossIterates:
         tets = delaunay3(Configuration(points, gauge=False)).tetrahedra
         pair = _first_change(
             points, direction,
-            lambda p: delaunay3(Configuration(p, gauge=False)).tetrahedra != tets,
+            lambda p: not np.array_equal(delaunay3(Configuration(p, gauge=False)).tetrahedra, tets),
         )
         assume(pair is not None)
         previous, reused = self._check(*pair)
-        assert reused.fc.skeleton.tetrahedra != previous.fc.skeleton.tetrahedra
+        assert not np.array_equal(reused.fc.skeleton.tetrahedra, previous.fc.skeleton.tetrahedra)
         assert reused.fc.skeleton is not previous.fc.skeleton
         assert reused.reduction is not previous.reduction
 
