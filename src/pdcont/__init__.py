@@ -10,7 +10,6 @@ from .errors import (
     DegenerateInput,
     DegenerateSimplex,
     DimensionMismatch,
-    EmptyDiagram,
     GaugeViolation,
     GeneralPositionViolation,
     InfinityMismatch,

@@ -4,8 +4,8 @@ packaged example reproductions.
 Outputs are deterministic: all floats print with 9 significant digits and any
 randomness is seeded. Exit codes: 0 success, 1 failed verdict or
 general-position violations found by `check`, 3 degenerate input, 4 general
-position violation, 5 gauge violation, 6 layout/matching error, 7 diagram
-error, 8 other library error, 2 usage (including numbers out of range).
+position violation, 5 gauge violation, 6 layout/matching error, 7 triangle
+not acute, 8 other library error, 2 usage (including numbers out of range).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     DegenerateInput,
     DegenerateSimplex,
     DimensionMismatch,
-    EmptyDiagram,
     GaugeViolation,
     GeneralPositionViolation,
     MatchingAmbiguous,
@@ -40,7 +39,6 @@ _EXIT_CODES = (
     (GaugeViolation, 5),
     (DimensionMismatch, 6),
     (MatchingAmbiguous, 6),
-    (EmptyDiagram, 7),
     (NotAcute, 7),
     (PdcontError, 8),
 )
@@ -111,12 +109,6 @@ nonnegative_int = _bounded(int, lambda n: n >= 0, "an integer >= 0")
 seed_int = _bounded(int, lambda n: 0 <= n < 2**32, "an integer in [0, 2**32)")
 
 
-def write_cloud(path: str, points: np.ndarray):
-    with open(path, "w") as fh:
-        for p in points:
-            fh.write(" ".join(f"{x:.9g}" for x in p) + "\n")
-
-
 def apply_jitter(points: np.ndarray, seed: int, magnitude: float = JITTER_MAGNITUDE):
     rng = np.random.RandomState(seed)
     scale = np.abs(points - points.mean(axis=0)).max() or 1.0
@@ -139,9 +131,8 @@ def _load_config(args) -> Configuration:
 def _diagram_of(args):
     """The loaded cloud, its filtered complex and its diagram, built once."""
     config = _load_config(args)
-    fc = build(config, args.filtration, max_dim=args.dim + 1)
-    red = persistence.reduce_boundary(persistence.boundary_matrix(fc))
-    return config, fc, persistence.persistence_data(red, fc, args.dim, args.epsilon)
+    ev = solver._evaluate(config, args.filtration, args.dim, args.epsilon)
+    return config, ev.fc, ev.pd
 
 
 def cmd_diagram(args) -> int:
@@ -204,11 +195,20 @@ def write_trace(trace: solver.ContinuationTrace, path: str):
         fh.write(json.dumps(end) + "\n")
 
 
+def _write_run(trace: solver.ContinuationTrace, out: str):
+    """The trace as ``out.jsonl`` and the final cloud as ``out_final.xyz``."""
+    write_trace(trace, out + ".jsonl")
+    with open(out + "_final.xyz", "w") as fh:
+        for p in trace.final_config.points:
+            fh.write(" ".join(f"{x:.9g}" for x in p) + "\n")
+
+
 def cmd_continue(args) -> int:
     trace = solver.continue_cloud(
         _load_config(args), args.filtration, args.dim, args.epsilon, args.target,
         step=args.step, n_steps=args.n_steps, tol=args.tol, max_iter=args.max_iter,
-        sigma_cutoff_rel=args.sigma_cutoff, adaptive=args.adaptive, tie_window_rel=args.tie_window,
+        sigma_cutoff_rel=args.sigma_cutoff, max_halvings=6 if args.adaptive else 0,
+        tie_window_rel=args.tie_window,
     )
     print(trace.termination)
     if trace.steps:
@@ -218,9 +218,7 @@ def cmd_continue(args) -> int:
             json.dumps([[_fmt(b), _fmt(d)] for b, d in final.pairs]),
             f"residual: {final.residual:.9g}",
         )
-    out = args.out or "continuation"
-    write_trace(trace, out + ".jsonl")
-    write_cloud(out + "_final.xyz", trace.final_config.points)
+    _write_run(trace, args.out or "continuation")
     return 0 if trace.reached_target else 1
 
 
@@ -284,8 +282,7 @@ def _run_example(n: int, out_prefix: str | None):
     if n == 2:
         config = to_gauge_frame(EXAMPLE_1_CLOUD)
         trace = solver.continue_cloud(
-            config, "alpha", 2, 0.0, [6.42719, 7.09015], step=0.001,
-            adaptive=True, max_halvings=3,
+            config, "alpha", 2, 0.0, [6.42719, 7.09015], step=0.001, max_halvings=3
         )
         spread = _edge_spread(trace.final_config.points)
         ok = (not trace.reached_target) and spread < 0.01
@@ -323,7 +320,7 @@ def _run_example(n: int, out_prefix: str | None):
         # inside the fixed-cardinality corridor (death radius grows by 0.5)
         trace = solver.continue_cloud(
             config, "alpha", 2, 1e-3, v0 * (1 + 0.5 / v0[1]), step=0.01,
-            max_iter=300, tie_window_rel=0.5, tie_window_abs=1.0,
+            max_iter=300, tie_window_abs=1.0,
         )
         return _reached(trace)
     if n == 6:
@@ -332,8 +329,7 @@ def _run_example(n: int, out_prefix: str | None):
         pd = persistence.diagram(config, "alpha", 2, 1e-5)
         v0 = pd.vector(include_essential=False)
         trace = solver.continue_cloud(
-            config, "alpha", 2, 1e-5, v0 * 1.3, step=0.03,
-            max_iter=300, tie_window_rel=0.5, tie_window_abs=1.0,
+            config, "alpha", 2, 1e-5, v0 * 1.3, step=0.03, max_iter=300, tie_window_abs=1.0
         )
         return _reached(trace)
     raise ValueError(f"no packaged example {n}")
@@ -341,9 +337,7 @@ def _run_example(n: int, out_prefix: str | None):
 
 def cmd_example(args) -> int:
     trace, ok, details = _run_example(args.number, args.out)
-    out = args.out or f"example{args.number}"
-    write_trace(trace, out + ".jsonl")
-    write_cloud(out + "_final.xyz", trace.final_config.points)
+    _write_run(trace, args.out or f"example{args.number}")
     print(f"example {args.number}: {'PASS' if ok else 'FAIL'} ({details}; {trace.termination})")
     return 0 if ok else 1
 

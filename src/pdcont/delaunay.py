@@ -164,17 +164,17 @@ class Skeleton:
     @cached_property
     def across(self) -> tuple:
         """(tetrahedron, far vertex of a neighbour across a shared triangle),
-        sorted: the pairs of the local Delaunay check."""
+        sorted: the pairs of the local Delaunay check, read off ``cofaces``."""
         if 3 not in self.facets:
             none = np.zeros(0, dtype=int)
             return none, none
-        # the tetrahedra's entries of ``attach``, by triangle row
-        tri, far = self.facets[3].ravel(), self.vertices[3][:, ::-1].ravel()
-        tet = np.repeat(np.arange(len(self.vertices[3])), 4)
-        by_tri = np.argsort(tri, kind="stable")
-        shared = tri[by_tri[1:]] == tri[by_tri[:-1]]
-        a, b = by_tri[:-1][shared], by_tri[1:][shared]
-        t_idx, p = np.concatenate([tet[a], tet[b]]), np.concatenate([far[b], far[a]])
+        tets = self.vertices[3]
+        shared = np.flatnonzero(self.cofaces[:, 1] < len(tets))
+        sides = self.cofaces.take(shared, axis=0)
+        # a tetrahedron's far vertex is its vertex sum less the triangle's
+        triangle = self.vertices[2].take(shared, axis=0).sum(axis=1, dtype=tets.dtype)
+        far = tets.sum(axis=1, dtype=tets.dtype).take(sides) - triangle[:, None]
+        t_idx, p = sides.ravel(), far[:, ::-1].ravel()
         order = np.lexsort((p, t_idx))
         return t_idx[order], p[order]
 

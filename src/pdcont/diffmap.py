@@ -70,8 +70,8 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
     # pinned coordinates (column -1) land in a spare last column, cut off below
     rows, norms = np.zeros((len(simplices), config.free_dim + 1)), np.zeros(len(simplices))
     simplices = np.asarray(simplices, dtype=int)
-    # vertices are born at radius zero
-    at = (simplices >= skeleton.offsets.get(1, len(fc.birth))).nonzero()[0]
+    # vertices, the global indices below n_points, are born at radius zero
+    at = (simplices >= config.n_points).nonzero()[0]
     g = simplices.take(at)
     if not g.size:
         return rows[:, :-1], norms

@@ -28,10 +28,6 @@ class GeneralPositionViolation(PdcontError):
         self.indices = tuple(indices)
 
 
-class EmptyDiagram(PdcontError):
-    """An operation requiring a nonempty diagram got an empty one."""
-
-
 class InfinityMismatch(PdcontError):
     """Bottleneck distance between diagrams with different essential counts."""
 

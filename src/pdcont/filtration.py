@@ -93,7 +93,7 @@ class FilteredComplex:
         """(radii, global indices) of every attaching simplex of dimension >= 1,
         by radius, then global index."""
         at = np.flatnonzero(self.realizer == np.arange(len(self.realizer)))
-        at = at[at >= self.skeleton.offsets.get(1, len(self.realizer))]
+        at = at[at >= self.skeleton.n_points]  # vertices are the global indices 0...n-1
         at = at[np.argsort(self.birth[at], kind="stable")]
         return self.birth[at], at
 
@@ -151,7 +151,7 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     pass of the attachment rule over every cofacet test the candidates.
     """
     pts, skeleton = config.points, _delaunay.delaunay3(config, previous)
-    n, at = len(skeleton), skeleton.offsets.get(1, len(skeleton))
+    n, at = len(skeleton), skeleton.n_points
     spheres = Circumspheres(
         np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
     )

@@ -73,10 +73,7 @@ def boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
     """Matrix of the boundary map over Z/2, read off the facet and coface rows
     of the complex's skeleton in its filtration order."""
     skeleton, order, n = fc.skeleton, fc.order, len(fc.order)
-    starts = [*skeleton.offsets.values(), n]
-    dims = np.zeros(n, dtype=np.intp)
-    for start in starts[1:-1]:
-        dims[start:] += 1
+    starts, dims = [*skeleton.offsets.values(), n], skeleton.dim[:-1]
     grouped = dims[order].argsort(kind="stable")  # positions, grouped by dimension
     simplex = order[grouped]
     # grouping keeps each dimension where the global numbering has it
@@ -232,6 +229,12 @@ class EssentialClass:
     birth_attaching: int
 
 
+def _values(finite, essential=()):
+    """The diagram coordinates (b1, d1, b2, d2, ..., then the essential
+    births) of the ``FinitePair``s ``finite`` and ``EssentialClass``es ``essential``."""
+    return np.array([x for p in finite for x in (p.birth, p.death)] + [e.birth for e in essential])
+
+
 @dataclass(frozen=True)
 class PersistenceData:
     """Diagram of one homology dimension, truncated at distance eps from the diagonal."""
@@ -247,12 +250,7 @@ class PersistenceData:
         return 2 * len(self.finite) + len(self.essential)
 
     def vector(self, include_essential: bool = True) -> np.ndarray:
-        v = []
-        for p in self.finite:
-            v.extend((p.birth, p.death))
-        if include_essential:
-            v.extend(e.birth for e in self.essential)
-        return np.array(v)
+        return _values(self.finite, self.essential if include_essential else ())
 
     def pairs(self):
         return [(p.birth, p.death) for p in self.finite]

@@ -46,7 +46,7 @@ from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
 from .filtration import FilteredComplex, build
 from .geometry import Configuration, _free_columns
 from .persistence import (
-    PersistenceData, Reduction, boundary_matrix, persistence_data, reduce_boundary,
+    PersistenceData, Reduction, _values, boundary_matrix, persistence_data, reduce_boundary,
 )
 
 # --- dense SVD by one-sided Jacobi ---------------------------------------------
@@ -141,15 +141,17 @@ def _inverse(s, sigma_cutoff_rel):
 
 
 def _check_controls(sigma_cutoff_rel, tol=None, max_iter=None, tie_window_rel=None,
-                    tie_window_abs=None, step=None, n_steps=None):
-    """Refuse, as ValueError, the solver controls that the CLI refuses."""
+                    tie_window_abs=None, step=None, n_steps=None, max_halvings=None):
+    """Refuse, as ValueError, the solver controls out of their range (the
+    CLI refuses the same values as usage errors)."""
     checks = (("sigma_cutoff_rel", sigma_cutoff_rel, False), ("tol", tol, True),
               ("step", step, True), ("tie_window_rel", tie_window_rel, False),
               ("tie_window_abs", tie_window_abs, False))
     for name, x, strict in checks:
         if x is not None and not (math.isfinite(x) and (x > 0 if strict else x >= 0)):
             raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
-    for name, n, least in (("max_iter", max_iter, 0), ("n_steps", n_steps, 1)):
+    for name, n, least in (("max_iter", max_iter, 0), ("n_steps", n_steps, 1),
+                           ("max_halvings", max_halvings, 0)):
         if n is not None and n < least:
             raise ValueError(f"{name} must be >= {least}, got {n!r}")
 
@@ -259,11 +261,6 @@ def match_to_layout(layout, pd: PersistenceData):
         for r_i, c_i in zip(rows, cols):
             matched[free_slots[r_i]] = leftovers[c_i]
     return tuple(matched)
-
-
-def _values(pairs):
-    """The diagram coordinates (b1, d1, b2, d2, ...) of the pairs."""
-    return np.array([x for r in pairs for x in (r.birth, r.death)])
 
 
 def _generators(pairs):
@@ -424,16 +421,15 @@ def _newton_core(
 
     increases = 0
     prev_res = math.inf
-    jac_snapshot = np.zeros(0)
+    sigma = np.zeros(0)  # the singular values of the last Jacobian
     flips = [], []  # coordinate and name of every generator a coordinate has had at a flip
     tie_offsets = {}  # (coordinate, name) -> radius ratio when the name joined its ties
+    status, message = None, ""
     for it in range(max_iter + 1):
         matched = match_to_layout(layout, ev.pd)
         if matched is None:
-            report = NewtonReport(
-                NewtonStatus.CARDINALITY_CHANGED, it, math.inf, jac_snapshot,
-                f"retained pair count dropped from {len(layout)} to {len(ev.pd.finite)}",
-            )
+            status, res = NewtonStatus.CARDINALITY_CHANGED, math.inf
+            message = f"retained pair count dropped from {len(layout)} to {len(ev.pd.finite)}"
             break
         for c, (was, now) in enumerate(zip(_generators(layout), _generators(matched))):
             if was != now:
@@ -443,40 +439,29 @@ def _newton_core(
         g_vals, g_rows = _constraint_rows(config, constraints)
         residual_vec = np.concatenate([_values(matched) - v_target, g_vals])
         res = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
+        increases = increases + 1 if res >= prev_res else 0
         if res <= tol:
+            status = NewtonStatus.CONVERGED
             # transient extra pairs are tolerated during iterations, but an
             # accepted solution must preserve the truncated cardinality
             if len(ev.pd.finite) != len(layout):
-                report = NewtonReport(
-                    NewtonStatus.CARDINALITY_CHANGED, it, res, jac_snapshot,
-                    f"retained pair count changed from {len(layout)} to {len(ev.pd.finite)}",
-                )
-            else:
-                report = NewtonReport(NewtonStatus.CONVERGED, it, res, jac_snapshot)
+                status = NewtonStatus.CARDINALITY_CHANGED
+                message = f"retained pair count changed from {len(layout)} to {len(ev.pd.finite)}"
+        elif it == max_iter:
+            status = NewtonStatus.MAX_ITERATIONS
+        elif increases >= 5:
+            status = NewtonStatus.DIVERGED
+            message = "residual failed to decrease for 5 consecutive iterations"
+        if status is not None:
             break
-        if it == max_iter:
-            report = NewtonReport(NewtonStatus.MAX_ITERATIONS, it, res, jac_snapshot)
-            break
-        if res >= prev_res:
-            increases += 1
-            if increases >= 5:
-                report = NewtonReport(
-                    NewtonStatus.DIVERGED, it, res, jac_snapshot,
-                    "residual failed to decrease for 5 consecutive iterations",
-                )
-                break
-        else:
-            increases = 0
         prev_res = res
 
         jac = ev.jacobian(matched)
         factors = ev.svd()
-        s = jac_snapshot = factors[1]
-        if s.size and s[-1] < _SIGMA_FLOOR:
-            report = NewtonReport(
-                NewtonStatus.SINGULAR_JACOBIAN, it, res, s,
-                f"smallest singular value {s[-1]:.3e} below floor {_SIGMA_FLOOR:.0e}",
-            )
+        sigma = factors[1]
+        if sigma.size and sigma[-1] < _SIGMA_FLOOR:
+            status = NewtonStatus.SINGULAR_JACOBIAN
+            message = f"smallest singular value {sigma[-1]:.3e} below floor {_SIGMA_FLOOR:.0e}"
             break
         tie_m, tie_r = _tie_rows(
             *flips, matched, v_target, ev.fc,
@@ -489,15 +474,10 @@ def _newton_core(
             step = _pinv_solve(factors, step_res, sigma_cutoff_rel)[0]
         config = config.with_vector(config.pack() - step)
         ev = _evaluate(config, kind, dim, epsilon, previous=ev)
-
-    # singular values at the accepted configuration, for diagnostics
-    if report.converged:
+    if status is NewtonStatus.CONVERGED:  # the singular values at the accepted configuration
         jac = ev.jacobian(matched)
-        if g_rows.size:
-            report.singular_values = svd(np.vstack([jac.matrix, g_rows]))[1]
-        else:
-            report.singular_values = ev.svd()[1]
-    return config, report, layout, ev
+        sigma = svd(np.vstack([jac.matrix, g_rows]))[1] if g_rows.size else ev.svd()[1]
+    return config, NewtonReport(status, it, res, sigma, message), layout, ev
 
 
 def newton_pinv(
@@ -588,8 +568,7 @@ def continue_cloud(
     max_iter: int = 50,
     sigma_cutoff_rel: float = 1e-12,
     constraints=(),
-    adaptive: bool = False,
-    max_halvings: int = 6,
+    max_halvings: int = 0,
     tie_window_rel: float = 0.0,
     tie_window_abs: float = 0.0,
 ) -> ContinuationTrace:
@@ -597,11 +576,12 @@ def continue_cloud(
 
     The segment is split into equal pieces of length at most ``step`` (or into
     ``n_steps`` pieces); each piece is solved by ``newton_pinv`` seeded with
-    the previous solution. On failure the partial trace is returned, unless
-    ``adaptive`` is set, in which case the piece is halved up to
-    ``max_halvings`` times before giving up.
+    the previous solution. A piece whose solve does not converge is halved
+    and retried, up to ``max_halvings`` times over the whole run; then, as on
+    a library error, the partial trace is returned.
     """
-    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window_rel, tie_window_abs, step, n_steps)
+    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window_rel, tie_window_abs, step, n_steps,
+                    max_halvings)
     ev = _evaluate(config, kind, dim, epsilon)
     layout = ev.pd.finite
     v_start = _values(layout)
@@ -642,7 +622,7 @@ def continue_cloud(
             trace.reason = f"{type(exc).__name__}: {exc}"
             break
         if not report.converged:
-            if adaptive and halvings < max_halvings:
+            if halvings < max_halvings:
                 halvings += 1
                 dt /= 2
                 k -= 1

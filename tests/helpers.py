@@ -8,7 +8,8 @@ package used to run, dense all-pairs distances, a dense block-graph
 bottleneck search, and hand-rolled hull volumes; and, as bitwise oracles,
 the circumsphere kernel, the per-dimension alpha build, the Jacobi SVD and
 the attaching gradients as they stood before their per-call overhead was
-trimmed.
+trimmed, and the skeleton's neighbour pairs as derived before they were read
+off its cofaces.
 """
 
 import bisect
@@ -24,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdcont.delaunay import delaunay3, insphere_exact, orient3d_exact
-from pdcont.errors import DegenerateInput, EmptyDiagram, GeneralPositionViolation
+from pdcont.errors import DegenerateInput, GeneralPositionViolation
 from pdcont.filtration import Circumspheres, FilteredComplex, FiltEntry, build
 from pdcont.geometry import _DEGENERATE, Configuration, _free_columns, radius_gradients
 from pdcont.metrics import _diag_gap, _split
@@ -189,11 +190,29 @@ def filtration_csv(fc):
 
 def diag_distance(diagram):
     """Distance of the closest finite diagram point to the diagonal; a
-    malformed pair raises ValueError, as in ``bottleneck``."""
+    malformed pair, or no finite pair, raises ValueError."""
     finite, _ = _split(diagram)
     if not finite:
-        raise EmptyDiagram("diagram has no finite pairs")
+        raise ValueError("diagram has no finite pairs")
     return min(_diag_gap(p) for p in finite)
+
+
+def across_reference(skeleton):
+    """``Skeleton.across`` from the tetrahedra's facet rows, by a sort of its
+    own over the triangles: (tetrahedron, far vertex of a neighbour across a
+    shared triangle), sorted, with the far vertices in the dtype of the
+    tetrahedra's rows."""
+    if 3 not in skeleton.facets:
+        none = np.zeros(0, dtype=int)
+        return none, none
+    tri, far = skeleton.facets[3].ravel(), skeleton.vertices[3][:, ::-1].ravel()
+    tet = np.repeat(np.arange(len(skeleton.vertices[3])), 4)
+    by_tri = np.argsort(tri, kind="stable")
+    shared = tri[by_tri[1:]] == tri[by_tri[:-1]]
+    a, b = by_tri[:-1][shared], by_tri[1:][shared]
+    t_idx, p = np.concatenate([tet[a], tet[b]]), np.concatenate([far[b], far[a]])
+    order = np.lexsort((p, t_idx))
+    return t_idx[order], p[order]
 
 
 def skeleton_keys(skeleton):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdcont import cli, delaunay, filtration
+from pdcont import cli, delaunay, filtration, solver
 
 
 @pytest.fixture
@@ -272,6 +272,17 @@ class TestContinueCommand:
         }
         cloud = (tmp_path / "run_final.xyz").read_text().splitlines()
         assert len(cloud) == 4
+
+    @pytest.mark.parametrize("flags, halvings", [([], 0), (["--adaptive"], 6)])
+    def test_adaptive_allows_six_halvings(self, ex1_file, tmp_path, monkeypatch, flags, halvings):
+        seen = []
+        run = solver.continue_cloud
+        monkeypatch.setattr(solver, "continue_cloud",
+                            lambda *args, **kw: seen.append(kw["max_halvings"]) or run(*args, **kw))
+        argv = ["continue", "-i", ex1_file, "--target", "[[4.48, 4.66]]",
+                "--out", str(tmp_path / "run")]
+        assert cli.main(argv + flags) == 0
+        assert seen == [halvings]
 
     def test_exit_code_contract(self, tmp_path):
         flat = tmp_path / "flat.xyz"

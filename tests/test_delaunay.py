@@ -25,6 +25,7 @@ from pdcont.geometry import Configuration, circumspheres, simplex_key
 
 from helpers import (
     PROPERTY,
+    across_reference,
     all_points_attaching,
     by_dim,
     circumsphere_lstsq,
@@ -32,6 +33,7 @@ from helpers import (
     fraction_det_exact,
     fraction_insphere_exact,
     fraction_orient3d_exact,
+    grid_clouds,
     hull_volume_bruteforce,
     name_of_key,
     random_cloud,
@@ -244,6 +246,29 @@ class TestVerification:
         pts = np.vstack([pts, pts[5] + offset])
         with pytest.raises(GeneralPositionViolation):
             delaunay3(_cfg(pts))
+
+
+class TestAcross:
+    """The neighbour pairs of the verification, read off ``Skeleton.cofaces``,
+    are those derived from the tetrahedra's facet rows, byte for byte and in
+    the same dtypes (the far vertices follow Qhull's int32 rows)."""
+
+    @PROPERTY
+    @given(points=st.one_of(
+        st.builds(lambda seed, m: np.random.RandomState(seed).rand(m, 3),
+                  st.integers(0, 2**32 - 1), st.integers(4, 60)),
+        grid_clouds(5, 27, exact=False),
+        st.builds(lambda seed, m, exponent: apply_jitter(
+            fibonacci_sphere(m), seed=seed, magnitude=10.0**-exponent),
+            st.integers(0, 2**32 - 1), st.integers(5, 60), st.integers(6, 13)),
+    ))
+    def test_equals_the_facet_row_derivation(self, points):
+        try:
+            skeleton = delaunay3(_cfg(points))
+        except GeneralPositionViolation:
+            assume(False)  # a draw cospherical beyond float resolution
+        for got, want in zip(skeleton.across, across_reference(skeleton)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSkeletonIndex:

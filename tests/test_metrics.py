@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdcont import metrics
-from pdcont.errors import EmptyDiagram, InfinityMismatch, NotAcute
+from pdcont.errors import InfinityMismatch, NotAcute
 from pdcont.geometry import Configuration
 from pdcont.metrics import (
     MAX_TRIANGLE_RATIO,
@@ -117,6 +117,30 @@ class TestBottleneck:
         assert bottleneck(a, b) == np.abs(a - b).max()
         assert radii == [np.abs(a - b).max()]
 
+    @pytest.mark.parametrize("seed", [432, 7])
+    def test_unrelated_diagrams_take_a_logarithmic_search(self, monkeypatch, seed):
+        # no benchmark workload reaches the search past the lower bound; on
+        # two unrelated diagrams the gallop and the bisection each take at
+        # most ceil(log2 C) tests over the C candidates in [lower, upper]
+        radii = []
+        within = metrics._within
+        monkeypatch.setattr(
+            metrics, "_within", lambda *args: radii.append(args[-1]) or within(*args)
+        )
+        rng = np.random.RandomState(seed)
+        a, b = (np.sort(rng.uniform(0.0, 1.0, (432, 2)), axis=1) for _ in range(2))
+        value = bottleneck(a, b)
+        dist = np.abs(a[:, None] - b[None]).max(axis=2)
+        gap_a, gap_b = (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+        lower = max(np.minimum(gap_a, dist.min(axis=1)).max(),
+                    np.minimum(gap_b, dist.min(axis=0)).max())
+        upper = max(gap_a.max(), gap_b.max())
+        values = np.concatenate([dist.ravel(), gap_a, gap_b])
+        candidates = len(np.unique(values[(values >= lower) & (values <= upper)]))
+        assert radii[0] == lower and value > lower
+        assert len(radii) <= 2 * math.ceil(math.log2(candidates)) + 2
+        assert value == dense_block_bottleneck(a, b)
+
     @PROPERTY
     @given(a=_GRID_DIAGRAMS, b=_GRID_DIAGRAMS)
     def test_grid_diagrams_equal_dense_block_search(self, a, b):
@@ -200,9 +224,9 @@ class TestDiagDistance:
         assert diag_distance([(1.0, 1.0 + 2 * eps)]) == pytest.approx(eps, rel=1e-9)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyDiagram):
+        with pytest.raises(ValueError, match="no finite pairs"):
             diag_distance([])
-        with pytest.raises(EmptyDiagram):
+        with pytest.raises(ValueError, match="no finite pairs"):
             diag_distance([(0.0, math.inf)])
 
 

@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,8 @@ from pdcont.persistence import (
 from helpers import (
     PROPERTY, bitset_reduction_reference, boundary_matrix_reference, diag_distance, filtration_keys,
     grid_clouds,
-    persistence_data_reference, random_cloud, rank_function_pairs, rational_reduction,
-    signed_boundary,
+    persistence_data_reference, random_cloud, random_rotation, rank_function_pairs,
+    rational_reduction, signed_boundary,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -356,3 +357,39 @@ class TestPersistenceData:
         assert all(p.birth < p.death for p in pd.finite)
         n_dim1_pairs = sum(1 for i, j in red.pairs if fc.entries[i].dim == 1)
         assert n_dim1_pairs > len(pd.finite)
+
+
+class TestInvariance:
+    """The diagram under a change of scale or a rigid motion of the cloud."""
+
+    @PROPERTY
+    @given(case=st.one_of(st.tuples(st.just("alpha"), ALPHA_CLOUDS),
+                          st.tuples(st.just("rips"), RIPS_CLOUDS)),
+           k=st.integers(-40, 40))
+    def test_power_of_two_scaling_is_exact(self, case, k):
+        # every radius scales with the cloud, and a power of two commutes
+        # with rounding: values scale bit for bit, generator names stay
+        kind, points = case
+        scale, dims = 2.0**k, range(3 if kind == "alpha" else 2)
+        try:
+            before = [diagram(_cfg(points), kind, dim) for dim in dims]
+        except PdcontError:
+            assume(False)  # a flat or cospherical draw has no alpha complex
+        for pd, dim in zip(before, dims):
+            scaled = diagram(_cfg(scale * points), kind, dim)
+            assert scaled.finite == tuple(
+                replace(p, birth=scale * p.birth, death=scale * p.death) for p in pd.finite
+            )
+            assert scaled.essential == tuple(replace(e, birth=scale * e.birth) for e in pd.essential)
+
+    @PROPERTY
+    @given(seed=SEEDS, m=st.integers(5, 30))
+    def test_rigid_motion_keeps_the_diagram(self, seed, m):
+        rng = np.random.RandomState(seed)
+        points = random_cloud(rng, m)
+        moved = points @ random_rotation(rng).T + rng.uniform(-10.0, 10.0, 3)
+        for kind, dim in (("alpha", 0), ("alpha", 1), ("alpha", 2), ("rips", 1)):
+            pd, after = diagram(_cfg(points), kind, dim), diagram(_cfg(moved), kind, dim)
+            assert (len(after.finite), len(after.essential)) == (len(pd.finite), len(pd.essential))
+            a, b = pd.vector(), after.vector()
+            assert (np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b))).all()

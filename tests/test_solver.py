@@ -301,8 +301,8 @@ class TestCutoffValidation:
 class TestStepControlValidation:
     """The library refuses the step controls that the CLI refuses: a zero step
     divided by zero, a negative one or a step count below 1 ran one step,
-    NaN failed in ``int``, a negative iteration cap left no report and a NaN
-    tie window was ignored."""
+    NaN failed in ``int``, a negative iteration cap left no report, a NaN
+    tie window was ignored and a negative halving cap never halved."""
 
     @staticmethod
     def _start():
@@ -320,6 +320,12 @@ class TestStepControlValidation:
         config, target = self._start()
         with pytest.raises(ValueError, match="n_steps"):
             continue_cloud(config, "alpha", 2, 0.0, target, n_steps=n_steps)
+
+    @pytest.mark.parametrize("max_halvings", [-1, -6])
+    def test_max_halvings(self, max_halvings):
+        config, target = self._start()
+        with pytest.raises(ValueError, match="max_halvings"):
+            continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, max_halvings=max_halvings)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_tol(self, tol):
@@ -480,7 +486,7 @@ class TestContinuation:
         monkeypatch.setattr(solver, "_newton_core", fail_once)
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        trace = continue_cloud(config, "alpha", 2, 0.0, v0 + 0.03, n_steps=3, adaptive=True)
+        trace = continue_cloud(config, "alpha", 2, 0.0, v0 + 0.03, n_steps=3, max_halvings=6)
         assert trace.reached_target
         assert len(trace.steps) == 6
         assert trace.steps[-1].t == 1.0
@@ -557,7 +563,7 @@ class TestEvaluatedOnce:
         assert len(trace.steps) == len(reports) == 5
 
     def test_adaptive_halving(self, monkeypatch):
-        trace, reports = self._run(monkeypatch, 0.3, n_steps=2, max_iter=2, adaptive=True)
+        trace, reports = self._run(monkeypatch, 0.3, n_steps=2, max_iter=2, max_halvings=6)
         failed = [r for r in reports if not r.converged]
         assert failed and len(reports) == len(trace.steps) + len(failed)
 
@@ -678,6 +684,31 @@ def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
     assert trace.reached_target
     assert decomposed and all(shape == (v0.size, 54) for shape in decomposed)
     assert solved and all(min(shape) > solver._JACOBI_SIZE_LIMIT for shape in solved)
+
+
+@pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_scaled_examples_take_the_same_iterations(monkeypatch, n):
+    """A packaged example whose cloud, target, step and tolerance are scaled by
+    2^k takes the same Newton iterations at every step and ends the same way,
+    and every accepted ``u`` scales bit for bit. Example 2's reason prints a
+    residual, so only its status is compared."""
+    gauge, run = cli.to_gauge_frame, solver.continue_cloud
+
+    def example(scale):
+        monkeypatch.setattr(cli, "to_gauge_frame", lambda points: gauge(scale * np.asarray(points)))
+        monkeypatch.setattr(solver, "continue_cloud", lambda *args, step, **kw: run(
+            *args[:4], scale * np.asarray(args[4]), step=scale * step, tol=scale * 1e-10, **kw
+        ))
+        return cli._run_example(n, None)[0]
+
+    ref = example(1.0)
+    for k in (-3, 5):
+        trace = example(2.0**k)
+        assert [s.newton_iters for s in trace.steps] == [s.newton_iters for s in ref.steps]
+        assert (trace.reached_target, trace.failed_step) == (ref.reached_target, ref.failed_step)
+        assert str(trace.reason).split(":")[0] == str(ref.reason).split(":")[0]
+        assert all(np.array_equal(s.u, 2.0**k * r.u) for s, r in zip(trace.steps, ref.steps))
 
 
 @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
