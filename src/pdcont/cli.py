@@ -115,17 +115,11 @@ def apply_jitter(points: np.ndarray, seed: int, magnitude: float = JITTER_MAGNIT
     return points + rng.uniform(-1.0, 1.0, points.shape) * magnitude * scale
 
 
-def make_config(points: np.ndarray, gauge: bool) -> Configuration:
-    if gauge:
-        return to_gauge_frame(points)
-    return Configuration(points, gauge=False)
-
-
 def _load_config(args) -> Configuration:
     points = read_cloud(args.input)
     if args.jitter_seed is not None:
         points = apply_jitter(points, args.jitter_seed)
-    return make_config(points, not args.no_gauge)
+    return Configuration(points, gauge=False) if args.no_gauge else to_gauge_frame(points)
 
 
 def _diagram_of(args):
@@ -208,7 +202,7 @@ def cmd_continue(args) -> int:
         _load_config(args), args.filtration, args.dim, args.epsilon, args.target,
         step=args.step, n_steps=args.n_steps, tol=args.tol, max_iter=args.max_iter,
         sigma_cutoff_rel=args.sigma_cutoff, max_halvings=6 if args.adaptive else 0,
-        tie_window_rel=args.tie_window,
+        tie_window=args.tie_window,
     )
     print(trace.termination)
     if trace.steps:
@@ -320,7 +314,7 @@ def _run_example(n: int, out_prefix: str | None):
         # inside the fixed-cardinality corridor (death radius grows by 0.5)
         trace = solver.continue_cloud(
             config, "alpha", 2, 1e-3, v0 * (1 + 0.5 / v0[1]), step=0.01,
-            max_iter=300, tie_window_abs=1.0,
+            max_iter=300, tie_window=1.0,
         )
         return _reached(trace)
     if n == 6:
@@ -329,7 +323,7 @@ def _run_example(n: int, out_prefix: str | None):
         pd = persistence.diagram(config, "alpha", 2, 1e-5)
         v0 = pd.vector(include_essential=False)
         trace = solver.continue_cloud(
-            config, "alpha", 2, 1e-5, v0 * 1.3, step=0.03, max_iter=300, tie_window_abs=1.0
+            config, "alpha", 2, 1e-5, v0 * 1.3, step=0.03, max_iter=300, tie_window=1.0
         )
         return _reached(trace)
     raise ValueError(f"no packaged example {n}")
@@ -387,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-cutoff", type=nonnegative_number, default=1e-12, help="relative pseudo-inverse cutoff")
     p.add_argument("--adaptive", action="store_true", help="halve the step on failure (up to 6 times)")
     p.add_argument("--tie-window", type=nonnegative_number, default=0.0,
-                   help="carry attaching radii within this fraction of the residual")
+                   help="carry attaching radii within this distance of their coordinate")
     p.add_argument("--out", help="output prefix (default 'continuation')")
     p.set_defaults(func=cmd_continue)
 

@@ -8,12 +8,12 @@ orient3d and insphere do, and certifies its sign when its magnitude exceeds
 the stage-A error bound times the expression's permanent (Shewchuk, Adaptive
 precision floating-point arithmetic and fast robust geometric predicates,
 1997). Every other sign, including those of rows whose products may
-underflow and of rows that overflow, is decided exactly (the points of a
-predicate are scaled to integers by one common power of two). By the local
-Delaunay lemma the check is local: every point must be a vertex, and across
-each triangle shared by two tetrahedra the far vertex of one must lie outside
-the circumsphere of the other. Exact cospherical 5-tuples are an error, never
-perturbed away silently.
+underflow and of rows that overflow, is decided exactly by the same formula
+in integers (the points of a predicate are scaled to integers by one common
+power of two). By the local Delaunay lemma the check is local: every point
+must be a vertex, and across each triangle shared by two tetrahedra the far
+vertex of one must lie outside the circumsphere of the other. Exact
+cospherical 5-tuples are an error, never perturbed away silently.
 
 The combinatorics of a triangulation, its simplices closed under faces, their
 facet rows and the index arrays that the verification and the alpha
@@ -25,8 +25,9 @@ search. Vertex tuples are made only for output and error messages. When
 Qhull returns exactly the tetrahedra of a previous skeleton, ``delaunay3``
 returns that skeleton; the verification always runs on the new points.
 
-Point clouds that span fewer than 3 dimensions are handled for M <= 3 (vertex,
-edge, triangle); larger coplanar clouds are rejected.
+Clouds of M <= 3 points are their own simplex (vertex, edge, triangle),
+refused when the circumsphere kernel finds it degenerate; coplanar clouds of
+4 or more points are rejected.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, GeneralPositionViolation
-from .geometry import Configuration, _row_norms
+from .geometry import _DEGENERATE, Configuration, _row_norms, circumspheres
 
 # Shewchuk's stage-A error bounds, with eps = 2^-53: a determinant evaluated
 # in floats as in _orient3d_terms / _insphere_terms whose magnitude exceeds the
@@ -237,54 +238,10 @@ def _as_ints(points):
     return [ints[i:i + 3] for i in range(0, len(ints), 3)]
 
 
-def _det_exact(rows):
-    """Exact determinant of a small integer matrix (cofactor expansion)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total, sign = 0, 1
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += sign * rows[0][j] * _det_exact(minor)
-        sign = -sign
-    return total
-
-
-def _orient_det(a, b, c, d):
-    return _det_exact([[p[k] - a[k] for k in range(3)] for p in (b, c, d)])
-
-
-def orient3d_exact(a, b, c, d):
-    """Sign of det[b-a; c-a; d-a], computed in exact integer arithmetic."""
-    det = _orient_det(*_as_ints((a, b, c, d)))
-    return (det > 0) - (det < 0)
-
-
-def insphere_exact(a, b, c, d, p):
-    """Exact in-sphere test of p against the circumsphere of tetra (a,b,c,d).
-
-    Returns +1 when p is strictly inside, -1 when strictly outside, 0 when
-    cospherical. With rows (vertex - p, |vertex - p|^2) the determinant of a
-    positively oriented tetrahedron is negative for interior p.
-    """
-    *tet, p = _as_ints((a, b, c, d, p))
-    rows = []
-    for q in tet:
-        rel = [q[k] - p[k] for k in range(3)]
-        rows.append(rel + [rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2])
-    orient = _orient_det(*tet)
-    if orient == 0:
-        raise DegenerateInput("flat tetrahedron in in-sphere test")
-    val = -_det_exact(rows) * orient
-    return (val > 0) - (val < 0)
-
-
 def _orient3d_terms(ax, bx, cx, ay, by, cy, az, bz, cz):
     """det [a; b; c] of three difference rows and its permanent, evaluated as
-    in Shewchuk's orient3d; the arguments are floats or equal-shape arrays."""
+    in Shewchuk's orient3d; the arguments are floats, equal-shape arrays or
+    Python ints, which make both exact."""
     bxcy, cxby = bx * cy, cx * by
     cxay, axcy = cx * ay, ax * cy
     axby, bxay = ax * by, bx * ay
@@ -300,7 +257,7 @@ def _orient3d_terms(ax, bx, cx, ay, by, cy, az, bz, cz):
 def _insphere_terms(aex, bex, cex, dex, aey, bey, cey, dey, aez, bez, cez, dez):
     """det [a, |a|^2; b, |b|^2; c, |c|^2; d, |d|^2] of four difference rows
     and its permanent, evaluated as in Shewchuk's insphere; the arguments are
-    floats or equal-shape arrays."""
+    floats, equal-shape arrays or Python ints, which make both exact."""
     aexbey, bexaey = aex * bey, bex * aey
     bexcey, cexbey = bex * cey, cex * bey
     cexdey, dexcey = cex * dey, dex * cey
@@ -330,6 +287,29 @@ def _insphere_terms(aex, bex, cex, dex, aey, bey, cey, dey, aez, bez, cez, dez):
         + (bcp * aezp + acp * bezp + abp * cezp) * dlift
     )
     return det, permanent
+
+
+def orient3d_exact(a, b, c, d):
+    """Sign of det[b-a; c-a; d-a], computed in exact integer arithmetic."""
+    a, *rest = _as_ints((a, b, c, d))
+    det = _orient3d_terms(*[q[k] - a[k] for k in range(3) for q in rest])[0]
+    return (det > 0) - (det < 0)
+
+
+def insphere_exact(a, b, c, d, p):
+    """Exact in-sphere test of p against the circumsphere of tetra (a,b,c,d).
+
+    Returns +1 when p is strictly inside, -1 when strictly outside, 0 when
+    cospherical. With rows (vertex - p, |vertex - p|^2) the determinant of a
+    positively oriented tetrahedron is negative for interior p.
+    """
+    *tet, p = _as_ints((a, b, c, d, p))
+    rel = [q[k] - p[k] for k in range(3) for q in tet]  # aex, bex, cex, dex, aey, ...
+    orient = _orient3d_terms(*[rel[i + j] - rel[i] for i in (0, 4, 8) for j in (1, 2, 3)])[0]
+    if orient == 0:
+        raise DegenerateInput("flat tetrahedron in in-sphere test")
+    val = -_insphere_terms(*rel)[0] * orient
+    return (val > 0) - (val < 0)
 
 
 def _fine(pts) -> np.ndarray:
@@ -433,38 +413,24 @@ def _verify_empty(points, skeleton: Skeleton):
             )
 
 
-def _affine_dim(pts):
-    rel = pts - pts[0]
-    if rel.shape[0] == 1:
-        return 0
-    sv = np.linalg.svd(rel, compute_uv=False)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    return int(np.sum(sv > 1e-12 * scale))
-
-
 def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skeleton:
     """Delaunay triangulation of the cloud, verified empty-circumsphere exact,
     as the skeleton of its simplices.
 
     M = 1, 2, 3 clouds yield the trivial complex of the points themselves
-    (vertex / edge / triangle). M >= 4 requires non-coplanar points. When the
-    tetrahedra equal those of ``previous`` (the skeleton of a nearby cloud),
-    the result is ``previous``.
+    (vertex / edge / triangle), unless ``circumspheres`` finds it degenerate.
+    M >= 4 requires non-coplanar points. When the tetrahedra equal those of
+    ``previous`` (the skeleton of a nearby cloud), the result is ``previous``.
     """
     pts = np.asarray(config.points, dtype=float)
     m = pts.shape[0]
-    if m <= 3:
-        dim = _affine_dim(pts)
-        if m == 2 and dim == 0:
-            raise DegenerateInput("coincident points")
-        if m == 3 and dim < 2:
-            raise DegenerateInput("collinear 3-point cloud")
+    if m <= 4:
+        # the Delaunay complex of at most four points in general position is their simplex
         top = np.arange(m)[None]
-    elif m == 4:
-        # the Delaunay complex of four non-coplanar points is the tetrahedron
-        top = np.arange(m)[None]
-        if _orient_signs(pts, top)[0] == 0:
+        if m == 4 and _orient_signs(pts, top)[0] == 0:
             raise DegenerateInput("four coplanar points")
+        if 1 < m < 4 and circumspheres(pts[None])[3][0]:
+            raise DegenerateInput(_DEGENERATE[m])
     else:
         try:
             tri = _SciPyDelaunay(pts)

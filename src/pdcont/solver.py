@@ -140,13 +140,12 @@ def _inverse(s, sigma_cutoff_rel):
     return keep, inv
 
 
-def _check_controls(sigma_cutoff_rel, tol=None, max_iter=None, tie_window_rel=None,
-                    tie_window_abs=None, step=None, n_steps=None, max_halvings=None):
+def _check_controls(sigma_cutoff_rel, tol=None, max_iter=None, tie_window=None, step=None,
+                    n_steps=None, max_halvings=None):
     """Refuse, as ValueError, the solver controls out of their range (the
     CLI refuses the same values as usage errors)."""
     checks = (("sigma_cutoff_rel", sigma_cutoff_rel, False), ("tol", tol, True),
-              ("step", step, True), ("tie_window_rel", tie_window_rel, False),
-              ("tie_window_abs", tie_window_abs, False))
+              ("step", step, True), ("tie_window", tie_window, False))
     for name, x, strict in checks:
         if x is not None and not (math.isfinite(x) and (x > 0 if strict else x >= 0)):
             raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
@@ -403,7 +402,7 @@ def _tie_rows(flip_coords, flip_names, matched, v_target, fc, window, offsets):
 
 def _newton_core(
     config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
-    layout, constraints, tie_window_rel=0.0, tie_window_abs=0.0, start=None,
+    layout, constraints, tie_window, start=None,
 ):
     """Newton solve from ``config``; ``start`` is its _Evaluation if known,
     and ``layout`` the pairs tracked so far (None: the diagram of ``config``).
@@ -463,10 +462,7 @@ def _newton_core(
             status = NewtonStatus.SINGULAR_JACOBIAN
             message = f"smallest singular value {sigma[-1]:.3e} below floor {_SIGMA_FLOOR:.0e}"
             break
-        tie_m, tie_r = _tie_rows(
-            *flips, matched, v_target, ev.fc,
-            max(tie_window_rel * res, tie_window_abs), tie_offsets,
-        )
+        tie_m, tie_r = _tie_rows(*flips, matched, v_target, ev.fc, tie_window, tie_offsets)
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
         if tie_m.shape[0] or g_rows.shape[0]:
             step = _solve(np.vstack([jac.matrix, tie_m, g_rows]), step_res, sigma_cutoff_rel)[0]
@@ -490,23 +486,21 @@ def newton_pinv(
     max_iter: int = 50,
     sigma_cutoff_rel: float = 1e-12,
     constraints=(),
-    tie_window_rel: float = 0.0,
-    tie_window_abs: float = 0.0,
+    tie_window: float = 0.0,
 ):
     """Iterate u <- u - Df(u)^+ (f(u) - v) until the sup-norm residual is small.
 
     Each iterate's filtration, diagram, coordinate matching, Jacobian and SVD
     are computed once; when no tie or constraint rows are stacked below the
     Jacobian, its SVD also gives the pseudo-inverse. Attaching radii within
-    ``max(tie_window_rel * residual, tie_window_abs)`` of a coordinate are
-    carried along with it. Returns (configuration, NewtonReport, layout)
-    where the layout tracks the generating simplices of the matched
-    coordinates.
+    ``tie_window`` of a coordinate are carried along with it. Returns
+    (configuration, NewtonReport, layout) where the layout tracks the
+    generating simplices of the matched coordinates.
     """
-    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window_rel, tie_window_abs)
+    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window)
     config, report, layout, _ = _newton_core(
         config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
-        None, constraints, tie_window_rel, tie_window_abs,
+        None, constraints, tie_window,
     )
     return config, report, layout
 
@@ -569,8 +563,7 @@ def continue_cloud(
     sigma_cutoff_rel: float = 1e-12,
     constraints=(),
     max_halvings: int = 0,
-    tie_window_rel: float = 0.0,
-    tie_window_abs: float = 0.0,
+    tie_window: float = 0.0,
 ) -> ContinuationTrace:
     """Walk the diagram from its current value to ``v_target`` along a segment.
 
@@ -580,8 +573,7 @@ def continue_cloud(
     and retried, up to ``max_halvings`` times over the whole run; then, as on
     a library error, the partial trace is returned.
     """
-    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window_rel, tie_window_abs, step, n_steps,
-                    max_halvings)
+    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window, step, n_steps, max_halvings)
     ev = _evaluate(config, kind, dim, epsilon)
     layout = ev.pd.finite
     v_start = _values(layout)
@@ -615,7 +607,7 @@ def continue_cloud(
         try:
             new_config, report, new_layout, new_ev = _newton_core(
                 config, kind, dim, epsilon, v_k, tol, max_iter, sigma_cutoff_rel,
-                layout, constraints, tie_window_rel, tie_window_abs, start=ev,
+                layout, constraints, tie_window, start=ev,
             )
         except PdcontError as exc:
             trace.failed_step = k

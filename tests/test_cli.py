@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import math
 import warnings
@@ -35,6 +36,17 @@ class TestInputParsing:
             cli.read_cloud(ex1_file)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_jitter_seed_moves_the_cloud(self, ex1_file):
+        def loaded(*flags):
+            return cli._load_config(cli.build_parser().parse_args(
+                ["check", "-i", ex1_file, "--no-gauge", *flags]
+            )).points
+
+        plain, moved = loaded(), loaded("--jitter-seed", "3")
+        # 4.5: the cloud's scale, its largest coordinate deviation from the mean
+        assert 0 < np.abs(moved - plain).max() <= 4.5 * cli.JITTER_MAGNITUDE
+        np.testing.assert_array_equal(loaded("--jitter-seed", "3"), moved)
 
     def test_bad_shape(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -157,6 +169,22 @@ class TestDiagramCommand:
         csv = (tmp_path / "diag.csv").read_text()
         assert "4.42718872,4.59014645" in csv
 
+    def test_stdin_cloud(self, ex1_file, monkeypatch, capsys):
+        with open(ex1_file) as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+        assert cli.main(["diagram", "-i", "-", "--dim", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert payload["pairs"] == [[4.42718872, 4.59014645]]
+
+    def test_essential_classes_written_as_inf_rows(self, ex1_file, tmp_path, capsys):
+        out = str(tmp_path / "diag0")
+        assert cli.main(["diagram", "-i", ex1_file, "--dim", "0", "--out", out]) == 0
+        essential = json.loads((tmp_path / "diag0.json").read_text())["essential"]
+        rows = (tmp_path / "diag0.csv").read_text().splitlines()[1:]
+        assert essential == [0.0]
+        assert [r for r in rows if r.endswith(",inf")] == ["0,inf"]
+        assert len(rows) == 4  # three finite pairs of four vertices, one essential class
+
     def test_single_point(self, tmp_path, capsys):
         path = tmp_path / "one.xyz"
         path.write_text("1 2 3\n")
@@ -199,7 +227,7 @@ class TestDiagramCommand:
 
     def test_sphere_sample_dominant_gap(self):
         pts = cli.apply_jitter(cli.fibonacci_sphere(100), seed=23, magnitude=1e-6)
-        config = cli.make_config(pts, gauge=True)
+        config = cli.to_gauge_frame(pts)
         from pdcont.persistence import diagram
 
         pd = diagram(config, "alpha", 2, 0.0)

@@ -174,6 +174,14 @@ class TestDelaunay3:
         dc = delaunay3(_cfg([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))
         assert by_dim(dc)[2] == ((0, 1, 2),)
 
+    @pytest.mark.parametrize("pts", [
+        [[1.0, 2, 3], [1, 2, 3]],  # coincident
+        [[0.0, 0, 0], [1, 2, 3], [-2, -4, -6]],  # collinear
+    ])
+    def test_degenerate_small_clouds_rejected(self, pts):
+        with pytest.raises(DegenerateInput):
+            delaunay3(_cfg(pts))
+
     def test_dump_text(self):
         dc = delaunay3(_cfg(EX1_CLOUD))
         text = dump_text(EX1_CLOUD, dc)

@@ -96,8 +96,32 @@ class TestPacking:
             with pytest.raises(ValueError, match="finite"):
                 Configuration(pts, gauge=gauge)
 
+    @pytest.mark.parametrize("points, gauge", [
+        (np.zeros((4, 2)), False),  # not (M, 3)
+        (np.zeros(3), False),
+        (np.zeros((0, 3)), False),  # no points
+        (np.zeros((2, 3)), True),  # the gauge pins three points
+    ])
+    def test_bad_point_arrays_rejected(self, points, gauge):
+        with pytest.raises(ValueError):
+            Configuration(points, gauge=gauge)
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_with_vector_of_the_wrong_length(self, length):
+        with pytest.raises(ValueError):
+            Configuration(EX1_CLOUD).with_vector(np.zeros(length))
+
 
 class TestGaugeFrame:
+    @pytest.mark.parametrize("points, error", [
+        (EX1_CLOUD[:2], ValueError),  # fewer than three points
+        ([[1, 2, 3], [1, 2, 3], [0, 1, 0]], GaugeViolation),  # points 0 and 1 coincide
+        ([[0, 0, 0], [2, 0, 0], [-5, 0, 0], [0, 1, 0]], GaugeViolation),  # 0, 1, 2 collinear
+    ])
+    def test_clouds_without_a_frame_rejected(self, points, error):
+        with pytest.raises(error):
+            to_gauge_frame(points)
+
     def test_identity_on_gauged_cloud(self):
         config = to_gauge_frame(EX1_CLOUD)
         np.testing.assert_allclose(config.points, EX1_CLOUD, atol=1e-12)

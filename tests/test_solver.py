@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pdcont.delaunay import delaunay3
 from pdcont.diffmap import jacobian
-from pdcont.errors import DimensionMismatch, GeneralPositionViolation
+from pdcont.errors import DimensionMismatch, GeneralPositionViolation, MatchingAmbiguous
 from pdcont.geometry import Configuration, to_gauge_frame
 from pdcont import cli, diffmap, filtration, solver
 from pdcont.persistence import diagram
@@ -343,19 +343,17 @@ class TestStepControlValidation:
         with pytest.raises(ValueError, match="max_iter"):
             continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, max_iter=max_iter)
 
-    @pytest.mark.parametrize("name", ["tie_window_rel", "tie_window_abs"])
     @pytest.mark.parametrize("window", [-0.5, math.nan, math.inf])
-    def test_tie_windows(self, name, window):
+    def test_tie_windows(self, window):
         config, target = self._start()
-        with pytest.raises(ValueError, match=name):
-            newton_pinv(config, "alpha", 2, 0.0, target, **{name: window})
-        with pytest.raises(ValueError, match=name):
-            continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, **{name: window})
+        with pytest.raises(ValueError, match="tie_window"):
+            newton_pinv(config, "alpha", 2, 0.0, target, tie_window=window)
+        with pytest.raises(ValueError, match="tie_window"):
+            continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, tie_window=window)
 
     def test_boundary_values_run(self):
         config, target = self._start()
-        _, report, _ = newton_pinv(config, "alpha", 2, 0.0, target, max_iter=0,
-                                   tie_window_rel=0.0, tie_window_abs=0.0)
+        _, report, _ = newton_pinv(config, "alpha", 2, 0.0, target, max_iter=0, tie_window=0.0)
         assert report.status is NewtonStatus.MAX_ITERATIONS and report.iterations == 0
         trace = continue_cloud(config, "alpha", 2, 0.0, target, n_steps=1, max_iter=0)
         assert trace.failed_step == 1
@@ -416,6 +414,16 @@ class TestNewton:
         config = Configuration(EX1_CLOUD)
         with pytest.raises(DimensionMismatch):
             newton_pinv(config, "alpha", 2, 0.0, np.zeros(6))
+
+    @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
+    def test_dimension_zero_jacobian_is_singular(self):
+        # every H0 birth is a vertex at radius 0, so its Jacobian row is zero
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 0, 0.0).vector(include_essential=False)
+        _, report, _ = newton_pinv(config, "alpha", 0, 0.0, v0 + 0.01)
+        assert report.status is NewtonStatus.SINGULAR_JACOBIAN and report.iterations == 0
+        assert report.singular_values[-1] == 0.0
+        assert "below floor" in report.message
 
 
 class TestMatching:
@@ -490,6 +498,36 @@ class TestContinuation:
         assert trace.reached_target
         assert len(trace.steps) == 6
         assert trace.steps[-1].t == 1.0
+
+    @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
+    def test_dimension_zero_stops_at_once(self):
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 0, 0.0).vector(include_essential=False)
+        trace = continue_cloud(config, "alpha", 0, 0.0, v0 + 0.01, n_steps=2)
+        assert not trace.reached_target and trace.steps == [] and trace.failed_step == 1
+        assert trace.reason.startswith(f"{NewtonStatus.SINGULAR_JACOBIAN.value}: ")
+        assert trace.termination == f"FailedAtStep 1: {trace.reason}"
+        assert trace.final_config is config
+
+    def test_library_error_ends_the_run(self, monkeypatch):
+        # a PdcontError in a solve fails its step and keeps the accepted steps
+        core = solver._newton_core
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise MatchingAmbiguous("two assignments tie")
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton_core", fail_second)
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        trace = continue_cloud(config, "alpha", 2, 0.0, v0 + 0.03, n_steps=3, max_halvings=6)
+        assert not trace.reached_target and len(trace.steps) == 1 and trace.failed_step == 2
+        assert trace.reason == "MatchingAmbiguous: two assignments tie"
+        assert trace.termination == "FailedAtStep 2: MatchingAmbiguous: two assignments tie"
+        np.testing.assert_array_equal(trace.final_config.pack(), trace.steps[0].u)
 
     def test_rips_continuation_small(self):
         # move the single Rips 1-dim pair of the trapezoid cloud slightly
@@ -678,8 +716,7 @@ def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
     assert config.free_dim == 54
     v0 = diagram(config, "alpha", 2, 1e-3).vector(include_essential=False)
     trace = continue_cloud(
-        config, "alpha", 2, 1e-3, v0 * 1.02, n_steps=2, max_iter=300,
-        tie_window_rel=0.5, tie_window_abs=1.0,
+        config, "alpha", 2, 1e-3, v0 * 1.02, n_steps=2, max_iter=300, tie_window=1.0
     )
     assert trace.reached_target
     assert decomposed and all(shape == (v0.size, 54) for shape in decomposed)
