@@ -201,8 +201,7 @@ def cmd_continue(args) -> int:
     trace = solver.continue_cloud(
         _load_config(args), args.filtration, args.dim, args.epsilon, args.target,
         step=args.step, n_steps=args.n_steps, tol=args.tol, max_iter=args.max_iter,
-        sigma_cutoff_rel=args.sigma_cutoff, max_halvings=6 if args.adaptive else 0,
-        tie_window=args.tie_window,
+        max_halvings=6 if args.adaptive else 0, tie_window=args.tie_window,
     )
     print(trace.termination)
     if trace.steps:
@@ -378,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=positive_int, default=None, help="override step count")
     p.add_argument("--tol", type=positive_number, default=1e-10)
     p.add_argument("--max-iter", type=nonnegative_int, default=50)
-    p.add_argument("--sigma-cutoff", type=nonnegative_number, default=1e-12, help="relative pseudo-inverse cutoff")
     p.add_argument("--adaptive", action="store_true", help="halve the step on failure (up to 6 times)")
     p.add_argument("--tie-window", type=nonnegative_number, default=0.0,
                    help="carry attaching radii within this distance of their coordinate")

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import delaunay as _delaunay
-from .errors import PdcontError
+from .errors import DegenerateInput, PdcontError
 from .geometry import Configuration, _circumspheres
 from .geometry import circumradius  # unused here; perfbench/tracing.py wraps this name
 from .geometry import rips_birth_radius  # unused here; perfbench/tracing.py wraps this name
@@ -128,6 +128,8 @@ def build_rips(
         pts, at, edges = config.points, skeleton.offsets[1], skeleton.vertices[1].tolist()
         # one norm call per edge rounds as geometry.rips_birth_radius does
         length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in edges])
+        if not np.isfinite(length).all():  # refused before any search reads them
+            raise DegenerateInput("radii overflow: the cloud's squared distances are not finite")
         birth[at:at + len(length)] = length / 2.0
         for dim in range(2, k):
             rows = skeleton.edge_rows(dim)
@@ -160,6 +162,8 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     kernel = _circumspheres(pts, skeleton.padded[at:], blocks)
     for kept, out in zip(spheres, kernel):
         kept[at:] = out
+    if not np.isfinite(spheres.radii).all():  # refused before any search reads them
+        raise DegenerateInput("radii overflow: the cloud's squared distances are not finite")
     # each simplex's radius as a birth candidate: inf where it is not attaching
     flags = _delaunay.attaching_flags(pts, skeleton, spheres.centers, spheres.radii)
     candidate = np.where(flags, spheres.radii, np.inf)

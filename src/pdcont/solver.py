@@ -2,21 +2,19 @@
 
 The SVD is a one-sided Jacobi (rotations until the working columns are
 orthogonal to machine precision, accurate in relative terms near the image
-boundary) up to a short side of 16, and LAPACK's above. A pseudo-inverse
-solve follows the same size rule: up to a short side of 16 it applies the
-SVD factors with a singular-value cutoff, and above it LAPACK's SVD
-least-squares driver gelsd gives the same minimum-norm solution under the
-same rule (singular values at or below the cutoff count as zero) without
-forming either orthogonal factor. LAPACK reads a relative cutoff of 0 or of
-1 and above as machine epsilon, so 0 is passed as the smallest positive
-float and a cutoff of 1 or more gives the zero step without a solve. The
-continuation walks the diagram target along a straight segment, re-seeding
-each solve with the previous solution. Diagram coordinates are tracked
-across steps primarily by generating-simplex identity, with an optimal
-assignment fallback when the generators change. A simplex is named across
-iterates by its integer name (``Skeleton.names``), and the tie bookkeeping
-(flipped generators, windows of attaching radii, tie offsets) runs on those
-names and on global indices, as arrays.
+boundary) up to a short side of 16, and LAPACK's above. ``pinv_apply``
+solves every stacked Newton system by the same size rule: up to a short side
+of 16 it applies the SVD factors, and above it LAPACK's SVD least-squares
+driver gelsd gives the same minimum-norm solution without forming either
+orthogonal factor. Both count the singular values at or below the fixed
+relative cutoff ``_CUTOFF_REL`` as zero. The continuation walks the
+diagram target along a straight segment, re-seeding each solve with the
+previous solution. Diagram coordinates are tracked across steps primarily by
+generating-simplex identity, with an optimal assignment fallback when the
+generators change. A simplex is named across iterates by its integer name
+(``Skeleton.names``), and the tie bookkeeping (flipped generators, windows
+of attaching radii, tie offsets) runs on those names and on global indices,
+as arrays.
 
 Each configuration's filtration, diagram, matched Jacobian and SVD are
 computed once (``_Evaluation``): the accepted configuration of one step starts
@@ -122,31 +120,28 @@ def svd(a):
 @dataclass(frozen=True)
 class PinvInfo:
     singular_values: np.ndarray
-    cutoff: float
     rank: int
     rank_deficient: bool
 
 
-def _cutoff(s, sigma_cutoff_rel):
-    # Python floats: a product past the largest float is inf without a warning
-    return float(sigma_cutoff_rel) * (float(s[0]) if s.size else 0.0)
+_CUTOFF_REL = 1e-12  # singular values at or below this times the largest count as zero
+_SIGMA_FLOOR = 1e-12  # a Jacobian with a smaller singular value stops the solve
 
 
-def _inverse(s, sigma_cutoff_rel):
+def _inverse(s):
     """Which singular values exceed the cutoff, and their inverses (else 0)."""
-    keep = s > _cutoff(s, sigma_cutoff_rel)
+    keep = s > _CUTOFF_REL * (float(s[0]) if s.size else 0.0)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return keep, inv
 
 
-def _check_controls(sigma_cutoff_rel, tol=None, max_iter=None, tie_window=None, step=None,
-                    n_steps=None, max_halvings=None):
+def _check_controls(tol=None, max_iter=None, tie_window=None, step=None, n_steps=None,
+                    max_halvings=None):
     """Refuse, as ValueError, the solver controls out of their range (the
     CLI refuses the same values as usage errors)."""
-    checks = (("sigma_cutoff_rel", sigma_cutoff_rel, False), ("tol", tol, True),
-              ("step", step, True), ("tie_window", tie_window, False))
-    for name, x, strict in checks:
+    for name, x, strict in (("tol", tol, True), ("step", step, True),
+                            ("tie_window", tie_window, False)):
         if x is not None and not (math.isfinite(x) and (x > 0 if strict else x >= 0)):
             raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
     for name, n, least in (("max_iter", max_iter, 0), ("n_steps", n_steps, 1),
@@ -155,55 +150,37 @@ def _check_controls(sigma_cutoff_rel, tol=None, max_iter=None, tie_window=None, 
             raise ValueError(f"{name} must be >= {least}, got {n!r}")
 
 
-def pinv_apply(a, b, sigma_cutoff_rel: float = 1e-12):
+def pinv_apply(a, b):
     """Minimum-norm least-squares solution of a x = b via the SVD pseudo-inverse.
 
-    Singular values at or below ``sigma_cutoff_rel`` times the largest one are
-    treated as zero; the returned info flags rank deficiency. A matrix whose
-    short side exceeds 16 is solved by LAPACK's gelsd, which gives the
-    singular values and the rank without forming the SVD's factors.
+    Singular values at or below ``_CUTOFF_REL`` times the largest one are
+    treated as zero; ``b`` is a vector or a matrix of columns, and the
+    returned info flags rank deficiency. A matrix whose short side exceeds
+    16 is solved by LAPACK's gelsd, which gives the singular values and the
+    rank without forming the SVD's factors.
     """
-    _check_controls(sigma_cutoff_rel)
-    x, rank, s = _solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float), sigma_cutoff_rel)
-    return x, PinvInfo(s, _cutoff(s, sigma_cutoff_rel), rank, rank < s.size)
-
-
-def _solve(a, b, sigma_cutoff_rel):
-    """``pinv_apply``'s solution, how many singular values of ``a`` exceed the
-    cutoff, and those singular values: by LAPACK's least squares where ``svd``
-    would go to LAPACK, else from the SVD factors."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if min(a.shape) > _JACOBI_SIZE_LIMIT:
-        return _lstsq(a, b, sigma_cutoff_rel)
-    factors = svd(a)
-    return (*_pinv_solve(factors, b, sigma_cutoff_rel), factors[1])
+        x, _, rank, s = np.linalg.lstsq(a, b, rcond=_CUTOFF_REL)
+        rank = int(rank)
+    else:
+        factors = svd(a)
+        (x, rank), s = _pinv_solve(factors, b), factors[1]
+    return x, PinvInfo(s, rank, rank < s.size)
 
 
-_SMALLEST_RCOND = np.nextafter(0.0, 1.0)  # LAPACK reads rcond <= 0 as machine epsilon
-
-
-def _lstsq(a, b, sigma_cutoff_rel):
-    """``_solve`` by LAPACK's gelsd, which never forms the SVD's orthogonal
-    factors: singular values at or below ``sigma_cutoff_rel`` times the
-    largest count as zero, as in ``_inverse``."""
-    if sigma_cutoff_rel >= 1.0:  # LAPACK would read it as machine epsilon
-        return np.zeros((a.shape[1],) + b.shape[1:]), 0, np.linalg.svd(a, compute_uv=False)
-    x, _, rank, s = np.linalg.lstsq(a, b, rcond=max(sigma_cutoff_rel, _SMALLEST_RCOND))
-    return x, int(rank), s
-
-
-def _pinv_solve(factors, b, sigma_cutoff_rel):
+def _pinv_solve(factors, b):
     """The solution of ``pinv_apply`` from the SVD factors (V, s, W) of the
     matrix, and how many singular values exceed the cutoff."""
     v, s, w = factors
-    keep, inv = _inverse(s, sigma_cutoff_rel)
-    return w @ (inv * (v.T @ b)), int(keep.sum())
+    keep, inv = _inverse(s)
+    return w @ ((inv if b.ndim == 1 else inv[:, None]) * (v.T @ b)), int(keep.sum())
 
 
-def pinv_matrix(a, sigma_cutoff_rel: float = 1e-12) -> np.ndarray:
+def pinv_matrix(a) -> np.ndarray:
     """Dense pseudo-inverse (W Sigma^+ V^T); mainly for verification."""
-    _check_controls(sigma_cutoff_rel)
     v, s, w = svd(a)
-    return w @ (_inverse(s, sigma_cutoff_rel)[1][:, None] * v.T)
+    return w @ (_inverse(s)[1][:, None] * v.T)
 
 
 # --- diagram coordinate tracking -------------------------------------------------
@@ -348,7 +325,6 @@ def _constraint_rows(config, constraints):
 
 
 _TIE_GRADIENT_CAP = 1e3
-_SIGMA_FLOOR = 1e-12  # a Jacobian with a smaller singular value stops the solve
 
 
 def _tie_rows(flip_coords, flip_names, matched, v_target, fc, window, offsets):
@@ -401,8 +377,8 @@ def _tie_rows(flip_coords, flip_names, matched, v_target, fc, window, offsets):
 
 
 def _newton_core(
-    config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
-    layout, constraints, tie_window, start=None,
+    config, kind, dim, epsilon, v_target, tol, max_iter, layout, constraints, tie_window,
+    start=None,
 ):
     """Newton solve from ``config``; ``start`` is its _Evaluation if known,
     and ``layout`` the pairs tracked so far (None: the diagram of ``config``).
@@ -465,9 +441,9 @@ def _newton_core(
         tie_m, tie_r = _tie_rows(*flips, matched, v_target, ev.fc, tie_window, tie_offsets)
         step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
         if tie_m.shape[0] or g_rows.shape[0]:
-            step = _solve(np.vstack([jac.matrix, tie_m, g_rows]), step_res, sigma_cutoff_rel)[0]
+            step = pinv_apply(np.vstack([jac.matrix, tie_m, g_rows]), step_res)[0]
         else:  # the Newton matrix is the Jacobian, already decomposed
-            step = _pinv_solve(factors, step_res, sigma_cutoff_rel)[0]
+            step = _pinv_solve(factors, step_res)[0]
         config = config.with_vector(config.pack() - step)
         ev = _evaluate(config, kind, dim, epsilon, previous=ev)
     if status is NewtonStatus.CONVERGED:  # the singular values at the accepted configuration
@@ -484,7 +460,6 @@ def newton_pinv(
     v_target,
     tol: float = 1e-10,
     max_iter: int = 50,
-    sigma_cutoff_rel: float = 1e-12,
     constraints=(),
     tie_window: float = 0.0,
 ):
@@ -497,10 +472,9 @@ def newton_pinv(
     (configuration, NewtonReport, layout) where the layout tracks the
     generating simplices of the matched coordinates.
     """
-    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window)
+    _check_controls(tol, max_iter, tie_window)
     config, report, layout, _ = _newton_core(
-        config, kind, dim, epsilon, v_target, tol, max_iter, sigma_cutoff_rel,
-        None, constraints, tie_window,
+        config, kind, dim, epsilon, v_target, tol, max_iter, None, constraints, tie_window
     )
     return config, report, layout
 
@@ -560,7 +534,6 @@ def continue_cloud(
     n_steps: int | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    sigma_cutoff_rel: float = 1e-12,
     constraints=(),
     max_halvings: int = 0,
     tie_window: float = 0.0,
@@ -573,7 +546,7 @@ def continue_cloud(
     and retried, up to ``max_halvings`` times over the whole run; then, as on
     a library error, the partial trace is returned.
     """
-    _check_controls(sigma_cutoff_rel, tol, max_iter, tie_window, step, n_steps, max_halvings)
+    _check_controls(tol, max_iter, tie_window, step, n_steps, max_halvings)
     ev = _evaluate(config, kind, dim, epsilon)
     layout = ev.pd.finite
     v_start = _values(layout)
@@ -606,8 +579,8 @@ def continue_cloud(
         k += 1
         try:
             new_config, report, new_layout, new_ev = _newton_core(
-                config, kind, dim, epsilon, v_k, tol, max_iter, sigma_cutoff_rel,
-                layout, constraints, tie_window, start=ev,
+                config, kind, dim, epsilon, v_k, tol, max_iter, layout, constraints, tie_window,
+                start=ev,
             )
         except PdcontError as exc:
             trace.failed_step = k

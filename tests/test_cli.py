@@ -120,7 +120,7 @@ class TestNumberRanges:
     @pytest.mark.parametrize("flag, value", [
         ("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"),
         ("--n-steps", "0"), ("--n-steps", "-2"), ("--max-iter", "-1"),
-        ("--tol", "0"), ("--sigma-cutoff", "-1"), ("--tie-window", "nan"),
+        ("--tol", "0"), ("--tie-window", "nan"),
     ])
     def test_continuation_numbers(self, ex1_file, tmp_path, capsys, flag, value):
         argv = [
@@ -144,14 +144,13 @@ class TestNumberRanges:
         args = cli.build_parser().parse_args([
             "continue", "-i", "cloud.xyz", "--target", "[]", "--dim", "0", "--epsilon", "0",
             "--step", "1e-300", "--n-steps", "1", "--max-iter", "0", "--tol", "1e-300",
-            "--sigma-cutoff", "0", "--tie-window", "0", "--gp-tol", "0",
-            "--jitter-seed", "4294967295",
+            "--tie-window", "0", "--gp-tol", "0", "--jitter-seed", "4294967295",
         ])
         parsed = (
             args.dim, args.epsilon, args.step, args.n_steps, args.max_iter, args.tol,
-            args.sigma_cutoff, args.tie_window, args.gp_tol, args.jitter_seed,
+            args.tie_window, args.gp_tol, args.jitter_seed,
         )
-        assert parsed == (0, 0.0, 1e-300, 1, 0, 1e-300, 0.0, 0.0, 0.0, 2**32 - 1)
+        assert parsed == (0, 0.0, 1e-300, 1, 0, 1e-300, 0.0, 0.0, 2**32 - 1)
         assert cli.build_parser().parse_args(
             ["check", "-i", "cloud.xyz", "--jitter-seed", "0"]
         ).jitter_seed == 0
@@ -233,6 +232,15 @@ class TestDiagramCommand:
         pd = diagram(config, "alpha", 2, 0.0)
         pers = sorted((p.persistence for p in pd.finite), reverse=True)
         assert pers[0] >= 5 * (pers[1] if len(pers) > 1 else pers[0] / 100)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("filtration", ["alpha", "rips"])
+    def test_overflowing_cloud_exits_3(self, tmp_path, capsys, filtration):
+        path = tmp_path / "far.xyz"
+        path.write_text("0 0 0\n1e200 0 0\n0 1e200 0\n0 0 1e200\n")
+        args = ["diagram", "-i", str(path), "--filtration", filtration, "--dim", "1", "--no-gauge"]
+        assert cli.main(args) == 3
+        assert capsys.readouterr().err.startswith("error: radii overflow")
 
 
     def test_large_rips_complex_refused(self, tmp_path):

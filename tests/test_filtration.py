@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdcont import filtration
 from pdcont.cli import apply_jitter, fibonacci_sphere
-from pdcont.errors import PdcontError
+from pdcont.errors import DegenerateInput, PdcontError
 from pdcont.filtration import build, build_alpha, build_rips
 from pdcont.geometry import Configuration
 from pdcont.persistence import diagram
@@ -108,6 +108,16 @@ class TestBuildRips:
         assert len(build_rips(_cfg(cfg.points[:4]), max_dim=3)) == 15
         with pytest.raises(PdcontError):
             build_rips(cfg, max_dim=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["alpha", "rips"])
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_overflowing_radii_are_degenerate_input(kind, scale):
+    # squared distances past the largest float: no radius, so no search, is read
+    cfg = _cfg(np.vstack([np.zeros(3), scale * np.eye(3)]))
+    with pytest.raises(DegenerateInput, match="not finite"):
+        diagram(cfg, kind, 1)
 
 
 class TestPrevious:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pdcont.diffmap import jacobian
 from pdcont.errors import DimensionMismatch, GeneralPositionViolation, MatchingAmbiguous
 from pdcont.geometry import Configuration, to_gauge_frame
 from pdcont import cli, diffmap, filtration, solver
-from pdcont.persistence import diagram
+from pdcont.persistence import FinitePair, diagram
 from pdcont.solver import (
     NewtonReport,
     NewtonStatus,
@@ -203,6 +204,17 @@ class TestPinv:
         assert x[0] == pytest.approx(1.5, abs=1e-12)
         assert x[1] == 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (20, 30), (30, 20)])
+    @pytest.mark.parametrize("square", [True, False])
+    def test_matrix_right_hand_side(self, shape, square):
+        # each column of b is solved on its own, on the Jacobi and the LAPACK path
+        rng = np.random.RandomState(9)
+        a = rng.randn(*shape)
+        b = rng.randn(shape[0], shape[0] if square else 2)
+        x, _ = pinv_apply(a, b)
+        assert x.shape == (shape[1], b.shape[1])
+        assert np.abs(x - pinv_matrix(a) @ b).max() <= 1e-12
+
 
 @st.composite
 def _lapack_inputs(draw):
@@ -226,76 +238,27 @@ class TestLapackSolve:
     the SVD path's solution, singular values and cutoff rule."""
 
     @settings(PROPERTY, max_examples=100)
-    @given(inputs=_lapack_inputs(), rel=st.sampled_from([1e-12, 1e-6, 0.1]))
-    def test_matches_the_dense_pseudo_inverse(self, inputs, rel):
+    @given(inputs=_lapack_inputs())
+    def test_matches_the_dense_pseudo_inverse(self, inputs):
         a, b = inputs
-        x, info = pinv_apply(a, b, rel)
+        x, info = pinv_apply(a, b)
         s = info.singular_values
         expected = np.linalg.svd(a, compute_uv=False)
         assert np.abs(s - expected).max() <= 1e-13 * expected[0]
-        assert info.rank == int((s > rel * s[0]).sum()) >= 1
+        assert info.rank == int((s > solver._CUTOFF_REL * s[0]).sum()) >= 1
         assert info.rank_deficient == (info.rank < min(a.shape))
-        assert info.cutoff == rel * s[0]
         # a backward-stable solve is accurate to eps * kappa relative to |b| / sigma_r
         kept = s[info.rank - 1]
         tol = 64 * np.finfo(float).eps * (s[0] / kept) * np.linalg.norm(b) / kept
-        assert np.linalg.norm(x - pinv_matrix(a, rel) @ b) <= tol
-
-    @settings(PROPERTY, max_examples=60)
-    @given(inputs=_lapack_inputs())
-    def test_zero_cutoff_keeps_every_nonzero_value(self, inputs):
-        a, b = inputs
-        _, info = pinv_apply(a, b, 0.0)
-        s = info.singular_values
-        assert info.rank == int((s > 0).sum())
-        assert info.rank_deficient == (info.rank < min(a.shape))
-
-    @settings(PROPERTY, max_examples=30)
-    @given(inputs=_lapack_inputs(), rel=st.sampled_from([1.0, 2.0, 1e300]))
-    def test_cutoff_of_one_or_more_gives_the_zero_step(self, inputs, rel):
-        a, b = inputs
-        x, info = pinv_apply(a, b, rel)
-        assert x.shape == (a.shape[1],) and not x.any()
-        assert info.rank == 0 and info.rank_deficient
-        assert np.abs(info.singular_values - np.linalg.svd(a, compute_uv=False)).max() <= (
-            1e-13 * info.singular_values[0]
-        )
+        assert np.linalg.norm(x - pinv_matrix(a) @ b) <= tol
 
     def test_full_rank_zero_cutoff_solution(self):
         a, sigma = _graded_stack()
         b = np.random.RandomState(8).randn(a.shape[0])
-        x, info = pinv_apply(a, b, 0.0)
+        x, info = pinv_apply(a, b)
         assert info.rank == a.shape[1] and not info.rank_deficient
         tol = 64 * np.finfo(float).eps * (sigma[0] / sigma[-1]) * np.linalg.norm(b) / sigma[-1]
-        assert np.linalg.norm(x - pinv_matrix(a, 0.0) @ b) <= tol
-
-
-class TestCutoffValidation:
-    """A negative or non-finite cutoff is refused where it enters the package."""
-
-    @pytest.mark.parametrize("cutoff", [-1.0, -1e-300, math.nan, math.inf])
-    def test_pinv_apply(self, cutoff):
-        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
-            pinv_apply([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], sigma_cutoff_rel=cutoff)
-
-    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, -math.inf])
-    def test_pinv_matrix(self, cutoff):
-        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
-            pinv_matrix([[1.0, 0.0], [1.0, 0.0]], sigma_cutoff_rel=cutoff)
-
-    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, math.inf])
-    def test_newton_pinv(self, cutoff):
-        config = Configuration(EX1_CLOUD)
-        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
-            newton_pinv(config, "alpha", 2, 0.0, v0 + 0.01, sigma_cutoff_rel=cutoff)
-
-    @pytest.mark.parametrize("cutoff", [-1.0, math.nan, math.inf])
-    def test_continue_cloud(self, cutoff):
-        config = Configuration(EX1_CLOUD)
-        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        with pytest.raises(ValueError, match="sigma_cutoff_rel"):
-            continue_cloud(config, "alpha", 2, 0.0, v0 + 0.01, n_steps=2, sigma_cutoff_rel=cutoff)
+        assert np.linalg.norm(x - pinv_matrix(a) @ b) <= tol
 
 
 class TestStepControlValidation:
@@ -425,6 +388,46 @@ class TestNewton:
         assert report.singular_values[-1] == 0.0
         assert "below floor" in report.message
 
+    def test_unchanged_residual_diverges(self, monkeypatch):
+        # every iterate evaluates as the start, so the residual never decreases
+        evaluate = solver._evaluate
+        monkeypatch.setattr(solver, "_evaluate", lambda config, *args, previous=None: (
+            previous or evaluate(config, *args)
+        ))
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        _, report, _ = newton_pinv(config, "alpha", 2, 0.0, v0 + 0.01)
+        assert report.status is NewtonStatus.DIVERGED and report.iterations == 5
+        assert report.residual == pytest.approx(0.01)
+        assert report.message == "residual failed to decrease for 5 consecutive iterations"
+
+    def test_pair_dropped_below_epsilon(self):
+        # the target lies within epsilon of the diagonal, where the pair is truncated
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.05).vector(include_essential=False)
+        _, report, _ = newton_pinv(config, "alpha", 2, 0.05, v0 + [0.0, -0.103])
+        assert report.status is NewtonStatus.CARDINALITY_CHANGED and report.iterations == 1
+        assert report.residual == math.inf
+        assert report.message == "retained pair count dropped from 1 to 0"
+
+    def test_extra_pair_at_convergence(self, monkeypatch):
+        # an untracked pair is matched around, but the solution may not keep it
+        evaluate, extra = solver._evaluate, FinitePair(20.0, 21.0, -1, -2, -1, -2)
+
+        def with_extra(config, *args, previous=None):
+            ev = evaluate(config, *args, previous=previous)
+            if previous is not None:
+                ev.pd = replace(ev.pd, finite=ev.pd.finite + (extra,))
+            return ev
+
+        monkeypatch.setattr(solver, "_evaluate", with_extra)
+        config = Configuration(EX1_CLOUD)
+        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
+        _, report, layout = newton_pinv(config, "alpha", 2, 0.0, v0 + [0.005, 0.007])
+        assert report.status is NewtonStatus.CARDINALITY_CHANGED and report.residual <= 1e-10
+        assert report.message == "retained pair count changed from 1 to 2"
+        assert extra not in layout
+
 
 class TestMatching:
     def test_key_identity_match(self):
@@ -528,6 +531,14 @@ class TestContinuation:
         assert trace.reason == "MatchingAmbiguous: two assignments tie"
         assert trace.termination == "FailedAtStep 2: MatchingAmbiguous: two assignments tie"
         np.testing.assert_array_equal(trace.final_config.pack(), trace.steps[0].u)
+
+    def test_more_coordinates_than_free_ones_warns(self):
+        # three gauged points have 3 free coordinates; their H0 diagram has 4
+        config = Configuration(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.3, 0.8, 0]]))
+        v0 = diagram(config, "rips", 0, 0.0).vector(include_essential=False)
+        with pytest.warns(UserWarning, match="m=4 coordinates but only n=3 free point"):
+            trace = continue_cloud(config, "rips", 0, 0.0, v0, n_steps=1)
+        assert trace.reached_target
 
     def test_rips_continuation_small(self):
         # move the single Rips 1-dim pair of the trapezoid cloud slightly
@@ -700,18 +711,18 @@ def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
     side above 16 is solved by LAPACK's least squares; only the Jacobian
     itself reaches the SVD."""
     decomposed, solved = [], []
-    decompose, lstsq = solver.svd, solver._lstsq
+    decompose, lstsq = solver.svd, np.linalg.lstsq
 
     def recorded_svd(a):
         decomposed.append(np.shape(a))
         return decompose(a)
 
-    def recorded_lstsq(a, b, sigma_cutoff_rel):
+    def recorded_lstsq(a, b, rcond):
         solved.append(a.shape)
-        return lstsq(a, b, sigma_cutoff_rel)
+        return lstsq(a, b, rcond=rcond)
 
     monkeypatch.setattr(solver, "svd", recorded_svd)
-    monkeypatch.setattr(solver, "_lstsq", recorded_lstsq)
+    monkeypatch.setattr(np.linalg, "lstsq", recorded_lstsq)
     config = to_gauge_frame(cli.apply_jitter(cli.fibonacci_sphere(20), seed=0, magnitude=1e-6))
     assert config.free_dim == 54
     v0 = diagram(config, "alpha", 2, 1e-3).vector(include_essential=False)

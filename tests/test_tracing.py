@@ -10,9 +10,10 @@ from time import perf_counter
 
 import numpy as np
 
-from pdcont import persistence
+from pdcont import persistence, solver
+from pdcont.cli import apply_jitter, fibonacci_sphere
 from pdcont.filtration import build_alpha
-from pdcont.geometry import Configuration
+from pdcont.geometry import Configuration, to_gauge_frame
 
 from helpers import random_cloud
 
@@ -53,6 +54,32 @@ def test_traced_diagram_counts_columns_and_pairs():
     assert tracer.counts["persistence.pairs"] > 0
     layers = tracing.layer_metrics(tracer.sites, tracer.spans, tracer.counts, wall_s)
     assert abs(layers["self_sum_error_s"]) <= 1e-9
+
+
+def test_traced_continuation_counts_the_stacked_solves(monkeypatch):
+    """Every Newton system with tie rows stacked below the Jacobian is solved
+    by the public pseudo-inverse, which the tracer counts."""
+    tracing = _load_tracing()
+    config = to_gauge_frame(apply_jitter(fibonacci_sphere(20), seed=0, magnitude=1e-6))
+    v0 = persistence.diagram(config, "alpha", 2, 1e-3).vector(include_essential=False)
+    stacked, tie_rows = [], solver._tie_rows
+
+    def recorded(*args):
+        out = tie_rows(*args)
+        stacked.append(out[0].shape[0] > 0)
+        return out
+
+    monkeypatch.setattr(solver, "_tie_rows", recorded)
+    tracer = tracing.Tracer()
+    tracer.start()
+    try:
+        start = perf_counter()
+        solver.continue_cloud(config, "alpha", 2, 1e-3, v0 * 1.02, n_steps=2, tie_window=1.0)
+        wall_s = perf_counter() - start
+    finally:
+        tracer.stop()
+    layers = tracing.layer_metrics(tracer.sites, tracer.spans, tracer.counts, wall_s)
+    assert layers["solver.pinv_calls"] == sum(stacked) > 0
 
 
 def _unused_imports(source, wrapped):
