@@ -150,8 +150,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    config, fc, pd = _diagram_of(args)
-    jac = diffmap.jacobian(config, args.filtration, pd, fc=fc)
+    _, fc, pd = _diagram_of(args)
+    jac = diffmap.jacobian(fc, pd)
     _, sigma, _ = solver.svd(jac.matrix)
     print("singular values:", " ".join(f"{s:.9g}" for s in sigma))
     if args.out:

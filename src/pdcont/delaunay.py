@@ -56,25 +56,17 @@ _ISP_BOUND = (16.0 + 224.0 * _EPS) * _EPS
 _TINY = 2.0**-142
 
 
-def _encode(rows, n):
-    """One integer per sorted vertex row (last axis); codes sort like the rows.
-    Rows of dtype object give Python ints, which never overflow."""
-    wide = rows.dtype == object
-    if not wide and n ** rows.shape[-1] > 2**63:
-        raise ValueError(f"{n} points overflow the 64-bit codes of {rows.shape[-1]}-vertex rows")
-    code = rows[..., 0] if wide else rows[..., 0].astype(np.int64)  # Qhull's rows are int32
-    for j in range(1, rows.shape[-1]):
-        code = code * n + rows[..., j]
-    return code
-
-
 def _names(rows, n):
-    """The name of each simplex of the (S, k) sorted vertex rows ``rows`` of n
-    points: its ``_encode`` code after the n + ... + n^(k-1) of smaller
-    simplices, so names sort like global order; Python ints past 64 bits."""
-    k, first = rows.shape[1], sum(n**j for j in range(1, rows.shape[1]))
+    """The name of each sorted k-vertex row (last axis) of n points: the row
+    as a base-n number after the n + ... + n^(k-1) names of smaller simplices,
+    so names sort like global order; Python ints past 64 bits."""
+    k, first = rows.shape[-1], sum(n**j for j in range(1, rows.shape[-1]))
     wide = first + n**k > 2**63
-    return first + _encode(rows.astype(object) if wide else rows, n)
+    rows = rows.astype(object) if wide else rows
+    code = rows[..., 0] if wide else rows[..., 0].astype(np.int64)  # Qhull's rows are int32
+    for j in range(1, k):
+        code = code * n + rows[..., j]
+    return first + code
 
 
 def _facets(simplices, n):
@@ -83,7 +75,7 @@ def _facets(simplices, n):
     ``itertools.combinations`` order; facet j omits the vertex in column k-1-j."""
     k = simplices.shape[1]
     faces = simplices[:, list(itertools.combinations(range(k), k - 1))].reshape(-1, k - 1)
-    _, first, inverse = np.unique(_encode(faces, n), return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_names(faces, n), return_index=True, return_inverse=True)
     return faces[first], inverse.reshape(-1, k)
 
 
@@ -148,8 +140,8 @@ class Skeleton:
         """The rows among the edges of each ``dim``-simplex's edges, (S, C(dim + 1, 2)),
         in ``itertools.combinations`` order."""
         pairs = self.vertices[dim][:, list(itertools.combinations(range(dim + 1), 2))]
-        edges = _encode(self.vertices[1], self.n_points)
-        return np.searchsorted(edges, _encode(pairs, self.n_points))
+        at = self.offsets[1]
+        return self.names[at:at + len(self.vertices[1])].searchsorted(_names(pairs, self.n_points))
 
     @cached_property
     def attach(self) -> tuple:
@@ -370,7 +362,7 @@ def _orient_signs(pts, tets) -> np.ndarray:
     return signs
 
 
-def _verify_empty(points, skeleton: Skeleton):
+def _verify_empty(pts, skeleton: Skeleton):
     """Check the triangulation is Delaunay; exact where the float filters
     cannot certify a sign.
 
@@ -381,7 +373,6 @@ def _verify_empty(points, skeleton: Skeleton):
     cell with at least 5 vertices, and every tetrahedron inside that cell has
     a neighbour in it whose far vertex lies on the sphere.
     """
-    pts = np.asarray(points, dtype=float)
     top = skeleton.tetrahedra
     missing = np.flatnonzero(np.bincount(top.ravel(), minlength=pts.shape[0]) == 0)
     if missing.size:
@@ -421,9 +412,9 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
     (vertex / edge / triangle), unless ``circumspheres`` finds it degenerate.
     M >= 4 requires non-coplanar points. When the tetrahedra equal those of
     ``previous`` (the skeleton of a nearby cloud), the result is ``previous``.
+    Qhull, the checks and the verification read the ``Configuration.frame``.
     """
-    pts = np.asarray(config.points, dtype=float)
-    m = pts.shape[0]
+    pts, m = config.frame[1], config.n_points
     if m <= 4:
         # the Delaunay complex of at most four points in general position is their simplex
         top = np.arange(m)[None]

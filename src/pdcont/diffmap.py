@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDegenerateJacobian
-from .filtration import FilteredComplex, build
-from .geometry import Configuration, _free_columns, radius_gradients
+from .filtration import FilteredComplex
+from .geometry import _free_columns, radius_gradients
 from .geometry import circumradius_gradient  # unused here; perfbench/tracing.py wraps this name
 from .persistence import PersistenceData
 
@@ -59,13 +59,13 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
     indices ``simplices``, as rows over the free columns.
 
     Returns the (len(simplices), n) rows and the norm of each whole gradient,
-    pinned coordinates included. Alpha gradients are λᵢ(pᵢ − c)/R from the
-    circumspheres that ``fc`` kept, gathered for every dimension at once
-    through the skeleton's padded vertex rows: a pad slot has weight zero
-    and lands in the spare column. A Rips edge's are ±(pᵢ − pⱼ)/(4 birth),
-    and 4 birth is twice its length, bit for bit.
+    pinned coordinates included, all in the cloud's frame. Alpha gradients are
+    λᵢ(pᵢ − c)/R from the circumspheres that ``fc`` kept, gathered for every
+    dimension at once through the skeleton's padded vertex rows: a pad slot
+    has weight zero and lands in the spare column. A Rips edge's are
+    ±(pᵢ − pⱼ)/(4 birth), and 4 birth is twice its length, bit for bit.
     """
-    config, skeleton, pts = fc.config, fc.skeleton, fc.config.points
+    config, skeleton, (e, pts) = fc.config, fc.skeleton, fc.config.frame
     cols = _free_columns(config.n_points, config.gauge)
     # pinned coordinates (column -1) land in a spare last column, cut off below
     rows, norms = np.zeros((len(simplices), config.free_dim + 1)), np.zeros(len(simplices))
@@ -78,7 +78,7 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
     if fc.kind == "rips":
         verts = skeleton.vertices[1].take(g - skeleton.offsets[1], axis=0)
         ends = pts.take(verts, axis=0)
-        unit = (ends[:, 0] - ends[:, 1]) / (4.0 * fc.birth.take(g))[:, None]
+        unit = (ends[:, 0] - ends[:, 1]) / np.ldexp(fc.birth.take(g), 2 - e)[:, None]
         grads = np.stack([unit, -unit], axis=1)
     else:
         verts = skeleton.padded.take(g, axis=0)
@@ -110,19 +110,14 @@ def _warn_near_ties(names, values, fc: FilteredComplex):
 
 
 def jacobian(
-    config: Configuration,
-    kind: str,
-    pd: PersistenceData,
-    include_essential: bool | None = None,
-    fc: FilteredComplex | None = None,
+    fc: FilteredComplex, pd: PersistenceData, include_essential: bool | None = None
 ) -> PersistenceJacobian:
-    """Derivative of the diagram coordinates w.r.t. the free gauge coordinates.
+    """Derivative of the diagram coordinates w.r.t. the free gauge coordinates
+    of the cloud of ``fc``, the filtered complex ``pd`` came from.
 
     Row order follows the coordinate layout (b1, d1, b2, d2, ..., essentials).
-    Essential rows are included for dimension 0 by default. ``fc`` is the
-    filtered complex ``pd`` came from; without it the complex is built again.
-    When it is supplied, attaching radii within ``_TIE_TOL`` of each other
-    trigger a NearDegenerateJacobian warning.
+    Essential rows are included for dimension 0 by default. Attaching radii
+    within ``_TIE_TOL`` of each other trigger a NearDegenerateJacobian warning.
     """
     if include_essential is None:
         include_essential = pd.dim == 0
@@ -134,12 +129,9 @@ def jacobian(
         for idx, ess in enumerate(pd.essential):
             rows.append(JacobianRow(idx, "essential", ess.birth_attaching, ess.birth))
     names = np.array([r.attaching_key for r in rows])
-    if fc is None:
-        fc = build(config, kind, max_dim=pd.dim + 1)
-    else:
-        _warn_near_ties(names, np.array([r.value for r in rows]), fc)
+    _warn_near_ties(names, np.array([r.value for r in rows]), fc)
     matrix, _ = _attaching_gradients(fc, fc.skeleton.names.searchsorted(names))
-    return PersistenceJacobian(matrix, tuple(rows), tuple(config.free_slots()))
+    return PersistenceJacobian(matrix, tuple(rows), tuple(fc.config.free_slots()))
 
 
 # --- constrained extension ----------------------------------------------------

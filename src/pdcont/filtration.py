@@ -8,9 +8,10 @@ their simplices and facets in a ``delaunay.Skeleton`` (the Delaunay closure
 for alpha, all subsets up to ``max_dim + 1`` points for Rips), which the
 build of a nearby cloud can share, and a filtration is arrays over that
 numbering: each simplex's birth and realizer by global index, and the
-attaching radii sorted in one array. An alpha complex keeps the circumspheres
-its build computed, in arrays by global index, so gradients read them
-instead of solving them again. Only ``entries`` makes vertex tuples.
+attaching radii sorted in one array. Radii are found in the cloud's frame
+and scaled back exactly. An alpha complex keeps the circumspheres its build
+computed, in the frame and by global index, so gradients read them instead
+of solving them again. Only ``entries`` makes vertex tuples.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class FiltEntry(NamedTuple):
 
 class Circumspheres(NamedTuple):
     """The ``circumspheres`` output of an alpha complex's simplices by global
-    index; weights are zero on the pad slots of ``Skeleton.padded``, vertex rows zero."""
+    index, in the frame of its cloud (``Configuration.frame``); weights are
+    zero on the pad slots of ``Skeleton.padded``, vertex rows zero."""
 
     centers: np.ndarray
     radii: np.ndarray
@@ -103,6 +105,15 @@ class FilteredComplex:
         return attaching.searchsorted(radii - tol), attaching.searchsorted(radii + tol, "right")
 
 
+def _scaled(radii, e):
+    """Radii of the frame (``Configuration.frame``) times 2^e, exactly; one
+    past the float range (or not finite) refuses the cloud."""
+    top = radii.max()  # m 2^x with 1/2 <= m < 1, and m 2^(x + e) < 2^1024
+    if not (math.isfinite(top) and math.frexp(top)[1] + e <= 1024):
+        raise DegenerateInput("radii overflow: a radius of the cloud exceeds the float range")
+    return np.ldexp(radii, e)
+
+
 def build_rips(
     config: Configuration, max_dim: int = 3, previous: _delaunay.Skeleton | None = None
 ) -> FilteredComplex:
@@ -125,12 +136,10 @@ def build_rips(
         skeleton = _delaunay._skeleton(np.array(list(itertools.combinations(range(m), k))), m)
     birth, realizer = np.zeros(len(skeleton)), np.arange(len(skeleton))
     if k > 1:
-        pts, at, edges = config.points, skeleton.offsets[1], skeleton.vertices[1].tolist()
-        # one norm call per edge rounds as geometry.rips_birth_radius does
+        (e, pts), at, edges = config.frame, skeleton.offsets[1], skeleton.vertices[1].tolist()
+        # one norm call per edge, in the frame, rounds as geometry.rips_birth_radius does
         length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in edges])
-        if not np.isfinite(length).all():  # refused before any search reads them
-            raise DegenerateInput("radii overflow: the cloud's squared distances are not finite")
-        birth[at:at + len(length)] = length / 2.0
+        birth[at:at + len(length)] = _scaled(length, e - 1)
         for dim in range(2, k):
             rows = skeleton.edge_rows(dim)
             longest = at + rows[np.arange(len(rows)), np.argmax(length[rows], axis=1)]
@@ -152,7 +161,7 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     0, gives the circumspheres, kept on the complex by global index, and one
     pass of the attachment rule over every cofacet test the candidates.
     """
-    pts, skeleton = config.points, _delaunay.delaunay3(config, previous)
+    (e, pts), skeleton = config.frame, _delaunay.delaunay3(config, previous)
     n, at = len(skeleton), skeleton.n_points
     spheres = Circumspheres(
         np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
@@ -162,8 +171,6 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     kernel = _circumspheres(pts, skeleton.padded[at:], blocks)
     for kept, out in zip(spheres, kernel):
         kept[at:] = out
-    if not np.isfinite(spheres.radii).all():  # refused before any search reads them
-        raise DegenerateInput("radii overflow: the cloud's squared distances are not finite")
     # each simplex's radius as a birth candidate: inf where it is not attaching
     flags = _delaunay.attaching_flags(pts, skeleton, spheres.centers, spheres.radii)
     candidate = np.where(flags, spheres.radii, np.inf)
@@ -172,7 +179,8 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     # the earliest candidate at each simplex's smallest radius
     hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
     best = hits[np.searchsorted(hits, first)]
-    return FilteredComplex("alpha", config, skeleton, radii[best], cofaces[best], spheres)
+    birth = _scaled(radii[best], e)
+    return FilteredComplex("alpha", config, skeleton, birth, cofaces[best], spheres)
 
 
 def build(

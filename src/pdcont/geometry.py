@@ -5,12 +5,14 @@ kernel: the smallest sphere through the vertices of a simplex is solved from
 its Gram system, whose solution also gives the barycentric weights of the
 center, and those weights give the gradient in closed form. The alpha build
 passes every size at once, padded by each simplex's vertex 0, to one solve.
+Every geometric evaluation runs in a cloud's ``Configuration.frame``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,21 +31,18 @@ def simplex_key(vertices) -> SimplexKey:
     return key
 
 
-def _free_slots(n_points: int, gauge: bool):
-    """(point, axis) pairs of the free coordinates, in packing order."""
-    if not gauge:
-        return [(i, a) for i in range(n_points) for a in range(3)]
-    slots = [(1, 0), (2, 0), (2, 1)]
-    slots += [(i, a) for i in range(3, n_points) for a in range(3)]
-    return slots
+_GAUGE_FREE = np.tri(3, 3, -1, dtype=bool)  # point 0 is pinned, 1 keeps x, 2 keeps x and y
 
 
 @functools.lru_cache
 def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
     """Free column of each point coordinate, -1 where pinned and in a spare last row."""
-    cols = np.full((n_points + 1, 3), -1)
-    for c, (i, axis) in enumerate(_free_slots(n_points, gauge)):
-        cols[i, axis] = c
+    free = np.ones((n_points + 1, 3), dtype=bool)
+    free[-1] = False
+    if gauge:
+        free[:3] = _GAUGE_FREE
+    cols = np.full(free.shape, -1)
+    cols[free] = np.arange(np.count_nonzero(free))
     cols.flags.writeable = False  # one array serves every caller
     return cols
 
@@ -82,7 +81,19 @@ class Configuration:
         return 3 * self.n_points - 6 if self.gauge else 3 * self.n_points
 
     def free_slots(self):
-        return _free_slots(self.n_points, self.gauge)
+        """(point, axis) of each free coordinate, in packing order."""
+        cols = _free_columns(self.n_points, self.gauge)[:-1].ravel().tolist()
+        return [divmod(i, 3) for i, col in enumerate(cols) if col >= 0]
+
+    @functools.cached_property
+    def frame(self) -> tuple:
+        """(e, P * 2^-e), the power-of-two frame that puts the largest
+        |coordinate| in [1/2, 1). Radii scale with the cloud and gradients do
+        not, so evaluating there and scaling back by 2^e is exact."""
+        e = math.frexp(np.abs(self.points).max())[1]
+        framed = np.ldexp(self.points, -e)
+        framed.flags.writeable = False
+        return e, framed
 
     def pack(self) -> np.ndarray:
         """Free coordinates as a vector, in point order (x1, x2, y2, x3, ...)."""
@@ -109,12 +120,13 @@ def to_gauge_frame(points) -> Configuration:
 
     Point 0 goes to the origin, point 1 onto the positive x-axis, point 2 into
     the upper xy-half-plane; the frame is right-handed. Clouds already in the
-    frame are reproduced exactly.
+    frame are reproduced exactly. The motion is found in the cloud's
+    power-of-two frame (``Configuration.frame``), so no norm overflows.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 3:
+    if len(points) < 3:
         raise ValueError("gauge frame needs at least three points")
-    rel = pts - pts[0]
+    e, framed = Configuration(points, gauge=False).frame
+    rel = framed - framed[0]
     e1 = rel[1]
     n1 = np.linalg.norm(e1)
     if n1 == 0.0:
@@ -127,11 +139,8 @@ def to_gauge_frame(points) -> Configuration:
     e2 = e2 / n2
     e3 = np.cross(e1, e2)
     new_pts = rel @ np.stack([e1, e2, e3]).T
-    # pinned coordinates are exact zeros by construction
-    new_pts[0] = 0.0
-    new_pts[1, 1:] = 0.0
-    new_pts[2, 2] = 0.0
-    return Configuration(new_pts, gauge=True)
+    new_pts[:3][~_GAUGE_FREE] = 0.0  # pinned coordinates are exact zeros by construction
+    return Configuration(np.ldexp(new_pts, e), gauge=True)
 
 
 # --- smallest circumspheres ---------------------------------------------------
@@ -315,14 +324,12 @@ def check_general_position(fc, tol: float = 1e-9):
     points near the circumsphere of a neighbouring tetrahedron. By the local
     Delaunay lemma only a vertex of a tetrahedron across a shared triangle can
     cross a circumsphere first, so those are the 5-point configurations whose
-    flip would change the triangulation.
+    flip would change the triangulation. ``tol`` is in the cloud's units, and
+    distances are measured in its frame.
     """
-    pts = fc.config.points
-    report = GeneralPositionReport(fc.kind)
-
-    report.violations.extend(
-        GPViolation("coincident_points", pair) for pair in sorted(cKDTree(pts).query_pairs(tol))
-    )
+    (e, pts), report = fc.config.frame, GeneralPositionReport(fc.kind)
+    pairs = sorted(cKDTree(pts).query_pairs(np.ldexp(tol, -e)))
+    report.violations.extend(GPViolation("coincident_points", pair) for pair in pairs)
 
     skeleton, spheres = fc.skeleton, fc.spheres  # the alpha build's, by global index
     if spheres is not None:
@@ -340,11 +347,12 @@ def check_general_position(fc, tol: float = 1e-9):
     if spheres is None or 3 not in skeleton.vertices:
         return report
     at = skeleton.offsets[3]  # the tetrahedra come last in global order
-    centers, radii = spheres.centers[at:], spheres.radii[at:]
     t_idx, far = skeleton.across
-    close = np.abs(np.linalg.norm(pts[far] - centers[t_idx], axis=1) - radii[t_idx]) <= tol
-    tets = skeleton.vertex_tuples(at + t_idx[close])
-    near = {(tet, p): float(radii[t]) for tet, t, p in zip(tets, t_idx[close], far[close].tolist())}
+    radii = spheres.radii[at + t_idx]  # in the frame, as the centers
+    gap = np.abs(np.linalg.norm(pts[far] - spheres.centers[at + t_idx], axis=1) - radii)
+    close = np.ldexp(gap, e) <= tol
+    tets, radii = skeleton.vertex_tuples(at + t_idx[close]), np.ldexp(radii[close], e).tolist()
+    near = {(tet, p): r for tet, p, r in zip(tets, far[close].tolist(), radii)}
     report.violations.extend(
         GPViolation("near_cospherical", key, (r,)) for key, r in sorted(near.items())
     )

@@ -284,8 +284,7 @@ class _Evaluation:
     def jacobian(self, matched) -> PersistenceJacobian:
         """Jacobian of the matched pairs' coordinates, in their order."""
         if self.jac is None or self.matched != matched:
-            fc, pd = self.fc, replace(self.pd, finite=matched)
-            self.jac = jacobian(fc.config, fc.kind, pd, include_essential=False, fc=fc)
+            self.jac = jacobian(self.fc, replace(self.pd, finite=matched), include_essential=False)
             self.matched, self.factors = matched, None
         return self.jac
 

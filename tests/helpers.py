@@ -25,6 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdcont.delaunay import delaunay3, insphere_exact, orient3d_exact
+from pdcont.diffmap import jacobian
 from pdcont.errors import DegenerateInput, GeneralPositionViolation
 from pdcont.filtration import Circumspheres, FilteredComplex, FiltEntry, build
 from pdcont.geometry import _DEGENERATE, Configuration, _free_columns, radius_gradients
@@ -36,6 +37,9 @@ from pdcont.persistence import (
 
 # property tests draw the same examples on every run and keep no database
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# a regular tetrahedron whose edges and circumradius pass the largest float
+PAST_FLOAT = 1.5e308 * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
 _GRID = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
 
@@ -146,8 +150,8 @@ def attaching_gradients_reference(fc, simplices):
     """The attaching gradient rows and norms as computed before one pass
     gathered every dimension, kept as a bitwise oracle: the simplices are
     grouped by dimension and each group reads its own rows of the kept
-    circumspheres."""
-    config, skeleton, pts = fc.config, fc.skeleton, fc.config.points
+    circumspheres, in the cloud's frame."""
+    config, skeleton, (e, pts) = fc.config, fc.skeleton, fc.config.frame
     cols = _free_columns(config.n_points, config.gauge)
     rows, norms = np.zeros((len(simplices), config.free_dim + 1)), np.zeros(len(simplices))
     starts, by_dim = list(skeleton.offsets.values()), {}
@@ -160,7 +164,7 @@ def attaching_gradients_reference(fc, simplices):
         g = simplices[idx]
         verts = skeleton.vertices[dim][g - skeleton.offsets[dim]]
         if fc.kind == "rips":
-            unit = (pts[verts[:, 0]] - pts[verts[:, 1]]) / (4.0 * fc.birth[g])[:, None]
+            unit = (pts[verts[:, 0]] - pts[verts[:, 1]]) / np.ldexp(4.0 * fc.birth[g], -e)[:, None]
             grads = np.stack([unit, -unit], axis=1)
         else:
             s = fc.spheres
@@ -170,6 +174,14 @@ def attaching_gradients_reference(fc, simplices):
         norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
         rows[idx[:, None, None], cols[verts]] = grads
     return rows[:, :-1], norms
+
+
+def diagram_and_jacobian(config, kind, dim, epsilon=0.0):
+    """The dimension-``dim`` diagram of ``config``, as ``persistence.diagram``
+    gives it, and its Jacobian, from one build."""
+    fc = build(config, kind, max_dim=dim + 1)
+    pd = persistence_data(reduce_boundary(boundary_matrix(fc)), fc, dim, epsilon)
+    return pd, jacobian(fc, pd)
 
 
 def betti_numbers(config, kind, up_to_dim=2):
@@ -326,8 +338,8 @@ def build_alpha_reference(config, previous=None):
     """The alpha build as it stood before one kernel pass covered every
     dimension, kept as a bitwise oracle: one ``circumspheres_reference`` call
     and one attachment test per dimension, each dimension's cofacet tests
-    read from the skeleton's facet rows."""
-    pts, skeleton = config.points, delaunay3(config, previous)
+    read from the skeleton's facet rows, in the cloud's frame."""
+    (e, pts), skeleton = config.frame, delaunay3(config, previous)
     n = len(skeleton)
     spheres = Circumspheres(
         np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
@@ -352,7 +364,7 @@ def build_alpha_reference(config, previous=None):
     radii = candidate[cofaces]
     hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
     best = hits[np.searchsorted(hits, first)]
-    return FilteredComplex("alpha", config, skeleton, radii[best], cofaces[best], spheres)
+    return FilteredComplex("alpha", config, skeleton, np.ldexp(radii[best], e), cofaces[best], spheres)
 
 
 def config_from_vector(vec, gauge: bool = True) -> Configuration:

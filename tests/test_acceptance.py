@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from pdcont import cli
-from pdcont.diffmap import jacobian
 from pdcont.errors import NotAcute
 from pdcont.filtration import build_rips
 from pdcont.geometry import Configuration
@@ -24,7 +23,7 @@ from pdcont.metrics import (
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
 from pdcont.solver import continue_cloud, pinv_matrix, svd
 
-from helpers import random_acute_triangle, random_cloud, rank_function_pairs
+from helpers import diagram_and_jacobian, random_acute_triangle, random_cloud, rank_function_pairs
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
 EX3_CLOUD = np.array(
@@ -148,10 +147,10 @@ def test_criterion_06_jacobian_finite_differences():
         m = rng.randint(4, 11)
         config = Configuration(random_cloud(rng, m) * 2.0, gauge=False)
         dim = 1 if kind == "rips" else (1 if m >= 6 else 2)
-        pd = diagram(config, kind, dim, 0.0)
+        pd, jac = diagram_and_jacobian(config, kind, dim)
         if not pd.finite:
             continue
-        jac = jacobian(config, kind, pd).matrix
+        jac = jac.matrix
         u0 = config.pack()
         h = 1e-6
         fd = np.zeros_like(jac)
@@ -201,12 +200,12 @@ def test_criterion_07_four_point_closed_form():
     for _ in range(20):
         pts = _random_cycle_cloud(rng)
         config = Configuration(pts, gauge=False)
-        pd = diagram(config, "rips", 1, 0.0)
+        pd, jac = diagram_and_jacobian(config, "rips", 1)
         assert len(pd.finite) == 1
         a, b, c, d = pts
         assert 2 * pd.finite[0].birth == pytest.approx(np.linalg.norm(a - d), abs=1e-12)
         assert 2 * pd.finite[0].death == pytest.approx(np.linalg.norm(b - d), abs=1e-12)
-        jac = 2 * jacobian(config, "rips", pd).matrix  # edge-length units
+        jac = 2 * jac.matrix  # edge-length units
         gram = jac @ jac.T
         cos_theta = float(
             np.dot(a - d, b - d) / (np.linalg.norm(a - d) * np.linalg.norm(b - d))

@@ -9,6 +9,8 @@ import pytest
 
 from pdcont import cli, delaunay, filtration, solver
 
+from helpers import PAST_FLOAT
+
 
 @pytest.fixture
 def ex1_file(tmp_path):
@@ -233,13 +235,31 @@ class TestDiagramCommand:
         pers = sorted((p.persistence for p in pd.finite), reverse=True)
         assert pers[0] >= 5 * (pers[1] if len(pers) > 1 else pers[0] / 100)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("filtration", ["alpha", "rips"])
-    def test_overflowing_cloud_exits_3(self, tmp_path, capsys, filtration):
+    def test_far_cloud_scales_exactly(self, tmp_path, capsys, filtration):
+        # squared distances pass the largest float; through the default gauge
+        # the diagram is still the unit cloud's, scaled
         path = tmp_path / "far.xyz"
-        path.write_text("0 0 0\n1e200 0 0\n0 1e200 0\n0 0 1e200\n")
+        diagrams = []
+        for scale in (1.0, 1e200):
+            path.write_text(f"0 0 0\n{scale!r} 0 0\n0 {scale!r} 0\n0 0 {scale!r}\n")
+            assert cli.main(["diagram", "-i", str(path), "--filtration", filtration, "--dim", "0"]) == 0
+            out, err = capsys.readouterr()
+            assert "Warning" not in err
+            pd = json.loads(out)
+            diagrams.append(np.array(pd["pairs"] + [[b, 0.0] for b in pd["essential"]]))
+        unit, far = diagrams
+        assert len(unit) == 4
+        np.testing.assert_allclose(far, 1e200 * unit, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("filtration", ["alpha", "rips"])
+    def test_radius_past_the_float_range_exits_3(self, tmp_path, capsys, filtration):
+        path = tmp_path / "past.xyz"
+        path.write_text("\n".join(" ".join(map(repr, p)) for p in PAST_FLOAT.tolist()))
         args = ["diagram", "-i", str(path), "--filtration", filtration, "--dim", "1", "--no-gauge"]
-        assert cli.main(args) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning before the refusal
+            assert cli.main(args) == 3
         assert capsys.readouterr().err.startswith("error: radii overflow")
 
 

@@ -16,7 +16,8 @@ from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduc
 from pdcont.solver import _constraint_rows, newton_pinv, svd
 
 from helpers import (
-    PROPERTY, attaching_gradients_reference, fd_gradient, random_cloud, skeleton_index,
+    PROPERTY, attaching_gradients_reference, diagram_and_jacobian, fd_gradient, random_cloud,
+    skeleton_index,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -38,9 +39,8 @@ class TestJacobianClosedForms:
         # off-diagonal cos(angle ADB); radius units need the factor of 2
         pts = four_point_vr_cloud()
         config = Configuration(pts, gauge=False)
-        pd = diagram(config, "rips", 1, 0.0)
+        pd, jac = diagram_and_jacobian(config, "rips", 1)
         assert len(pd.finite) == 1
-        jac = jacobian(config, "rips", pd)
         gram = (2 * jac.matrix) @ (2 * jac.matrix).T
         a, b, c, d = pts
         cos_theta = np.dot(a - d, b - d) / (
@@ -57,8 +57,7 @@ class TestJacobianClosedForms:
 
     def test_translation_nullspace_without_gauge(self):
         config = Configuration(EX1_CLOUD, gauge=False)
-        pd = diagram(config, "alpha", 2, 0.0)
-        jac = jacobian(config, "alpha", pd)
+        _, jac = diagram_and_jacobian(config, "alpha", 2)
         for axis in range(3):
             direction = np.zeros((4, 3))
             direction[:, axis] = 1.0
@@ -70,24 +69,20 @@ class TestJacobianClosedForms:
         rng = np.random.RandomState(3)
         pts = random_cloud(rng, 5)
         config = Configuration(pts, gauge=False)
-        pd = diagram(config, "rips", 1, 0.0)
+        pd, jac = diagram_and_jacobian(config, "rips", 1)
         if not pd.finite:
             pytest.skip("no cycle in this draw")
-        jac = jacobian(config, "rips", pd).matrix
-        scaled = Configuration(pts * 3.7, gauge=False)
-        pd2 = diagram(scaled, "rips", 1, 0.0)
-        jac2 = jacobian(scaled, "rips", pd2).matrix
-        np.testing.assert_allclose(jac, jac2, atol=1e-12)
+        _, jac2 = diagram_and_jacobian(Configuration(pts * 3.7, gauge=False), "rips", 1)
+        np.testing.assert_allclose(jac.matrix, jac2.matrix, atol=1e-12)
 
     def test_row_sparsity(self):
         rng = np.random.RandomState(6)
         pts = random_cloud(rng, 8)
         config = Configuration(pts, gauge=False)
         for kind, cap in (("rips", 6), ("alpha", 12)):
-            pd = diagram(config, kind, 1, 0.0)
+            pd, jac = diagram_and_jacobian(config, kind, 1)
             if not pd.finite:
                 continue
-            jac = jacobian(config, kind, pd)
             for row in jac.matrix:
                 assert np.count_nonzero(row) <= cap
 
@@ -119,7 +114,7 @@ class TestJacobianClosedForms:
         assert pd.finite, "expected nonempty alpha D1"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            jacobian(config, "alpha", pd, fc=fc)
+            jacobian(fc, pd)
         assert any(issubclass(w.category, NearDegenerateJacobian) for w in caught)
 
 
@@ -219,11 +214,10 @@ class TestJacobianVsFiniteDifferences:
             attempts += 1
             m = rng.randint(4, 9)
             config = Configuration(random_cloud(rng, m) * 2, gauge=False)
-            pd = diagram(config, kind, dim, 0.0)
+            pd, jac = diagram_and_jacobian(config, kind, dim)
             if not pd.finite:
                 continue
-            base = pd.vector(include_essential=False)
-            jac = jacobian(config, kind, pd).matrix
+            jac = jac.matrix
 
             u0 = config.pack()
 
@@ -249,9 +243,8 @@ class TestConstrainedSystem:
     # solver._constraint_rows
     def test_no_constraints_reduces_to_plain(self):
         config = Configuration(EX1_CLOUD)
-        pd = diagram(config, "alpha", 2, 0.0)
         vals, rows = _constraint_rows(config, [])
-        jac = jacobian(config, "alpha", pd)
+        _, jac = diagram_and_jacobian(config, "alpha", 2)
         assert vals.shape == (0,)
         np.testing.assert_array_equal(np.vstack([jac.matrix, rows]), jac.matrix)
 

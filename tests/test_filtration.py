@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from pdcont.geometry import Configuration
 from pdcont.persistence import diagram
 
 from helpers import (
-    PROPERTY, betti_numbers, build_alpha_reference, build_rips_reference, filtration_csv, grid_clouds,
-    name_of_key, random_cloud, skeleton_keys, sorted_entries_reference,
+    PAST_FLOAT, PROPERTY, betti_numbers, build_alpha_reference, build_rips_reference, filtration_csv,
+    grid_clouds, name_of_key, random_cloud, skeleton_keys, sorted_entries_reference,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -110,14 +111,29 @@ class TestBuildRips:
             build_rips(cfg, max_dim=2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+_CORNER = np.vstack([np.zeros(3), np.eye(3)])
+
+
 @pytest.mark.parametrize("kind", ["alpha", "rips"])
 @pytest.mark.parametrize("scale", [1e160, 1e200])
-def test_overflowing_radii_are_degenerate_input(kind, scale):
-    # squared distances past the largest float: no radius, so no search, is read
-    cfg = _cfg(np.vstack([np.zeros(3), scale * np.eye(3)]))
-    with pytest.raises(DegenerateInput, match="not finite"):
-        diagram(cfg, kind, 1)
+def test_far_clouds_scale_exactly(kind, scale):
+    # squared distances pass the largest float, but the build runs in the
+    # cloud's frame: with scale = m 2^e the diagram is 2^e times that of m _CORNER
+    m, e = np.frexp(scale)
+    for dim, size in ((0, 7), (1, 0)):  # three pairs and an essential class, then none
+        far, near = (diagram(_cfg(s * _CORNER), kind, dim).vector() for s in (scale, m))
+        assert far.size == size and np.array_equal(far, np.ldexp(near, e))
+        unit = diagram(_cfg(_CORNER), kind, dim).vector()
+        np.testing.assert_allclose(far, scale * unit, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["alpha", "rips"])
+def test_radius_past_the_float_range_is_refused(kind):
+    # the one refusal for a cloud's magnitude, and it prints no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match="radii overflow"):
+            diagram(_cfg(PAST_FLOAT), kind, 1)
 
 
 class TestPrevious:

@@ -1,0 +1,124 @@
+"""The power-of-two frame: a cloud's magnitude reaches no geometric
+evaluation, so scaling a cloud by 2^k scales its diagram by exactly 2^k and
+leaves its Jacobian bit for bit, from clouds near the smallest normal float
+to clouds near the largest."""
+
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import pdcont
+from pdcont import cli
+from pdcont.delaunay import delaunay3
+from pdcont.errors import DegenerateInput, NearDegenerateJacobian
+from pdcont.filtration import build
+from pdcont.geometry import Configuration, to_gauge_frame
+from pdcont.persistence import diagram
+
+from helpers import PROPERTY, diagram_and_jacobian, random_cloud
+
+# 60 points in [0, 10)^3: at 2^350 the unframed triangulation crashed the
+# process, at 2^190 Qhull refused it, and at 2^-520 H1 lost 5 of its 106 pairs
+CLOUD_60 = np.random.default_rng(0).uniform(0, 10, (60, 3))
+
+_SCALED_H1 = """
+import json, sys
+import numpy as np
+from pdcont.geometry import Configuration
+from pdcont.persistence import diagram
+points = np.ldexp(np.random.default_rng(0).uniform(0, 10, (60, 3)), int(sys.argv[1]))
+print(json.dumps([x.hex() for x in diagram(Configuration(points, gauge=False), "alpha", 1).vector()]))
+"""
+
+
+def _h1(points):
+    return diagram(Configuration(points, gauge=False), "alpha", 1).vector()
+
+
+def test_cloud_at_2_to_the_350_in_a_subprocess():
+    # a crash fails this test, not the whole pytest run
+    src = str(Path(pdcont.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _SCALED_H1, "350"], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    scaled = np.array([float.fromhex(x) for x in json.loads(run.stdout)])
+    assert np.array_equal(scaled, np.ldexp(_h1(CLOUD_60), 350))
+
+
+def test_cloud_at_2_to_the_190_is_not_refused():
+    assert np.array_equal(_h1(np.ldexp(CLOUD_60, 190)), np.ldexp(_h1(CLOUD_60), 190))
+
+
+def test_cloud_at_2_to_the_minus_520_keeps_every_pair():
+    pd = diagram(Configuration(np.ldexp(CLOUD_60, -520), gauge=False), "alpha", 1)
+    assert len(pd.finite) == 106
+    assert np.array_equal(pd.vector(), np.ldexp(_h1(CLOUD_60), -520))
+
+
+def test_example_1_keeps_its_pair_through_the_gauge():
+    cloud = np.array(cli.EXAMPLE_1_CLOUD, dtype=float)
+    pd = diagram(to_gauge_frame(cloud), "alpha", 2)
+    assert len(pd.finite) == 1
+    for k in (-540, -600):
+        gauged = to_gauge_frame(np.ldexp(cloud, k))
+        assert np.array_equal(gauged.points, np.ldexp(to_gauge_frame(cloud).points, k))
+        assert np.array_equal(diagram(gauged, "alpha", 2).vector(), np.ldexp(pd.vector(), k))
+
+
+def test_tiny_simplices_are_not_degenerate():
+    # their squared edge products underflow outside the frame
+    triangle = delaunay3(Configuration([[0, 0, 0], [1e-100, 0, 0], [0, 1e-100, 0]], gauge=False))
+    assert triangle.vertices[2].tolist() == [[0, 1, 2]]
+    tetrahedron = 1e-110 * np.vstack([np.zeros(3), np.eye(3)])
+    assert delaunay3(Configuration(tetrahedron, gauge=False)).tetrahedra.tolist() == [[0, 1, 2, 3]]
+
+
+def _exponents(values):
+    """frexp exponents of the smallest nonzero and of the largest |value|."""
+    values = np.abs(values)
+    return np.frexp(values[values > 0].min())[1], np.frexp(values.max())[1]
+
+
+class TestPowerOfTwoScaling:
+    """For a cloud in general position and every k for which the coordinates
+    and birth radii of P * 2^k are normal floats, the diagram of P * 2^k is
+    2^k times that of P and the Jacobian is the same, bit for bit; past the
+    largest float a build is refused only for a radius."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 12),
+           kind=st.sampled_from(["alpha", "rips"]), k=st.integers(-1100, 1100))
+    def test_diagram_and_jacobian(self, seed, m, kind, k):
+        points = random_cloud(np.random.RandomState(seed), m)
+        fc = build(Configuration(points, gauge=False), kind, max_dim=2)
+        lo, hi = _exponents(np.concatenate([points.ravel(), fc.birth]))
+        k = min(max(k, -1021 - lo), 1024 - hi)  # the ends are where it can fail
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearDegenerateJacobian)  # an absolute tolerance
+            pd, jac = diagram_and_jacobian(Configuration(points, gauge=False), kind, 1)
+            pd_k, jac_k = diagram_and_jacobian(Configuration(np.ldexp(points, k), gauge=False), kind, 1)
+        assert np.array_equal(pd_k.vector(), np.ldexp(pd.vector(), k))
+        assert [r.attaching_key for r in jac_k.rows] == [r.attaching_key for r in jac.rows]
+        assert jac_k.matrix.tobytes() == jac.matrix.tobytes()
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 12),
+           kind=st.sampled_from(["alpha", "rips"]))
+    def test_refused_only_for_a_radius(self, seed, m, kind):
+        points = random_cloud(np.random.RandomState(seed), m)
+        births = build(Configuration(points, gauge=False), kind, max_dim=2).birth
+        top = max(_exponents(points.ravel())[1], _exponents(births)[1])
+        build(Configuration(np.ldexp(points, 1024 - top), gauge=False), kind, max_dim=2)
+        if _exponents(births)[1] > _exponents(points.ravel())[1]:
+            # one more doubling leaves every coordinate finite and a radius not
+            with pytest.raises(DegenerateInput, match="^radii overflow"):
+                build(Configuration(np.ldexp(points, 1025 - top), gauge=False), kind, max_dim=2)

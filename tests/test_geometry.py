@@ -69,6 +69,12 @@ class TestPacking:
         assert config.free_dim == 12
         np.testing.assert_array_equal(config.pack(), pts.ravel())
 
+    def test_free_slots_in_packing_order(self):
+        assert Configuration(EX1_CLOUD).free_slots() == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+        assert Configuration(EX1_CLOUD[:2], gauge=False).free_slots() == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
+        ]
+
     @pytest.mark.parametrize("gauge", [True, False])
     def test_the_callers_array_stays_its_own(self, gauge):
         pts = to_gauge_frame(np.random.RandomState(1).randn(5, 3)).points.copy()

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdcont.delaunay import delaunay3
-from pdcont.diffmap import jacobian
 from pdcont.errors import DimensionMismatch, GeneralPositionViolation, MatchingAmbiguous
 from pdcont.geometry import Configuration, to_gauge_frame
 from pdcont import cli, diffmap, filtration, solver
@@ -24,8 +23,8 @@ from pdcont.solver import (
 )
 
 from helpers import (
-    PROPERTY, attaching_gradients_reference, build_alpha_reference, filtration_keys,
-    jacobi_reference, random_cloud,
+    PROPERTY, attaching_gradients_reference, build_alpha_reference, diagram_and_jacobian,
+    filtration_keys, jacobi_reference, random_cloud,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)
@@ -359,8 +358,6 @@ class TestNewton:
         np.testing.assert_allclose(v_new, vt, atol=1e-10)
 
     def test_minimum_norm_step(self):
-        from pdcont.diffmap import jacobian
-
         config = Configuration(EX1_CLOUD)
         pd = diagram(config, "alpha", 2, 0.0)
         v0 = pd.vector(include_essential=False)
@@ -368,8 +365,7 @@ class TestNewton:
         new_config, report, _ = newton_pinv(config, "alpha", 2, 0.0, vt, max_iter=1,
                                             tol=1e-16)
         du = new_config.pack() - config.pack()
-        jac = jacobian(config, "alpha", pd).matrix
-        _, _, w = svd(jac)
+        _, _, w = svd(diagram_and_jacobian(config, "alpha", 2)[1].matrix)
         projected = w @ (w.T @ du)
         assert np.linalg.norm(du - projected) <= 1e-10 * np.linalg.norm(du)
 
@@ -603,7 +599,7 @@ class TestEvaluatedOnce:
             assert not (a.shape == b.shape and a.tobytes() == b.tobytes())
         for step in trace.steps:
             cfg = config.with_vector(step.u)
-            _, s, _ = svd(jacobian(cfg, "alpha", diagram(cfg, "alpha", 2, 0.0)).matrix)
+            _, s, _ = svd(diagram_and_jacobian(cfg, "alpha", 2)[1].matrix)
             assert np.array_equal(step.singular_values, s)
         return trace, reports
 

@@ -80,7 +80,7 @@ class TestNearTies:
         pd = persistence_data(reduce_boundary(boundary_matrix(fc)), fc, min(dim, 1), 0.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            jac = jacobian(fc.config, kind, pd, fc=fc)
+            jac = jacobian(fc, pd)
         events = [int(str(w.message).split()[0]) for w in caught
                   if issubclass(w.category, NearDegenerateJacobian)]
         expected = near_tie_events_reference(jac.rows, fc, _TIE_TOL)
