@@ -42,13 +42,7 @@ from .metrics import (
     hausdorff,
     triangle_ratio_check,
 )
-from .diffmap import (
-    Constraint,
-    PersistenceJacobian,
-    centroid_constraints,
-    distance_constraint,
-    jacobian,
-)
+from .diffmap import PersistenceJacobian, jacobian
 from .solver import (
     ContinuationTrace,
     NewtonReport,

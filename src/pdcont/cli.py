@@ -119,6 +119,9 @@ def _load_config(args) -> Configuration:
     points = read_cloud(args.input)
     if args.jitter_seed is not None:
         points = apply_jitter(points, args.jitter_seed)
+    if not args.no_gauge and len(points) < 3:
+        raise GaugeViolation(f"the gauge frame needs at least three points, got {len(points)}; "
+                             "use --no-gauge")
     return Configuration(points, gauge=False) if args.no_gauge else to_gauge_frame(points)
 
 

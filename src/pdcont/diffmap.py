@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NearDegenerateJacobian
 from .filtration import FilteredComplex
-from .geometry import _free_columns, radius_gradients
+from .geometry import _free_columns, _free_slots, radius_gradients
 from .geometry import circumradius_gradient  # unused here; perfbench/tracing.py wraps this name
 from .persistence import PersistenceData
 
@@ -131,51 +131,6 @@ def jacobian(
     names = np.array([r.attaching_key for r in rows])
     _warn_near_ties(names, np.array([r.value for r in rows]), fc)
     matrix, _ = _attaching_gradients(fc, fc.skeleton.names.searchsorted(names))
-    return PersistenceJacobian(matrix, tuple(rows), tuple(fc.config.free_slots()))
-
-
-# --- constrained extension ----------------------------------------------------
-
-@dataclass(frozen=True)
-class Constraint:
-    """Scalar constraint g(u) = 0 with an analytic gradient of shape (M, 3)."""
-
-    value: callable
-    gradient: callable
-    label: str = ""
-
-
-def centroid_constraints(target) -> list:
-    """Three constraints pinning the cloud centroid to ``target``."""
-    target = np.asarray(target, dtype=float)
-
-    def make(axis):
-        def value(config):
-            return float(config.points[:, axis].mean() - target[axis])
-
-        def grad(config):
-            g = np.zeros_like(config.points)
-            g[:, axis] = 1.0 / config.n_points
-            return g
-
-        return Constraint(value, grad, f"centroid_{'xyz'[axis]}")
-
-    return [make(a) for a in range(3)]
-
-
-def distance_constraint(i: int, j: int, target: float) -> Constraint:
-    """Constraint |u_i - u_j| - target = 0."""
-
-    def value(config):
-        return float(np.linalg.norm(config.points[i] - config.points[j]) - target)
-
-    def grad(config):
-        g = np.zeros_like(config.points)
-        diff = config.points[i] - config.points[j]
-        unit = diff / np.linalg.norm(diff)
-        g[i] = unit
-        g[j] = -unit
-        return g
-
-    return Constraint(value, grad, f"dist_{i}_{j}")
+    slots = _free_slots(fc.config.n_points, fc.config.gauge)
+    return PersistenceJacobian(matrix, tuple(rows), slots)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateSimplex, GaugeViolation
+from .errors import DegenerateInput, DegenerateSimplex, GaugeViolation
 
 SimplexKey = tuple  # sorted tuple of 0-based vertex indices, length 1..4
 
@@ -45,6 +45,13 @@ def _free_columns(n_points: int, gauge: bool) -> np.ndarray:
     cols[free] = np.arange(np.count_nonzero(free))
     cols.flags.writeable = False  # one array serves every caller
     return cols
+
+
+@functools.lru_cache
+def _free_slots(n_points: int, gauge: bool) -> tuple:
+    """(point, axis) of each free coordinate, in packing order."""
+    cols = _free_columns(n_points, gauge)[:-1].ravel().tolist()
+    return tuple(divmod(i, 3) for i, col in enumerate(cols) if col >= 0)
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,7 @@ class Configuration:
 
     def free_slots(self):
         """(point, axis) of each free coordinate, in packing order."""
-        cols = _free_columns(self.n_points, self.gauge)[:-1].ravel().tolist()
-        return [divmod(i, 3) for i, col in enumerate(cols) if col >= 0]
+        return list(_free_slots(self.n_points, self.gauge))
 
     @functools.cached_property
     def frame(self) -> tuple:
@@ -121,7 +127,8 @@ def to_gauge_frame(points) -> Configuration:
     Point 0 goes to the origin, point 1 onto the positive x-axis, point 2 into
     the upper xy-half-plane; the frame is right-handed. Clouds already in the
     frame are reproduced exactly. The motion is found in the cloud's
-    power-of-two frame (``Configuration.frame``), so no norm overflows.
+    power-of-two frame (``Configuration.frame``), so no norm overflows; a
+    moved cloud past the float range is refused as DegenerateInput.
     """
     if len(points) < 3:
         raise ValueError("gauge frame needs at least three points")
@@ -140,6 +147,8 @@ def to_gauge_frame(points) -> Configuration:
     e3 = np.cross(e1, e2)
     new_pts = rel @ np.stack([e1, e2, e3]).T
     new_pts[:3][~_GAUGE_FREE] = 0.0  # pinned coordinates are exact zeros by construction
+    if math.frexp(np.abs(new_pts).max())[1] + e > 1024:  # m 2^(x + e) with m < 1 overflows
+        raise DegenerateInput("the gauge frame's coordinates exceed the float range")
     return Configuration(np.ldexp(new_pts, e), gauge=True)
 
 

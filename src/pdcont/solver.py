@@ -18,14 +18,14 @@ as arrays.
 
 Each configuration's filtration, diagram, matched Jacobian and SVD are
 computed once (``_Evaluation``): the accepted configuration of one step starts
-the next solve, and the Jacobian's SVD also gives the pseudo-inverse when no
-rows are stacked below it. Each Newton iterate is evaluated with the previous
-one: the build shares the previous skeleton (its closure, cofacets, names
-and index arrays), a Delaunay one when Qhull returns the same
-tetrahedra and a Rips one always, and when the simplex order is unchanged
-the previous Z/2 pairing is kept, since a reduction depends on the order
-alone. Every radius and diagram value is computed anew, so the results are
-bit for bit those of recomputing everything at every iterate.
+the next solve, and the Jacobian's SVD also gives the pseudo-inverse unless
+tie rows are stacked below it, in the Newton matrix [J; tie rows]. Each Newton
+iterate is evaluated with the previous one: the build shares the previous
+skeleton (its closure, cofacets, names and index arrays), a Delaunay one when
+Qhull returns the same tetrahedra and a Rips one always, and when the simplex
+order is unchanged the previous Z/2 pairing is kept, since a reduction depends
+on the order alone. Every radius and diagram value is computed anew, so the
+results are bit for bit those of recomputing everything at every iterate.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from scipy.optimize import linear_sum_assignment
 from .diffmap import PersistenceJacobian, _attaching_gradients, jacobian
 from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
 from .filtration import FilteredComplex, build
-from .geometry import Configuration, _free_columns
+from .geometry import Configuration
 from .persistence import (
     PersistenceData, Reduction, _values, boundary_matrix, persistence_data, reduce_boundary,
 )
@@ -312,17 +312,6 @@ def _evaluate(config, kind, dim, eps, previous=None) -> _Evaluation:
     return _Evaluation(fc, persistence_data(red, fc, dim, eps), red)
 
 
-def _constraint_rows(config, constraints):
-    if not constraints:
-        return np.zeros(0), np.zeros((0, config.free_dim))
-    vals = np.array([c.value(config) for c in constraints], dtype=float)
-    grads = np.array([c.gradient(config) for c in constraints], dtype=float)
-    # pinned coordinates (column -1) land in a spare last column, cut off below
-    rows = np.zeros((len(constraints), config.free_dim + 1))
-    rows[:, _free_columns(config.n_points, config.gauge)[:-1]] = grads
-    return vals, rows[:, :-1]
-
-
 _TIE_GRADIENT_CAP = 1e3
 
 
@@ -376,8 +365,7 @@ def _tie_rows(flip_coords, flip_names, matched, v_target, fc, window, offsets):
 
 
 def _newton_core(
-    config, kind, dim, epsilon, v_target, tol, max_iter, layout, constraints, tie_window,
-    start=None,
+    config, kind, dim, epsilon, v_target, tol, max_iter, layout, tie_window, start=None
 ):
     """Newton solve from ``config``; ``start`` is its _Evaluation if known,
     and ``layout`` the pairs tracked so far (None: the diagram of ``config``).
@@ -410,8 +398,7 @@ def _newton_core(
                 flips[0].extend((c, c))
                 flips[1].extend((was, now))
         layout = matched
-        g_vals, g_rows = _constraint_rows(config, constraints)
-        residual_vec = np.concatenate([_values(matched) - v_target, g_vals])
+        residual_vec = _values(matched) - v_target
         res = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
         increases = increases + 1 if res >= prev_res else 0
         if res <= tol:
@@ -438,16 +425,16 @@ def _newton_core(
             message = f"smallest singular value {sigma[-1]:.3e} below floor {_SIGMA_FLOOR:.0e}"
             break
         tie_m, tie_r = _tie_rows(*flips, matched, v_target, ev.fc, tie_window, tie_offsets)
-        step_res = np.concatenate([residual_vec[: v_target.size], tie_r, g_vals])
-        if tie_m.shape[0] or g_rows.shape[0]:
-            step = pinv_apply(np.vstack([jac.matrix, tie_m, g_rows]), step_res)[0]
+        if tie_m.shape[0]:  # the Newton matrix is [J; tie rows]
+            rhs = np.concatenate([residual_vec, tie_r])
+            step = pinv_apply(np.vstack([jac.matrix, tie_m]), rhs)[0]
         else:  # the Newton matrix is the Jacobian, already decomposed
-            step = _pinv_solve(factors, step_res)[0]
+            step = _pinv_solve(factors, residual_vec)[0]
         config = config.with_vector(config.pack() - step)
         ev = _evaluate(config, kind, dim, epsilon, previous=ev)
-    if status is NewtonStatus.CONVERGED:  # the singular values at the accepted configuration
-        jac = ev.jacobian(matched)
-        sigma = svd(np.vstack([jac.matrix, g_rows]))[1] if g_rows.size else ev.svd()[1]
+    if status is NewtonStatus.CONVERGED:  # the Jacobian's singular values where it stopped
+        ev.jacobian(matched)
+        sigma = ev.svd()[1]
     return config, NewtonReport(status, it, res, sigma, message), layout, ev
 
 
@@ -459,21 +446,20 @@ def newton_pinv(
     v_target,
     tol: float = 1e-10,
     max_iter: int = 50,
-    constraints=(),
     tie_window: float = 0.0,
 ):
     """Iterate u <- u - Df(u)^+ (f(u) - v) until the sup-norm residual is small.
 
     Each iterate's filtration, diagram, coordinate matching, Jacobian and SVD
-    are computed once; when no tie or constraint rows are stacked below the
-    Jacobian, its SVD also gives the pseudo-inverse. Attaching radii within
+    are computed once; when no tie rows are stacked below the Jacobian, its
+    SVD also gives the pseudo-inverse. Attaching radii within
     ``tie_window`` of a coordinate are carried along with it. Returns
     (configuration, NewtonReport, layout) where the layout tracks the
     generating simplices of the matched coordinates.
     """
     _check_controls(tol, max_iter, tie_window)
     config, report, layout, _ = _newton_core(
-        config, kind, dim, epsilon, v_target, tol, max_iter, None, constraints, tie_window
+        config, kind, dim, epsilon, v_target, tol, max_iter, None, tie_window
     )
     return config, report, layout
 
@@ -533,7 +519,6 @@ def continue_cloud(
     n_steps: int | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    constraints=(),
     max_halvings: int = 0,
     tie_window: float = 0.0,
 ) -> ContinuationTrace:
@@ -578,8 +563,7 @@ def continue_cloud(
         k += 1
         try:
             new_config, report, new_layout, new_ev = _newton_core(
-                config, kind, dim, epsilon, v_k, tol, max_iter, layout, constraints, tie_window,
-                start=ev,
+                config, kind, dim, epsilon, v_k, tol, max_iter, layout, tie_window, start=ev,
             )
         except PdcontError as exc:
             trace.failed_step = k

@@ -262,6 +262,25 @@ class TestDiagramCommand:
             assert cli.main(args) == 3
         assert capsys.readouterr().err.startswith("error: radii overflow")
 
+    def test_gauge_past_the_float_range_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "past.xyz"
+        path.write_text("\n".join(" ".join(map(repr, p)) for p in PAST_FLOAT.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning before the refusal
+            assert cli.main(["diagram", "-i", str(path), "--dim", "1"]) == 3
+        assert capsys.readouterr().err == "error: the gauge frame's coordinates exceed the float range\n"
+
+    @pytest.mark.parametrize("command", ["diagram", "check", "jacobian", "continue"])
+    @pytest.mark.parametrize("cloud", ["1 2 3\n", "0 0 0\n1 0 0\n"])
+    def test_too_few_points_for_the_gauge_exit_5(self, tmp_path, capsys, command, cloud):
+        path = tmp_path / "few.xyz"
+        path.write_text(cloud)
+        extra = ["--target", "[]", "--out", str(tmp_path / "run")] if command == "continue" else []
+        assert cli.main([command, "-i", str(path), *extra]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: the gauge frame needs at least three points")
+        assert err.count("\n") == 1 and "--no-gauge" in err
+
 
     def test_large_rips_complex_refused(self, tmp_path):
         path = tmp_path / "cloud.xyz"

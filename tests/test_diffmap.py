@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdcont.diffmap import (
-    _attaching_gradients, _free_columns, centroid_constraints, distance_constraint, jacobian,
-)
+from pdcont.diffmap import _attaching_gradients, _free_columns, jacobian
 from pdcont.errors import NearDegenerateJacobian
 from pdcont.filtration import build
 from pdcont.geometry import Configuration, circumradius_gradient, to_gauge_frame
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
-from pdcont.solver import _constraint_rows, newton_pinv, svd
+from pdcont.solver import svd
 
 from helpers import (
     PROPERTY, attaching_gradients_reference, diagram_and_jacobian, fd_gradient, random_cloud,
@@ -116,6 +114,15 @@ class TestJacobianClosedForms:
             warnings.simplefilter("always")
             jacobian(fc, pd)
         assert any(issubclass(w.category, NearDegenerateJacobian) for w in caught)
+
+    def test_columns_built_once_per_cloud_shape(self):
+        # every Jacobian of one (n_points, gauge) shares one column list
+        first, second = (
+            diagram_and_jacobian(Configuration(EX1_CLOUD * scale), "alpha", 2)[1]
+            for scale in (1.0, 2.0)
+        )
+        assert first.columns is second.columns
+        assert list(first.columns) == Configuration(EX1_CLOUD).free_slots()
 
 
 def _one_at_a_time(kind, key, config):
@@ -236,51 +243,3 @@ class TestJacobianVsFiniteDifferences:
             assert np.abs(jac - fd).max() / scale <= 1e-6
             done += 1
         assert done >= 4
-
-
-class TestConstrainedSystem:
-    # the solver stacks [J; constraint rows]; its rows come from
-    # solver._constraint_rows
-    def test_no_constraints_reduces_to_plain(self):
-        config = Configuration(EX1_CLOUD)
-        vals, rows = _constraint_rows(config, [])
-        _, jac = diagram_and_jacobian(config, "alpha", 2)
-        assert vals.shape == (0,)
-        np.testing.assert_array_equal(np.vstack([jac.matrix, rows]), jac.matrix)
-
-    def test_centroid_rows(self):
-        config = Configuration(EX1_CLOUD)
-        vals, rows = _constraint_rows(config, centroid_constraints(EX1_CLOUD.mean(axis=0)))
-        assert rows.shape == (3, 6)
-        np.testing.assert_allclose(vals, 0, atol=1e-12)
-        # gradient of the x-centroid w.r.t. x3 (a free coordinate) is 1/M
-        col = {slot: i for i, slot in enumerate(config.free_slots())}
-        assert rows[0, col[(3, 0)]] == pytest.approx(1 / 4)
-
-    def test_distance_constraint_fd(self):
-        config = Configuration(EX1_CLOUD)
-        con = distance_constraint(1, 3, 5.0)
-        _, rows = _constraint_rows(config, [con])
-        u0 = config.pack()
-
-        def g(u):
-            return np.array([con.value(config.with_vector(u))])
-
-        fd = fd_gradient(g, u0, h=1e-7)[0]
-        np.testing.assert_allclose(rows[-1], fd, atol=1e-8)
-
-    def test_newton_holds_centroid(self):
-        config = Configuration(EX1_CLOUD)
-        c0 = config.points.mean(axis=0)
-        vt = diagram(config, "alpha", 2, 0.0).vector(include_essential=False) + [0.02, 0.03]
-        held, report, _ = newton_pinv(
-            config, "alpha", 2, 0.0, vt, constraints=centroid_constraints(c0)
-        )
-        assert report.converged
-        np.testing.assert_allclose(held.points.mean(axis=0), c0, atol=1e-10)
-        np.testing.assert_allclose(
-            diagram(held, "alpha", 2, 0.0).vector(include_essential=False), vt, atol=1e-10
-        )
-        # without the constraints the same step moves the centroid
-        free, _, _ = newton_pinv(config, "alpha", 2, 0.0, vt)
-        assert np.abs(free.points.mean(axis=0) - c0).max() > 1e-3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdcont.errors import DegenerateSimplex, GaugeViolation
+from pdcont.errors import DegenerateInput, DegenerateSimplex, GaugeViolation
 from pdcont.filtration import build_alpha, build_rips
 from pdcont.geometry import (
     Configuration,
@@ -21,6 +22,7 @@ from pdcont.geometry import (
 )
 
 from helpers import (
+    PAST_FLOAT,
     PROPERTY,
     brute_min_max_radius,
     circumsphere_lstsq,
@@ -127,6 +129,15 @@ class TestGaugeFrame:
     def test_clouds_without_a_frame_rejected(self, points, error):
         with pytest.raises(error):
             to_gauge_frame(points)
+
+    def test_frame_past_the_float_range_refused(self):
+        # the moved cloud's exponent is tested before it is scaled back, so
+        # no numpy overflow warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInput, match="float range"):
+                to_gauge_frame(PAST_FLOAT)
+        assert to_gauge_frame(PAST_FLOAT / 4).points.max() == pytest.approx(2 ** 0.5 * 0.75e308)
 
     def test_identity_on_gauged_cloud(self):
         config = to_gauge_frame(EX1_CLOUD)
