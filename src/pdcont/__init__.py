@@ -21,11 +21,7 @@ from .errors import (
 from .geometry import (
     Configuration,
     check_general_position,
-    circumradius,
-    circumradius_gradient,
     circumspheres,
-    rips_birth_radius,
-    simplex_key,
     to_gauge_frame,
 )
 from .delaunay import delaunay3

@@ -110,9 +110,20 @@ seed_int = _bounded(int, lambda n: 0 <= n < 2**32, "an integer in [0, 2**32)")
 
 
 def apply_jitter(points: np.ndarray, seed: int, magnitude: float = JITTER_MAGNITUDE):
+    """The cloud moved by seeded uniform noise of ``magnitude`` times its
+    largest distance from a column mean, or of ``magnitude`` where that is
+    zero. The cloud is jittered in its frame (``Configuration.frame``), which
+    gives the bits of the caller's units without overflowing the mean; a
+    jittered coordinate past the float range is refused as DegenerateInput."""
     rng = np.random.RandomState(seed)
-    scale = np.abs(points - points.mean(axis=0)).max() or 1.0
-    return points + rng.uniform(-1.0, 1.0, points.shape) * magnitude * scale
+    e, framed = Configuration(points, gauge=False).frame
+    scale = np.abs(framed - framed.mean(axis=0)).max()
+    if scale == 0.0:  # coincident points: the fallback scale 1.0 is in the caller's units
+        e, framed, scale = 0, points, 1.0
+    jittered = framed + rng.uniform(-1.0, 1.0, points.shape) * magnitude * scale
+    if math.frexp(np.abs(jittered).max())[1] + e > 1024:  # m 2^(x + e) with m < 1 overflows
+        raise DegenerateInput("the jittered coordinates exceed the float range")
+    return np.ldexp(jittered, e)
 
 
 def _load_config(args) -> Configuration:

@@ -4,8 +4,9 @@ Each diagram coordinate is the birth radius of a generating simplex, realized
 by an attaching simplex; its row is the circumradius gradient (alpha) or the
 half-unit-vector edge gradient (Rips) of that attaching simplex, scattered
 into the free gauge columns. Rows are therefore very sparse: at most 6
-nonzeros for Rips, 12 for alpha. Alpha gradients are read from the
-circumspheres the filtration build kept, so no circumsphere is solved twice.
+nonzeros for Rips, 12 for alpha. Alpha gradients come from one
+``circumradius_gradient`` pass over the circumspheres the filtration build
+kept, so no circumsphere is solved twice.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from .errors import NearDegenerateJacobian
 from .filtration import FilteredComplex
-from .geometry import _free_columns, _free_slots, radius_gradients
-from .geometry import circumradius_gradient  # unused here; perfbench/tracing.py wraps this name
+from .geometry import _free_columns, _free_slots, circumradius_gradient
 from .persistence import PersistenceData
 
 
@@ -83,7 +83,7 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
     else:
         verts = skeleton.padded.take(g, axis=0)
         kept = (x.take(g, axis=0) for x in fc.spheres)
-        grads = radius_gradients(pts.take(verts, axis=0), *kept)
+        grads = circumradius_gradient(pts.take(verts, axis=0), *kept)
         # pad slots, which repeat vertex 0 of a sorted row, go to the spare row
         verts[:, 1:][verts[:, 1:] == verts[:, :1]] = config.n_points
     norms[at] = np.sqrt(np.einsum("sij,sij->s", grads, grads))

@@ -8,10 +8,12 @@ their simplices and facets in a ``delaunay.Skeleton`` (the Delaunay closure
 for alpha, all subsets up to ``max_dim + 1`` points for Rips), which the
 build of a nearby cloud can share, and a filtration is arrays over that
 numbering: each simplex's birth and realizer by global index, and the
-attaching radii sorted in one array. Radii are found in the cloud's frame
-and scaled back exactly. An alpha complex keeps the circumspheres its build
-computed, in the frame and by global index, so gradients read them instead
-of solving them again. Only ``entries`` makes vertex tuples.
+attaching radii sorted in one array. Each kind has one geometric pass over
+its skeleton, in the cloud's frame: ``rips_birth_radius`` gives the Rips
+births from the edge lengths, scaled back exactly, and ``circumradius`` the
+alpha circumspheres. An alpha complex keeps those circumspheres, in the frame
+and by global index, so gradients read them instead of solving them again.
+Only ``entries`` makes vertex tuples.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import numpy as np
 from . import delaunay as _delaunay
 from .errors import DegenerateInput, PdcontError
 from .geometry import Configuration, _circumspheres
-from .geometry import circumradius  # unused here; perfbench/tracing.py wraps this name
-from .geometry import rips_birth_radius  # unused here; perfbench/tracing.py wraps this name
 
 # Rips complexes with more simplices are refused. On a 2-vCPU Xeon a 50-point
 # Rips diagram in dimension 2 (251,175 simplices) takes 3.8 s and 199 MB peak
@@ -134,19 +134,28 @@ def build_rips(
     skeleton = previous
     if skeleton is None or skeleton.n_points != m or len(skeleton.vertices) != k:
         skeleton = _delaunay._skeleton(np.array(list(itertools.combinations(range(m), k))), m)
+    return FilteredComplex("rips", config, skeleton, *rips_birth_radius(config, skeleton))
+
+
+def rips_birth_radius(config: Configuration, skeleton: _delaunay.Skeleton) -> tuple:
+    """(birth, realizer) by global index of the Rips complex of ``config`` on
+    ``skeleton``: an edge is born at half its length and realizes itself, and
+    a higher simplex is born at, and realized by, its first longest edge in
+    ``combinations`` order. Lengths are found in the frame, one norm call per
+    edge, which gives the bits of the scalar norm of each edge."""
     birth, realizer = np.zeros(len(skeleton)), np.arange(len(skeleton))
-    if k > 1:
-        (e, pts), at, edges = config.frame, skeleton.offsets[1], skeleton.vertices[1].tolist()
-        # one norm call per edge, in the frame, rounds as geometry.rips_birth_radius does
-        length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in edges])
-        birth[at:at + len(length)] = _scaled(length, e - 1)
-        for dim in range(2, k):
-            rows = skeleton.edge_rows(dim)
-            longest = at + rows[np.arange(len(rows)), np.argmax(length[rows], axis=1)]
-            first = skeleton.offsets[dim]
-            birth[first:first + len(rows)] = birth[longest]
-            realizer[first:first + len(rows)] = longest
-    return FilteredComplex("rips", config, skeleton, birth, realizer)
+    if 1 not in skeleton.vertices:
+        return birth, realizer
+    (e, pts), at, edges = config.frame, skeleton.offsets[1], skeleton.vertices[1].tolist()
+    length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in edges])
+    birth[at:at + len(length)] = _scaled(length, e - 1)
+    for dim in range(2, len(skeleton.vertices)):
+        rows = skeleton.edge_rows(dim)
+        longest = at + rows[np.arange(len(rows)), np.argmax(length[rows], axis=1)]
+        first = skeleton.offsets[dim]
+        birth[first:first + len(rows)] = birth[longest]
+        realizer[first:first + len(rows)] = longest
+    return birth, realizer
 
 
 def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
@@ -157,20 +166,12 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     cofaces (itself included when attaching); the realizing coface is stored
     as the attaching simplex. Ties go to the simplex itself, then to
     tetrahedra before triangles, then to the smaller key. One kernel pass
-    over every simplex of dimension 1 to 3, its vertex row padded by vertex
-    0, gives the circumspheres, kept on the complex by global index, and one
-    pass of the attachment rule over every cofacet test the candidates.
+    (``circumradius``) gives the circumspheres, kept on the complex by global
+    index, and one pass of the attachment rule over every cofacet tests the
+    candidates.
     """
     (e, pts), skeleton = config.frame, _delaunay.delaunay3(config, previous)
-    n, at = len(skeleton), skeleton.n_points
-    spheres = Circumspheres(
-        np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
-    )
-    ends = [*skeleton.offsets.values(), n]
-    blocks = [(k, slice(ends[k - 1] - at, ends[k] - at)) for k in range(2, len(ends))]
-    kernel = _circumspheres(pts, skeleton.padded[at:], blocks)
-    for kept, out in zip(spheres, kernel):
-        kept[at:] = out
+    spheres = circumradius(config, skeleton)
     # each simplex's radius as a birth candidate: inf where it is not attaching
     flags = _delaunay.attaching_flags(pts, skeleton, spheres.centers, spheres.radii)
     candidate = np.where(flags, spheres.radii, np.inf)
@@ -181,6 +182,23 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     best = hits[np.searchsorted(hits, first)]
     birth = _scaled(radii[best], e)
     return FilteredComplex("alpha", config, skeleton, birth, cofaces[best], spheres)
+
+
+def circumradius(config: Configuration, skeleton: _delaunay.Skeleton) -> Circumspheres:
+    """The circumspheres of every simplex of ``skeleton`` in the frame of
+    ``config``, by global index, from one kernel pass: each simplex of
+    dimension 1 to 3 by its padded vertex row, in one size block per
+    dimension; the vertex rows stay zero."""
+    pts, n, at = config.frame[1], len(skeleton), skeleton.n_points
+    spheres = Circumspheres(
+        np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
+    )
+    ends = [*skeleton.offsets.values(), n]
+    blocks = [(k, slice(ends[k - 1] - at, ends[k] - at)) for k in range(2, len(ends))]
+    kernel = _circumspheres(pts, skeleton.padded[at:], blocks)
+    for kept, out in zip(spheres, kernel):
+        kept[at:] = out
+    return spheres
 
 
 def build(

@@ -3,9 +3,11 @@
 Every circumradius in the package, and its gradient, comes from one batched
 kernel: the smallest sphere through the vertices of a simplex is solved from
 its Gram system, whose solution also gives the barycentric weights of the
-center, and those weights give the gradient in closed form. The alpha build
-passes every size at once, padded by each simplex's vertex 0, to one solve.
-Every geometric evaluation runs in a cloud's ``Configuration.frame``.
+center, and those weights give the gradient in closed form
+(``circumradius_gradient``). The alpha build's sphere pass
+(``filtration.circumradius``) gives every size at once, padded by each
+simplex's vertex 0, to one solve. Every geometric evaluation runs in a
+cloud's ``Configuration.frame``.
 """
 
 from __future__ import annotations
@@ -19,17 +21,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateInput, DegenerateSimplex, GaugeViolation
-
-SimplexKey = tuple  # sorted tuple of 0-based vertex indices, length 1..4
-
-
-def simplex_key(vertices) -> SimplexKey:
-    """Normalize an iterable of vertex indices into a sorted tuple key."""
-    key = tuple(sorted(int(v) for v in vertices))
-    if len(set(key)) != len(key):
-        raise ValueError(f"repeated vertex in simplex {key}")
-    return key
-
 
 _GAUGE_FREE = np.tri(3, 3, -1, dtype=bool)  # point 0 is pinned, 1 keeps x, 2 keeps x and y
 
@@ -229,7 +220,8 @@ def circumspheres(simplices):
     (S, 3), the radii (S,), the barycentric weights (S, k) of the centers and
     a degenerate mask (S,): the simplex's content (length, twice the area or
     six times the volume) is at most ``_DEGENERATE_REL`` times its diameter to the
-    power k - 1. The radius gradient is dR/dp_i = w_i (p_i - c) / R.
+    power k - 1. The radius gradient (``circumradius_gradient``) is
+    dR/dp_i = w_i (p_i - c) / R.
     """
     pts = np.asarray(simplices, dtype=float)
     k = pts.shape[1]
@@ -239,60 +231,13 @@ def circumspheres(simplices):
     return _circumspheres(pts.reshape(-1, 3), verts, [(k, slice(None))])
 
 
-def _nondegenerate(stack, centers, radii, weights, degenerate):
+def circumradius_gradient(stack, centers, radii, weights, degenerate) -> np.ndarray:
+    """Circumradius gradients (S, k, 3) of the simplices ``stack`` (S, k, 3)
+    from their ``circumspheres`` output; a degenerate simplex raises
+    DegenerateSimplex."""
     if degenerate.any():
         raise DegenerateSimplex(f"{_DEGENERATE[stack.shape[1]]} in {stack.shape[1] - 1}-simplex")
-    return centers, radii, weights
-
-
-def circumradius(pts) -> float:
-    """Radius of the smallest sphere through 2, 3, or 4 points in R^3."""
-    stack = np.asarray(pts, dtype=float)[None]
-    return float(_nondegenerate(stack, *circumspheres(stack))[1][0])
-
-
-def radius_gradients(stack, centers, radii, weights, degenerate) -> np.ndarray:
-    """Circumradius gradients (S, k, 3) of a stack from its ``circumspheres``
-    output; a degenerate simplex raises DegenerateSimplex."""
-    centers, radii, weights = _nondegenerate(stack, centers, radii, weights, degenerate)
     return weights[..., None] * ((stack - centers[:, None]) / radii[:, None, None])
-
-
-def circumradius_gradient(pts) -> np.ndarray:
-    """Gradient of the circumradius w.r.t. every vertex coordinate, shape (k, 3).
-
-    A stack of simplices (S, k, 3) gives its gradients from one kernel call.
-    """
-    pts = np.asarray(pts, dtype=float)
-    stack = pts if pts.ndim == 3 else pts[None]
-    grads = radius_gradients(stack, *circumspheres(stack))
-    return grads if pts.ndim == 3 else grads[0]
-
-
-# --- Vietoris-Rips birth radii ------------------------------------------------
-
-@dataclass(frozen=True)
-class RipsBirth:
-    """Birth radius of a simplex in the Rips filtration plus argmax attribution."""
-
-    radius: float
-    edge: SimplexKey           # first argmax edge; the simplex itself for vertices
-
-
-def rips_birth_radius(simplex, config: Configuration) -> RipsBirth:
-    """Half the maximum pairwise distance, with the realizing edge."""
-    key = simplex_key(simplex)
-    if len(key) == 1:
-        return RipsBirth(0.0, key)
-    pts = config.points
-    best = -1.0
-    best_edge = None
-    for i, j in itertools.combinations(key, 2):
-        d = float(np.linalg.norm(pts[i] - pts[j]))
-        if d > best:
-            best = d
-            best_edge = (i, j)
-    return RipsBirth(best / 2.0, best_edge)
 
 
 # --- general position reports --------------------------------------------------

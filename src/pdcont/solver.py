@@ -185,7 +185,7 @@ def pinv_matrix(a) -> np.ndarray:
 
 # --- diagram coordinate tracking -------------------------------------------------
 
-_AMBIGUITY_TOL = 1e-12  # assignment costs this close are indistinguishable
+_AMBIGUITY_TOL = 1e-12  # assignment costs this close, in their frame, are indistinguishable
 
 
 def match_to_layout(layout, pd: PersistenceData):
@@ -196,7 +196,10 @@ def match_to_layout(layout, pd: PersistenceData):
     minimal-cost assignment under the sup-norm in the plane. Extra retained
     pairs beyond the layout are tolerated (they are matched around); a deficit
     returns None. Raises MatchingAmbiguous when two assignments are
-    indistinguishable within ``_AMBIGUITY_TOL``.
+    indistinguishable within ``_AMBIGUITY_TOL``. Costs are compared in the
+    power-of-two frame of the values they match, as ``Configuration.frame``
+    puts a cloud, so scaling the layout and the diagram by 2^k changes no
+    decision.
     """
     records = list(pd.finite)
     if len(records) < len(layout):
@@ -214,10 +217,11 @@ def match_to_layout(layout, pd: PersistenceData):
             free_slots.append(idx)
     leftovers = [r for r in records if id(r) not in used]
     if free_slots:
-        cost = np.array([  # the sup-norm distance of each free slot to each leftover
-            [max(abs(layout[i].birth - r.birth), abs(layout[i].death - r.death)) for r in leftovers]
-            for i in free_slots
-        ])
+        slots = [layout[i] for i in free_slots]
+        e = math.frexp(max(abs(x) for r in slots + leftovers for x in (r.birth, r.death)))[1]
+        cost = np.ldexp([  # the sup-norm distance of each free slot to each leftover
+            [max(abs(s.birth - r.birth), abs(s.death - r.death)) for r in leftovers] for s in slots
+        ], -e)
         rows, cols = linear_sum_assignment(cost)
         total, chosen = cost[rows, cols].sum(), dict(zip(rows.tolist(), cols.tolist()))
         for a_row, a_col in chosen.items():

@@ -9,13 +9,15 @@ bottleneck search, and hand-rolled hull volumes; and, as bitwise oracles,
 the circumsphere kernel, the per-dimension alpha build, the Jacobi SVD and
 the attaching gradients as they stood before their per-call overhead was
 trimmed, and the skeleton's neighbour pairs as derived before they were read
-off its cofaces.
+off its cofaces; and, one simplex at a time, the circumradius, its gradient
+and the Rips birth radius, which the package computes only in batched passes.
 """
 
 import bisect
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import settings
@@ -24,11 +26,12 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from pdcont import geometry
 from pdcont.delaunay import delaunay3, insphere_exact, orient3d_exact
 from pdcont.diffmap import jacobian
-from pdcont.errors import DegenerateInput, GeneralPositionViolation
+from pdcont.errors import DegenerateInput, DegenerateSimplex, GeneralPositionViolation
 from pdcont.filtration import Circumspheres, FilteredComplex, FiltEntry, build
-from pdcont.geometry import _DEGENERATE, Configuration, _free_columns, radius_gradients
+from pdcont.geometry import _DEGENERATE, Configuration, _free_columns, circumspheres
 from pdcont.metrics import _diag_gap, _split
 from pdcont.persistence import (
     BoundaryMatrix, EssentialClass, FinitePair, PersistenceData, boundary_matrix, persistence_data,
@@ -168,7 +171,7 @@ def attaching_gradients_reference(fc, simplices):
             grads = np.stack([unit, -unit], axis=1)
         else:
             s = fc.spheres
-            grads = radius_gradients(
+            grads = geometry.circumradius_gradient(
                 pts[verts], s.centers[g], s.radii[g], s.weights[g, :dim + 1], s.degenerate[g]
             )
         norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
@@ -405,6 +408,31 @@ def fd_gradient(func, x0, h=1e-6):
         xm[i] -= h
         grad[..., i] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * h)
     return grad
+
+
+# --- one simplex at a time: the scalar circumradius and its gradient ----------
+# The package computes both only in batched passes; these read one simplex
+# through the same kernel.
+
+def circumradius(pts) -> float:
+    """Radius of the smallest sphere through 2, 3, or 4 points in R^3; a
+    degenerate simplex raises DegenerateSimplex."""
+    stack = np.asarray(pts, dtype=float)[None]
+    _, radii, _, degenerate = circumspheres(stack)
+    if degenerate[0]:
+        raise DegenerateSimplex(f"{_DEGENERATE[stack.shape[1]]} in {stack.shape[1] - 1}-simplex")
+    return float(radii[0])
+
+
+def circumradius_gradient(pts) -> np.ndarray:
+    """Gradient of the circumradius w.r.t. every vertex coordinate, shape (k, 3).
+
+    A stack of simplices (S, k, 3) gives its gradients from one kernel call.
+    """
+    pts = np.asarray(pts, dtype=float)
+    stack = pts if pts.ndim == 3 else pts[None]
+    grads = geometry.circumradius_gradient(stack, *circumspheres(stack))
+    return grads if pts.ndim == 3 else grads[0]
 
 
 # --- the paper's circumradius formulas: lifted determinants and cofactors -------
@@ -761,14 +789,33 @@ def rational_reduction(columns):
 # --- the Rips build, boundary matrix, reduction and diagram by enumeration ------
 # As they stood before they read the facet rows of a Skeleton or paired by
 # union-find, kept as exact oracles, except that they take and return the
-# tuple of entries and the birth radius comes from its own copy of the
-# argmax-edge loop.
+# tuple of entries and the birth radius comes from the scalar argmax-edge
+# loop, in the cloud's units.
 
-def rips_birth_reference(key, config):
-    """Half the maximum pairwise distance of the simplex ``key`` and the first
-    edge, in ``itertools.combinations`` order, that attains it."""
+SimplexKey = tuple  # sorted tuple of 0-based vertex indices, length 1..4
+
+
+def simplex_key(vertices) -> SimplexKey:
+    """Normalize an iterable of vertex indices into a sorted tuple key."""
+    key = tuple(sorted(int(v) for v in vertices))
+    if len(set(key)) != len(key):
+        raise ValueError(f"repeated vertex in simplex {key}")
+    return key
+
+
+class RipsBirth(NamedTuple):
+    """Birth radius of a simplex in the Rips filtration plus argmax attribution."""
+
+    radius: float
+    edge: SimplexKey           # first argmax edge; the simplex itself for vertices
+
+
+def rips_birth_radius(simplex, config) -> RipsBirth:
+    """Half the maximum pairwise distance of the simplex and the first edge,
+    in ``itertools.combinations`` order, that attains it."""
+    key = simplex_key(simplex)
     if len(key) == 1:
-        return 0.0, key
+        return RipsBirth(0.0, key)
     pts = config.points
     best = -1.0
     best_edge = None
@@ -777,7 +824,7 @@ def rips_birth_reference(key, config):
         if d > best:
             best = d
             best_edge = (i, j)
-    return best / 2.0, best_edge
+    return RipsBirth(best / 2.0, best_edge)
 
 
 def sorted_entries_reference(entries):
@@ -791,7 +838,7 @@ def build_rips_reference(config, max_dim=3):
     entries = []
     for k in range(1, min(max_dim + 1, m) + 1):
         for key in itertools.combinations(range(m), k):
-            radius, edge = rips_birth_reference(key, config)
+            radius, edge = rips_birth_radius(key, config)
             attaching = edge if len(key) > 1 else key
             entries.append(FiltEntry(key, k - 1, radius, attaching))
     return sorted_entries_reference(entries)

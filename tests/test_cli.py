@@ -50,6 +50,19 @@ class TestInputParsing:
         assert 0 < np.abs(moved - plain).max() <= 4.5 * cli.JITTER_MAGNITUDE
         np.testing.assert_array_equal(loaded("--jitter-seed", "3"), moved)
 
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_jitter_has_the_bits_of_the_caller_units(self, k):
+        """Jittering in the frame gives the bits of the jitter in the caller's
+        units, with the scale 1.0 for coincident points in those units."""
+        rng = np.random.RandomState(0)
+        clouds = [cli.dodecahedron_vertices(), cli.fibonacci_sphere(100), rng.uniform(-5, 5, (30, 3)),
+                  np.array([[1.0, 2.0, 3.0]]), np.zeros((3, 3))]
+        for seed, points in enumerate(clouds):
+            points = np.ldexp(points, k)
+            scale = np.abs(points - points.mean(axis=0)).max() or 1.0
+            expected = points + np.random.RandomState(seed).uniform(-1.0, 1.0, points.shape) * 1e-6 * scale
+            np.testing.assert_array_equal(cli.apply_jitter(points, seed, 1e-6), expected)
+
     def test_bad_shape(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[[1, 2], [3, 4]]")
@@ -269,6 +282,27 @@ class TestDiagramCommand:
             warnings.simplefilter("error")  # no numpy RuntimeWarning before the refusal
             assert cli.main(["diagram", "-i", str(path), "--dim", "1"]) == 3
         assert capsys.readouterr().err == "error: the gauge frame's coordinates exceed the float range\n"
+
+    @pytest.mark.parametrize("flags, error", [
+        ([], "the gauge frame's coordinates exceed"), (["--no-gauge"], "radii overflow"),
+    ])
+    def test_jittered_past_the_float_range_exits_3(self, tmp_path, capsys, flags, error):
+        path = tmp_path / "past.xyz"
+        path.write_text("\n".join(" ".join(map(repr, p)) for p in PAST_FLOAT.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the column mean once overflowed here
+            assert cli.main(["diagram", "-i", str(path), "--dim", "1", "--jitter-seed", "3", *flags]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    def test_jitter_past_the_float_range_exits_3(self, tmp_path, capsys):
+        """A cloud at the largest float, whose jitter leaves the float range."""
+        path = tmp_path / "largest.xyz"
+        largest = np.sign(PAST_FLOAT) * np.finfo(float).max
+        path.write_text("\n".join(" ".join(map(repr, p)) for p in largest.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning before the refusal
+            assert cli.main(["diagram", "-i", str(path), "--dim", "1", "--jitter-seed", "3"]) == 3
+        assert capsys.readouterr().err == "error: the jittered coordinates exceed the float range\n"
 
     @pytest.mark.parametrize("command", ["diagram", "check", "jacobian", "continue"])
     @pytest.mark.parametrize("cloud", ["1 2 3\n", "0 0 0\n1 0 0\n"])

@@ -21,7 +21,7 @@ from pdcont.delaunay import (
     orient3d_exact,
 )
 from pdcont.errors import DegenerateInput, GeneralPositionViolation, NearDegenerateJacobian
-from pdcont.geometry import Configuration, circumspheres, simplex_key
+from pdcont.geometry import Configuration, circumspheres
 
 from helpers import (
     PROPERTY,
@@ -37,6 +37,7 @@ from helpers import (
     hull_volume_bruteforce,
     name_of_key,
     random_cloud,
+    simplex_key,
     skeleton_keys,
     verify_empty_all_points,
 )

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from pdcont.diffmap import _attaching_gradients, _free_columns, jacobian
 from pdcont.errors import NearDegenerateJacobian
 from pdcont.filtration import build
-from pdcont.geometry import Configuration, circumradius_gradient, to_gauge_frame
+from pdcont.geometry import Configuration, to_gauge_frame
 from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
 from pdcont.solver import svd
 
 from helpers import (
-    PROPERTY, attaching_gradients_reference, diagram_and_jacobian, fd_gradient, random_cloud,
-    skeleton_index,
+    PROPERTY, attaching_gradients_reference, circumradius_gradient, diagram_and_jacobian,
+    fd_gradient, random_cloud, skeleton_index,
 )
 
 EX1_CLOUD = np.array([[0, 0, 0], [8, 0, 0], [5, 6, 0], [4, 2, 6]], dtype=float)

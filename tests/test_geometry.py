@@ -14,10 +14,7 @@ from pdcont.geometry import (
     Configuration,
     _circumspheres,
     check_general_position,
-    circumradius,
-    circumradius_gradient,
     circumspheres,
-    rips_birth_radius,
     to_gauge_frame,
 )
 
@@ -25,6 +22,8 @@ from helpers import (
     PAST_FLOAT,
     PROPERTY,
     brute_min_max_radius,
+    circumradius,
+    circumradius_gradient,
     circumsphere_lstsq,
     circumspheres_reference,
     cofactor_circumradius_gradient,
@@ -32,6 +31,7 @@ from helpers import (
     fd_gradient,
     random_cloud,
     random_rotation,
+    rips_birth_radius,
     well_shaped,
 )
 

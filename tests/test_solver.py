@@ -10,7 +10,7 @@ from pdcont.delaunay import delaunay3
 from pdcont.errors import DimensionMismatch, GeneralPositionViolation, MatchingAmbiguous
 from pdcont.geometry import Configuration, to_gauge_frame
 from pdcont import cli, diffmap, filtration, solver
-from pdcont.persistence import FinitePair, diagram
+from pdcont.persistence import FinitePair, PersistenceData, diagram
 from pdcont.solver import (
     NewtonReport,
     NewtonStatus,
@@ -438,6 +438,56 @@ class TestMatching:
         pd = diagram(config, "alpha", 2, 0.0)
         layout = pd.finite * 2  # pretend two slots
         assert match_to_layout(layout, pd) is None
+
+    @staticmethod
+    def _pairs(values, first_key):
+        """FinitePairs with the (birth, death) ``values`` and fresh names from ``first_key``."""
+        return tuple(FinitePair(b, d, first_key + 2 * i, first_key + 2 * i + 1, 0, 0)
+                     for i, (b, d) in enumerate(values))
+
+    def _match(self, layout, finite, k=0):
+        """The names matched to the layout, or the ambiguity message, with every
+        value scaled by 2^k."""
+        def scaled(pairs):
+            return tuple(replace(r, birth=math.ldexp(r.birth, k), death=math.ldexp(r.death, k))
+                         for r in pairs)
+        try:
+            matched = match_to_layout(scaled(layout), PersistenceData("alpha", 1, 0.0, scaled(finite), ()))
+        except MatchingAmbiguous as exc:
+            return str(exc)
+        return [(r.birth_key, r.death_key) for r in matched]
+
+    def test_unambiguous_assignment(self):
+        layout = self._pairs([(1.0, 2.0), (3.0, 5.0)], 0)
+        finite = self._pairs([(3.0, 5.25), (1.0, 2.125), (1.0, 1.5)], 100)
+        assert self._match(layout, finite) == [(102, 103), (100, 101)]
+
+    def test_swapped_assignment_ties(self):
+        layout = self._pairs([(0.5, 1.0), (0.5, 2.0)], 0)
+        finite = self._pairs([(0.5, 1.5), (0.75, 1.5)], 100)  # every cost is 0.5
+        assert self._match(layout, finite).startswith("two diagram-coordinate assignments")
+
+    def test_untracked_point_as_close(self):
+        layout = self._pairs([(1.0, 2.0)], 0)
+        finite = self._pairs([(1.0, 2.125), (1.0, 1.875)], 100)  # both at cost 0.125
+        assert self._match(layout, finite).startswith("an untracked diagram point")
+        finite = self._pairs([(1.0, 2.125), (1.0, 1.875 - 1e-11)], 100)
+        assert self._match(layout, finite) == [(100, 101)]
+
+    @PROPERTY
+    @given(
+        values=st.lists(st.tuples(st.integers(0, 32), st.integers(0, 32),
+                                  st.sampled_from([0.0, 3e-13, 2e-12])), min_size=2, max_size=6),
+        slots=st.integers(1, 3),
+        k=st.integers(-200, 200),
+    )
+    def test_scaling_by_a_power_of_two_decides_the_same(self, values, slots, k):
+        """Scaling layout and diagram by 2^k gives the same match or the same
+        raise; near ties within ``_AMBIGUITY_TOL`` are drawn on purpose."""
+        slots = min(slots, len(values) // 2)
+        pairs = [(b / 8, (b + d) / 8 + offset) for b, d, offset in values]
+        layout, finite = self._pairs(pairs[:slots], 0), self._pairs(pairs[slots:], 100)
+        assert self._match(layout, finite, k) == self._match(layout, finite)
 
 
 class TestContinuation:
