@@ -4,10 +4,10 @@ The SVD is a one-sided Jacobi (rotations until the working columns are
 orthogonal to machine precision, accurate in relative terms near the image
 boundary) up to a short side of 16, and LAPACK's above. ``pinv_apply``
 solves every stacked Newton system by the same size rule: up to a short side
-of 16 it applies the SVD factors, and above it LAPACK's SVD least-squares
-driver gelsd gives the same minimum-norm solution without forming either
-orthogonal factor. Both count the singular values at or below the fixed
-relative cutoff ``_CUTOFF_REL`` as zero. The continuation walks the
+of 16 it applies the SVD factors, zeroing the singular values at or below
+the fixed relative cutoff ``_CUTOFF_REL``, and above it LAPACK's QR with
+column pivoting (gelsy) keeps the leading columns of R whose condition
+estimate stays within that cutoff. The continuation walks the
 diagram target along a straight segment, re-seeding each solve with the
 previous solution. Diagram coordinates are tracked across steps primarily by
 generating-simplex identity, with an optimal assignment fallback when the
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import lstsq
 from scipy.optimize import linear_sum_assignment
 
 from .diffmap import PersistenceJacobian, _attaching_gradients, jacobian
@@ -119,7 +120,6 @@ def svd(a):
 
 @dataclass(frozen=True)
 class PinvInfo:
-    singular_values: np.ndarray
     rank: int
     rank_deficient: bool
 
@@ -151,22 +151,22 @@ def _check_controls(tol=None, max_iter=None, tie_window=None, step=None, n_steps
 
 
 def pinv_apply(a, b):
-    """Minimum-norm least-squares solution of a x = b via the SVD pseudo-inverse.
+    """Minimum-norm least-squares solution of a x = b (``b`` a vector or a
+    matrix of columns); a non-finite ``a`` or ``b`` is a ValueError.
 
-    Singular values at or below ``_CUTOFF_REL`` times the largest one are
-    treated as zero; ``b`` is a vector or a matrix of columns, and the
-    returned info flags rank deficiency. A matrix whose short side exceeds
-    16 is solved by LAPACK's gelsd, which gives the singular values and the
-    rank without forming the SVD's factors.
-    """
+    Up to a short side of 16, singular values at or below ``_CUTOFF_REL``
+    times the largest count as zero. Above it LAPACK's gelsy (QR with column
+    pivoting) keeps the columns whose pivoted R has a condition estimate below
+    1 / ``_CUTOFF_REL``: the SVD's solution at full rank, the QR's when it
+    truncates. The info holds the rank, flagged when below the short side."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("pinv_apply needs a finite matrix and right-hand side")
     if min(a.shape) > _JACOBI_SIZE_LIMIT:
-        x, _, rank, s = np.linalg.lstsq(a, b, rcond=_CUTOFF_REL)
-        rank = int(rank)
+        x, _, rank, _ = lstsq(a, b, cond=_CUTOFF_REL, lapack_driver="gelsy", check_finite=False)
     else:
-        factors = svd(a)
-        (x, rank), s = _pinv_solve(factors, b), factors[1]
-    return x, PinvInfo(s, rank, rank < s.size)
+        x, rank = _pinv_solve(svd(a), b)
+    return x, PinvInfo(int(rank), rank < min(a.shape))
 
 
 def _pinv_solve(factors, b):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -73,12 +74,15 @@ class TestSVD:
             assert all(x >= 0 for x in s)
 
 
-def _graded_stack():
-    """A 64 x 54 matrix with singular values from 1 down to 1e-10."""
+def _graded_stack(last=None):
+    """A 64 x 54 matrix with singular values from 1 down to 1e-10, the last
+    one replaced by ``last`` when given."""
     rng = np.random.RandomState(6)
     left, _ = np.linalg.qr(rng.randn(64, 54))
     right, _ = np.linalg.qr(rng.randn(54, 54))
     sigma = np.logspace(0, -10, 54)
+    if last is not None:
+        sigma[-1] = last
     return (left * sigma) @ right.T, sigma
 
 
@@ -233,17 +237,16 @@ def _lapack_inputs(draw):
 
 
 class TestLapackSolve:
-    """Above a short side of 16 a solve goes to LAPACK's least squares, with
-    the SVD path's solution, singular values and cutoff rule."""
+    """Above a short side of 16 a solve goes to LAPACK's QR with column
+    pivoting (gelsy), with the SVD path's solution and, on these matrices,
+    the rank of its singular-value cutoff."""
 
     @settings(PROPERTY, max_examples=100)
     @given(inputs=_lapack_inputs())
     def test_matches_the_dense_pseudo_inverse(self, inputs):
         a, b = inputs
         x, info = pinv_apply(a, b)
-        s = info.singular_values
-        expected = np.linalg.svd(a, compute_uv=False)
-        assert np.abs(s - expected).max() <= 1e-13 * expected[0]
+        s = np.linalg.svd(a, compute_uv=False)
         assert info.rank == int((s > solver._CUTOFF_REL * s[0]).sum()) >= 1
         assert info.rank_deficient == (info.rank < min(a.shape))
         # a backward-stable solve is accurate to eps * kappa relative to |b| / sigma_r
@@ -258,6 +261,39 @@ class TestLapackSolve:
         assert info.rank == a.shape[1] and not info.rank_deficient
         tol = 64 * np.finfo(float).eps * (sigma[0] / sigma[-1]) * np.linalg.norm(b) / sigma[-1]
         assert np.linalg.norm(x - pinv_matrix(a) @ b) <= tol
+
+    @pytest.mark.parametrize("last, rank", [(1e-11, 54), (3e-12, 54), (1e-13, 53), (1e-14, 53)])
+    def test_cutoff_on_the_graded_stack(self, last, rank):
+        # the kept sigma next to the last is 1.5e-10, the cutoff 1e-12 relative;
+        # a truncated solution is the pivoted QR's, so its residual, not x,
+        # is compared with the SVD driver's
+        a, _ = _graded_stack(last)
+        for b in np.random.RandomState(10).randn(3, a.shape[0]):
+            x, info = pinv_apply(a, b)
+            assert info.rank == rank and info.rank_deficient == (rank < a.shape[1])
+            if info.rank_deficient:
+                svd_x = np.linalg.lstsq(a, b, rcond=solver._CUTOFF_REL)[0]
+                ours, theirs = np.linalg.norm(a @ x - b), np.linalg.norm(a @ svd_x - b)
+                assert abs(ours - theirs) <= 1e-6 * theirs
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (30, 20)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_non_finite_input_is_one_value_error(capfd, shape, bad, where):
+    """A non-finite matrix or right-hand side is refused before either
+    path: no numpy warning, and nothing from LAPACK on stderr."""
+    rng = np.random.RandomState(3)
+    a, b = rng.randn(*shape), rng.randn(shape[0])
+    if where == "matrix":
+        a[1, 2] = bad
+    else:
+        b[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            pinv_apply(a, b)
+    assert capfd.readouterr().err == ""
 
 
 class TestStepControlValidation:
@@ -754,21 +790,28 @@ class TestReuseAcrossIterates:
 
 def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
     """A Newton matrix with tie rows stacked below the Jacobian and a short
-    side above 16 is solved by LAPACK's least squares; only the Jacobian
-    itself reaches the SVD."""
-    decomposed, solved = [], []
-    decompose, lstsq = solver.svd, np.linalg.lstsq
+    side above 16 is solved by LAPACK's QR least squares (gelsy); only the
+    Jacobian itself reaches the SVD, and numpy's SVD least squares is never
+    called."""
+    decomposed, solved, numpy_solved = [], [], []
+    decompose, lstsq, numpy_lstsq = solver.svd, solver.lstsq, np.linalg.lstsq
 
     def recorded_svd(a):
         decomposed.append(np.shape(a))
         return decompose(a)
 
-    def recorded_lstsq(a, b, rcond):
+    def recorded_lstsq(a, b, **kwargs):
+        assert kwargs["lapack_driver"] == "gelsy"
         solved.append(a.shape)
-        return lstsq(a, b, rcond=rcond)
+        return lstsq(a, b, **kwargs)
+
+    def recorded_numpy_lstsq(a, b, **kwargs):
+        numpy_solved.append(np.shape(a))
+        return numpy_lstsq(a, b, **kwargs)
 
     monkeypatch.setattr(solver, "svd", recorded_svd)
-    monkeypatch.setattr(np.linalg, "lstsq", recorded_lstsq)
+    monkeypatch.setattr(solver, "lstsq", recorded_lstsq)
+    monkeypatch.setattr(np.linalg, "lstsq", recorded_numpy_lstsq)
     config = to_gauge_frame(cli.apply_jitter(cli.fibonacci_sphere(20), seed=0, magnitude=1e-6))
     assert config.free_dim == 54
     v0 = diagram(config, "alpha", 2, 1e-3).vector(include_essential=False)
@@ -778,6 +821,18 @@ def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
     assert trace.reached_target
     assert decomposed and all(shape == (v0.size, 54) for shape in decomposed)
     assert solved and all(min(shape) > solver._JACOBI_SIZE_LIMIT for shape in solved)
+    assert not numpy_solved
+
+
+@pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
+@pytest.mark.parametrize("n, steps, iters", [(5, 59, 59), (6, 11, 11)])
+def test_shell_examples_take_one_newton_iteration_a_step(n, steps, iters):
+    """Examples 5 and 6, whose stacked Newton systems go to LAPACK, keep
+    their accepted steps and Newton iterations and reach the target to 1e-8."""
+    trace = cli._run_example(n, None)[0]
+    assert len(trace.steps) == steps
+    assert sum(s.newton_iters for s in trace.steps) == iters
+    assert trace.reached_target and trace.steps[-1].residual <= 1e-8
 
 
 @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
