@@ -30,7 +30,7 @@ from .errors import (
     PdcontError,
 )
 from .filtration import build
-from .geometry import Configuration, check_general_position, to_gauge_frame
+from .geometry import Configuration, _unframe, check_general_position, to_gauge_frame
 
 _EXIT_CODES = (
     (DegenerateInput, 3),
@@ -121,9 +121,7 @@ def apply_jitter(points: np.ndarray, seed: int, magnitude: float = JITTER_MAGNIT
     if scale == 0.0:  # coincident points: the fallback scale 1.0 is in the caller's units
         e, framed, scale = 0, points, 1.0
     jittered = framed + rng.uniform(-1.0, 1.0, points.shape) * magnitude * scale
-    if math.frexp(np.abs(jittered).max())[1] + e > 1024:  # m 2^(x + e) with m < 1 overflows
-        raise DegenerateInput("the jittered coordinates exceed the float range")
-    return np.ldexp(jittered, e)
+    return _unframe(jittered, e, "the jittered coordinates exceed the float range")
 
 
 def _load_config(args) -> Configuration:
@@ -146,7 +144,7 @@ def _diagram_of(args):
 def cmd_diagram(args) -> int:
     _, fc, pd = _diagram_of(args)
     print(pd.to_json())
-    report = check_general_position(fc, args.gp_tol)
+    report = check_general_position(fc)
     print(report.summary(), file=sys.stderr)
     if args.out:
         with open(args.out + ".json", "w") as fh:
@@ -158,7 +156,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_check(args) -> int:
     config = _load_config(args)
-    report = check_general_position(build(config, args.filtration, max_dim=1), args.gp_tol)
+    report = check_general_position(build(config, args.filtration, max_dim=1))
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -366,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="diagonal truncation")
         p.add_argument("--no-gauge", action="store_true", help="keep raw coordinates (no rigid-motion gauge)")
         p.add_argument("--jitter-seed", type=seed_int, default=None, help="seeded jitter of 1e-9 x scale")
-        p.add_argument("--gp-tol", type=nonnegative_number, default=1e-9, help="general-position tie tolerance")
 
     p = sub.add_parser("diagram", help="compute a persistence diagram")
     common(p)

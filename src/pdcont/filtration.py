@@ -9,11 +9,11 @@ for alpha, all subsets up to ``max_dim + 1`` points for Rips), which the
 build of a nearby cloud can share, and a filtration is arrays over that
 numbering: each simplex's birth and realizer by global index, and the
 attaching radii sorted in one array. Each kind has one geometric pass over
-its skeleton, in the cloud's frame: ``rips_birth_radius`` gives the Rips
-births from the edge lengths, scaled back exactly, and ``circumradius`` the
-alpha circumspheres. An alpha complex keeps those circumspheres, in the frame
-and by global index, so gradients read them instead of solving them again.
-Only ``entries`` makes vertex tuples.
+its skeleton, in the cloud's frame, and ``geometry._unframe`` scales the
+births back: ``rips_birth_radius`` gives the Rips births from the edge
+lengths, ``circumradius`` the alpha circumspheres. An alpha complex keeps
+those circumspheres, in the frame and by global index, so gradients read
+them instead of solving them again. Only ``entries`` makes vertex tuples.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import delaunay as _delaunay
-from .errors import DegenerateInput, PdcontError
-from .geometry import Configuration, _circumspheres
+from .errors import PdcontError
+from .geometry import Configuration, _circumspheres, _unframe
+
+_OVERFLOW = "radii overflow: a radius of the cloud exceeds the float range"
 
 # Rips complexes with more simplices are refused. On a 2-vCPU Xeon a 50-point
 # Rips diagram in dimension 2 (251,175 simplices) takes 3.8 s and 199 MB peak
@@ -105,15 +107,6 @@ class FilteredComplex:
         return attaching.searchsorted(radii - tol), attaching.searchsorted(radii + tol, "right")
 
 
-def _scaled(radii, e):
-    """Radii of the frame (``Configuration.frame``) times 2^e, exactly; one
-    past the float range (or not finite) refuses the cloud."""
-    top = radii.max()  # m 2^x with 1/2 <= m < 1, and m 2^(x + e) < 2^1024
-    if not (math.isfinite(top) and math.frexp(top)[1] + e <= 1024):
-        raise DegenerateInput("radii overflow: a radius of the cloud exceeds the float range")
-    return np.ldexp(radii, e)
-
-
 def build_rips(
     config: Configuration, max_dim: int = 3, previous: _delaunay.Skeleton | None = None
 ) -> FilteredComplex:
@@ -148,7 +141,7 @@ def rips_birth_radius(config: Configuration, skeleton: _delaunay.Skeleton) -> tu
         return birth, realizer
     (e, pts), at, edges = config.frame, skeleton.offsets[1], skeleton.vertices[1].tolist()
     length = np.array([np.linalg.norm(pts[i] - pts[j]) for i, j in edges])
-    birth[at:at + len(length)] = _scaled(length, e - 1)
+    birth[at:at + len(length)] = _unframe(length, e - 1, _OVERFLOW)
     for dim in range(2, len(skeleton.vertices)):
         rows = skeleton.edge_rows(dim)
         longest = at + rows[np.arange(len(rows)), np.argmax(length[rows], axis=1)]
@@ -180,7 +173,7 @@ def build_alpha(config: Configuration, previous=None) -> FilteredComplex:
     # the earliest candidate at each simplex's smallest radius
     hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
     best = hits[np.searchsorted(hits, first)]
-    birth = _scaled(radii[best], e)
+    birth = _unframe(radii[best], e, _OVERFLOW)
     return FilteredComplex("alpha", config, skeleton, birth, cofaces[best], spheres)
 
 

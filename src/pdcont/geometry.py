@@ -7,7 +7,7 @@ center, and those weights give the gradient in closed form
 (``circumradius_gradient``). The alpha build's sphere pass
 (``filtration.circumradius``) gives every size at once, padded by each
 simplex's vertex 0, to one solve. Every geometric evaluation runs in a
-cloud's ``Configuration.frame``.
+cloud's ``Configuration.frame``, and every value leaves it by ``_unframe``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateInput, DegenerateSimplex, GaugeViolation
 
 _GAUGE_FREE = np.tri(3, 3, -1, dtype=bool)  # point 0 is pinned, 1 keeps x, 2 keeps x and y
+_GP_TOL = 1e-9  # general position: distances and radius gaps this small in the frame violate it
 
 
 @functools.lru_cache
@@ -112,6 +113,15 @@ class Configuration:
         return Configuration(np.append(vec, 0.0)[cols], self.gauge)  # pinned: the zero appended
 
 
+def _unframe(x, e, message):
+    """``x`` of a frame (``Configuration.frame``) times 2^e, exactly; a value
+    past the float range (or not finite) refuses the cloud with ``message``."""
+    top = np.abs(x).max()  # m 2^p with 1/2 <= m < 1, and m 2^(p + e) < 2^1024
+    if not (math.isfinite(top) and math.frexp(top)[1] + e <= 1024):
+        raise DegenerateInput(message)
+    return np.ldexp(x, e)
+
+
 def to_gauge_frame(points) -> Configuration:
     """Rigid motion bringing a cloud into the gauge frame.
 
@@ -138,9 +148,8 @@ def to_gauge_frame(points) -> Configuration:
     e3 = np.cross(e1, e2)
     new_pts = rel @ np.stack([e1, e2, e3]).T
     new_pts[:3][~_GAUGE_FREE] = 0.0  # pinned coordinates are exact zeros by construction
-    if math.frexp(np.abs(new_pts).max())[1] + e > 1024:  # m 2^(x + e) with m < 1 overflows
-        raise DegenerateInput("the gauge frame's coordinates exceed the float range")
-    return Configuration(np.ldexp(new_pts, e), gauge=True)
+    new_pts = _unframe(new_pts, e, "the gauge frame's coordinates exceed the float range")
+    return Configuration(new_pts, gauge=True)
 
 
 # --- smallest circumspheres ---------------------------------------------------
@@ -172,14 +181,14 @@ def _coefficients(rel, blocks):
         diagonal[at, k - 1:] = 1.0
     try:
         return np.linalg.solve(gram, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # a singular Gram matrix: each size alone
+    except np.linalg.LinAlgError:  # a singular Gram matrix: each alone, with its stacked bits
         coeff = np.zeros(rhs.shape)
     for k, at in blocks:
-        g, r = gram[at, :k - 1, :k - 1], rhs[at, :k - 1]
-        try:
-            coeff[at, :k - 1] = np.linalg.solve(g, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # sliver simplices, row by row
-            coeff[at, :k - 1] = [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(g, r)]
+        for row, g, r in zip(range(len(rhs))[at], gram[at, :k - 1, :k - 1], rhs[at, :k - 1]):
+            try:
+                coeff[row, :k - 1] = np.linalg.solve(g, r)
+            except np.linalg.LinAlgError:  # a sliver simplex
+                coeff[row, :k - 1] = np.linalg.lstsq(g, r, rcond=None)[0]
     return coeff
 
 
@@ -268,7 +277,7 @@ class GeneralPositionReport:
         return "\n".join(lines)
 
 
-def check_general_position(fc, tol: float = 1e-9):
+def check_general_position(fc):
     """Report (not raise) general-position violations of a built filtration.
 
     ``fc`` is the ``FilteredComplex`` whose diagram is in question; a Rips
@@ -278,11 +287,11 @@ def check_general_position(fc, tol: float = 1e-9):
     points near the circumsphere of a neighbouring tetrahedron. By the local
     Delaunay lemma only a vertex of a tetrahedron across a shared triangle can
     cross a circumsphere first, so those are the 5-point configurations whose
-    flip would change the triangulation. ``tol`` is in the cloud's units, and
-    distances are measured in its frame.
+    flip would change the triangulation. The checks compare with ``_GP_TOL`` in
+    the frame, so the report of P 2^k is that of P with its radii times 2^k.
     """
     (e, pts), report = fc.config.frame, GeneralPositionReport(fc.kind)
-    pairs = sorted(cKDTree(pts).query_pairs(np.ldexp(tol, -e)))
+    pairs = sorted(cKDTree(pts).query_pairs(_GP_TOL))
     report.violations.extend(GPViolation("coincident_points", pair) for pair in pairs)
 
     skeleton, spheres = fc.skeleton, fc.spheres  # the alpha build's, by global index
@@ -291,8 +300,8 @@ def check_general_position(fc, tol: float = 1e-9):
             GPViolation("degenerate_simplex", (key,))
             for key in skeleton.vertex_tuples(np.flatnonzero(spheres.degenerate))
         )
-    radii, at = fc.attaching  # sorted by radius: neighbours within tol tie
-    tied = np.flatnonzero(np.abs(np.diff(radii)) <= tol)
+    radii, at = fc.attaching  # sorted by radius: neighbours within _GP_TOL tie
+    tied = np.flatnonzero(np.ldexp(np.diff(radii), -e) <= _GP_TOL)
     ties = zip(*(skeleton.vertex_tuples(at[i]) for i in (tied, tied + 1)),
                radii[tied].tolist(), radii[tied + 1].tolist())
     report.violations.extend(
@@ -300,12 +309,11 @@ def check_general_position(fc, tol: float = 1e-9):
     )
     if spheres is None or 3 not in skeleton.vertices:
         return report
-    at = skeleton.offsets[3]  # the tetrahedra come last in global order
     t_idx, far = skeleton.across
-    radii = spheres.radii[at + t_idx]  # in the frame, as the centers
-    gap = np.abs(np.linalg.norm(pts[far] - spheres.centers[at + t_idx], axis=1) - radii)
-    close = np.ldexp(gap, e) <= tol
-    tets, radii = skeleton.vertex_tuples(at + t_idx[close]), np.ldexp(radii[close], e).tolist()
+    tet = skeleton.offsets[3] + t_idx  # the tetrahedra come last in global order
+    radii = spheres.radii[tet]  # in the frame, as the centers
+    close = np.abs(np.linalg.norm(pts[far] - spheres.centers[tet], axis=1) - radii) <= _GP_TOL
+    tets, radii = skeleton.vertex_tuples(tet[close]), np.ldexp(radii[close], e).tolist()
     near = {(tet, p): r for tet, p, r in zip(tets, far[close].tolist(), radii)}
     report.violations.extend(
         GPViolation("near_cospherical", key, (r,)) for key, r in sorted(near.items())

@@ -62,7 +62,8 @@ def grid_clouds(draw, min_size, max_size, exact=True):
 
 def circumspheres_reference(simplices, rel_tol: float = 1e-12):
     """The circumsphere kernel as it stood before its degenerate test, weights
-    and cross product were trimmed, kept as a bitwise oracle.
+    and cross product were trimmed, kept as a bitwise oracle. A stack with a
+    singular Gram matrix solves each simplex alone, as the kernel does.
 
     Smallest circumspheres of a stack of 2-, 3- or 4-point simplices.
 
@@ -84,10 +85,14 @@ def circumspheres_reference(simplices, rel_tol: float = 1e-12):
     try:
         coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        # sliver simplices can make a Gram matrix exactly singular
-        coeff = np.stack(
-            [np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)]
-        )
+        # sliver simplices can make a Gram matrix exactly singular: each
+        # simplex alone, by least squares only where its own solve fails
+        coeff = np.empty(rhs.shape)
+        for s, (g, r) in enumerate(zip(gram, rhs)):
+            try:
+                coeff[s] = np.linalg.solve(g, r)
+            except np.linalg.LinAlgError:
+                coeff[s] = np.linalg.lstsq(g, r, rcond=None)[0]
     centers = pts[:, 0] + np.einsum("sji,sj->si", rel, coeff)
     radii = _row_norms_reference(centers - pts[:, 0])
     weights = np.concatenate([1.0 - coeff.sum(axis=1, keepdims=True), coeff], axis=1)

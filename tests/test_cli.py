@@ -147,7 +147,7 @@ class TestNumberRanges:
 
     @pytest.mark.parametrize("command", ["diagram", "check", "jacobian", "continue"])
     @pytest.mark.parametrize("flag, value", [
-        ("--gp-tol", "-0.5"), ("--jitter-seed", "-1"), ("--jitter-seed", "4294967296"),
+        ("--jitter-seed", "-1"), ("--jitter-seed", "4294967296"),
     ])
     def test_common_numbers(self, ex1_file, capsys, command, flag, value):
         argv = [command, "-i", ex1_file, flag, value]
@@ -159,13 +159,13 @@ class TestNumberRanges:
         args = cli.build_parser().parse_args([
             "continue", "-i", "cloud.xyz", "--target", "[]", "--dim", "0", "--epsilon", "0",
             "--step", "1e-300", "--n-steps", "1", "--max-iter", "0", "--tol", "1e-300",
-            "--tie-window", "0", "--gp-tol", "0", "--jitter-seed", "4294967295",
+            "--tie-window", "0", "--jitter-seed", "4294967295",
         ])
         parsed = (
             args.dim, args.epsilon, args.step, args.n_steps, args.max_iter, args.tol,
-            args.tie_window, args.gp_tol, args.jitter_seed,
+            args.tie_window, args.jitter_seed,
         )
-        assert parsed == (0, 0.0, 1e-300, 1, 0, 1e-300, 0.0, 0.0, 2**32 - 1)
+        assert parsed == (0, 0.0, 1e-300, 1, 0, 1e-300, 0.0, 2**32 - 1)
         assert cli.build_parser().parse_args(
             ["check", "-i", "cloud.xyz", "--jitter-seed", "0"]
         ).jitter_seed == 0

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pdcont
@@ -20,7 +20,7 @@ from pdcont import cli
 from pdcont.delaunay import delaunay3
 from pdcont.errors import DegenerateInput, NearDegenerateJacobian
 from pdcont.filtration import build
-from pdcont.geometry import Configuration, to_gauge_frame
+from pdcont.geometry import Configuration, check_general_position, to_gauge_frame
 from pdcont.persistence import diagram
 
 from helpers import PROPERTY, diagram_and_jacobian, random_cloud
@@ -82,6 +82,14 @@ def test_tiny_simplices_are_not_degenerate():
     assert delaunay3(Configuration(tetrahedron, gauge=False)).tetrahedra.tolist() == [[0, 1, 2, 3]]
 
 
+# the example 1 cloud has one exact Rips tie, |p0 - p3| = |p1 - p3|
+_CLOUDS = st.one_of(
+    st.just(np.array(cli.EXAMPLE_1_CLOUD, dtype=float)),
+    st.builds(lambda seed, m: random_cloud(np.random.RandomState(seed), m),
+              st.integers(0, 2**32 - 1), st.integers(5, 12)),
+)
+
+
 def _exponents(values):
     """frexp exponents of the smallest nonzero and of the largest |value|."""
     values = np.abs(values)
@@ -122,3 +130,26 @@ class TestPowerOfTwoScaling:
             # one more doubling leaves every coordinate finite and a radius not
             with pytest.raises(DegenerateInput, match="^radii overflow"):
                 build(Configuration(np.ldexp(points, 1025 - top), gauge=False), kind, max_dim=2)
+
+    @PROPERTY
+    @given(points=_CLOUDS, near=st.booleans(), kind=st.sampled_from(["alpha", "rips"]),
+           k=st.integers(-1100, 1100))
+    @example(points=CLOUD_60[:12], near=True, kind="alpha", k=40)
+    @example(points=CLOUD_60[:12], near=True, kind="rips", k=-40)
+    def test_general_position_report(self, points, near, kind, k):
+        """The report of P * 2^k lists P's violations in the same order, with
+        every radius times 2^k; ``near`` puts point 1 1e-10 from point 0, a
+        violation at every scale."""
+        if near:
+            points = points.copy()
+            points[1] = points[0] + 1e-10
+        fc = build(Configuration(points, gauge=False), kind, max_dim=1)
+        lo, hi = _exponents(np.concatenate([points.ravel(), fc.birth]))
+        k = min(max(k, -1021 - lo), 1024 - hi)
+        fc_k = build(Configuration(np.ldexp(points, k), gauge=False), kind, max_dim=1)
+        report, report_k = check_general_position(fc), check_general_position(fc_k)
+        listed = [(v.kind, v.simplices) for v in report.violations]
+        assert [(v.kind, v.simplices) for v in report_k.violations] == listed
+        for v, v_k in zip(report.violations, report_k.violations):
+            assert np.array_equal(v_k.values, np.ldexp(v.values, k))
+        assert not near or ("coincident_points", (0, 1)) in listed
