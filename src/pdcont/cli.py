@@ -111,15 +111,14 @@ seed_int = _bounded(int, lambda n: 0 <= n < 2**32, "an integer in [0, 2**32)")
 
 def apply_jitter(points: np.ndarray, seed: int, magnitude: float = JITTER_MAGNITUDE):
     """The cloud moved by seeded uniform noise of ``magnitude`` times its
-    largest distance from a column mean, or of ``magnitude`` where that is
-    zero. The cloud is jittered in its frame (``Configuration.frame``), which
-    gives the bits of the caller's units without overflowing the mean; a
-    jittered coordinate past the float range is refused as DegenerateInput."""
+    largest distance from a column mean or, where that is zero, times half the
+    points' frame unit. The cloud is jittered in its frame
+    (``Configuration.frame``), which gives the bits of the caller's units
+    without overflowing the mean; a jittered coordinate past the float range
+    is refused as DegenerateInput."""
     rng = np.random.RandomState(seed)
     e, framed = Configuration(points, gauge=False).frame
-    scale = np.abs(framed - framed.mean(axis=0)).max()
-    if scale == 0.0:  # coincident points: the fallback scale 1.0 is in the caller's units
-        e, framed, scale = 0, points, 1.0
+    scale = np.abs(framed - framed.mean(axis=0)).max() or 0.5  # 0: the points coincide
     jittered = framed + rng.uniform(-1.0, 1.0, points.shape) * magnitude * scale
     return _unframe(jittered, e, "the jittered coordinates exceed the float range")
 

@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay as _SciPyDelaunay
-from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, GeneralPositionViolation
 from .geometry import _DEGENERATE, Configuration, _row_norms, circumspheres
@@ -423,8 +421,9 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
         if 1 < m < 4 and circumspheres(pts[None])[3][0]:
             raise DegenerateInput(_DEGENERATE[m])
     else:
+        from scipy.spatial import Delaunay, QhullError
         try:
-            tri = _SciPyDelaunay(pts)
+            tri = Delaunay(pts)
         except QhullError as exc:
             raise DegenerateInput(
                 f"triangulation failed: coplanar or degenerate input ({exc})"

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateInput, DegenerateSimplex, GaugeViolation
 
@@ -290,6 +289,7 @@ def check_general_position(fc):
     flip would change the triangulation. The checks compare with ``_GP_TOL`` in
     the frame, so the report of P 2^k is that of P with its radii times 2^k.
     """
+    from scipy.spatial import cKDTree
     (e, pts), report = fc.config.frame, GeneralPositionReport(fc.kind)
     pairs = sorted(cKDTree(pts).query_pairs(_GP_TOL))
     report.violations.extend(GPViolation("coincident_points", pair) for pair in pairs)

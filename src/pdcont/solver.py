@@ -37,8 +37,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import lstsq
-from scipy.optimize import linear_sum_assignment
 
 from .diffmap import PersistenceJacobian, _attaching_gradients, jacobian
 from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
@@ -163,6 +161,7 @@ def pinv_apply(a, b):
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("pinv_apply needs a finite matrix and right-hand side")
     if min(a.shape) > _JACOBI_SIZE_LIMIT:
+        from scipy.linalg import lstsq
         x, _, rank, _ = lstsq(a, b, cond=_CUTOFF_REL, lapack_driver="gelsy", check_finite=False)
     else:
         x, rank = _pinv_solve(svd(a), b)
@@ -186,6 +185,16 @@ def pinv_matrix(a) -> np.ndarray:
 # --- diagram coordinate tracking -------------------------------------------------
 
 _AMBIGUITY_TOL = 1e-12  # assignment costs this close, in their frame, are indistinguishable
+
+
+def linear_sum_assignment(cost):
+    """Rows and columns of a minimal-cost assignment of the rows of ``cost``
+    to distinct columns, as ``scipy.optimize.linear_sum_assignment`` returns
+    them; a single row takes its cheapest column, without scipy."""
+    if cost.shape[0] == 1:
+        return np.zeros(1, dtype=np.intp), np.argmin(cost, axis=1)
+    from scipy import optimize
+    return optimize.linear_sum_assignment(cost)
 
 
 def match_to_layout(layout, pd: PersistenceData):
@@ -543,7 +552,9 @@ def continue_cloud(
         raise DimensionMismatch(
             f"target has {v_target.size} coordinates, diagram has {v_start.size}"
         )
-    span = float(np.linalg.norm(v_target - v_start))
+    # the segment's length, taken in its power-of-two frame so no square over- or underflows
+    e = math.frexp(np.abs(v_target - v_start).max(initial=0.0))[1]
+    span = math.ldexp(float(np.linalg.norm(np.ldexp(v_target - v_start, -e))), e)
     if v_start.size > config.free_dim:
         warnings.warn(
             f"diagram has m={v_start.size} coordinates but only n={config.free_dim} "

@@ -2,11 +2,16 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdcont
 from pdcont import cli, delaunay, filtration, solver
 
 from helpers import PAST_FLOAT
@@ -53,15 +58,20 @@ class TestInputParsing:
     @pytest.mark.parametrize("k", [-60, 0, 60])
     def test_jitter_has_the_bits_of_the_caller_units(self, k):
         """Jittering in the frame gives the bits of the jitter in the caller's
-        units, with the scale 1.0 for coincident points in those units."""
+        units, with the scale of coincident points half their frame unit: at
+        1e300 they move, and at 1e-300 they move by 1e-6 of themselves."""
         rng = np.random.RandomState(0)
         clouds = [cli.dodecahedron_vertices(), cli.fibonacci_sphere(100), rng.uniform(-5, 5, (30, 3)),
                   np.array([[1.0, 2.0, 3.0]]), np.zeros((3, 3))]
+        clouds = [np.ldexp(points, k) for points in clouds]
+        clouds += [np.full((4, 3), 1e300), np.full((4, 3), -1e-300)]
         for seed, points in enumerate(clouds):
-            points = np.ldexp(points, k)
-            scale = np.abs(points - points.mean(axis=0)).max() or 1.0
+            half_unit = math.ldexp(0.5, math.frexp(np.abs(points).max())[1])
+            scale = np.abs(points - points.mean(axis=0)).max() or half_unit
             expected = points + np.random.RandomState(seed).uniform(-1.0, 1.0, points.shape) * 1e-6 * scale
-            np.testing.assert_array_equal(cli.apply_jitter(points, seed, 1e-6), expected)
+            jittered = cli.apply_jitter(points, seed, 1e-6)
+            np.testing.assert_array_equal(jittered, expected)
+            assert (jittered != points).all()
 
     def test_bad_shape(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -410,3 +420,18 @@ class TestExampleRunner:
         assert "example 1: PASS" in out
         trace_lines = (tmp_path / "ex1.jsonl").read_text().splitlines()
         assert json.loads(trace_lines[-1])["termination"] == "ReachedTarget"
+
+    def test_example_4_loads_no_scipy_solver(self):
+        """Importing the package and running a 4-point continuation loads no
+        Qhull or k-d tree (scipy.spatial), assignment solver (scipy.optimize),
+        gelsy (scipy.linalg) or bipartite matching (scipy.sparse.csgraph)."""
+        src = str(Path(pdcont.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = ("import json, sys, warnings; warnings.simplefilter('ignore'); import pdcont; "
+                  "from pdcont import cli; cli._run_example(4, None); print(json.dumps(sorted(sys.modules)))")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        solvers = ("scipy.spatial", "scipy.optimize", "scipy.linalg", "scipy.sparse.csgraph")
+        loaded = json.loads(run.stdout)
+        assert not [m for m in loaded if any(m == s or m.startswith(s + ".") for s in solvers)]

@@ -4,6 +4,7 @@ leaves its Jacobian bit for bit, from clouds near the smallest normal float
 to clouds near the largest."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pdcont
@@ -22,6 +23,7 @@ from pdcont.errors import DegenerateInput, NearDegenerateJacobian
 from pdcont.filtration import build
 from pdcont.geometry import Configuration, check_general_position, to_gauge_frame
 from pdcont.persistence import diagram
+from pdcont.solver import continue_cloud
 
 from helpers import PROPERTY, diagram_and_jacobian, random_cloud
 
@@ -153,3 +155,47 @@ class TestPowerOfTwoScaling:
         for v, v_k in zip(report.violations, report_k.violations):
             assert np.array_equal(v_k.values, np.ldexp(v.values, k))
         assert not near or ("coincident_points", (0, 1)) in listed
+
+    @settings(PROPERTY, max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 6), dim=st.integers(1, 2),
+           stretch=st.floats(0.005, 0.3) | st.floats(-0.3, -0.005), pieces=st.floats(1.5, 3.0),
+           tie_window=st.sampled_from([0.0, 1e-2]), epsilon=st.sampled_from([0.0, 1e-3]),
+           k=st.integers(-1100, 1100))
+    @example(seed=0, m=4, dim=2, stretch=0.02, pieces=2.5, tie_window=0.0, epsilon=0.0, k=-1000)
+    @example(seed=0, m=4, dim=2, stretch=0.02, pieces=2.5, tie_window=0.0, epsilon=0.0, k=1000)
+    def test_continuation(self, seed, m, dim, stretch, pieces, tie_window, epsilon, k):
+        """An alpha continuation of P * 2^k toward 2^k times the target, with
+        step, tol, tie window and epsilon times 2^k, is 2^k times that of P:
+        every u, pair and residual bit for bit, and the same singular values,
+        iteration counts and termination, reached or not."""
+        config = to_gauge_frame(random_cloud(np.random.RandomState(seed), m))
+        v0 = diagram(config, "alpha", dim, epsilon).vector(include_essential=False)
+        if not v0.size:
+            dim = 3 - dim
+            v0 = diagram(config, "alpha", dim, epsilon).vector(include_essential=False)
+        assume(v0.size)
+        target = v0 * (1 + stretch)
+        lo, hi = _exponents(np.concatenate([config.points.ravel(), v0, target]))
+        # the residuals near convergence are some ulps of the values
+        k = int(min(max(k, -1021 + 64 - lo), 1023 - hi))
+
+        def run(j):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NearDegenerateJacobian)  # an absolute tolerance
+                return continue_cloud(
+                    Configuration(np.ldexp(config.points, j)), "alpha", dim, math.ldexp(epsilon, j),
+                    np.ldexp(target, j), step=math.ldexp(np.linalg.norm(target - v0) / pieces, j),
+                    tol=math.ldexp(1e-10, j), max_iter=20, tie_window=math.ldexp(tie_window, j),
+                )
+
+        trace, trace_k = run(0), run(k)
+        assert trace_k.n_planned == trace.n_planned
+        assert (trace_k.reached_target, trace_k.failed_step) == (trace.reached_target, trace.failed_step)
+        assert (trace_k.reason or "").split(":")[0] == (trace.reason or "").split(":")[0]
+        assert len(trace_k.steps) == len(trace.steps)
+        for s, s_k in zip(trace.steps, trace_k.steps):
+            assert (s_k.k, s_k.t, s_k.newton_iters) == (s.k, s.t, s.newton_iters)
+            assert np.array_equal(s_k.u, np.ldexp(s.u, k))
+            assert np.array_equal(s_k.pairs, np.ldexp(s.pairs, k))
+            assert s_k.residual == math.ldexp(s.residual, k)
+            assert s_k.singular_values.tobytes() == s.singular_values.tobytes()

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -525,6 +527,32 @@ class TestMatching:
         layout, finite = self._pairs(pairs[:slots], 0), self._pairs(pairs[slots:], 100)
         assert self._match(layout, finite, k) == self._match(layout, finite)
 
+    @PROPERTY
+    @given(costs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+    def test_one_row_assignment_is_scipys(self, costs):
+        """A one-row cost takes its cheapest column, which is scipy's choice
+        whenever that minimum is unique by more than ``_AMBIGUITY_TOL``."""
+        cost = np.array([costs])
+        rows, cols = solver.linear_sum_assignment(cost)
+        assert rows.tolist() == [0] and cost[0, cols[0]] == cost.min()
+        runner_up = sorted(costs)[1] if len(costs) > 1 else math.inf
+        if runner_up > min(costs) + solver._AMBIGUITY_TOL:
+            expected = scipy.optimize.linear_sum_assignment(cost)
+            assert [rows.tolist(), cols.tolist()] == [e.tolist() for e in expected]
+
+    @PROPERTY
+    @given(farther=st.lists(st.integers(0, 32), max_size=4), swap=st.booleans(),
+           offset=st.sampled_from([0.0, 3e-13, -3e-13]), k=st.integers(-200, 200))
+    def test_one_row_near_tie_is_ambiguous(self, farther, swap, offset, k):
+        """One free slot whose two cheapest leftovers tie within
+        ``_AMBIGUITY_TOL`` raises, whichever column the assignment took."""
+        layout = self._pairs([(1.0, 2.0)], 0)
+        tied = [2.125, 1.875 + offset]  # both 1/8 from the slot, up to the offset
+        deaths = tied[::-1] if swap else tied
+        deaths += [2.25 + v / 8 for v in farther]
+        finite = self._pairs([(1.0, d) for d in deaths], 100)
+        assert self._match(layout, finite, k).startswith("an untracked diagram point")
+
 
 class TestContinuation:
     def test_trivial_target_reached_immediately(self):
@@ -794,7 +822,7 @@ def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
     Jacobian itself reaches the SVD, and numpy's SVD least squares is never
     called."""
     decomposed, solved, numpy_solved = [], [], []
-    decompose, lstsq, numpy_lstsq = solver.svd, solver.lstsq, np.linalg.lstsq
+    decompose, lstsq, numpy_lstsq = solver.svd, scipy.linalg.lstsq, np.linalg.lstsq
 
     def recorded_svd(a):
         decomposed.append(np.shape(a))
@@ -810,7 +838,7 @@ def test_stacked_lapack_sized_systems_skip_the_svd(monkeypatch):
         return numpy_lstsq(a, b, **kwargs)
 
     monkeypatch.setattr(solver, "svd", recorded_svd)
-    monkeypatch.setattr(solver, "lstsq", recorded_lstsq)
+    monkeypatch.setattr(scipy.linalg, "lstsq", recorded_lstsq)
     monkeypatch.setattr(np.linalg, "lstsq", recorded_numpy_lstsq)
     config = to_gauge_frame(cli.apply_jitter(cli.fibonacci_sphere(20), seed=0, magnitude=1e-6))
     assert config.free_dim == 54
