@@ -119,23 +119,31 @@ def bottleneck(diagram_a, diagram_b) -> float:
 
 
 def hausdorff(points_a, points_b) -> float:
-    """Hausdorff distance between two finite clouds in R^3."""
+    """Hausdorff distance between two finite clouds in R^3, found in their
+    common power-of-two frame (``Configuration.frame``), so that no squared
+    length overflows or underflows; a distance past the float range is inf."""
     from scipy.spatial import cKDTree
     a = np.asarray(points_a, dtype=float)
-    b = np.asarray(points_b, dtype=float)
-    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
+    e, framed = Configuration(np.concatenate([a, np.asarray(points_b, dtype=float)]), gauge=False).frame
+    a, b = framed[:len(a)], framed[len(a):]
+    d = float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
+    return math.ldexp(d, e) if math.frexp(d)[1] + e <= 1024 else math.inf
 
 
 MAX_TRIANGLE_RATIO = 2.0 / math.sqrt(3.0)
 
 
 def triangle_ratio_check(points) -> tuple:
-    """(birth, death, death/birth) of the 1-dim alpha diagram of an acute triangle."""
+    """(birth, death, death/birth) of the 1-dim alpha diagram of an acute
+    triangle, which is tested in the triangle's power-of-two frame
+    (``Configuration.frame``), where no squared length overflows or underflows."""
     pts = np.asarray(points, dtype=float)
     if pts.shape != (3, 3):
         raise ValueError("expected exactly three points in R^3")
+    config = Configuration(pts, gauge=False)
+    framed = config.frame[1]
     sq = [
-        float(np.dot(pts[i] - pts[j], pts[i] - pts[j]))
+        float(np.dot(framed[i] - framed[j], framed[i] - framed[j]))
         for i, j in ((0, 1), (1, 2), (2, 0))
     ]
     s = sorted(sq)
@@ -144,7 +152,7 @@ def triangle_ratio_check(points) -> tuple:
 
     from .persistence import diagram as _diagram  # local import avoids cycle
 
-    pd = _diagram(Configuration(pts, gauge=False), "alpha", 1, 0.0)
+    pd = _diagram(config, "alpha", 1, 0.0)
     if len(pd.finite) != 1:
         raise RuntimeError(f"acute triangle should carry one pair, got {len(pd.finite)}")
     p = pd.finite[0]

@@ -17,14 +17,19 @@ unique:
   triangles from last to first; a triangle that joins two components is
   paired with the younger one's latest tetrahedron.
 - The dimensions between, H1 of an alpha complex and every dimension above
-  H0 of a Rips complex (which is not embedded): a column reduction with
-  clearing (Chen & Kerber, Persistent homology computation with a twist,
-  2011; Bauer, Kerber & Reininghaus, Clear and compress, 2014). Dimensions
-  are reduced from the top down, and a column whose simplex is already paired
-  as a birth, by the union-find or a reduction above, is a known cycle and is
-  skipped. A column under reduction is a Python ``int`` bitset over the
-  simplices one dimension down, so adding one column to another is a single
-  XOR; only one dimension's reduced columns are kept at a time.
+  H0 of a Rips complex (which is not embedded): a sparse column reduction
+  with clearing (Chen & Kerber, Persistent homology computation with a
+  twist, 2011; Bauer, Kerber, Reininghaus & Wagner, Phat, 2017), in the
+  direction whose clearing is at hand. Alpha H1 is reduced by homology: the
+  columns are the triangles, less those the dual union-find pairs as void
+  births. Where no dual union-find runs (Rips, or alpha without tetrahedra),
+  dimension d = 1, 2, ... is reduced by cohomology (de Silva, Morozov &
+  Vejdemo-Johansson, Dualities in persistent (co)homology, 2011; Bauer,
+  Ripser, 2021): the columns are the d-simplices, youngest first, less those
+  that killed a (d-1)-class; the rows are their cofaces, and the pivot is
+  the oldest. One reducer serves both, fed the coboundary anti-transposed.
+  A reduced column is the tuple of its rows; only the column under reduction
+  is a working set.
 
 The coefficient field is Z/2. Alpha complexes are subcomplexes of a
 triangulation of R^3, whose homology is torsion-free, so their pairing is the
@@ -162,47 +167,77 @@ def _merges(ends, n_nodes):
     return np.array(dead, dtype=np.intp), np.array(killer, dtype=np.intp)
 
 
-def _reduce(facets, cleared):
-    """Column reduction of one dimension's columns, skipping the ranks
-    ``cleared``: the pivot rank and the column rank of each pair."""
-    live = np.ones(len(facets), dtype=bool)
-    live[cleared] = False  # known cycles
-    live = live.nonzero()[0]
-    owner = {}  # pivot rank -> reduced column that owns it
+def _reduce(columns, names):
+    """Column reduction over Z/2: the pivot row and the name of each pair's
+    column. ``columns`` yields the rows of each column as a tuple, ascending,
+    in the order given by ``names``; the pivot of a column is its largest row.
+    A column whose pivot is free is kept as given, a reduced one as the tuple
+    of its rows; only the column under reduction is a working set."""
+    owner = {}  # pivot row -> reduced column that owns it
     pivots, owners = [], []
-    for j, rows in zip(live.tolist(), facets[live].tolist()):
-        col = sum(map((1).__lshift__, rows))
-        while col:
-            piv = col.bit_length() - 1
-            other = owner.get(piv)
-            if other is None:
-                owner[piv] = col
-                pivots.append(piv)
-                owners.append(j)
-                break
-            col ^= other
+    for j, rows in zip(names, columns):
+        piv = rows[-1] if rows else None
+        other = owner.get(piv)
+        if other is not None:
+            col = set(rows)
+            while other is not None:
+                col.symmetric_difference_update(other)
+                piv = max(col, default=None)
+                other = owner.get(piv)
+            rows = tuple(col)
+        if piv is not None:
+            owner[piv] = rows
+            pivots.append(piv)
+            owners.append(j)
     return np.array(pivots, dtype=np.intp), np.array(owners, dtype=np.intp)
+
+
+def _live(n, cleared):
+    """The ranks below ``n`` that are not ``cleared``, ascending."""
+    live = np.ones(n, dtype=bool)
+    live[cleared] = False
+    return live.nonzero()[0]
+
+
+def _cohomology(cofacets, n, cleared):
+    """Reduce the coboundary of the ``n`` simplices of one dimension whose
+    cofaces have the facet rows ``cofacets``, youngest first, skipping the
+    ranks ``cleared``: the (born, killer) ranks of each pair.
+
+    The coboundary is anti-transposed, so that the youngest simplex is column
+    0 and the oldest coface, the pivot, is the largest row."""
+    m, width = cofacets.shape
+    column = (n - 1 - cofacets[::-1]).ravel()  # entry k lies in row k // width
+    bounds = np.append(0, np.bincount(column, minlength=n).cumsum())
+    rows = column.argsort(kind="stable")
+    del column  # as large as the coboundary, and not needed from here on
+    rows //= width  # grouped by column, ascending within each
+    live = _live(n, n - 1 - cleared)
+    spans = zip(bounds[live].tolist(), bounds[live + 1].tolist())
+    pivots, owners = _reduce((tuple(rows[a:b].tolist()) for a, b in spans), live.tolist())
+    return n - 1 - owners, m - 1 - pivots
 
 
 def reduce_boundary(b: BoundaryMatrix) -> Reduction:
     """The pairing of the filtration: H0 and an alpha complex's H2 by
-    union-find, the dimensions between by column reduction with clearing."""
+    union-find, the dimensions between by a sparse column reduction with
+    clearing, of the boundary for an alpha H1 and of the coboundary
+    otherwise."""
     top = len(b.positions) - 1
     born, killer = [None] * top, [None] * top
-    middle, cleared = top, []
+    if top:
+        born[0], killer[0] = _merges(b.facets[1], len(b.positions[0]))
     if b.cofaces is not None:
         # the dual graph, with the outside as node 0 and the triangles from
         # last to first, so that a lesser node is older
         n_tet, n_tri = len(b.positions[3]), len(b.positions[2])
         tet, tri = _merges((n_tet - b.cofaces)[::-1], n_tet + 1)
-        cleared = born[2] = n_tri - 1 - tri
-        killer[2] = n_tet - tet
-        middle = 2
-    for dim in range(middle, 1, -1):
-        cleared, killer[dim - 1] = _reduce(b.facets[dim], cleared)
-        born[dim - 1] = cleared
-    if top:
-        born[0], killer[0] = _merges(b.facets[1], len(b.positions[0]))
+        born[2], killer[2] = n_tri - 1 - tri, n_tet - tet
+        live = _live(n_tri, born[2])  # the triangles that are no void's birth
+        born[1], killer[1] = _reduce(zip(*b.facets[2][live].T.tolist()), live.tolist())
+    else:
+        for dim in range(1, top):
+            born[dim], killer[dim] = _cohomology(b.facets[dim + 1], len(b.positions[dim]), killer[dim - 1])
     return Reduction(b.positions, tuple(born), tuple(killer))
 
 

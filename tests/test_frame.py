@@ -22,10 +22,11 @@ from pdcont.delaunay import delaunay3
 from pdcont.errors import DegenerateInput, NearDegenerateJacobian
 from pdcont.filtration import build
 from pdcont.geometry import Configuration, check_general_position, to_gauge_frame
+from pdcont.metrics import hausdorff, triangle_ratio_check
 from pdcont.persistence import diagram
 from pdcont.solver import continue_cloud
 
-from helpers import PROPERTY, diagram_and_jacobian, random_cloud
+from helpers import PROPERTY, diagram_and_jacobian, random_acute_triangle, random_cloud
 
 # 60 points in [0, 10)^3: at 2^350 the unframed triangulation crashed the
 # process, at 2^190 Qhull refused it, and at 2^-520 H1 lost 5 of its 106 pairs
@@ -199,3 +200,39 @@ class TestPowerOfTwoScaling:
             assert np.array_equal(s_k.pairs, np.ldexp(s.pairs, k))
             assert s_k.residual == math.ldexp(s.residual, k)
             assert s_k.singular_values.tobytes() == s.singular_values.tobytes()
+
+
+class TestMetricsScaling:
+    """The Hausdorff distance and the triangle ratio check of P * 2^k are
+    those of P with every length times 2^k, bit for bit, while the lengths
+    are normal floats: their squares, which leave the float range first, are
+    taken in the power-of-two frame."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 8),
+           k=st.integers(-1100, 1100))
+    @example(seed=0, m=5, n=5, k=540)
+    @example(seed=0, m=5, n=5, k=-540)
+    @example(seed=0, m=5, n=5, k=600)
+    @example(seed=0, m=5, n=5, k=-600)
+    def test_hausdorff(self, seed, m, n, k):
+        rng = np.random.RandomState(seed)
+        p, q = rng.rand(m, 3), rng.rand(n, 3)
+        d = hausdorff(p, q)
+        lo, hi = _exponents(np.concatenate([p.ravel(), q.ravel(), [d]]))
+        k = int(min(max(k, -1021 - lo), 1024 - hi))
+        assert hausdorff(np.ldexp(p, k), np.ldexp(q, k)) == math.ldexp(d, k)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1100, 1100))
+    @example(seed=0, k=540)
+    @example(seed=0, k=-540)
+    @example(seed=0, k=600)
+    @example(seed=0, k=-600)
+    def test_triangle_ratio_check(self, seed, k):
+        points = random_acute_triangle(np.random.RandomState(seed))
+        birth, death, ratio = triangle_ratio_check(points)
+        lo, hi = _exponents(np.concatenate([points.ravel(), [birth, death]]))
+        k = int(min(max(k, -1021 - lo), 1024 - hi))
+        scaled = triangle_ratio_check(np.ldexp(points, k))
+        assert scaled == (math.ldexp(birth, k), math.ldexp(death, k), ratio)

@@ -224,17 +224,16 @@ class TestReduction:
         _assert_matches_bitset_reference(fc, range(3), epsilon)
 
     @PROPERTY
-    @given(points=RIPS_CLOUDS, dim=st.integers(0, 2), epsilon=EPSILONS)
+    @given(points=RIPS_CLOUDS, dim=st.integers(0, 3), epsilon=EPSILONS)
     def test_rips_pairs_match_bitset_reference(self, points, dim, epsilon):
         fc = build_rips(_cfg(points), max_dim=dim + 1)
         _assert_matches_bitset_reference(fc, range(dim + 1), epsilon)
 
-    def test_reduction_peak_memory(self):
-        # tracemalloc peak of the boundary matrix and its pairing on 1,000
-        # uniform points, alpha: 11.5 MB when every dimension went through
-        # the bitset reduction (measured with CPython 3.11 and numpy 2.4 on
-        # x86-64), about 8.1 MB with H0 and H2 paired by union-find
-        points = np.random.default_rng(0).uniform(0.0, 10.0, (1000, 3))
+    @staticmethod
+    def _reduction_peak(m):
+        """tracemalloc peak of the boundary matrix and its pairing on ``m``
+        uniform points, alpha."""
+        points = np.random.default_rng(0).uniform(0.0, 10.0, (m, 3))
         fc = build_alpha(_cfg(points))
         fc.order  # made on first use; not part of the pairing
         tracemalloc.start()
@@ -242,10 +241,21 @@ class TestReduction:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             reduce_boundary(boundary_matrix(fc))
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 11.5e6
+
+    def test_reduction_peak_memory(self):
+        # 1,000 points: 11.5 MB when every dimension went through the bitset
+        # reduction (measured with CPython 3.11 and numpy 2.4 on x86-64),
+        # about 8.1 MB with H0 and H2 paired by union-find (7.3 MB after the
+        # later build changes), 3.6 MB with the H1 columns kept sparse
+        assert self._reduction_peak(1000) < 11.5e6
+
+    def test_reduction_peak_memory_at_3000_points(self):
+        # the finished H1 columns as bitsets as wide as their pivot ranks:
+        # 45.1 MB (same setup as above); as tuples of their rows: 11.3 MB
+        assert self._reduction_peak(3000) < 15e6
 
     def test_pairing_against_rank_oracle(self):
         rng = np.random.RandomState(8)
