@@ -21,7 +21,9 @@ filtration read, form a ``Skeleton``, which is the Delaunay complex; a Rips
 complex numbers its simplices in one too. Within a skeleton a simplex is
 named by its global index; across skeletons by an integer of its vertices
 alone that sorts like global order, which ``Skeleton.locate`` finds by binary
-search. Vertex tuples are made only for output and error messages. When
+search. A fresh skeleton's index arrays are sorted by numpy's default
+sort on distinct integer keys (``_stable_argsort``), never by a stable one.
+Vertex tuples are made only for output and error messages. When
 Qhull returns exactly the tetrahedra of a previous skeleton, ``delaunay3``
 returns that skeleton; the verification always runs on the new points.
 
@@ -67,14 +69,37 @@ def _names(rows, n):
     return first + code
 
 
+def _stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")`` of nonnegative integer ``keys``."""
+    # A stable sort of integer keys k_i is the default argsort of the distinct
+    # keys k_i L + i, L = len(keys), which numpy sorts by its SIMD quicksort
+    # instead of timsort. Every caller's keys are rows of an array no longer
+    # than L, so max(k) L < 2^63 holds while L < 3e9 (48 GB of int64 keys and
+    # positions).
+    n = len(keys)
+    return np.argsort(keys.astype(np.int64, copy=False) * n + np.arange(n))
+
+
+def _distinct(names):
+    """The argsort of ``names`` and, in that order, where a new name starts;
+    equal names are equal rows, so no sort needs to be stable for them."""
+    order = names.argsort()
+    names = names.take(order)
+    new = np.empty(len(names), dtype=bool)
+    new[:1], new[1:] = True, names[1:] != names[:-1]
+    return order, new
+
+
 def _facets(simplices, n):
     """The distinct facets of the (S, k) sorted rows ``simplices``, sorted, and
     the row of each simplex's facets among them, (S, k), in
     ``itertools.combinations`` order; facet j omits the vertex in column k-1-j."""
     k = simplices.shape[1]
     faces = simplices[:, list(itertools.combinations(range(k), k - 1))].reshape(-1, k - 1)
-    _, first, inverse = np.unique(_names(faces, n), return_index=True, return_inverse=True)
-    return faces[first], inverse.reshape(-1, k)
+    order, new = _distinct(_names(faces, n))
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return faces.take(order[new], axis=0), inverse.reshape(-1, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +167,20 @@ class Skeleton:
         return self.names[at:at + len(self.vertices[1])].searchsorted(_names(pairs, self.n_points))
 
     @cached_property
+    def blocks(self) -> list:
+        """(k, slice) of the k-vertex simplices, k >= 2, among the padded rows
+        past the vertices: the size blocks of the circumsphere kernel."""
+        ends, at = [*self.offsets.values(), len(self)], self.n_points
+        return [(k, slice(ends[k - 1] - at, ends[k] - at)) for k in range(2, len(ends))]
+
+    @cached_property
+    def size_edges(self) -> dict:
+        """k -> ``edge_rows`` of the k-vertex simplices, k >= 3, kept for the
+        degenerate mask (``geometry._degenerate``) of every cloud on the
+        skeleton."""
+        return {dim + 1: self.edge_rows(dim) for dim in range(2, len(self.vertices))}
+
+    @cached_property
     def attach(self) -> tuple:
         """(global index of a simplex, far vertex of a cofacet), over every
         dimension at once, by cofacet dimension and row: the attachment rule
@@ -165,9 +204,10 @@ class Skeleton:
         # a tetrahedron's far vertex is its vertex sum less the triangle's
         triangle = self.vertices[2].take(shared, axis=0).sum(axis=1, dtype=tets.dtype)
         far = tets.sum(axis=1, dtype=tets.dtype).take(sides) - triangle[:, None]
-        t_idx, p = sides.ravel(), far[:, ::-1].ravel()
-        order = np.lexsort((p, t_idx))
-        return t_idx[order], p[order]
+        # the pairs as the integers t M + p, which sort like them
+        pairs = np.sort(sides.ravel() * self.n_points + far[:, ::-1].ravel())
+        t_idx, p = np.divmod(pairs, self.n_points)
+        return t_idx, p.astype(tets.dtype)
 
     @cached_property
     def cofaces(self) -> np.ndarray:
@@ -175,7 +215,7 @@ class Skeleton:
         triangulation, (T, 2), where ``len(vertices[3])`` is the outside."""
         triangles = self.facets[3].ravel()
         out = np.full((len(self.vertices[2]), 2), len(self.vertices[3]))
-        by_triangle = np.argsort(triangles, kind="stable")  # a triangle's tetrahedra, adjacent
+        by_triangle = _stable_argsort(triangles)  # a triangle's tetrahedra, adjacent
         sides = triangles[by_triangle]
         second = np.zeros(len(sides), dtype=np.intp)
         second[1:] = sides[1:] == sides[:-1]
@@ -196,7 +236,7 @@ class Skeleton:
             if dim == 3:
                 cofaces.append(offsets[3] + np.repeat(np.arange(len(rows)), 6))
                 faces.append(offsets[1] + self.edge_rows(3).ravel())
-        grouped = np.argsort(np.concatenate(faces), kind="stable")
+        grouped = _stable_argsort(np.concatenate(faces))
         cofaces, faces = np.concatenate(cofaces)[grouped], np.concatenate(faces)[grouped]
         return cofaces, faces, np.searchsorted(faces, np.arange(total))
 
@@ -428,10 +468,10 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
             raise DegenerateInput(
                 f"triangulation failed: coplanar or degenerate input ({exc})"
             )
-        # the distinct sorted tetrahedra, in row order
+        # the distinct sorted tetrahedra, in row order, which is name order
         rows = np.sort(tri.simplices, axis=1)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        top = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+        order, new = _distinct(_names(rows, m))
+        top = rows.take(order[new], axis=0)
     skeleton = previous
     if skeleton is None or skeleton.n_points != m or not np.array_equal(
         skeleton.vertices[top.shape[1] - 1], top

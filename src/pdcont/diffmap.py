@@ -82,7 +82,7 @@ def _attaching_gradients(fc: FilteredComplex, simplices):
         grads = np.stack([unit, -unit], axis=1)
     else:
         verts = skeleton.padded.take(g, axis=0)
-        kept = (x.take(g, axis=0) for x in fc.spheres)
+        kept = (x.take(g, axis=0) for x in (*fc.spheres, fc.degenerate))
         grads = circumradius_gradient(pts.take(verts, axis=0), *kept)
         # pad slots, which repeat vertex 0 of a sorted row, go to the spare row
         verts[:, 1:][verts[:, 1:] == verts[:, :1]] = config.n_points

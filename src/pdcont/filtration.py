@@ -13,7 +13,8 @@ its skeleton, in the cloud's frame, and ``geometry._unframe`` scales the
 births back: ``rips_birth_radius`` gives the Rips births from the edge
 lengths, ``circumradius`` the alpha circumspheres. An alpha complex keeps
 those circumspheres, in the frame and by global index, so gradients read
-them instead of solving them again. Only ``entries`` makes vertex tuples.
+them instead of solving them again; its degenerate mask is made only when
+read. Only ``entries`` makes vertex tuples.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import delaunay as _delaunay
 from .errors import PdcontError
-from .geometry import Configuration, _circumspheres, _unframe
+from .geometry import Configuration, _circumspheres, _degenerate, _unframe
 
 _OVERFLOW = "radii overflow: a radius of the cloud exceeds the float range"
 
@@ -49,14 +50,13 @@ class FiltEntry(NamedTuple):
 
 
 class Circumspheres(NamedTuple):
-    """The ``circumspheres`` output of an alpha complex's simplices by global
-    index, in the frame of its cloud (``Configuration.frame``); weights are
-    zero on the pad slots of ``Skeleton.padded``, vertex rows zero."""
+    """The circumspheres of an alpha complex's simplices by global index, in
+    the frame of its cloud (``Configuration.frame``); weights are zero on the
+    pad slots of ``Skeleton.padded``, vertex rows zero."""
 
     centers: np.ndarray
     radii: np.ndarray
     weights: np.ndarray        # barycentric weights of the centers
-    degenerate: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +80,20 @@ class FilteredComplex:
         """The global index of each simplex in filtration order; a stable sort
         keeps global index order, which is (dim, key) order, among equal radii."""
         return np.argsort(self.birth, kind="stable")
+
+    @cached_property
+    def degenerate(self) -> np.ndarray | None:
+        """Whether each simplex of an alpha complex is degenerate
+        (``geometry._degenerate``), by global index, made when first read:
+        only radius gradients and the general-position report read it. None
+        for Rips."""
+        if self.spheres is None:
+            return None
+        skeleton, at = self.skeleton, self.skeleton.n_points
+        out = np.zeros(len(skeleton), dtype=bool)
+        out[at:] = _degenerate(self.config.frame[1], skeleton.padded[at:], skeleton.blocks,
+                               skeleton.size_edges)
+        return out
 
     @cached_property
     def entries(self) -> tuple:
@@ -184,12 +198,8 @@ def circumradius(config: Configuration, skeleton: _delaunay.Skeleton) -> Circums
     dimension 1 to 3 by its padded vertex row, in one size block per
     dimension; the vertex rows stay zero."""
     pts, n, at = config.frame[1], len(skeleton), skeleton.n_points
-    spheres = Circumspheres(
-        np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
-    )
-    ends = [*skeleton.offsets.values(), n]
-    blocks = [(k, slice(ends[k - 1] - at, ends[k] - at)) for k in range(2, len(ends))]
-    kernel = _circumspheres(pts, skeleton.padded[at:], blocks)
+    spheres = Circumspheres(np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))))
+    kernel = _circumspheres(pts, skeleton.padded[at:], skeleton.blocks)
     for kept, out in zip(spheres, kernel):
         kept[at:] = out
     return spheres

@@ -6,7 +6,9 @@ its Gram system, whose solution also gives the barycentric weights of the
 center, and those weights give the gradient in closed form
 (``circumradius_gradient``). The alpha build's sphere pass
 (``filtration.circumradius``) gives every size at once, padded by each
-simplex's vertex 0, to one solve. Every geometric evaluation runs in a
+simplex's vertex 0, to one solve. Whether a simplex is degenerate is a pass
+of its own (``_degenerate``), which only radius gradients and the
+general-position report read. Every geometric evaluation runs in a
 cloud's ``Configuration.frame``, and every value leaves it by ``_unframe``.
 """
 
@@ -170,7 +172,7 @@ def _coefficients(rel, blocks):
     """The solutions a of the Gram systems (e_i . e_j) a = |e_i|^2 / 2 of the
     edge vectors ``rel``, in one solve: a pad row of ``rel`` is zero, so a 1
     on its diagonal leaves each simplex the bits of its own system and a zero
-    coefficient. The Gram stack is freed on return, before the mask pass."""
+    coefficient."""
     gram = np.zeros(rel.shape[:2] + rel.shape[1:2])
     for k, at in blocks:
         np.einsum("sid,sjd->sij", rel[at, :k - 1], rel[at, :k - 1], out=gram[at, :k - 1, :k - 1])
@@ -192,31 +194,55 @@ def _coefficients(rel, blocks):
 
 
 def _circumspheres(points, verts, blocks):
-    """``circumspheres`` of the simplices with the vertex rows ``verts``
-    (S, K) into ``points``, of mixed sizes in one pass: ``blocks`` lists
-    (k, slice of the k-vertex rows), and the K - k pad vertices of a
-    k-simplex repeat its vertex 0. The weights are (S, K), zero on the pads."""
+    """The centers, radii and weights of ``circumspheres`` for the simplices
+    with the vertex rows ``verts`` (S, K) into ``points``, of mixed sizes in
+    one pass: ``blocks`` lists (k, slice of the k-vertex rows), and the K - k
+    pad vertices of a k-simplex repeat its vertex 0. The weights are (S, K),
+    zero on the pads. The degenerate mask is ``_degenerate``'s."""
     base = points.take(verts[:, 0], axis=0)  # take gathers rows faster than indexing
     rel = points.take(verts[:, 1:], axis=0) - base[:, None]  # pad rows are exact zeros
     coeff = _coefficients(rel, blocks)
     centers = base + np.einsum("sji,sj->si", rel, coeff)
     weights = np.empty(verts.shape)
     weights[:, 0], weights[:, 1:] = 1.0 - np.add.reduce(coeff, axis=1), coeff
+    return centers, _row_norms(centers - base), weights
+
+
+def _degenerate(points, verts, blocks, edge_rows=None):
+    """The degenerate mask of the padded rows ``verts`` in the size
+    ``blocks`` of ``_circumspheres``: a k-simplex is degenerate when its
+    content (length, twice the area or six times the volume) is at most
+    ``_DEGENERATE_REL`` times its diameter to the power k - 1.
+
+    The squared diameter is the largest squared edge length. ``edge_rows``
+    maps a size k >= 3 to the rows of its simplices' edges in the 2-vertex
+    block, which comes first and holds them all, so each edge is measured
+    once; without it each simplex measures its own vertex pairs. The bits
+    agree: in a sorted row p_i - p_j (i < j) is the same difference in every
+    simplex that holds the edge, and a difference and its negation square
+    alike."""
+    rel = points.take(verts[:, 1:], axis=0) - points.take(verts[:, :1], axis=0)
     degenerate = np.empty(len(verts), dtype=bool)
     for k, at in blocks:
-        (i, j), rows = _PAIRS[k], verts[at]
-        diff = points.take(rows.take(i, axis=1), axis=0) - points.take(rows.take(j, axis=1), axis=0)
-        diameter = np.sqrt(np.maximum.reduce(np.einsum("sck,sck->sc", diff, diff), axis=1))
         if k == 2:  # an edge is its own diameter: degenerate at 0 or inf
-            content = diameter
-        elif k == 3:
-            a, b = rel[at, 0], rel[at, 1]
-            cross = a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
-            content = _row_norms(cross)
+            edges = np.einsum("sck,sck->sc", rel[at, :1], rel[at, :1])[:, 0]
+            content = scale = np.sqrt(edges)
         else:
-            content = np.abs(np.linalg.det(rel[at]))
-        degenerate[at] = content <= _DEGENERATE_REL * diameter ** (k - 1)
-    return centers, _row_norms(centers - base), weights, degenerate
+            if edge_rows is None:
+                (i, j), rows = _PAIRS[k], verts[at]
+                diff = points.take(rows[:, i], axis=0) - points.take(rows[:, j], axis=0)
+                squares = np.einsum("sck,sck->sc", diff, diff)
+            else:
+                squares = edges.take(edge_rows[k])
+            scale = np.sqrt(np.maximum.reduce(squares, axis=1)) ** (k - 1)
+            if k == 3:
+                a, b = rel[at, 0], rel[at, 1]
+                cross = a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
+                content = _row_norms(cross)
+            else:
+                content = np.abs(np.linalg.det(rel[at]))
+        degenerate[at] = content <= _DEGENERATE_REL * scale
+    return degenerate
 
 
 def circumspheres(simplices):
@@ -236,7 +262,8 @@ def circumspheres(simplices):
     if k not in _DEGENERATE:
         raise ValueError(f"circumsphere defined for 2..4 vertices, got {k}")
     verts = np.arange(pts.size // 3).reshape(-1, k)
-    return _circumspheres(pts.reshape(-1, 3), verts, [(k, slice(None))])
+    points, blocks = pts.reshape(-1, 3), [(k, slice(None))]
+    return *_circumspheres(points, verts, blocks), _degenerate(points, verts, blocks)
 
 
 def circumradius_gradient(stack, centers, radii, weights, degenerate) -> np.ndarray:
@@ -298,7 +325,7 @@ def check_general_position(fc):
     if spheres is not None:
         report.violations.extend(
             GPViolation("degenerate_simplex", (key,))
-            for key in skeleton.vertex_tuples(np.flatnonzero(spheres.degenerate))
+            for key in skeleton.vertex_tuples(np.flatnonzero(fc.degenerate))
         )
     radii, at = fc.attaching  # sorted by radius: neighbours within _GP_TOL tie
     tied = np.flatnonzero(np.ldexp(np.diff(radii), -e) <= _GP_TOL)

@@ -28,8 +28,9 @@ unique:
   Ripser, 2021): the columns are the d-simplices, youngest first, less those
   that killed a (d-1)-class; the rows are their cofaces, and the pivot is
   the oldest. One reducer serves both, fed the coboundary anti-transposed.
-  A reduced column is the tuple of its rows; only the column under reduction
-  is a working set.
+  A column whose pivot is free is kept as its number, and its rows are read
+  again only if another column reaches that pivot; a reduced column is the
+  tuple of its rows; only the column under reduction is a working set.
 
 The coefficient field is Z/2. Alpha complexes are subcomplexes of a
 triangulation of R^3, whose homology is torsion-free, so their pairing is the
@@ -79,7 +80,8 @@ def boundary_matrix(fc: FilteredComplex) -> BoundaryMatrix:
     of the complex's skeleton in its filtration order."""
     skeleton, order, n = fc.skeleton, fc.order, len(fc.order)
     starts, dims = [*skeleton.offsets.values(), n], skeleton.dim[:-1]
-    grouped = dims[order].argsort(kind="stable")  # positions, grouped by dimension
+    # positions, grouped by dimension: a radix sort of the labels as uint8
+    grouped = dims[order].astype(np.uint8).argsort(kind="stable")
     simplex = order[grouped]
     # grouping keeps each dimension where the global numbering has it
     first = np.array(starts)[dims]
@@ -167,29 +169,30 @@ def _merges(ends, n_nodes):
     return np.array(dead, dtype=np.intp), np.array(killer, dtype=np.intp)
 
 
-def _reduce(columns, names):
+def _reduce(column, pivots, names):
     """Column reduction over Z/2: the pivot row and the name of each pair's
-    column. ``columns`` yields the rows of each column as a tuple, ascending,
-    in the order given by ``names``; the pivot of a column is its largest row.
-    A column whose pivot is free is kept as given, a reduced one as the tuple
+    column. Column c, named ``names[c]``, holds the rows ``column(c)``,
+    ascending, at least one, and ``pivots[c]`` is its pivot, its largest
+    row. A column is kept by its number, and its rows are read again only
+    when another column reaches its pivot; a reduced column keeps the tuple
     of its rows; only the column under reduction is a working set."""
-    owner = {}  # pivot row -> reduced column that owns it
-    pivots, owners = [], []
-    for j, rows in zip(names, columns):
-        piv = rows[-1] if rows else None
+    owner, reduced = {}, {}  # pivot row -> column number; column number -> reduced rows
+    for c, piv in enumerate(pivots):
         other = owner.get(piv)
-        if other is not None:
-            col = set(rows)
-            while other is not None:
-                col.symmetric_difference_update(other)
-                piv = max(col, default=None)
-                other = owner.get(piv)
-            rows = tuple(col)
+        if other is None:
+            owner[piv] = c
+            continue
+        col = set(column(c))
+        while other is not None:
+            col.symmetric_difference_update(reduced.get(other) or column(other))
+            piv = max(col, default=None)
+            other = owner.get(piv)
         if piv is not None:
-            owner[piv] = rows
-            pivots.append(piv)
-            owners.append(j)
-    return np.array(pivots, dtype=np.intp), np.array(owners, dtype=np.intp)
+            owner[piv] = c
+            reduced[c] = tuple(col)
+    # a pivot is owned once, so the dict's order is the order of the pairs
+    at = np.fromiter(owner.values(), dtype=np.intp, count=len(owner))
+    return np.fromiter(owner, dtype=np.intp, count=len(owner)), names.take(at)
 
 
 def _live(n, cleared):
@@ -213,8 +216,11 @@ def _cohomology(cofacets, n, cleared):
     del column  # as large as the coboundary, and not needed from here on
     rows //= width  # grouped by column, ascending within each
     live = _live(n, n - 1 - cleared)
-    spans = zip(bounds[live].tolist(), bounds[live + 1].tolist())
-    pivots, owners = _reduce((tuple(rows[a:b].tolist()) for a, b in spans), live.tolist())
+    live = live[bounds[live + 1] > bounds[live]]  # an empty column pairs with nothing
+    starts, ends = bounds[live], bounds[live + 1]
+    last = rows[ends - 1].tolist()
+    starts, ends = starts.tolist(), ends.tolist()
+    pivots, owners = _reduce(lambda c: rows[starts[c]:ends[c]].tolist(), last, live)
     return n - 1 - owners, m - 1 - pivots
 
 
@@ -234,7 +240,8 @@ def reduce_boundary(b: BoundaryMatrix) -> Reduction:
         tet, tri = _merges((n_tet - b.cofaces)[::-1], n_tet + 1)
         born[2], killer[2] = n_tri - 1 - tri, n_tet - tet
         live = _live(n_tri, born[2])  # the triangles that are no void's birth
-        born[1], killer[1] = _reduce(zip(*b.facets[2][live].T.tolist()), live.tolist())
+        first, second, pivot = b.facets[2][live].T.tolist()
+        born[1], killer[1] = _reduce(lambda c: (first[c], second[c], pivot[c]), pivot, live)
     else:
         for dim in range(1, top):
             born[dim], killer[dim] = _cohomology(b.facets[dim + 1], len(b.positions[dim]), killer[dim - 1])

@@ -134,10 +134,14 @@ def _inverse(s):
     return keep, inv
 
 
-def _check_controls(tol=None, max_iter=None, tie_window=None, step=None, n_steps=None,
+def _check_controls(v_target, tol=None, max_iter=None, tie_window=None, step=None, n_steps=None,
                     max_halvings=None):
-    """Refuse, as ValueError, the solver controls out of their range (the
-    CLI refuses the same values as usage errors)."""
+    """Refuse, as ValueError, a target with a non-finite coordinate and the
+    solver controls out of their range (the CLI refuses the same values as
+    usage errors)."""
+    bad = np.count_nonzero(~np.isfinite(np.asarray(v_target, dtype=float)))
+    if bad:
+        raise ValueError(f"v_target must be finite, got {bad} non-finite coordinate(s)")
     for name, x, strict in (("tol", tol, True), ("step", step, True),
                             ("tie_window", tie_window, False)):
         if x is not None and not (math.isfinite(x) and (x > 0 if strict else x >= 0)):
@@ -470,7 +474,7 @@ def newton_pinv(
     (configuration, NewtonReport, layout) where the layout tracks the
     generating simplices of the matched coordinates.
     """
-    _check_controls(tol, max_iter, tie_window)
+    _check_controls(v_target, tol, max_iter, tie_window)
     config, report, layout, _ = _newton_core(
         config, kind, dim, epsilon, v_target, tol, max_iter, None, tie_window
     )
@@ -543,7 +547,7 @@ def continue_cloud(
     and retried, up to ``max_halvings`` times over the whole run; then, as on
     a library error, the partial trace is returned.
     """
-    _check_controls(tol, max_iter, tie_window, step, n_steps, max_halvings)
+    _check_controls(v_target, tol, max_iter, tie_window, step, n_steps, max_halvings)
     ev = _evaluate(config, kind, dim, epsilon)
     layout = ev.pd.finite
     v_start = _values(layout)

@@ -8,8 +8,9 @@ package used to run, dense all-pairs distances, a dense block-graph
 bottleneck search, and hand-rolled hull volumes; and, as bitwise oracles,
 the circumsphere kernel, the per-dimension alpha build, the Jacobi SVD and
 the attaching gradients as they stood before their per-call overhead was
-trimmed, and the skeleton's neighbour pairs as derived before they were read
-off its cofaces; and, one simplex at a time, the circumradius, its gradient
+trimmed, the skeleton's neighbour pairs as derived before they were read
+off its cofaces, and a fresh skeleton's index arrays and the boundary
+matrix's grouping by the stable sorts they used; and, one simplex at a time, the circumradius, its gradient
 and the Rips birth radius, which the package computes only in batched passes.
 """
 
@@ -27,7 +28,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdcont import geometry
-from pdcont.delaunay import delaunay3, insphere_exact, orient3d_exact
+from pdcont.delaunay import Skeleton, _names, delaunay3, insphere_exact, orient3d_exact
 from pdcont.diffmap import jacobian
 from pdcont.errors import DegenerateInput, DegenerateSimplex, GeneralPositionViolation
 from pdcont.filtration import Circumspheres, FilteredComplex, FiltEntry, build
@@ -177,7 +178,7 @@ def attaching_gradients_reference(fc, simplices):
         else:
             s = fc.spheres
             grads = geometry.circumradius_gradient(
-                pts[verts], s.centers[g], s.radii[g], s.weights[g, :dim + 1], s.degenerate[g]
+                pts[verts], s.centers[g], s.radii[g], s.weights[g, :dim + 1], fc.degenerate[g]
             )
         norms[idx] = np.sqrt(np.einsum("sij,sij->s", grads, grads))
         rows[idx[:, None, None], cols[verts]] = grads
@@ -233,6 +234,99 @@ def across_reference(skeleton):
     t_idx, p = np.concatenate([tet[a], tet[b]]), np.concatenate([far[b], far[a]])
     order = np.lexsort((p, t_idx))
     return t_idx[order], p[order]
+
+
+# --- the stable-sort forms of a fresh skeleton's index arrays -------------------
+# The package sorts these arrays by numpy's default sort on distinct integer
+# keys; these are the forms it had before, by stable sorts, kept as bitwise
+# oracles.
+
+def top_rows_reference(simplices):
+    """The distinct sorted rows of Qhull's ``simplices``, in row order, as
+    ``delaunay3`` found them by a lexsort."""
+    rows = np.sort(simplices, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
+def facets_reference(simplices, n):
+    """``delaunay._facets`` by ``np.unique(..., return_index=True)``, a mergesort."""
+    k = simplices.shape[1]
+    faces = simplices[:, list(itertools.combinations(range(k), k - 1))].reshape(-1, k - 1)
+    _, first, inverse = np.unique(_names(faces, n), return_index=True, return_inverse=True)
+    return faces[first], inverse.reshape(-1, k)
+
+
+def skeleton_reference(top, n):
+    """``delaunay._skeleton`` with ``facets_reference``."""
+    top_dim = top.shape[1] - 1
+    vertices = {0: np.arange(n)[:, None], top_dim: top}
+    facets = {}
+    for dim in range(top_dim, 1, -1):
+        vertices[dim - 1], facets[dim] = facets_reference(vertices[dim], n)
+    if top_dim:
+        facets[1] = vertices[1]
+    sizes = [len(vertices[d]) for d in range(top_dim + 1)]
+    offsets = dict(enumerate(np.cumsum([0] + sizes[:-1]).tolist()))
+    return Skeleton(n, vertices, facets, offsets)
+
+
+def cofaces_reference(skeleton):
+    """``Skeleton.cofaces`` by a stable argsort of the tetrahedra's triangle rows."""
+    triangles = skeleton.facets[3].ravel()
+    out = np.full((len(skeleton.vertices[2]), 2), len(skeleton.vertices[3]))
+    by_triangle = np.argsort(triangles, kind="stable")  # a triangle's tetrahedra, adjacent
+    sides = triangles[by_triangle]
+    second = np.zeros(len(sides), dtype=np.intp)
+    second[1:] = sides[1:] == sides[:-1]
+    out[sides, second] = by_triangle // 4
+    return out
+
+
+def faces_reference(skeleton):
+    """``Skeleton.faces`` by a stable argsort of the faces."""
+    offsets, total = skeleton.offsets, len(skeleton)
+    cofaces, faces = [np.arange(total)], [np.arange(total)]
+    for dim in range(len(skeleton.vertices) - 1, 1, -1):
+        rows = skeleton.facets[dim]
+        cofaces.append(offsets[dim] + np.repeat(np.arange(len(rows)), dim + 1))
+        faces.append(offsets[dim - 1] + rows.ravel())
+        if dim == 3:
+            cofaces.append(offsets[3] + np.repeat(np.arange(len(rows)), 6))
+            faces.append(offsets[1] + skeleton.edge_rows(3).ravel())
+    grouped = np.argsort(np.concatenate(faces), kind="stable")
+    cofaces, faces = np.concatenate(cofaces)[grouped], np.concatenate(faces)[grouped]
+    return cofaces, faces, np.searchsorted(faces, np.arange(total))
+
+
+def boundary_matrix_stable_reference(fc):
+    """``persistence.boundary_matrix`` grouping the positions by dimension
+    with a stable argsort of the labels, and the cofaces by
+    ``cofaces_reference``."""
+    skeleton, order, n = fc.skeleton, fc.order, len(fc.order)
+    starts, dims = [*skeleton.offsets.values(), n], skeleton.dim[:-1]
+    grouped = dims[order].argsort(kind="stable")  # positions, grouped by dimension
+    simplex = order[grouped]
+    # grouping keeps each dimension where the global numbering has it
+    first = np.array(starts)[dims]
+    row = simplex - first  # the skeleton row of each simplex, grouped
+    # each simplex's rank among its dimension's, by global index; the extra
+    # last entry is the outside of a triangulation
+    rank = np.empty(n + 1, dtype=np.intp)
+    rank[simplex] = np.arange(n) - first
+    rank[n] = n - starts[-2]
+    positions, facets = [grouped[:starts[1]]], [np.zeros((starts[1], 0), dtype=np.intp)]
+    for dim in range(1, len(starts) - 1):
+        below, lo, hi = starts[dim - 1:dim + 2]
+        positions.append(grouped[lo:hi])
+        ranks = rank[below:lo][skeleton.facets[dim][row[lo:hi]]]
+        ranks.sort(axis=1)
+        facets.append(ranks)
+    cofaces = None
+    if fc.kind == "alpha" and len(facets) == 4:
+        lo, tet = starts[2:4]
+        cofaces = rank[tet:][cofaces_reference(skeleton)[row[lo:tet]]]
+    return BoundaryMatrix(n, tuple(positions), tuple(facets), cofaces)
 
 
 def skeleton_keys(skeleton):
@@ -346,20 +440,20 @@ def build_alpha_reference(config, previous=None):
     """The alpha build as it stood before one kernel pass covered every
     dimension, kept as a bitwise oracle: one ``circumspheres_reference`` call
     and one attachment test per dimension, each dimension's cofacet tests
-    read from the skeleton's facet rows, in the cloud's frame."""
+    read from the skeleton's facet rows, in the cloud's frame. The reference
+    kernel's degenerate mask is set as the complex's ``degenerate``, the
+    value its first read would keep."""
     (e, pts), skeleton = config.frame, delaunay3(config, previous)
     n = len(skeleton)
-    spheres = Circumspheres(
-        np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))), np.zeros(n, bool)
-    )
-    candidate = np.zeros(n)
+    spheres = Circumspheres(np.zeros((n, 3)), np.zeros(n), np.zeros((n, len(skeleton.vertices))))
+    mask, candidate = np.zeros(n, bool), np.zeros(n)
     for dim in (1, 2, 3):
         verts = skeleton.vertices.get(dim)
         if verts is None:
             continue
         centers, radii, weights, degenerate = circumspheres_reference(pts[verts])
         at = slice(skeleton.offsets[dim], skeleton.offsets[dim] + len(verts))
-        spheres.centers[at], spheres.radii[at], spheres.degenerate[at] = centers, radii, degenerate
+        spheres.centers[at], spheres.radii[at], mask[at] = centers, radii, degenerate
         spheres.weights[at, :dim + 1] = weights
         flags = np.ones(len(radii), dtype=bool)
         if dim + 1 in skeleton.vertices:
@@ -372,7 +466,9 @@ def build_alpha_reference(config, previous=None):
     radii = candidate[cofaces]
     hits = np.flatnonzero(radii == np.minimum.reduceat(radii, first)[faces])
     best = hits[np.searchsorted(hits, first)]
-    return FilteredComplex("alpha", config, skeleton, np.ldexp(radii[best], e), cofaces[best], spheres)
+    fc = FilteredComplex("alpha", config, skeleton, np.ldexp(radii[best], e), cofaces[best], spheres)
+    fc.__dict__["degenerate"] = mask  # where functools.cached_property keeps it
+    return fc
 
 
 def config_from_vector(vec, gauge: bool = True) -> Configuration:

@@ -21,15 +21,21 @@ from pdcont.delaunay import (
     orient3d_exact,
 )
 from pdcont.errors import DegenerateInput, GeneralPositionViolation, NearDegenerateJacobian
+from pdcont.filtration import build
 from pdcont.geometry import Configuration, circumspheres
+from pdcont.persistence import boundary_matrix
 
 from helpers import (
     PROPERTY,
     across_reference,
     all_points_attaching,
+    boundary_matrix_stable_reference,
     by_dim,
     circumsphere_lstsq,
+    cofaces_reference,
     dump_text,
+    faces_reference,
+    facets_reference,
     fraction_det_exact,
     fraction_insphere_exact,
     fraction_orient3d_exact,
@@ -39,6 +45,8 @@ from helpers import (
     random_cloud,
     simplex_key,
     skeleton_keys,
+    skeleton_reference,
+    top_rows_reference,
     verify_empty_all_points,
 )
 
@@ -278,6 +286,75 @@ class TestAcross:
             assume(False)  # a draw cospherical beyond float resolution
         for got, want in zip(skeleton.across, across_reference(skeleton)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_ALPHA_CLOUDS = st.one_of(
+    st.builds(lambda seed, m: np.random.RandomState(seed).rand(m, 3),
+              st.integers(0, 2**32 - 1), st.integers(5, 200)),
+    st.builds(lambda seed, m, exponent: apply_jitter(
+        fibonacci_sphere(m), seed=seed, magnitude=10.0**-exponent),
+        st.integers(0, 2**32 - 1), st.integers(5, 200), st.integers(6, 13)),
+    grid_clouds(5, 27, exact=False),  # many radii tie
+)
+_RIPS_CLOUDS = st.builds(lambda seed, m: np.random.RandomState(seed).rand(m, 3),
+                         st.integers(0, 2**32 - 1), st.integers(4, 12))
+
+
+class TestUniqueKeySorts:
+    """A fresh skeleton's index arrays and the boundary matrix, sorted by
+    numpy's default sort on distinct integer keys, against their stable-sort
+    forms."""
+
+    @PROPERTY
+    @given(case=st.one_of(_ALPHA_CLOUDS.map(lambda p: ("alpha", p)),
+                          _RIPS_CLOUDS.map(lambda p: ("rips", p))))
+    def test_equal_to_the_stable_sort_forms(self, case):
+        kind, points = case
+        config = _cfg(points)
+        try:
+            fc = build(config, kind, 3)
+        except GeneralPositionViolation:
+            assume(False)  # a draw cospherical beyond float resolution
+        skeleton = fc.skeleton
+        top = skeleton.vertices[max(skeleton.vertices)]
+        if kind == "alpha":
+            _same_bytes(top, top_rows_reference(Delaunay(config.frame[1]).simplices))
+        ref = skeleton_reference(top, skeleton.n_points)
+        for d in skeleton.vertices:
+            _same_bytes(skeleton.vertices[d], ref.vertices[d])
+            if d:
+                _same_bytes(skeleton.facets[d], ref.facets[d])
+        for got, want in zip(skeleton.faces, faces_reference(ref), strict=True):
+            _same_bytes(got, want)
+        if kind == "alpha" and 3 in skeleton.vertices:  # a triangulation's
+            _same_bytes(skeleton.cofaces, cofaces_reference(ref))
+            for got, want in zip(skeleton.across, across_reference(ref), strict=True):
+                _same_bytes(got, want)
+        b, want = boundary_matrix(fc), boundary_matrix_stable_reference(fc)
+        assert b.size == want.size
+        for got, expected in zip(b.positions + b.facets, want.positions + want.facets, strict=True):
+            _same_bytes(got, expected)
+        assert (b.cofaces is None) == (want.cofaces is None)
+        if b.cofaces is not None:
+            _same_bytes(b.cofaces, want.cofaces)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_facets_of_names_past_64_bits(self, seed):
+        # a Delaunay complex relabelled into 60,000 points, whose names are
+        # Python integers, keeps its facet rows
+        rng = np.random.default_rng(seed)
+        top = Delaunay(rng.uniform(0, 1, (40, 3))).simplices
+        labels = np.sort(rng.choice(60_000, 40, replace=False))
+        rows = np.sort(labels[top], axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        assert delaunay._names(rows, 60_000).dtype == object
+        for got, want in zip(delaunay._facets(rows, 60_000), facets_reference(rows, 60_000)):
+            _same_bytes(got, want)
 
 
 class TestSkeletonIndex:

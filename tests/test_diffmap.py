@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pdcont import filtration, solver
 from pdcont.diffmap import _attaching_gradients, _free_columns, jacobian
-from pdcont.errors import NearDegenerateJacobian
+from pdcont.errors import DegenerateSimplex, NearDegenerateJacobian
 from pdcont.filtration import build
 from pdcont.geometry import Configuration, to_gauge_frame
-from pdcont.persistence import boundary_matrix, diagram, persistence_data, reduce_boundary
+from pdcont.persistence import (
+    FinitePair, PersistenceData, boundary_matrix, diagram, persistence_data, reduce_boundary,
+)
 from pdcont.solver import svd
 
 from helpers import (
@@ -243,3 +246,54 @@ class TestJacobianVsFiniteDifferences:
             assert np.abs(jac - fd).max() / scale <= 1e-6
             done += 1
         assert done >= 4
+
+
+SLIVER = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.2, 1e-13]])
+
+
+class TestDegenerateMaskOnRead:
+    """An alpha complex computes its degenerate mask only when the radius
+    gradients or the general-position report read it, once."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls, mask = [], filtration._degenerate
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return mask(*args)
+        monkeypatch.setattr(filtration, "_degenerate", counted)
+        return calls
+
+    def test_diagram_computes_none(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        config = Configuration(np.random.default_rng(0).uniform(0.0, 10.0, (60, 3)), gauge=False)
+        for dim in (0, 1, 2):
+            assert diagram(config, "alpha", dim).finite
+        assert calls == []
+
+    def test_at_most_one_per_evaluation(self, monkeypatch):
+        calls, builds, build_in_solver = self._counted(monkeypatch), [], solver.build
+
+        def counted_build(*args, **kwargs):
+            builds.append(1)
+            return build_in_solver(*args, **kwargs)
+        monkeypatch.setattr(solver, "build", counted_build)
+        config = Configuration(random_cloud(np.random.RandomState(4), 9), gauge=False)
+        v0 = _diagram_vector(config, "alpha", 1)
+        trace = solver.continue_cloud(config, "alpha", 1, 0.0, v0 * 1.02, n_steps=2, tie_window=1e-3)
+        assert trace.steps and 0 < len(calls) <= len(builds)
+
+    def test_sliver_raises(self):
+        fc = build(Configuration(SLIVER, gauge=False), "alpha", 3)
+        tet = len(fc.skeleton) - 1
+        assert np.flatnonzero(fc.degenerate).tolist() == [tet]
+        # the flat tetrahedron kills its largest triangle at once; the zero
+        # length pair, which no diagram keeps, has it as both realizers
+        tri = fc.skeleton.offsets[2]
+        assert fc.realizer[tri] == tet
+        names, radius = fc.skeleton.names, float(fc.birth[tet])
+        pair = FinitePair(radius, radius, int(names[tri]), int(names[tet]),
+                          int(names[tet]), int(names[tet]))
+        with pytest.raises(DegenerateSimplex, match="coplanar points in 3-simplex"):
+            jacobian(fc, PersistenceData("alpha", 2, 0.0, (pair,), ()))

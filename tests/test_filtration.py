@@ -264,8 +264,9 @@ class TestOnePassBuild:
                 build_alpha(config)
             return
         got = build_alpha(config)
-        pairs = [(got.birth, expected.birth), (got.realizer, expected.realizer)]
-        for out, ref in pairs + list(zip(got.spheres, expected.spheres)):
+        pairs = [(got.birth, expected.birth), (got.realizer, expected.realizer),
+                 (got.degenerate, expected.degenerate)]  # the mask by its on-read reader
+        for out, ref in pairs + list(zip(got.spheres, expected.spheres, strict=True)):
             assert out.shape == ref.shape and out.dtype == ref.dtype
             assert out.tobytes() == ref.tobytes()
 

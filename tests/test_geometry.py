@@ -13,6 +13,7 @@ from pdcont.filtration import build_alpha, build_rips
 from pdcont.geometry import (
     Configuration,
     _circumspheres,
+    _degenerate,
     check_general_position,
     circumspheres,
     to_gauge_frame,
@@ -327,7 +328,7 @@ class TestCircumspheres:
                 with pytest.raises(np.linalg.LinAlgError):
                     _circumspheres(points, verts, blocks)
                 return
-            got = _circumspheres(points, verts, blocks)
+            got = (*_circumspheres(points, verts, blocks), _degenerate(points, verts, blocks))
         for (k, at), ref, (_, shapes) in zip(blocks, expected, stacks.values()):
             centers, radii, weights, degenerate = (out[at] for out in got)
             for out, want in zip((centers, radii, weights[:, :k], degenerate), ref):

@@ -351,6 +351,19 @@ class TestStepControlValidation:
         with pytest.raises(ValueError, match="tie_window"):
             continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, tie_window=window)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, bad):
+        # a NaN target planned one step that failed in a Newton step's points,
+        # an infinite one overflowed the step count; now one ValueError first
+        config, target = self._start()
+        target[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="v_target must be finite"):
+                newton_pinv(config, "alpha", 2, 0.0, target)
+            with pytest.raises(ValueError, match="v_target must be finite"):
+                continue_cloud(config, "alpha", 2, 0.0, target, step=0.01)
+
     def test_boundary_values_run(self):
         config, target = self._start()
         _, report, _ = newton_pinv(config, "alpha", 2, 0.0, target, max_iter=0, tie_window=0.0)
@@ -729,7 +742,7 @@ class TestEvaluatedOnce:
 
 def _evaluation_bytes(ev):
     """Everything an evaluation computed, with arrays as raw bytes."""
-    spheres = tuple(array.tobytes() for array in ev.fc.spheres)
+    spheres = tuple(array.tobytes() for array in (*ev.fc.spheres, ev.fc.degenerate))
     return ev.fc.entries, spheres, ev.reduction.pairs, ev.reduction.essentials, ev.pd
 
 
