@@ -44,7 +44,6 @@ from .solver import (
     NewtonReport,
     NewtonStatus,
     continue_cloud,
-    newton_pinv,
     pinv_apply,
     pinv_matrix,
     svd,

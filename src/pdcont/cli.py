@@ -209,11 +209,15 @@ def _write_run(trace: solver.ContinuationTrace, out: str):
 
 
 def cmd_continue(args) -> int:
-    trace = solver.continue_cloud(
-        _load_config(args), args.filtration, args.dim, args.epsilon, args.target,
-        step=args.step, n_steps=args.n_steps, tol=args.tol, max_iter=args.max_iter,
-        max_halvings=6 if args.adaptive else 0, tie_window=args.tie_window,
-    )
+    try:
+        trace = solver.continue_cloud(
+            _load_config(args), args.filtration, args.dim, args.epsilon, args.target,
+            step=args.step, n_steps=args.n_steps, tol=args.tol, max_iter=args.max_iter,
+            max_halvings=6 if args.adaptive else 0, tie_window=args.tie_window,
+        )
+    except ValueError as exc:  # a control only the segment can refuse: a step too small for it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(trace.termination)
     if trace.steps:
         final = trace.steps[-1]

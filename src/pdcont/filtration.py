@@ -14,7 +14,8 @@ births back: ``rips_birth_radius`` gives the Rips births from the edge
 lengths, ``circumradius`` the alpha circumspheres. An alpha complex keeps
 those circumspheres, in the frame and by global index, so gradients read
 them instead of solving them again; its degenerate mask is made only when
-read. Only ``entries`` makes vertex tuples.
+read. Only ``entries`` and, for reports and messages,
+``Skeleton.vertex_tuples`` make vertex tuples.
 """
 
 from __future__ import annotations

@@ -134,11 +134,10 @@ def _inverse(s):
     return keep, inv
 
 
-def _check_controls(v_target, tol=None, max_iter=None, tie_window=None, step=None, n_steps=None,
-                    max_halvings=None):
+def _check_controls(v_target, tol, max_iter, tie_window, step, n_steps, max_halvings):
     """Refuse, as ValueError, a target with a non-finite coordinate and the
     solver controls out of their range (the CLI refuses the same values as
-    usage errors)."""
+    usage errors); ``step`` and ``n_steps`` may be None."""
     bad = np.count_nonzero(~np.isfinite(np.asarray(v_target, dtype=float)))
     if bad:
         raise ValueError(f"v_target must be finite, got {bad} non-finite coordinate(s)")
@@ -381,23 +380,16 @@ def _tie_rows(flip_coords, flip_names, matched, v_target, fc, window, offsets):
     return rows[keep], (radius - v_target.take(coord) * ratio)[keep]
 
 
-def _newton_core(
-    config, kind, dim, epsilon, v_target, tol, max_iter, layout, tie_window, start=None
-):
-    """Newton solve from ``config``; ``start`` is its _Evaluation if known,
-    and ``layout`` the pairs tracked so far (None: the diagram of ``config``).
+def _newton_core(start, layout, v_target, tol, max_iter, tie_window):
+    """Iterate u <- u - Df(u)^+ (f(u) - v) from the evaluated configuration
+    ``start`` until the sup-norm residual of the pairs tracked by ``layout``
+    is at most ``tol``; attaching radii within ``tie_window`` of a coordinate
+    are carried along with it.
 
     Returns (configuration, report, layout, evaluation of the configuration).
     """
-    v_target = np.asarray(v_target, dtype=float)
-    ev = start if start is not None else _evaluate(config, kind, dim, epsilon)
-    if layout is None:
-        layout = ev.pd.finite
-    if v_target.size != 2 * len(layout):
-        raise DimensionMismatch(
-            f"target has {v_target.size} coordinates, layout expects {2 * len(layout)}"
-        )
-
+    ev, config = start, start.fc.config
+    kind, dim, epsilon = ev.fc.kind, ev.pd.dim, ev.pd.epsilon
     increases = 0
     prev_res = math.inf
     sigma = np.zeros(0)  # the singular values of the last Jacobian
@@ -455,32 +447,6 @@ def _newton_core(
     return config, NewtonReport(status, it, res, sigma, message), layout, ev
 
 
-def newton_pinv(
-    config: Configuration,
-    kind: str,
-    dim: int,
-    epsilon: float,
-    v_target,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    tie_window: float = 0.0,
-):
-    """Iterate u <- u - Df(u)^+ (f(u) - v) until the sup-norm residual is small.
-
-    Each iterate's filtration, diagram, coordinate matching, Jacobian and SVD
-    are computed once; when no tie rows are stacked below the Jacobian, its
-    SVD also gives the pseudo-inverse. Attaching radii within
-    ``tie_window`` of a coordinate are carried along with it. Returns
-    (configuration, NewtonReport, layout) where the layout tracks the
-    generating simplices of the matched coordinates.
-    """
-    _check_controls(v_target, tol, max_iter, tie_window)
-    config, report, layout, _ = _newton_core(
-        config, kind, dim, epsilon, v_target, tol, max_iter, None, tie_window
-    )
-    return config, report, layout
-
-
 # --- continuation driver -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -490,10 +456,13 @@ class ContinuationStep:
     v_target: np.ndarray
     u: np.ndarray               # packed free coordinates at the solution
     pairs: tuple                # ((birth, death), ...) matched layout order
-    singular_values: np.ndarray
-    newton_iters: int
-    residual: float
+    report: NewtonReport        # of the solve that reached ``u``
     attaching_radii: dict       # dim -> tuple of attaching birth radii
+
+    # the report's fields under the names of the trace file
+    singular_values = property(lambda self: self.report.singular_values)
+    newton_iters = property(lambda self: self.report.iterations)
+    residual = property(lambda self: self.report.residual)
 
 
 @dataclass
@@ -505,6 +474,7 @@ class ContinuationTrace:
     v_target: np.ndarray
     n_planned: int
     steps: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)  # (k, dt, report) of each unconverged solve
     reached_target: bool = False
     failed_step: int | None = None
     reason: str | None = None
@@ -542,10 +512,13 @@ def continue_cloud(
     """Walk the diagram from its current value to ``v_target`` along a segment.
 
     The segment is split into equal pieces of length at most ``step`` (or into
-    ``n_steps`` pieces); each piece is solved by ``newton_pinv`` seeded with
-    the previous solution. A piece whose solve does not converge is halved
-    and retried, up to ``max_halvings`` times over the whole run; then, as on
-    a library error, the partial trace is returned.
+    ``n_steps`` pieces); each piece is solved by pseudo-inverse Newton
+    (``_newton_core``) seeded with the previous solution, and each accepted
+    step keeps its ``NewtonReport``. A piece whose solve does not converge is
+    recorded in ``rejected`` with the fraction ``dt`` of the segment it tried,
+    then halved and retried, up to ``max_halvings`` times over the whole run;
+    then, as on a library error, the partial trace is returned. A ``step`` so
+    small that the step count is not finite is a ValueError.
     """
     _check_controls(v_target, tol, max_iter, tie_window, step, n_steps, max_halvings)
     ev = _evaluate(config, kind, dim, epsilon)
@@ -562,12 +535,15 @@ def continue_cloud(
     if v_start.size > config.free_dim:
         warnings.warn(
             f"diagram has m={v_start.size} coordinates but only n={config.free_dim} "
-            "free point coordinates; the target is generically unreachable"
+            "free point coordinates; the target is generically unreachable", stacklevel=2
         )
     if n_steps is not None:
         n = int(n_steps)
     elif step is not None and span > 0:
-        n = max(1, math.ceil(span / step - 1e-12))
+        if not math.isfinite(pieces := span / step):
+            raise ValueError(f"step {step!r} is too small: the segment of length {span!r} "
+                             "would take an unbounded number of steps")
+        n = max(1, math.ceil(pieces - 1e-12))
     else:
         n = 1
 
@@ -582,13 +558,14 @@ def continue_cloud(
         k += 1
         try:
             new_config, report, new_layout, new_ev = _newton_core(
-                config, kind, dim, epsilon, v_k, tol, max_iter, layout, tie_window, start=ev,
+                ev, layout, v_k, tol, max_iter, tie_window
             )
         except PdcontError as exc:
             trace.failed_step = k
             trace.reason = f"{type(exc).__name__}: {exc}"
             break
         if not report.converged:
+            trace.rejected.append((k, float(dt), report))
             if halvings < max_halvings:
                 halvings += 1
                 dt /= 2
@@ -601,10 +578,8 @@ def continue_cloud(
         t = t_next
         trace.steps.append(
             ContinuationStep(
-                k, float(t), v_k, config.pack(),
-                tuple((s.birth, s.death) for s in layout),
-                report.singular_values, report.iterations, report.residual,
-                _attaching_radii(ev.fc),
+                k, float(t), v_k, config.pack(), tuple((s.birth, s.death) for s in layout),
+                report, _attaching_radii(ev.fc),
             )
         )
     trace.reached_target = t >= 1

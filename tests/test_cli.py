@@ -155,6 +155,20 @@ class TestNumberRanges:
         self._usage_error(argv, flag, capsys)
         assert not (tmp_path / "run.jsonl").exists()
 
+    def test_step_too_small_for_the_segment(self, ex1_file, tmp_path, capsys):
+        # a positive step the parser accepts, but the segment would take an
+        # unbounded number of steps: the step count once overflowed
+        argv = [
+            "continue", "-i", ex1_file, "--dim", "2", "--target", "[[8.4, 8.9]]",
+            "--step", "5e-324", "--out", str(tmp_path / "run"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 5e-324 is too small") and err.count("\n") == 1
+        assert not (tmp_path / "run.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["diagram", "check", "jacobian", "continue"])
     @pytest.mark.parametrize("flag, value", [
         ("--jitter-seed", "-1"), ("--jitter-seed", "4294967296"),

@@ -168,7 +168,8 @@ class TestPowerOfTwoScaling:
         """An alpha continuation of P * 2^k toward 2^k times the target, with
         step, tol, tie window and epsilon times 2^k, is 2^k times that of P:
         every u, pair and residual bit for bit, and the same singular values,
-        iteration counts and termination, reached or not."""
+        iteration counts and termination, reached or not, of every accepted
+        step and every rejected attempt."""
         config = to_gauge_frame(random_cloud(np.random.RandomState(seed), m))
         v0 = diagram(config, "alpha", dim, epsilon).vector(include_essential=False)
         if not v0.size:
@@ -192,7 +193,13 @@ class TestPowerOfTwoScaling:
         trace, trace_k = run(0), run(k)
         assert trace_k.n_planned == trace.n_planned
         assert (trace_k.reached_target, trace_k.failed_step) == (trace.reached_target, trace.failed_step)
+        # a library error ends a run with no report: the reason names it
         assert (trace_k.reason or "").split(":")[0] == (trace.reason or "").split(":")[0]
+        assert len(trace_k.rejected) == len(trace.rejected)
+        for (j, dt, r), (j_k, dt_k, r_k) in zip(trace.rejected, trace_k.rejected):
+            assert (j_k, dt_k, r_k.status, r_k.iterations) == (j, dt, r.status, r.iterations)
+            assert r_k.residual == math.ldexp(r.residual, k)
+            assert r_k.singular_values.tobytes() == r.singular_values.tobytes()
         assert len(trace_k.steps) == len(trace.steps)
         for s, s_k in zip(trace.steps, trace_k.steps):
             assert (s_k.k, s_k.t, s_k.newton_iters) == (s.k, s.t, s.newton_iters)

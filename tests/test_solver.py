@@ -19,7 +19,6 @@ from pdcont.solver import (
     NewtonStatus,
     continue_cloud,
     match_to_layout,
-    newton_pinv,
     pinv_apply,
     pinv_matrix,
     svd,
@@ -302,14 +301,16 @@ class TestStepControlValidation:
     """The library refuses the step controls that the CLI refuses: a zero step
     divided by zero, a negative one or a step count below 1 ran one step,
     NaN failed in ``int``, a negative iteration cap left no report, a NaN
-    tie window was ignored and a negative halving cap never halved."""
+    tie window was ignored and a negative halving cap never halved. A step
+    too small for the segment, which the CLI accepts, overflowed the step
+    count (``OverflowError``)."""
 
     @staticmethod
     def _start():
         config = Configuration(EX1_CLOUD)
         return config, diagram(config, "alpha", 2, 0.0).vector(include_essential=False) + 0.01
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 5e-324])
     def test_step(self, step):
         config, target = self._start()
         with pytest.raises(ValueError, match="step"):
@@ -331,23 +332,17 @@ class TestStepControlValidation:
     def test_tol(self, tol):
         config, target = self._start()
         with pytest.raises(ValueError, match="tol"):
-            newton_pinv(config, "alpha", 2, 0.0, target, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
             continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, tol=tol)
 
     @pytest.mark.parametrize("max_iter", [-1, -50])
     def test_max_iter(self, max_iter):
         config, target = self._start()
         with pytest.raises(ValueError, match="max_iter"):
-            newton_pinv(config, "alpha", 2, 0.0, target, max_iter=max_iter)
-        with pytest.raises(ValueError, match="max_iter"):
             continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, max_iter=max_iter)
 
     @pytest.mark.parametrize("window", [-0.5, math.nan, math.inf])
     def test_tie_windows(self, window):
         config, target = self._start()
-        with pytest.raises(ValueError, match="tie_window"):
-            newton_pinv(config, "alpha", 2, 0.0, target, tie_window=window)
         with pytest.raises(ValueError, match="tie_window"):
             continue_cloud(config, "alpha", 2, 0.0, target, n_steps=2, tie_window=window)
 
@@ -360,28 +355,19 @@ class TestStepControlValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="v_target must be finite"):
-                newton_pinv(config, "alpha", 2, 0.0, target)
-            with pytest.raises(ValueError, match="v_target must be finite"):
                 continue_cloud(config, "alpha", 2, 0.0, target, step=0.01)
 
     def test_boundary_values_run(self):
         config, target = self._start()
-        _, report, _ = newton_pinv(config, "alpha", 2, 0.0, target, max_iter=0, tie_window=0.0)
+        trace = continue_cloud(config, "alpha", 2, 0.0, target, n_steps=1, max_iter=0, tie_window=0.0)
+        [(k, dt, report)] = trace.rejected
         assert report.status is NewtonStatus.MAX_ITERATIONS and report.iterations == 0
-        trace = continue_cloud(config, "alpha", 2, 0.0, target, n_steps=1, max_iter=0)
-        assert trace.failed_step == 1
+        assert trace.failed_step == k == 1 and dt == 1.0
 
 
 class TestEpsilonValidation:
     """A negative or non-finite diagonal cutoff epsilon is refused, not read as
     a cutoff that empties the diagram."""
-
-    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
-    def test_newton_pinv(self, epsilon):
-        config = Configuration(EX1_CLOUD)
-        v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        with pytest.raises(ValueError, match="epsilon"):
-            newton_pinv(config, "alpha", 2, epsilon, v0 + 0.01)
 
     @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
     def test_continue_cloud(self, epsilon):
@@ -390,10 +376,20 @@ class TestEpsilonValidation:
 
 
 class TestNewton:
+    """One Newton solve: the first step of a one-step continuation, or
+    ``_newton_core`` from a start's evaluation where a test needs the solve's
+    layout, its configuration or a monkeypatched evaluation."""
+
+    @staticmethod
+    def _solve(dim, epsilon, v_target, tol=1e-10, max_iter=50):
+        """``_newton_core`` from the evaluated example-1 cloud, tracking its diagram."""
+        ev = solver._evaluate(Configuration(EX1_CLOUD), "alpha", dim, epsilon)
+        return solver._newton_core(ev, ev.pd.finite, np.asarray(v_target), tol, max_iter, 0.0)
+
     def test_already_converged(self):
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        _, report, _ = newton_pinv(config, "alpha", 2, 0.0, v0)
+        report = continue_cloud(config, "alpha", 2, 0.0, v0, n_steps=1).steps[0].report
         assert report.converged and report.iterations == 0
 
     def test_first_step_of_deformation(self):
@@ -401,11 +397,12 @@ class TestNewton:
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
         direction = np.array([4.0, 4.3])
         vt = v0 + 0.01 * direction / np.linalg.norm(direction)
-        new_config, report, _ = newton_pinv(config, "alpha", 2, 0.0, vt)
+        trace = continue_cloud(config, "alpha", 2, 0.0, vt, n_steps=1)
+        report = trace.steps[0].report
         assert report.converged
         assert report.iterations <= 10
         assert report.residual <= 1e-10
-        v_new = diagram(new_config, "alpha", 2, 0.0).vector(include_essential=False)
+        v_new = diagram(trace.final_config, "alpha", 2, 0.0).vector(include_essential=False)
         np.testing.assert_allclose(v_new, vt, atol=1e-10)
 
     def test_minimum_norm_step(self):
@@ -413,24 +410,18 @@ class TestNewton:
         pd = diagram(config, "alpha", 2, 0.0)
         v0 = pd.vector(include_essential=False)
         vt = v0 + np.array([0.005, 0.007])
-        new_config, report, _ = newton_pinv(config, "alpha", 2, 0.0, vt, max_iter=1,
-                                            tol=1e-16)
+        new_config, report, _, _ = self._solve(2, 0.0, vt, max_iter=1, tol=1e-16)
         du = new_config.pack() - config.pack()
         _, _, w = svd(diagram_and_jacobian(config, "alpha", 2)[1].matrix)
         projected = w @ (w.T @ du)
         assert np.linalg.norm(du - projected) <= 1e-10 * np.linalg.norm(du)
-
-    def test_dimension_mismatch(self):
-        config = Configuration(EX1_CLOUD)
-        with pytest.raises(DimensionMismatch):
-            newton_pinv(config, "alpha", 2, 0.0, np.zeros(6))
 
     @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
     def test_dimension_zero_jacobian_is_singular(self):
         # every H0 birth is a vertex at radius 0, so its Jacobian row is zero
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 0, 0.0).vector(include_essential=False)
-        _, report, _ = newton_pinv(config, "alpha", 0, 0.0, v0 + 0.01)
+        _, report, _, _ = self._solve(0, 0.0, v0 + 0.01)
         assert report.status is NewtonStatus.SINGULAR_JACOBIAN and report.iterations == 0
         assert report.singular_values[-1] == 0.0
         assert "below floor" in report.message
@@ -443,7 +434,7 @@ class TestNewton:
         ))
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        _, report, _ = newton_pinv(config, "alpha", 2, 0.0, v0 + 0.01)
+        _, report, _, _ = self._solve(2, 0.0, v0 + 0.01)
         assert report.status is NewtonStatus.DIVERGED and report.iterations == 5
         assert report.residual == pytest.approx(0.01)
         assert report.message == "residual failed to decrease for 5 consecutive iterations"
@@ -452,7 +443,7 @@ class TestNewton:
         # the target lies within epsilon of the diagonal, where the pair is truncated
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 2, 0.05).vector(include_essential=False)
-        _, report, _ = newton_pinv(config, "alpha", 2, 0.05, v0 + [0.0, -0.103])
+        _, report, _, _ = self._solve(2, 0.05, v0 + [0.0, -0.103])
         assert report.status is NewtonStatus.CARDINALITY_CHANGED and report.iterations == 1
         assert report.residual == math.inf
         assert report.message == "retained pair count dropped from 1 to 0"
@@ -470,7 +461,7 @@ class TestNewton:
         monkeypatch.setattr(solver, "_evaluate", with_extra)
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        _, report, layout = newton_pinv(config, "alpha", 2, 0.0, v0 + [0.005, 0.007])
+        _, report, layout, _ = self._solve(2, 0.0, v0 + [0.005, 0.007])
         assert report.status is NewtonStatus.CARDINALITY_CHANGED and report.residual <= 1e-10
         assert report.message == "retained pair count changed from 1 to 2"
         assert extra not in layout
@@ -608,14 +599,12 @@ class TestContinuation:
     def test_adaptive_halving_keeps_exact_steps(self, monkeypatch):
         # one failed solve halves 1/3 to 1/6: six accepted steps landing on t = 1
         core = solver._newton_core
+        failed = NewtonReport(NewtonStatus.MAX_ITERATIONS, 0, 1.0)
         calls = []
 
-        def fail_once(config, *args, **kwargs):
+        def fail_once(*args):
             calls.append(None)
-            if len(calls) == 1:
-                report = NewtonReport(NewtonStatus.MAX_ITERATIONS, 0, 1.0)
-                return config, report, None, None
-            return core(config, *args, **kwargs)
+            return (None, failed, None, None) if len(calls) == 1 else core(*args)
 
         monkeypatch.setattr(solver, "_newton_core", fail_once)
         config = Configuration(EX1_CLOUD)
@@ -624,6 +613,7 @@ class TestContinuation:
         assert trace.reached_target
         assert len(trace.steps) == 6
         assert trace.steps[-1].t == 1.0
+        assert trace.rejected == [(1, 1 / 3, failed)]
 
     @pytest.mark.filterwarnings("ignore::pdcont.errors.NearDegenerateJacobian")
     def test_dimension_zero_stops_at_once(self):
@@ -631,7 +621,9 @@ class TestContinuation:
         v0 = diagram(config, "alpha", 0, 0.0).vector(include_essential=False)
         trace = continue_cloud(config, "alpha", 0, 0.0, v0 + 0.01, n_steps=2)
         assert not trace.reached_target and trace.steps == [] and trace.failed_step == 1
-        assert trace.reason.startswith(f"{NewtonStatus.SINGULAR_JACOBIAN.value}: ")
+        [(k, dt, report)] = trace.rejected
+        assert (k, dt, report.status) == (1, 0.5, NewtonStatus.SINGULAR_JACOBIAN)
+        assert trace.reason == f"{NewtonStatus.SINGULAR_JACOBIAN.value}: {report.message}"
         assert trace.termination == f"FailedAtStep 1: {trace.reason}"
         assert trace.final_config is config
 
@@ -651,7 +643,7 @@ class TestContinuation:
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
         trace = continue_cloud(config, "alpha", 2, 0.0, v0 + 0.03, n_steps=3, max_halvings=6)
         assert not trace.reached_target and len(trace.steps) == 1 and trace.failed_step == 2
-        assert trace.reason == "MatchingAmbiguous: two assignments tie"
+        assert trace.reason == "MatchingAmbiguous: two assignments tie" and trace.rejected == []
         assert trace.termination == "FailedAtStep 2: MatchingAmbiguous: two assignments tie"
         np.testing.assert_array_equal(trace.final_config.pack(), trace.steps[0].u)
 
@@ -659,9 +651,24 @@ class TestContinuation:
         # three gauged points have 3 free coordinates; their H0 diagram has 4
         config = Configuration(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.3, 0.8, 0]]))
         v0 = diagram(config, "rips", 0, 0.0).vector(include_essential=False)
-        with pytest.warns(UserWarning, match="m=4 coordinates but only n=3 free point"):
+        with pytest.warns(UserWarning, match="m=4 coordinates but only n=3 free point") as record:
             trace = continue_cloud(config, "rips", 0, 0.0, v0, n_steps=1)
+        assert record[0].filename == __file__  # the caller's line, not the solver's
         assert trace.reached_target
+
+    def test_exhausted_halvings_keep_every_attempt(self):
+        # example 2's cloud and target with a coarser step: the last halving
+        # fails too, and each of the max_halvings + 1 failed solves is kept
+        config = to_gauge_frame(cli.EXAMPLE_1_CLOUD)
+        trace = continue_cloud(config, "alpha", 2, 0.0, [6.42719, 7.09015], step=0.05,
+                               max_halvings=3)
+        assert not trace.reached_target and len(trace.rejected) == 4
+        ks, dts, reports = zip(*trace.rejected)
+        assert list(ks) == sorted(ks) and ks[-1] == trace.failed_step == len(trace.steps) + 1
+        assert dts == tuple(0.5**i / trace.n_planned for i in range(4))
+        assert not any(r.converged for r in reports)
+        last = reports[-1]
+        assert trace.reason == f"{last.status.value}: {last.message or f'residual {last.residual:.3e}'}"
 
     def test_rips_continuation_small(self):
         # move the single Rips 1-dim pair of the trapezoid cloud slightly
@@ -684,9 +691,8 @@ class TestEvaluatedOnce:
     def _run(self, monkeypatch, shift, **kwargs):
         config = Configuration(EX1_CLOUD)
         v0 = diagram(config, "alpha", 2, 0.0).vector(include_essential=False)
-        builds, reductions, matrices, reports = [], [], [], []
+        builds, reductions, matrices = [], [], []
         build, reduce, decompose = solver.build, solver.reduce_boundary, solver.svd
-        core = solver._newton_core
 
         def counted_build(*args, **kw):
             fc = build(*args, **kw)
@@ -701,18 +707,13 @@ class TestEvaluatedOnce:
             matrices.append(np.array(a, dtype=float))
             return decompose(a)
 
-        def reported_core(*args, **kw):
-            out = core(*args, **kw)
-            reports.append(out[1])
-            return out
-
         monkeypatch.setattr(solver, "build", counted_build)
         monkeypatch.setattr(solver, "reduce_boundary", counted_reduce)
         monkeypatch.setattr(solver, "svd", recorded_svd)
-        monkeypatch.setattr(solver, "_newton_core", reported_core)
         trace = continue_cloud(config, "alpha", 2, 0.0, v0 + shift, **kwargs)
         monkeypatch.undo()
         assert trace.reached_target
+        reports = [s.report for s in trace.steps] + [r for _, _, r in trace.rejected]
         # one build for the start, then one per Newton step, failed solves included
         assert len(builds) == 1 + sum(r.iterations for r in reports)
         # only the start is built without a previous evaluation, and a pairing
@@ -728,16 +729,16 @@ class TestEvaluatedOnce:
             cfg = config.with_vector(step.u)
             _, s, _ = svd(diagram_and_jacobian(cfg, "alpha", 2)[1].matrix)
             assert np.array_equal(step.singular_values, s)
-        return trace, reports
+        return trace
 
     def test_short_run(self, monkeypatch):
-        trace, reports = self._run(monkeypatch, 0.05, n_steps=5)
-        assert len(trace.steps) == len(reports) == 5
+        trace = self._run(monkeypatch, 0.05, n_steps=5)
+        assert len(trace.steps) == 5 and trace.rejected == []
 
     def test_adaptive_halving(self, monkeypatch):
-        trace, reports = self._run(monkeypatch, 0.3, n_steps=2, max_iter=2, max_halvings=6)
-        failed = [r for r in reports if not r.converged]
-        assert failed and len(reports) == len(trace.steps) + len(failed)
+        trace = self._run(monkeypatch, 0.3, n_steps=2, max_iter=2, max_halvings=6)
+        assert trace.rejected and all(s.report.converged for s in trace.steps)
+        assert not any(r.converged for _, _, r in trace.rejected)
 
 
 def _evaluation_bytes(ev):
