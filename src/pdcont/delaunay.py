@@ -25,7 +25,8 @@ search. A fresh skeleton's index arrays are sorted by numpy's default
 sort on distinct integer keys (``_stable_argsort``), never by a stable one.
 Vertex tuples are made only for output and error messages. When
 Qhull returns exactly the tetrahedra of a previous skeleton, ``delaunay3``
-returns that skeleton; the verification always runs on the new points.
+returns that skeleton, as it does any previous 4-point skeleton for four
+points; the verification always runs on the new points.
 
 Clouds of M <= 3 points are their own simplex (vertex, edge, triangle),
 refused when the circumsphere kernel finds it degenerate; coplanar clouds of
@@ -449,7 +450,8 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
     M = 1, 2, 3 clouds yield the trivial complex of the points themselves
     (vertex / edge / triangle), unless ``circumspheres`` finds it degenerate.
     M >= 4 requires non-coplanar points. When the tetrahedra equal those of
-    ``previous`` (the skeleton of a nearby cloud), the result is ``previous``.
+    ``previous`` (the skeleton of a nearby cloud), the result is ``previous``;
+    four points have the one tetrahedron of any 4-point ``previous``.
     Qhull, the checks and the verification read the ``Configuration.frame``.
     """
     pts, m = config.frame[1], config.n_points
@@ -458,6 +460,8 @@ def delaunay3(config: Configuration, previous: Skeleton | None = None) -> Skelet
         top = np.arange(m)[None]
         if m == 4 and _orient_signs(pts, top)[0] == 0:
             raise DegenerateInput("four coplanar points")
+        if m == 4 and previous is not None and previous.n_points == 4:
+            return previous  # the one tetrahedron of four points, as in any 4-point skeleton
         if 1 < m < 4 and circumspheres(pts[None])[3][0]:
             raise DegenerateInput(_DEGENERATE[m])
     else:

@@ -98,14 +98,14 @@ def _warn_near_ties(names, values, fc: FilteredComplex):
     """Warn once if another attaching radius lies within ``_TIE_TOL`` of a
     row's value, unless the row's attaching simplex is a vertex (a name
     below ``n_points``); the row's own radius is in its window."""
-    lo, hi = fc.attaching_within(values, _TIE_TOL)
-    events = int((hi - lo - 1)[names >= fc.config.n_points].sum())
+    lo, hi, n = *fc.attaching_within(values, _TIE_TOL), fc.config.n_points
+    events = sum(h - l - 1 for l, h, name in zip(lo.tolist(), hi.tolist(), names.tolist()) if name >= n)
     if events:
         warnings.warn(
             f"{events} attaching radius tie(s) within {_TIE_TOL:g}; "
             "derivative selection is order-dependent there",
             NearDegenerateJacobian,
-            stacklevel=3,
+            stacklevel=3,  # the line that asked _jacobian_matrix for the matrix
         )
 
 
@@ -129,8 +129,15 @@ def jacobian(
         for idx, ess in enumerate(pd.essential):
             rows.append(JacobianRow(idx, "essential", ess.birth_attaching, ess.birth))
     names = np.array([r.attaching_key for r in rows])
-    _warn_near_ties(names, np.array([r.value for r in rows]), fc)
-    matrix, _ = _attaching_gradients(fc, fc.skeleton.names.searchsorted(names))
+    matrix = _jacobian_matrix(fc, names, np.array([r.value for r in rows]))
     slots = _free_slots(fc.config.n_points, fc.config.gauge)
     return PersistenceJacobian(matrix, tuple(rows), slots)
+
+
+def _jacobian_matrix(fc: FilteredComplex, names, values) -> np.ndarray:
+    """The matrix of ``jacobian``: a row per coordinate ``values``, realized
+    by the attaching simplex of that name in ``names``, over the free columns.
+    Warns as ``jacobian`` does on near ties."""
+    _warn_near_ties(names, values, fc)
+    return _attaching_gradients(fc, fc.skeleton.names.searchsorted(names))[0]
 

@@ -112,7 +112,7 @@ class FilteredComplex:
     def attaching(self) -> tuple:
         """(radii, global indices) of every attaching simplex of dimension >= 1,
         by radius, then global index."""
-        at = np.flatnonzero(self.realizer == np.arange(len(self.realizer)))
+        at = (self.realizer == np.arange(len(self.realizer))).nonzero()[0]
         at = at[at >= self.skeleton.n_points]  # vertices are the global indices 0...n-1
         at = at[np.argsort(self.birth[at], kind="stable")]
         return self.birth[at], at

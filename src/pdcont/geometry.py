@@ -111,7 +111,7 @@ class Configuration:
         if vec.shape != (self.free_dim,):
             raise ValueError(f"expected vector of length {self.free_dim}, got {vec.shape}")
         cols = _free_columns(self.n_points, self.gauge)[:-1]
-        return Configuration(np.append(vec, 0.0)[cols], self.gauge)  # pinned: the zero appended
+        return Configuration(np.concatenate((vec, [0.0])).take(cols), self.gauge)  # pinned: the zero appended
 
 
 def _unframe(x, e, message):

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -324,7 +325,7 @@ def persistence_data(
     reduction: Reduction, fc: FilteredComplex, dim: int, epsilon: float = 0.0
 ) -> PersistenceData:
     """Select the dimension-``dim`` pairs, dropping those within eps of the diagonal."""
-    if dim < 0 or not (np.isfinite(epsilon) and epsilon >= 0):
+    if dim < 0 or not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"need dim >= 0 and a finite epsilon >= 0, got {dim}, {epsilon!r}")
     at, n = reduction.dimension(dim)
     simplex = fc.order[at]

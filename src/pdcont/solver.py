@@ -16,13 +16,16 @@ generators change. A simplex is named across iterates by its integer name
 of attaching radii, tie offsets) runs on those names and on global indices,
 as arrays.
 
-Each configuration's filtration, diagram, matched Jacobian and SVD are
-computed once (``_Evaluation``): the accepted configuration of one step starts
-the next solve, and the Jacobian's SVD also gives the pseudo-inverse unless
-tie rows are stacked below it, in the Newton matrix [J; tie rows]. Each Newton
-iterate is evaluated with the previous one: the build shares the previous
-skeleton (its closure, cofacets, names and index arrays), a Delaunay one when
-Qhull returns the same tetrahedra and a Rips one always, and when the simplex
+Each configuration's filtration, diagram, matched Jacobian matrix and SVD
+are computed once (``_Evaluation``). An evaluation keeps the bare matrix of
+``diffmap._jacobian_matrix``, the gather that the public ``jacobian`` also
+calls, and builds no ``PersistenceJacobian``. The accepted configuration of
+one step starts the next solve, and the Jacobian's SVD also gives the
+pseudo-inverse unless tie rows are stacked below it, in the Newton matrix
+[J; tie rows]. Each Newton iterate is evaluated with the previous one: the
+build shares the previous skeleton (its closure, cofacets, names and index
+arrays), a Delaunay one when Qhull returns the same tetrahedra or the cloud
+has four points, and a Rips one always, and when the simplex
 order is unchanged the previous Z/2 pairing is kept, since a reduction depends
 on the order alone. Every radius and diagram value is computed anew, so the
 results are bit for bit those of recomputing everything at every iterate.
@@ -33,12 +36,13 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .diffmap import PersistenceJacobian, _attaching_gradients, jacobian
+# the matrix gather under the name perfbench's tracer wraps as diffmap.jacobian
+from .diffmap import _attaching_gradients, _jacobian_matrix as jacobian
 from .errors import DimensionMismatch, MatchingAmbiguous, PdcontError
 from .filtration import FilteredComplex, build
 from .geometry import Configuration
@@ -79,18 +83,22 @@ def _jacobi_tall(a):
                 c = 1.0 / math.hypot(1.0, t)
                 s = c * t
                 bi, bj = cols[i], cols[j]
-                new_i = c * bi - s * bj
+                s_bi, s_bj = s * bi, s * bj
+                bi *= c
+                bi -= s_bj  # c * bi - s * bj
                 bj *= c
-                bj += s * bi  # s * bi + c * bj, as addition commutes exactly
-                bi[:] = new_i
+                bj += s_bi  # s * bi + c * bj, as addition commutes exactly
                 squares[i], squares[j] = float(x.dot(x)), float(y.dot(y))
         if not rotated:
             break
     norms = np.sqrt(np.add.reduce(block[:p] ** 2, axis=0))  # np.linalg.norm's arithmetic
-    order = np.argsort(-norms)
-    if not block.flags.f_contiguous or (order != np.arange(q)).any():  # F-ordered factors
+    listed = norms.tolist()
+    # F-ordered factors; strictly decreasing norms are in the order any sort gives them
+    if not (block.flags.f_contiguous and all(x > y for x, y in zip(listed, listed[1:]))):
+        order = np.argsort(-norms)
         norms, block = norms[order], block[:, order]
-    block[:p] /= np.where(norms > 0, norms, 1.0)  # a zero column stays zero
+        listed = norms.tolist()
+    block[:p] /= [x if x > 0 else 1.0 for x in listed]  # a zero column stays zero
     return block[:p], norms, block[p:]
 
 
@@ -129,15 +137,18 @@ _SIGMA_FLOOR = 1e-12  # a Jacobian with a smaller singular value stops the solve
 def _inverse(s):
     """Which singular values exceed the cutoff, and their inverses (else 0)."""
     keep = s > _CUTOFF_REL * (float(s[0]) if s.size else 0.0)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return keep, inv
+    return keep, np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+
+
+# past 2^53 steps the fractions k/n of neighbouring steps can round to the same float
+_MAX_STEPS = 2**53
 
 
 def _check_controls(v_target, tol, max_iter, tie_window, step, n_steps, max_halvings):
     """Refuse, as ValueError, a target with a non-finite coordinate and the
-    solver controls out of their range (the CLI refuses the same values as
-    usage errors); ``step`` and ``n_steps`` may be None."""
+    solver controls out of their range, an ``n_steps`` above ``_MAX_STEPS``
+    included (the CLI refuses the same values as usage errors); ``step`` and
+    ``n_steps`` may be None."""
     bad = np.count_nonzero(~np.isfinite(np.asarray(v_target, dtype=float)))
     if bad:
         raise ValueError(f"v_target must be finite, got {bad} non-finite coordinate(s)")
@@ -149,6 +160,8 @@ def _check_controls(v_target, tol, max_iter, tie_window, step, n_steps, max_halv
                            ("max_halvings", max_halvings, 0)):
         if n is not None and n < least:
             raise ValueError(f"{name} must be >= {least}, got {n!r}")
+    if n_steps is not None and n_steps > _MAX_STEPS:
+        raise ValueError(f"n_steps must be at most 2**53, got {n_steps!r}")
 
 
 def pinv_apply(a, b):
@@ -176,7 +189,7 @@ def _pinv_solve(factors, b):
     matrix, and how many singular values exceed the cutoff."""
     v, s, w = factors
     keep, inv = _inverse(s)
-    return w @ ((inv if b.ndim == 1 else inv[:, None]) * (v.T @ b)), int(keep.sum())
+    return w @ ((inv if b.ndim == 1 else inv[:, None]) * (v.T @ b)), np.count_nonzero(keep)
 
 
 def pinv_matrix(a) -> np.ndarray:
@@ -227,8 +240,8 @@ def match_to_layout(layout, pd: PersistenceData):
             used.add(id(rec))
         else:
             free_slots.append(idx)
-    leftovers = [r for r in records if id(r) not in used]
     if free_slots:
+        leftovers = [r for r in records if id(r) not in used]
         slots = [layout[i] for i in free_slots]
         e = math.frexp(max(abs(x) for r in slots + leftovers for x in (r.birth, r.death)))[1]
         cost = np.ldexp([  # the sup-norm distance of each free slot to each leftover
@@ -294,20 +307,21 @@ class _Evaluation:
     pd: PersistenceData
     reduction: Reduction
     matched: tuple | None = None
-    jac: PersistenceJacobian | None = None
+    matrix: np.ndarray | None = None
     factors: tuple | None = None
 
-    def jacobian(self, matched) -> PersistenceJacobian:
-        """Jacobian of the matched pairs' coordinates, in their order."""
-        if self.jac is None or self.matched != matched:
-            self.jac = jacobian(self.fc, replace(self.pd, finite=matched), include_essential=False)
+    def jacobian(self, matched, values) -> np.ndarray:
+        """Jacobian matrix of the matched pairs' coordinates ``values``, in their order."""
+        if self.matrix is None or self.matched != matched:
+            names = np.array([key for p in matched for key in (p.birth_attaching, p.death_attaching)])
+            self.matrix = jacobian(self.fc, names, values)
             self.matched, self.factors = matched, None
-        return self.jac
+        return self.matrix
 
     def svd(self):
-        """SVD factors (V, s, W) of the Jacobian last asked for."""
+        """SVD factors (V, s, W) of the Jacobian matrix last asked for."""
         if self.factors is None:
-            self.factors = svd(self.jac.matrix)
+            self.factors = svd(self.matrix)
         return self.factors
 
 
@@ -321,7 +335,7 @@ def _evaluate(config, kind, dim, eps, previous=None) -> _Evaluation:
     """
     fc = build(config, kind, dim + 1, previous=previous.fc if previous else None)
     same = previous is not None and fc.skeleton is previous.fc.skeleton
-    if same and np.array_equal(fc.order, previous.fc.order):
+    if same and (fc.order == previous.fc.order).all():
         red = previous.reduction
     else:
         red = reduce_boundary(boundary_matrix(fc))
@@ -371,10 +385,10 @@ def _tie_rows(flip_coords, flip_names, matched, v_target, fc, window, offsets):
     if not g.size:
         return none
     radius, value, names = fc.birth.take(g), values.take(coord), skeleton.names.take(g)
-    ratio = np.divide(radius, value, out=np.ones_like(radius), where=value != 0)
-    # each (coordinate, name) keeps the ratio it joined with: one setdefault pass
-    joined = map(offsets.setdefault, zip(coord.tolist(), names.tolist()), ratio.tolist())
-    ratio = np.fromiter(joined, float, len(ratio))
+    # each (coordinate, name) keeps the ratio it joined with, radius / value (1 at value 0)
+    keys = zip(coord.tolist(), names.tolist())
+    ratio = np.array([offsets.setdefault(key, r / v if v else 1.0)
+                      for key, r, v in zip(keys, radius.tolist(), value.tolist())])
     rows, norms = _attaching_gradients(fc, fc.realizer.take(g))
     keep = ~(norms > _TIE_GRADIENT_CAP)  # a sliver's radius is too ill-conditioned to pin
     return rows[keep], (radius - v_target.take(coord) * ratio)[keep]
@@ -389,6 +403,7 @@ def _newton_core(start, layout, v_target, tol, max_iter, tie_window):
     Returns (configuration, report, layout, evaluation of the configuration).
     """
     ev, config = start, start.fc.config
+    u = config.pack()
     kind, dim, epsilon = ev.fc.kind, ev.pd.dim, ev.pd.epsilon
     increases = 0
     prev_res = math.inf
@@ -407,8 +422,9 @@ def _newton_core(start, layout, v_target, tol, max_iter, tie_window):
                 flips[0].extend((c, c))
                 flips[1].extend((was, now))
         layout = matched
-        residual_vec = _values(matched) - v_target
-        res = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
+        values = _values(matched)
+        residual_vec = values - v_target
+        res = float(abs(residual_vec).max()) if residual_vec.size else 0.0
         increases = increases + 1 if res >= prev_res else 0
         if res <= tol:
             status = NewtonStatus.CONVERGED
@@ -426,7 +442,7 @@ def _newton_core(start, layout, v_target, tol, max_iter, tie_window):
             break
         prev_res = res
 
-        jac = ev.jacobian(matched)
+        jac = ev.jacobian(matched, values)
         factors = ev.svd()
         sigma = factors[1]
         if sigma.size and sigma[-1] < _SIGMA_FLOOR:
@@ -436,13 +452,14 @@ def _newton_core(start, layout, v_target, tol, max_iter, tie_window):
         tie_m, tie_r = _tie_rows(*flips, matched, v_target, ev.fc, tie_window, tie_offsets)
         if tie_m.shape[0]:  # the Newton matrix is [J; tie rows]
             rhs = np.concatenate([residual_vec, tie_r])
-            step = pinv_apply(np.vstack([jac.matrix, tie_m]), rhs)[0]
+            step = pinv_apply(np.concatenate([jac, tie_m]), rhs)[0]
         else:  # the Newton matrix is the Jacobian, already decomposed
             step = _pinv_solve(factors, residual_vec)[0]
-        config = config.with_vector(config.pack() - step)
+        u = u - step
+        config = config.with_vector(u)
         ev = _evaluate(config, kind, dim, epsilon, previous=ev)
     if status is NewtonStatus.CONVERGED:  # the Jacobian's singular values where it stopped
-        ev.jacobian(matched)
+        ev.jacobian(matched, values)
         sigma = ev.svd()[1]
     return config, NewtonReport(status, it, res, sigma, message), layout, ev
 
@@ -517,8 +534,8 @@ def continue_cloud(
     step keeps its ``NewtonReport``. A piece whose solve does not converge is
     recorded in ``rejected`` with the fraction ``dt`` of the segment it tried,
     then halved and retried, up to ``max_halvings`` times over the whole run;
-    then, as on a library error, the partial trace is returned. A ``step`` so
-    small that the step count is not finite is a ValueError.
+    then, as on a library error, the partial trace is returned. A plan of
+    more than 2**53 steps, by ``step`` or ``n_steps``, is a ValueError.
     """
     _check_controls(v_target, tol, max_iter, tie_window, step, n_steps, max_halvings)
     ev = _evaluate(config, kind, dim, epsilon)
@@ -540,9 +557,9 @@ def continue_cloud(
     if n_steps is not None:
         n = int(n_steps)
     elif step is not None and span > 0:
-        if not math.isfinite(pieces := span / step):
+        if not (pieces := span / step) <= _MAX_STEPS:
             raise ValueError(f"step {step!r} is too small: the segment of length {span!r} "
-                             "would take an unbounded number of steps")
+                             "would take more than 2**53 steps")
         n = max(1, math.ceil(pieces - 1e-12))
     else:
         n = 1

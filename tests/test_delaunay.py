@@ -163,6 +163,20 @@ class TestDelaunay3:
         dc = delaunay3(_cfg(np.ldexp(pts, power)))
         assert by_dim(dc)[3] == ((0, 1, 2, 3),)
 
+    def test_four_points_keep_the_previous_skeleton(self):
+        # four points in general position have one Delaunay complex, so a
+        # previous 4-point skeleton is returned as it is
+        previous = delaunay3(_cfg(EX1_CLOUD))
+        moved = np.asarray(EX1_CLOUD, dtype=float) + np.random.RandomState(0).uniform(-0.1, 0.1, (4, 3))
+        assert delaunay3(_cfg(moved), previous) is previous
+        fresh = delaunay3(_cfg(moved), delaunay3(_cfg(np.random.RandomState(1).rand(6, 3))))
+        assert fresh.n_points == 4 and by_dim(fresh) == by_dim(previous)
+
+    def test_four_coplanar_points_rejected_with_a_previous_skeleton(self):
+        previous = delaunay3(_cfg(EX1_CLOUD))
+        with pytest.raises(DegenerateInput, match="four coplanar points"):
+            delaunay3(_cfg([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]), previous)
+
     def test_exact_cospherical_rejected(self):
         # octahedron vertices plus two more points on the same sphere
         pts = np.array(

@@ -303,20 +303,22 @@ class TestStepControlValidation:
     NaN failed in ``int``, a negative iteration cap left no report, a NaN
     tie window was ignored and a negative halving cap never halved. A step
     too small for the segment, which the CLI accepts, overflowed the step
-    count (``OverflowError``)."""
+    count (``OverflowError``) or planned about 1e300 steps, which, like a
+    step count of 2^60, ran without end: a plan of more than 2^53 steps is
+    refused."""
 
     @staticmethod
     def _start():
         config = Configuration(EX1_CLOUD)
         return config, diagram(config, "alpha", 2, 0.0).vector(include_essential=False) + 0.01
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 5e-324])
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 5e-324, 1e-300])
     def test_step(self, step):
         config, target = self._start()
         with pytest.raises(ValueError, match="step"):
             continue_cloud(config, "alpha", 2, 0.0, target, step=step)
 
-    @pytest.mark.parametrize("n_steps", [0, -3])
+    @pytest.mark.parametrize("n_steps", [0, -3, 2**53 + 1, 2**60])
     def test_n_steps(self, n_steps):
         config, target = self._start()
         with pytest.raises(ValueError, match="n_steps"):
